@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, dynamics
-from .errors import BreakdownError, ConfigError, NlwavesError
+from .errors import BreakdownError, ConfigError, NlwavesError, NonFiniteError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid, write_field_csv
 
@@ -126,19 +126,14 @@ def _build_kernel(spec: str) -> Kernel:
     return Kernel.from_file(path)
 
 
-def _resolve_dt(cfg: dict, grid: Grid, kernel: Kernel, deltas) -> float:
-    if cfg["dt"] is not None:
-        return cfg["dt"]
-    candidates = [dynamics.cfl_dt(grid, kernel, None)]
-    candidates += [dynamics.cfl_dt(grid, kernel, d) for d in deltas if d is not None]
-    return min(candidates)
-
-
 def _write_summary(out_dir: Path, payload: dict) -> Path:
+    """Write strict JSON; a NaN or infinity anywhere is a numeric failure."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"summary.json would contain a non-finite value: {exc}") from None
     path = out_dir / "summary.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n")
     return path
 
 
@@ -171,7 +166,7 @@ def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     kernel = _build_kernel(cfg["kernel"])
     grid = Grid(cfg["grid_l"], cfg["grid_n"])
-    dt = _resolve_dt(cfg, grid, kernel, [cfg["delta"]])
+    dt = dynamics.shared_dt(grid, kernel, [cfg["delta"]], cfg["dt"])
     mc = dynamics.ModelConfig(
         kernel=kernel,
         delta=cfg["delta"],

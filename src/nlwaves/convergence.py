@@ -139,12 +139,13 @@ def operator_error(
     return err, err / (delta**theta * reference)
 
 
-class _SnapshotRecorder:
-    """Observer that keeps (t, u, v) every `stride` steps plus the last step."""
+class _Recorder:
+    """Observer keeping take(state) every `stride` steps plus the last step."""
 
-    def __init__(self, stride: int, n_steps: int):
+    def __init__(self, stride: int, n_steps: int, take):
         self.stride = stride
         self.n_steps = n_steps
+        self.take = take
         self.count = -1
         self.times = []
         self.snaps = []
@@ -152,66 +153,51 @@ class _SnapshotRecorder:
     def __call__(self, state):
         self.count += 1
         if self.count % self.stride == 0 or self.count == self.n_steps:
-            self.times.append(state.t)
-            self.snaps.append((state.u, state.v))
+            first = state[0] if isinstance(state, tuple) else state
+            self.times.append(first.t)
+            self.snaps.append(self.take(state))
 
 
-def _n_steps(t_end: float, dt: float) -> int:
-    return int(np.ceil(t_end / dt - 1e-9)) if t_end > 0 else 0
-
-
-def _sweep_dt(cfg: SweepConfig) -> float:
-    """Shared step size: the most restrictive CFL guard across the pair."""
-    if cfg.dt is not None:
-        return cfg.dt
-    candidates = [dynamics.cfl_dt(cfg.grid, cfg.kernel, None)]
-    candidates += [dynamics.cfl_dt(cfg.grid, cfg.kernel, d) for d in cfg.deltas]
-    return min(candidates)
+def _model_config(cfg: SweepConfig, delta: float | None, dt: float) -> dynamics.ModelConfig:
+    return dynamics.ModelConfig(
+        kernel=cfg.kernel,
+        delta=delta,
+        dt=dt,
+        t_end=cfg.t_end,
+        epsilon=cfg.epsilon,
+        n=cfg.n,
+        s=cfg.s,
+        breakdown_threshold=cfg.breakdown_threshold,
+    )
 
 
 def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Error of the nonlocal system against the classical one, per delta.
 
-    Runs the classical system once, then the nonlocal system for each delta
-    with identical initial data, grid, and dt.  The error at each sampled
-    time is |u_d - u| + |v_d - v| in the order-(s-1) Sobolev norm; terminal
-    errors feed the log-log slope fit.
+    The classical run and one nonlocal run per delta start from identical
+    initial data and share grid and dt; one batched integration steps them
+    together.  The error at each sampled time is |u_d - u| + |v_d - v| in the
+    order-(s-1) Sobolev norm; terminal errors feed the log-log slope fit.
     """
-    dt = _sweep_dt(cfg)
+    dt = dynamics.shared_dt(cfg.grid, cfg.kernel, cfg.deltas, cfg.dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, cfg.grid)
-    n_steps = _n_steps(cfg.t_end, dt)
-
-    def run(delta):
-        mc = dynamics.ModelConfig(
-            kernel=cfg.kernel,
-            delta=delta,
-            dt=dt,
-            t_end=cfg.t_end,
-            epsilon=cfg.epsilon,
-            n=cfg.n,
-            s=cfg.s,
-            breakdown_threshold=cfg.breakdown_threshold,
-        )
-        rec = _SnapshotRecorder(cfg.sample_stride, n_steps)
-        dynamics.integrate(mc, initial, observers=(rec,))
-        return rec
-
-    reference = run(None)
     order = cfg.s - 1.0
-    errors = []
-    series = []
-    for delta in cfg.deltas:
-        rec = run(delta)
-        if rec.times != reference.times:
-            raise AssertionError("sample times diverged between paired runs")
-        errs = tuple(
-            sobolev_norm(ud - uc, order) + sobolev_norm(vd - vc, order)
-            for (ud, vd), (uc, vc) in zip(rec.snaps, reference.snaps)
-        )
-        series.append(errs)
-        errors.append(errs[-1])
 
-    return _assemble_report(cfg.deltas, errors, tuple(reference.times), series)
+    def errors_against_classical(states):
+        classical = states[0]
+        return tuple(
+            sobolev_norm(s.u - classical.u, order) + sobolev_norm(s.v - classical.v, order)
+            for s in states[1:]
+        )
+
+    rec = _Recorder(
+        cfg.sample_stride, dynamics.n_steps(cfg.t_end, dt), errors_against_classical
+    )
+    configs = [_model_config(cfg, delta, dt) for delta in (None, *cfg.deltas)]
+    dynamics.integrate(configs, initial, observers=(rec,))
+    series = list(zip(*rec.snaps))
+    errors = [errs[-1] for errs in series]
+    return _assemble_report(cfg.deltas, errors, tuple(rec.times), series)
 
 
 def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
@@ -234,23 +220,14 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             )
         strides.append(stride)
 
-    dt = _sweep_dt(cfg)
-    n_steps = _n_steps(cfg.t_end, dt)
+    dt = dynamics.shared_dt(grid, cfg.kernel, cfg.deltas, cfg.dt)
+    n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
-    mc = dynamics.ModelConfig(
-        kernel=cfg.kernel,
-        delta=None,
-        dt=dt,
-        t_end=cfg.t_end,
-        epsilon=cfg.epsilon,
-        n=cfg.n,
-        s=cfg.s,
-        breakdown_threshold=cfg.breakdown_threshold,
+    # classical strain u and strain rate u_t = v_x, sampled once per snapshot
+    reference = _Recorder(
+        cfg.sample_stride, n_steps, lambda s: (s.u.samples, derivative(s.v).samples)
     )
-    reference = _SnapshotRecorder(cfg.sample_stride, n_steps)
-    dynamics.integrate(mc, initial, observers=(reference,))
-    # classical strain rate u_t = v_x, sampled once per snapshot
-    ref_rate = [derivative(v).samples for _, v in reference.snaps]
+    dynamics.integrate(_model_config(cfg, None, dt), initial, observers=(reference,))
 
     order = cfg.s - 1.0
     errors = []
@@ -258,7 +235,9 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     for delta, stride in zip(cfg.deltas, strides):
         sites = grid.size // stride
         chain = lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, sites)
-        rec = _ChainRecorder(cfg.sample_stride, n_steps)
+        rec = _Recorder(
+            cfg.sample_stride, n_steps, lambda c: (c.strain.copy(), c.velocity.copy())
+        )
         lattice.integrate_chain(
             chain, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(rec,)
         )
@@ -266,31 +245,14 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             raise AssertionError("sample times diverged between paired runs")
         coarse = Grid(grid.half_length, sites)
         errs = []
-        for (cu, cut), (u, _), ut in zip(rec.snaps, reference.snaps, ref_rate):
-            du = Field(coarse, cu - u.samples[::stride])
+        for (cu, cut), (u, ut) in zip(rec.snaps, reference.snaps):
+            du = Field(coarse, cu - u[::stride])
             dut = Field(coarse, cut - ut[::stride])
             errs.append(sobolev_norm(du, order) + sobolev_norm(dut, order))
         series.append(tuple(errs))
         errors.append(errs[-1])
 
     return _assemble_report(cfg.deltas, errors, tuple(reference.times), series)
-
-
-class _ChainRecorder:
-    """Observer keeping (strain, velocity) every `stride` steps plus the last."""
-
-    def __init__(self, stride: int, n_steps: int):
-        self.stride = stride
-        self.n_steps = n_steps
-        self.count = -1
-        self.times = []
-        self.snaps = []
-
-    def __call__(self, chain):
-        self.count += 1
-        if self.count % self.stride == 0 or self.count == self.n_steps:
-            self.times.append(chain.t)
-            self.snaps.append((chain.strain.copy(), chain.velocity.copy()))
 
 
 def _assemble_report(deltas, errors, times, series) -> ConvergenceReport:

@@ -10,26 +10,27 @@ selects the classical system; any positive delta selects the nonlocal one.
 Nonlinear products are dealiased by zero padding, and the classical
 right-hand side is written in the same conservative form so a delta-sweep
 isolates the kernel effect alone.
+
+`integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
+right-hand side is then (M v^, M (u + g(u))^) with the fused multiplier
+M = i xi sqrt(b(delta xi)) built once per call, so a stage costs one padded
+transform pair for the power and none when eps = 0.  The breakdown monitor
+reuses the first RK4 stage.  Runs that differ only in delta are rows of one
+array and share every transform.  `nonlocal_rhs`, `classical_rhs`,
+`rk4_step` and `breakdown_monitor` are Field-level wrappers over the same
+core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import shapes
 from .errors import BreakdownError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
-from .spectral import (
-    Field,
-    Grid,
-    apply_multiplier,
-    dealiased_power,
-    derivative,
-    linf_norm,
-    sobolev_scale,
-)
+from .spectral import Field, Grid, dealiased_power_rfft, sobolev_scale
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
 
@@ -97,52 +98,113 @@ def cfl_dt(grid: Grid, kernel: Kernel, delta: float | None, safety: float = 0.25
     return safety * grid.spacing / max(speed, 1e-12)
 
 
-def _stress_field(state: State, cfg: ModelConfig) -> Field:
-    """u + eps^n u^(n+1), the quantity whose gradient drives v_t."""
+def shared_dt(grid: Grid, kernel: Kernel, deltas, dt: float | None = None) -> float:
+    """Step size shared by the classical run and one run per delta.
+
+    An explicit dt wins; otherwise the most restrictive CFL guard over the
+    classical system and every positive delta in `deltas`.
+    """
+    if dt is not None:
+        return dt
+    candidates = [cfl_dt(grid, kernel, None)]
+    candidates += [cfl_dt(grid, kernel, d) for d in deltas if d is not None]
+    return min(candidates)
+
+
+def n_steps(span: float, dt: float) -> int:
+    """RK4 steps that cover `span`; the last one may be shorter than dt."""
+    return int(np.ceil(span / dt - _STEP_ROUNDING)) if span > 0 else 0
+
+
+# --- spectral-state core ----------------------------------------------------
+#
+# The stepper holds real-FFT coefficients (u^, v^) of shape (rows, N/2+1); a
+# row is one run, and runs that differ only in delta share every transform.
+
+
+def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
+    """Fused multiplier i xi sqrt(b(delta xi)) with the Nyquist bin zeroed.
+
+    delta=None gives the classical multiplier i xi, the spectral derivative.
+    """
+    xi = grid.rfreqs
+    m = 1j * xi
+    if delta is not None:
+        m = m * kernel.scaled_sqrt_symbol(delta, xi)
+    m[-1] = 0.0
+    return m
+
+
+def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
+    """(u^, v^) -> (M v^, M (u + eps^n u^(n+1))^) for coefficient arrays."""
     coef = cfg.nonlinear_coefficient
-    if coef == 0.0:
-        return state.u
-    return state.u + coef * dealiased_power(state.u, cfg.n + 1)
+    power = cfg.n + 1
+
+    def rhs(u, v, _t=None):
+        stress = u if coef == 0.0 else u + coef * dealiased_power_rfft(u, size, power)
+        return multiplier * v, multiplier * stress
+
+    return rhs
+
+
+def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, size: int) -> np.ndarray:
+    """|u|_inf + |u_t|_inf + |u_x|_inf per row, from one inverse transform.
+
+    ddx is the classical multiplier, so ddx * u is the coefficient array of u_x.
+    """
+    stacked = np.stack([u, du, ddx * u], axis=-2)
+    peaks = np.max(np.abs(np.fft.irfft(stacked, n=size)), axis=-1)
+    return peaks[..., 0] + peaks[..., 1] + peaks[..., 2]
+
+
+def _rk4(rhs, u, v, t: float, h: float, k1=None):
+    """One classical RK4 step of the pair (u, v); rhs(u, v, t) -> (du, dv).
+
+    Works for coefficient arrays and for Fields alike.  Pass k1 when the
+    first stage is already known.
+    """
+    k1u, k1v = rhs(u, v, t) if k1 is None else k1
+    k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v, t + 0.5 * h)
+    k3u, k3v = rhs(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v, t + 0.5 * h)
+    k4u, k4v = rhs(u + h * k3u, v + h * k3v, t + h)
+    w = h / 6.0
+    return (
+        u + w * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+        v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
+def _coefficients(state: State) -> tuple[np.ndarray, np.ndarray]:
+    u, v = np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
+    return u, v
+
+
+def _rhs_fields(state: State, cfg: ModelConfig, delta: float | None) -> tuple[Field, Field]:
+    grid = state.grid
+    rhs = _spectral_rhs(_multiplier(grid, cfg.kernel, delta), cfg, grid.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        du, dv = rhs(*_coefficients(state))
+    du, dv = np.fft.irfft(np.stack([du, dv]), n=grid.size)
+    return Field(grid, du), Field(grid, dv)
 
 
 def nonlocal_rhs(state: State, cfg: ModelConfig) -> tuple[Field, Field]:
     """Time derivatives (u_t, v_t) of the nonlocal system at scale cfg.delta."""
     if cfg.delta is None:
         raise ValueError("nonlocal right-hand side needs a positive delta")
-    kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, state.grid.freqs)
-    du = apply_multiplier(derivative(state.v), kvals)
-    dv = apply_multiplier(derivative(_stress_field(state, cfg)), kvals)
-    return du, dv
+    return _rhs_fields(state, cfg, cfg.delta)
 
 
 def classical_rhs(state: State, cfg: ModelConfig) -> tuple[Field, Field]:
     """Time derivatives of the classical elasticity system (conservative form)."""
-    du = derivative(state.v)
-    dv = derivative(_stress_field(state, cfg))
-    return du, dv
-
-
-def select_rhs(cfg: ModelConfig):
-    return classical_rhs if cfg.delta is None else nonlocal_rhs
+    return _rhs_fields(state, cfg, None)
 
 
 def rk4_step(state: State, cfg: ModelConfig, rhs, dt: float | None = None) -> State:
     """One classical fourth-order Runge-Kutta step of length dt (default cfg.dt)."""
     h = cfg.dt if dt is None else dt
-    u, v, t = state.u, state.v, state.t
-
-    k1u, k1v = rhs(state, cfg)
-    s2 = State(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v, t + 0.5 * h)
-    k2u, k2v = rhs(s2, cfg)
-    s3 = State(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v, t + 0.5 * h)
-    k3u, k3v = rhs(s3, cfg)
-    s4 = State(u + h * k3u, v + h * k3v, t + h)
-    k4u, k4v = rhs(s4, cfg)
-
-    w = h / 6.0
-    u_new = u + w * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v_new = v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return State(u_new, v_new, t + h)
+    u, v = _rk4(lambda u, v, t: rhs(State(u, v, t), cfg), state.u, state.v, state.t, h)
+    return State(u, v, state.t + h)
 
 
 def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
@@ -151,8 +213,10 @@ def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
     u_t is recomputed from the active right-hand side rather than stored,
     matching the system definition.
     """
-    du, _ = select_rhs(cfg)(state, cfg)
-    return linf_norm(state.u) + linf_norm(du) + linf_norm(derivative(state.u))
+    grid = state.grid
+    u, v = _coefficients(state)
+    du = _multiplier(grid, cfg.kernel, cfg.delta) * v
+    return float(_monitor(u, du, _multiplier(grid, None, None), grid.size))
 
 
 def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
@@ -187,36 +251,76 @@ def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
     return State(u, v, 0.0)
 
 
-def integrate(cfg: ModelConfig, initial: State, observers=()) -> State:
+def _shared_settings(cfg: ModelConfig) -> tuple:
+    return tuple(getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "delta")
+
+
+def _states(grid: Grid, u: np.ndarray, v: np.ndarray, t: float) -> tuple[State, ...]:
+    """Physical snapshots of every row, from one inverse transform."""
+    samples = np.fft.irfft(np.stack([u, v], axis=-2), n=grid.size)
+    samples.setflags(write=False)
+    return tuple(State(Field(grid, su), Field(grid, sv), t) for su, sv in samples)
+
+
+def integrate(cfg, initial: State, observers=()):
     """March the configured system from initial.t to cfg.t_end with RK4.
 
     The last step is shortened to land on t_end exactly.  Observers are
     invoked on the initial state and after every step.  Raises BreakdownError
     when the wave-breaking monitor exceeds cfg.breakdown_threshold and
-    NonFiniteError if the state stops being finite.
-    """
-    if cfg.t_end < initial.t:
-        raise ValueError(f"t_end {cfg.t_end} precedes initial time {initial.t}")
-    rhs = select_rhs(cfg)
-    span = cfg.t_end - initial.t
-    n_steps = int(np.ceil(span / cfg.dt - _STEP_ROUNDING)) if span > 0 else 0
+    NonFiniteError if the state stops being finite, including after the last
+    step.
 
-    state = initial
-    for observer in observers:
-        observer(state)
-    for i in range(n_steps):
-        monitor = breakdown_monitor(state, cfg)
-        if not np.isfinite(monitor):
-            raise NonFiniteError(f"state became non-finite at t={state.t:.6g}")
-        if monitor > cfg.breakdown_threshold:
-            raise BreakdownError(state.t, monitor, cfg.breakdown_threshold)
-        if i == n_steps - 1:
-            dt = cfg.t_end - state.t
-        else:
-            dt = cfg.dt
-        state = rk4_step(state, cfg, rhs, dt=dt)
-        if i == n_steps - 1:
-            state = replace(state, t=cfg.t_end)
+    `cfg` may also be a sequence of configs that differ only in delta: the
+    runs then start from the same initial state and are stepped together.
+    Observers receive, and the call returns, a tuple of states in the order
+    of the configs; the earliest breakdown of any run is raised.
+    """
+    batch = not isinstance(cfg, ModelConfig)
+    configs = tuple(cfg) if batch else (cfg,)
+    if not configs:
+        raise ValueError("integrate needs at least one config")
+    base = configs[0]
+    if any(_shared_settings(c) != _shared_settings(base) for c in configs[1:]):
+        raise ValueError("batched configs may differ only in delta")
+    if base.t_end < initial.t:
+        raise ValueError(f"t_end {base.t_end} precedes initial time {initial.t}")
+    steps = n_steps(base.t_end - initial.t, base.dt)
+
+    def notify(states):
         for observer in observers:
-            observer(state)
-    return state
+            observer(states if batch else states[0])
+
+    states = (initial,) * len(configs)
+    notify(states)
+    if steps == 0:
+        return states if batch else initial
+
+    grid = initial.grid
+    multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
+    rhs = _spectral_rhs(multiplier, base, grid.size)
+    ddx = _multiplier(grid, None, None)
+    u0, v0 = _coefficients(initial)
+    u = np.tile(u0, (len(configs), 1))
+    v = np.tile(v0, (len(configs), 1))
+    t = initial.t
+    for i in range(steps):
+        last = i == steps - 1
+        h = base.t_end - t if last else base.dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rhs(u, v)
+            monitor = _monitor(u, k1[0], ddx, grid.size)
+            if not np.all(np.isfinite(monitor)):
+                raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+            over = monitor > base.breakdown_threshold
+            if np.any(over):
+                row = int(np.argmax(over))
+                raise BreakdownError(t, float(monitor[row]), base.breakdown_threshold)
+            u, v = _rk4(rhs, u, v, t, h, k1)
+        t = base.t_end if last else t + h
+        if last and not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+        if observers or last:
+            states = _states(grid, u, v, t)
+            notify(states)
+    return states if batch else states[0]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import shapes
+from .dynamics import n_steps
 from .errors import CompatibilityError, InvalidSpecError, NonFiniteError
 
 NUMBA_ENV_VAR = "NLWAVES_DISABLE_NUMBA"
@@ -31,8 +32,6 @@ if _use_numba:
         _use_numba = False
 
 NUMBA_ENABLED = _use_numba
-
-_STEP_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,14 @@ class Chain:
 
 
 def second_difference(values: np.ndarray, delta: float) -> np.ndarray:
-    """Centered second difference with periodic wraparound."""
+    """Centered second difference with periodic wraparound.
+
+    Non-finite values propagate silently; integrate_chain reports them.
+    """
     values = np.asarray(values, dtype=float)
     inv = 1.0 / (delta * delta)
-    return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) * inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) * inv
 
 
 def lattice_rhs(chain: Chain, epsilon: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +142,7 @@ def strain_to_displacement(strain: np.ndarray, delta: float) -> np.ndarray:
 def _accel_numpy(u, delta, coef, n):
     with np.errstate(over="ignore", invalid="ignore"):
         g = u + coef * u ** (n + 1)
-    inv = 1.0 / (delta * delta)
-    return (np.roll(g, -1) - 2.0 * g + np.roll(g, 1)) * inv
+    return second_difference(g, delta)
 
 
 def _rk4_chain_step_numpy(u, ut, delta, coef, n, dt):
@@ -216,18 +218,17 @@ def integrate_chain(
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < chain.t:
         raise ValueError(f"t_end {t_end} precedes chain time {chain.t}")
-    span = t_end - chain.t
-    n_steps = int(np.ceil(span / dt - _STEP_ROUNDING)) if span > 0 else 0
+    steps = n_steps(t_end - chain.t, dt)
     coef = epsilon**n
 
     state = chain
     for observer in observers:
         observer(state)
     u, ut, t = state.strain, state.velocity, state.t
-    for i in range(n_steps):
-        step = (t_end - t) if i == n_steps - 1 else dt
+    for i in range(steps):
+        step = (t_end - t) if i == steps - 1 else dt
         u, ut = _rk4_chain_step(u, ut, state.delta, coef, n, step)
-        t = t_end if i == n_steps - 1 else t + step
+        t = t_end if i == steps - 1 else t + step
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(ut))):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
         state = replace(state, strain=u, velocity=ut, t=t)

@@ -35,6 +35,9 @@ class Grid:
         # FFT-ordered frequencies m*pi/L, m = 0..N/2-1, -N/2..-1
         self.freqs = 2.0 * np.pi * np.fft.fftfreq(self.size, d=self.spacing)
         self.freqs.setflags(write=False)
+        # real-FFT frequencies m*pi/L, m = 0..N/2
+        self.rfreqs = 2.0 * np.pi * np.fft.rfftfreq(self.size, d=self.spacing)
+        self.rfreqs.setflags(write=False)
         self.nyquist_index = self.size // 2
 
     def __eq__(self, other):
@@ -174,6 +177,12 @@ def linf_norm(f: Field) -> float:
     return float(np.max(np.abs(f.samples)))
 
 
+def _padded_size(n: int, power: int) -> int:
+    """Even padded length of at least (power+1)/2 * n points."""
+    padded = int(np.ceil((power + 1) * n / 2))
+    return padded + padded % 2
+
+
 def dealiased_power(f: Field, power: int) -> Field:
     """Pointwise integer power computed without aliasing.
 
@@ -188,8 +197,7 @@ def dealiased_power(f: Field, power: int) -> Field:
         return f
     n = f.grid.size
     half = n // 2
-    padded = int(np.ceil((power + 1) * n / 2))
-    padded += padded % 2
+    padded = _padded_size(n, power)
 
     spec = f.spectrum
     fine = np.zeros(padded, dtype=complex)
@@ -204,6 +212,28 @@ def dealiased_power(f: Field, power: int) -> Field:
         out[half] = fine_spec[half] + fine_spec[padded - half]
         out[half + 1:] = fine_spec[padded - half + 1:]
         return Field.from_spectrum(f.grid, out)
+
+
+def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
+    """`dealiased_power` on real-FFT coefficients of an n-point field.
+
+    `coeffs` has shape (..., n/2 + 1); every leading row is transformed in
+    the same call.  The coarse Nyquist coefficient is split evenly between
+    the +/- n/2 modes of the padded grid, which reproduces the real part that
+    `dealiased_power` takes, and the result folds both back into one bin.
+    """
+    half = n // 2
+    padded = _padded_size(n, power)
+    fine = np.zeros(coeffs.shape[:-1] + (padded // 2 + 1,), dtype=complex)
+    fine[..., :half] = coeffs[..., :half]
+    fine[..., half] = 0.5 * coeffs[..., half]
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.fft.irfft(fine, n=padded) * (padded / n)
+        product **= power
+        fine_spec = np.fft.rfft(product) * (n / padded)
+    out = fine_spec[..., : half + 1]
+    out[..., half] = 2.0 * out[..., half].real
+    return out
 
 
 def write_field_csv(f: Field, path) -> None:

@@ -115,6 +115,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+class TestNonFiniteOutputs:
+    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
+    def test_nan_epsilon_exits_1_without_invalid_json(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, epsilon=float("nan"), grid_n=64, grid_l=10.0,
+                           t_end=0.05, delta_list=[0.4, 0.2])  # one step
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "numeric failure" in capsys.readouterr().err
+        summary = out / "summary.json"
+        if summary.exists():
+            json.loads(summary.read_text(), parse_constant=pytest.fail)
+
+
 class TestConvergeCommands:
     def test_dispersion_sweep_summary_has_slope(self, tmp_path):
         cfg = write_config(

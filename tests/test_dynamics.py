@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwaves import (
     BreakdownError,
@@ -13,9 +15,12 @@ from nlwaves import (
     ModelConfig,
     NonFiniteError,
     State,
+    apply_multiplier,
     breakdown_monitor,
     cfl_dt,
     classical_rhs,
+    dealiased_power,
+    derivative,
     energy,
     integrate,
     make_initial,
@@ -304,3 +309,134 @@ class TestParityPreservation:
             assert np.max(np.abs(v + self.reflect(v))) < 1e-13
 
         integrate(cfg, init, observers=(check,))
+
+
+class TestSpectralCoreParity:
+    """The spectral-state stepper against an independent Field-level RK4."""
+
+    GRID = Grid(10.0, 64)
+    TABLE = Kernel.from_table(
+        np.linspace(0.0, 40.0, 81), 1.0 / (1.0 + np.linspace(0.0, 40.0, 81) ** 2)
+    )
+    SYSTEMS = {
+        "dirac": (DIRAC, 0.7),
+        "exponential": (Kernel.from_name("exponential"), 0.7),
+        "triangular": (TRI, 0.7),
+        "table": (TABLE, 0.7),
+        "classical": (TRI, None),
+    }
+
+    @staticmethod
+    def field_rk4(cfg, state, steps):
+        """Classical RK4 on Fields, built from the public spectral operators."""
+        kvals = None
+        if cfg.delta is not None:
+            kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, state.grid.freqs)
+
+        def rhs(u, v):
+            stress = u
+            if cfg.nonlinear_coefficient != 0.0:
+                stress = u + cfg.nonlinear_coefficient * dealiased_power(u, cfg.n + 1)
+            du, dv = derivative(v), derivative(stress)
+            if kvals is not None:
+                du, dv = apply_multiplier(du, kvals), apply_multiplier(dv, kvals)
+            return du, dv
+
+        u, v, h = state.u, state.v, cfg.dt
+        for _ in range(steps):
+            k1u, k1v = rhs(u, v)
+            k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v)
+            k3u, k3v = rhs(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v)
+            k4u, k4v = rhs(u + h * k3u, v + h * k3v)
+            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        return u, v
+
+    @pytest.mark.parametrize("n,eps", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_integrate_matches_field_rk4(self, system, n, eps):
+        kernel, delta = self.SYSTEMS[system]
+        steps = 200
+        dt = 0.5 * cfl_dt(self.GRID, kernel, delta)
+        cfg = config(kernel=kernel, delta=delta, epsilon=eps, n=n, dt=dt, t_end=steps * dt)
+        init = make_initial(
+            {"shape": "gaussian", "a": 0.5, "b": 2.0},
+            {"shape": "sine", "a": 0.3, "k": 2},
+            self.GRID,
+        )
+        out = integrate(cfg, init)
+        u, v = self.field_rk4(cfg, init, steps)
+        assert np.max(np.abs(out.u.samples - u.samples)) <= 1e-13
+        assert np.max(np.abs(out.v.samples - v.samples)) <= 1e-13
+
+    def test_batched_rows_equal_single_runs(self):
+        g = Grid(20.0, 256)
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, g)
+        dt = cfl_dt(g, TRI, None)
+        configs = [
+            config(delta=d, epsilon=0.1, n=1, dt=dt, t_end=60 * dt)
+            for d in (None, 0.4, 0.2, 0.1)
+        ]
+        rows = integrate(configs, init)
+        assert isinstance(rows, tuple) and len(rows) == len(configs)
+        for cfg, row in zip(configs, rows):
+            single = integrate(cfg, init)
+            assert row.t == single.t
+            assert np.max(np.abs(row.u.samples - single.u.samples)) <= 1e-14
+            assert np.max(np.abs(row.v.samples - single.v.samples)) <= 1e-14
+
+    def test_batch_configs_may_differ_only_in_delta(self, unit_grid):
+        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        with pytest.raises(ValueError):
+            integrate([config(delta=None), config(delta=0.5, epsilon=0.1)], st)
+
+    def test_batch_raises_earliest_breakdown(self):
+        g = Grid(10.0, 256)
+        init = make_initial({"shape": "gaussian", "a": 0.8, "b": 4.0}, None, g)
+        configs = [
+            config(kernel=TRI, delta=d, epsilon=2.0, n=1, dt=cfl_dt(g, DIRAC, None),
+                   t_end=3.0, breakdown_threshold=4.0)
+            for d in (0.2, 0.1, None)
+        ]
+        singles = []
+        for cfg in configs:
+            with pytest.raises(BreakdownError) as single:
+                integrate(cfg, init)
+            singles.append(single.value)
+        earliest = min(singles, key=lambda e: e.time)
+        assert earliest is singles[-1]  # the classical row, listed last
+        with pytest.raises(BreakdownError) as batched:
+            integrate(configs, init)
+        assert batched.value.time == earliest.time
+        assert batched.value.monitor == pytest.approx(earliest.monitor, rel=1e-12)
+
+    def test_non_finite_final_state_signalled(self, unit_grid):
+        # one step: the monitor check before it still sees finite data
+        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
+        with pytest.raises(NonFiniteError):
+            integrate(config(epsilon=float("nan"), dt=0.1, t_end=0.1), st)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
+        eps=st.floats(0.0, 0.3),
+        n=st.integers(1, 3),
+        delta=st.floats(0.05, 2.0),
+    )
+    def test_dirac_row_equals_classical_row(self, amplitudes, eps, n, delta):
+        g = Grid(np.pi, 32)
+        x = g.nodes
+        u0 = sum(a * np.cos((k + 1) * x) for k, a in enumerate(amplitudes[:3]))
+        v0 = sum(a * np.sin((k + 1) * x) for k, a in enumerate(amplitudes[3:]))
+        init = State(Field(g, u0), Field(g, v0), 0.0)
+        dt = 0.01
+        rows = integrate(
+            [
+                config(kernel=DIRAC, delta=None, epsilon=eps, n=n, dt=dt, t_end=20 * dt),
+                config(kernel=DIRAC, delta=delta, epsilon=eps, n=n, dt=dt, t_end=20 * dt),
+            ],
+            init,
+        )
+        classical, dirac = rows
+        assert np.max(np.abs(dirac.u.samples - classical.u.samples)) <= 1e-14
+        assert np.max(np.abs(dirac.v.samples - classical.v.samples)) <= 1e-14
