@@ -45,7 +45,6 @@ from .lattice import (
     displacement_to_strain,
     initial_velocity,
     integrate_chain,
-    lattice_rhs,
     make_chain,
     second_difference,
     strain_to_displacement,
@@ -97,7 +96,6 @@ __all__ = [
     "initial_velocity",
     "integrate",
     "integrate_chain",
-    "lattice_rhs",
     "lattice_sweep",
     "linf_norm",
     "make_chain",

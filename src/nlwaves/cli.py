@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import convergence, dynamics
-from .errors import BreakdownError, ConfigError, NlwavesError, NonFiniteError
+from .errors import AlignmentError, BreakdownError, ConfigError, NlwavesError, NonFiniteError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid, write_field_csv
 
@@ -49,6 +50,10 @@ _DEFAULTS = {
     "sample_stride": 10,
     "emit_timeseries": False,
 }
+
+
+#: keys that ModelConfig and SweepConfig take under the same name
+_MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
 
 
 def _fmt(x) -> str:
@@ -79,42 +84,54 @@ def parse_config(config_path, overrides) -> dict:
     return resolved
 
 
+#: numeric keys (delta and dt may also be null): the range each value must
+#: lie in, checked after its type
+_NUMERIC_RULES = {
+    "grid_l": (lambda v: v > 0, "must be positive"),
+    "grid_n": (lambda v: isinstance(v, int) and v >= 8 and v % 2 == 0,
+               "must be an even integer >= 8"),
+    "delta": (lambda v: v > 0, "must be positive (or null for the Dirac limit)"),
+    "epsilon": (lambda v: v >= 0, "must be nonnegative"),
+    "n": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
+    "s": (lambda v: v > 2.5, "must exceed 5/2"),
+    "theta": (lambda v: 0 < v <= 2, "must be in (0, 2]"),
+    "dt": (lambda v: v > 0, "must be positive (or null for the CFL default)"),
+    "t_end": (lambda v: v >= 0, "must be nonnegative"),
+    "breakdown_threshold": (lambda v: v > 0, "must be positive"),
+    "sample_stride": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
+}
+
+
+def _check_number(key: str, value) -> None:
+    """Reject bools, non-numbers and infinities (exit 3); NaN is a numeric failure."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(key, f"must be a number, got {value!r}")
+    if value != value:  # NaN; math.isnan would overflow on huge ints
+        raise NonFiniteError(f"config field '{key}' is NaN")
+    if abs(value) > sys.float_info.max:  # also ints too large for a float
+        raise ConfigError(key, "must be finite")
+
+
 def _validate(cfg: dict) -> None:
-    if cfg["grid_l"] <= 0:
-        raise ConfigError("grid_l", "must be positive")
-    n = cfg["grid_n"]
-    if not isinstance(n, int) or n < 8 or n % 2:
-        raise ConfigError("grid_n", "must be an even integer >= 8")
-    delta = cfg["delta"]
-    if isinstance(delta, str):
-        if delta != "dirac-limit":
-            raise ConfigError("delta", f"unknown value '{delta}'")
-        cfg["delta"] = delta = None
-    if delta is not None and delta <= 0:
-        raise ConfigError("delta", "must be positive (or null for the Dirac limit)")
+    if isinstance(cfg["delta"], str):
+        if cfg["delta"] != "dirac-limit":
+            raise ConfigError("delta", f"unknown value '{cfg['delta']}'")
+        cfg["delta"] = None
+    for key, (in_range, message) in _NUMERIC_RULES.items():
+        if cfg[key] is None and key in ("delta", "dt"):
+            continue
+        _check_number(key, cfg[key])
+        if not in_range(cfg[key]):
+            raise ConfigError(key, message)
     dl = cfg["delta_list"]
     if not isinstance(dl, (list, tuple)) or not dl:
         raise ConfigError("delta_list", "must be a nonempty list")
+    for d in dl:
+        _check_number("delta_list", d)
     if any(d <= 0 for d in dl):
         raise ConfigError("delta_list", "entries must be positive")
     if any(later >= earlier for later, earlier in zip(dl[1:], dl)):
         raise ConfigError("delta_list ordering", "must be strictly decreasing")
-    if cfg["epsilon"] < 0:
-        raise ConfigError("epsilon", "must be nonnegative")
-    if not isinstance(cfg["n"], int) or cfg["n"] < 1:
-        raise ConfigError("n", "must be a positive integer")
-    if cfg["s"] <= 2.5:
-        raise ConfigError("s", "must exceed 5/2")
-    if not 0 < cfg["theta"] <= 2:
-        raise ConfigError("theta", "must be in (0, 2]")
-    if cfg["dt"] is not None and cfg["dt"] <= 0:
-        raise ConfigError("dt", "must be positive (or null for the CFL default)")
-    if cfg["t_end"] < 0:
-        raise ConfigError("t_end", "must be nonnegative")
-    if cfg["breakdown_threshold"] <= 0:
-        raise ConfigError("breakdown_threshold", "must be positive")
-    if not isinstance(cfg["sample_stride"], int) or cfg["sample_stride"] < 1:
-        raise ConfigError("sample_stride", "must be a positive integer")
 
 
 def _build_kernel(spec: str) -> Kernel:
@@ -126,15 +143,13 @@ def _build_kernel(spec: str) -> Kernel:
     return Kernel.from_file(path)
 
 
-def _write_summary(out_dir: Path, payload: dict) -> Path:
+def _write_summary(out_dir: Path, payload: dict) -> None:
     """Write strict JSON; a NaN or infinity anywhere is a numeric failure."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"summary.json would contain a non-finite value: {exc}") from None
-    path = out_dir / "summary.json"
-    path.write_text(text + "\n")
-    return path
+    (out_dir / "summary.json").write_text(text + "\n")
 
 
 def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
@@ -168,14 +183,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     grid = Grid(cfg["grid_l"], cfg["grid_n"])
     dt = dynamics.shared_dt(grid, kernel, [cfg["delta"]], cfg["dt"])
     mc = dynamics.ModelConfig(
-        kernel=kernel,
-        delta=cfg["delta"],
-        dt=dt,
-        t_end=cfg["t_end"],
-        epsilon=cfg["epsilon"],
-        n=cfg["n"],
-        s=cfg["s"],
-        breakdown_threshold=cfg["breakdown_threshold"],
+        kernel=kernel, delta=cfg["delta"], dt=dt, **{k: cfg[k] for k in _MODEL_KEYS}
     )
     initial = dynamics.make_initial(cfg["u0"], cfg["v0"], grid)
 
@@ -241,16 +249,12 @@ def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepCon
         kernel=kernel,
         deltas=tuple(cfg["delta_list"]),
         grid=grid,
-        t_end=cfg["t_end"],
-        epsilon=cfg["epsilon"],
-        n=cfg["n"],
-        s=cfg["s"],
         theta_expected=cfg["theta"],
         dt=cfg["dt"],
         u0=cfg["u0"],
         v0=cfg["v0"],
         sample_stride=cfg["sample_stride"],
-        breakdown_threshold=cfg["breakdown_threshold"],
+        **{k: cfg[k] for k in _MODEL_KEYS},
     )
 
 
@@ -260,16 +264,14 @@ def _write_sweep_outputs(
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write("delta,error_terminal,slope_running\n")
         for i, (d, e) in enumerate(zip(report.deltas, report.errors)):
+            running_s = "nan"
             if i >= 1:
                 try:
-                    running = convergence.fit_rate(
+                    running_s = _fmt(convergence.fit_rate(
                         list(zip(report.deltas[: i + 1], report.errors[: i + 1]))
-                    ).slope
-                    running_s = _fmt(running)
+                    ).slope)
                 except NlwavesError:
-                    running_s = "nan"
-            else:
-                running_s = "nan"
+                    pass
             fh.write(f"{_fmt(d)},{_fmt(e)},{running_s}\n")
     if cfg["emit_timeseries"]:
         with open(out_dir / "series.csv", "w") as fh:
@@ -289,7 +291,10 @@ def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
     if command == "converge-dispersion":
         report = convergence.zero_dispersion_sweep(sweep_cfg)
     else:
-        report = convergence.lattice_sweep(sweep_cfg)
+        try:
+            report = convergence.lattice_sweep(sweep_cfg)
+        except AlignmentError as exc:
+            raise ConfigError("delta_list", str(exc)) from None
     _write_sweep_outputs(command, cfg, report, out_dir)
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics, lattice
 from .errors import AlignmentError, DegenerateDataError, DegenerateFitError
 from .kernels import Kernel
-from .spectral import Field, Grid, apply_multiplier, derivative, sobolev_norm
+from .spectral import Field, Grid, derivative, sobolev_norm, spectrum_norm
 
 #: errors below this are treated as exact zeros and excluded from log fits
 ZERO_ERROR_FLOOR = 1e-14
@@ -81,7 +81,7 @@ class ConvergenceReport:
     series: tuple[tuple[float, ...], ...] = field(default=())
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "deltas": list(self.deltas),
             "errors": list(self.errors),
             "degenerate": self.degenerate,
@@ -90,7 +90,6 @@ class ConvergenceReport:
             "r2": None if self.fit is None else self.fit.r_squared,
             "excluded": [] if self.fit is None else list(self.fit.excluded),
         }
-        return d
 
 
 def fit_rate(pairs) -> RateFit:
@@ -131,11 +130,13 @@ def operator_error(
     approaches theta only once delta * xi, at the frequencies that carry v,
     lies in the Taylor regime of sqrt(b) (see Kernel.taylor_deviation).
     """
-    reference = sobolev_norm(v, s + theta)
+    spec = v.spectrum
+    reference = spectrum_norm(v.grid, spec, s + theta)
     if reference == 0.0:
         raise DegenerateDataError("field has zero norm; bound ratio undefined")
-    kv = apply_multiplier(v, lambda xi: kernel.scaled_sqrt_symbol(delta, xi))
-    err = sobolev_norm(kv - v, s)
+    # (Kd - I) v as one multiplier, so a symbol equal to 1 gives exactly 0
+    symbol = kernel.scaled_sqrt_symbol(delta, v.grid.freqs)
+    err = spectrum_norm(v.grid, (symbol - 1.0) * spec, s)
     return err, err / (delta**theta * reference)
 
 

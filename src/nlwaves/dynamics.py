@@ -160,8 +160,8 @@ def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, size: int) -> np.nd
 def _rk4(rhs, u, v, t: float, h: float, k1=None):
     """One classical RK4 step of the pair (u, v); rhs(u, v, t) -> (du, dv).
 
-    Works for coefficient arrays and for Fields alike.  Pass k1 when the
-    first stage is already known.
+    Works for coefficient arrays, Fields and the chain's site arrays alike.
+    Pass k1 when the first stage is already known.
     """
     k1u, k1v = rhs(u, v, t) if k1 is None else k1
     k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v, t + 0.5 * h)

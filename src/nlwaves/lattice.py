@@ -5,33 +5,19 @@ The chain integrates
     u_tt = D2 (u + eps^n u^(n+1)),   D2 g = (g_{j+1} - 2 g_j + g_{j-1}) / delta^2
 
 on M sites with spacing delta = 2L/M, independent of the spectral solver so
-the two can cross-validate.  The RK4 inner loop is the hot kernel: it carries
-a numba-jitted implementation with a pure-numpy fallback, selected at import
-time by the NLWAVES_DISABLE_NUMBA environment variable (any value other than
-"0" disables the JIT).  ``benchmarks/bench_chain.py`` compares the two paths.
+the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
+stepped by the same RK4 stage combination as the spectral core
+(`dynamics._rk4`) with the array right-hand side (u, u_t) -> (u_t, D2 g).
 """
-
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import shapes
-from .dynamics import n_steps
+from .dynamics import _rk4, n_steps
 from .errors import CompatibilityError, InvalidSpecError, NonFiniteError
-
-NUMBA_ENV_VAR = "NLWAVES_DISABLE_NUMBA"
-
-_use_numba = os.environ.get(NUMBA_ENV_VAR, "0") == "0"
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _use_numba = False
-
-NUMBA_ENABLED = _use_numba
 
 
 @dataclass(frozen=True)
@@ -78,12 +64,16 @@ def second_difference(values: np.ndarray, delta: float) -> np.ndarray:
         return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) * inv
 
 
-def lattice_rhs(chain: Chain, epsilon: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strain-form right-hand side: (du/dt, d(u_t)/dt)."""
+def _chain_rhs(delta: float, epsilon: float, n: int):
+    """(u, u_t) -> (u_t, D2 (u + eps^n u^(n+1))) for site arrays."""
     coef = epsilon**n
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = chain.strain + coef * chain.strain ** (n + 1)
-    return chain.velocity.copy(), second_difference(g, chain.delta)
+
+    def rhs(u, ut, _t=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = u + coef * u ** (n + 1)
+        return ut, second_difference(g, delta)
+
+    return rhs
 
 
 def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: float) -> np.ndarray:
@@ -133,74 +123,6 @@ def strain_to_displacement(strain: np.ndarray, delta: float) -> np.ndarray:
     return w
 
 
-# --- RK4 chain stepper: numpy fallback and numba twin -----------------------
-#
-# Both implementations share the same arithmetic structure so their results
-# agree to round-off; keep edits in sync.
-
-
-def _accel_numpy(u, delta, coef, n):
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = u + coef * u ** (n + 1)
-    return second_difference(g, delta)
-
-
-def _rk4_chain_step_numpy(u, ut, delta, coef, n, dt):
-    a1 = _accel_numpy(u, delta, coef, n)
-    u2 = u + 0.5 * dt * ut
-    ut2 = ut + 0.5 * dt * a1
-    a2 = _accel_numpy(u2, delta, coef, n)
-    u3 = u + 0.5 * dt * ut2
-    ut3 = ut + 0.5 * dt * a2
-    a3 = _accel_numpy(u3, delta, coef, n)
-    u4 = u + dt * ut3
-    ut4 = ut + dt * a3
-    a4 = _accel_numpy(u4, delta, coef, n)
-    w = dt / 6.0
-    return (
-        u + w * (ut + 2.0 * ut2 + 2.0 * ut3 + ut4),
-        ut + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-    )
-
-
-def _accel_loops(u, delta, coef, n):
-    m = u.shape[0]
-    g = u + coef * u ** (n + 1)
-    inv = 1.0 / (delta * delta)
-    out = np.empty(m)
-    for j in range(m):
-        jp = j + 1 if j + 1 < m else 0
-        jm = j - 1 if j >= 1 else m - 1
-        out[j] = (g[jp] - 2.0 * g[j] + g[jm]) * inv
-    return out
-
-
-def _rk4_chain_step_loops(u, ut, delta, coef, n, dt):
-    a1 = _accel_loops(u, delta, coef, n)
-    u2 = u + 0.5 * dt * ut
-    ut2 = ut + 0.5 * dt * a1
-    a2 = _accel_loops(u2, delta, coef, n)
-    u3 = u + 0.5 * dt * ut2
-    ut3 = ut + 0.5 * dt * a2
-    a3 = _accel_loops(u3, delta, coef, n)
-    u4 = u + dt * ut3
-    ut4 = ut + dt * a3
-    a4 = _accel_loops(u4, delta, coef, n)
-    w = dt / 6.0
-    return (
-        u + w * (ut + 2.0 * ut2 + 2.0 * ut3 + ut4),
-        ut + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-    )
-
-
-if NUMBA_ENABLED:
-    _accel_loops = njit(cache=True)(_accel_loops)
-    _rk4_chain_step_loops = njit(cache=True)(_rk4_chain_step_loops)
-    _rk4_chain_step = _rk4_chain_step_loops
-else:
-    _rk4_chain_step = _rk4_chain_step_numpy
-
-
 def integrate_chain(
     chain: Chain,
     epsilon: float,
@@ -219,7 +141,7 @@ def integrate_chain(
     if t_end < chain.t:
         raise ValueError(f"t_end {t_end} precedes chain time {chain.t}")
     steps = n_steps(t_end - chain.t, dt)
-    coef = epsilon**n
+    rhs = _chain_rhs(chain.delta, epsilon, n)
 
     state = chain
     for observer in observers:
@@ -227,7 +149,7 @@ def integrate_chain(
     u, ut, t = state.strain, state.velocity, state.t
     for i in range(steps):
         step = (t_end - t) if i == steps - 1 else dt
-        u, ut = _rk4_chain_step(u, ut, state.delta, coef, n, step)
+        u, ut = _rk4(rhs, u, ut, t, step)
         t = t_end if i == steps - 1 else t + step
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(ut))):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
@@ -236,12 +158,3 @@ def integrate_chain(
             observer(state)
     return state
 
-
-def write_chain_csv(chain: Chain, path) -> None:
-    """Dump a chain as CSV with header ``j,x,u,u_t``."""
-    with open(path, "w") as fh:
-        fh.write("j,x,u,u_t\n")
-        for j, (x, u, ut) in enumerate(
-            zip(chain.positions, chain.strain, chain.velocity)
-        ):
-            fh.write(f"{j},{x:.17g},{u:.17g},{ut:.17g}\n")

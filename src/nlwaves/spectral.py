@@ -3,9 +3,10 @@
 The domain is the periodic box [-L, L) sampled at N uniform nodes.  Discrete
 frequencies are xi_m = m*pi/L for m = -N/2 .. N/2-1 (stored in FFT order).
 Fields are value-semantics snapshots: every operation returns a new Field and
-never mutates its inputs.  The spectrum is cached lazily and linear field
-arithmetic propagates cached spectra, so chained multiplier operations do not
-re-transform.
+never mutates its inputs.  A Field stores samples only; `Field.spectrum`
+transforms them on every access.  The time stepper does not use Fields: it
+holds real-FFT coefficients (see `dynamics.integrate`), and Fields serve the
+diagnostics, the norms and the CSV output.
 
 Norm convention: sobolev_norm(f, 0) equals the physical-space L2 norm
 (sqrt(h * sum f_j^2)) exactly, i.e. the frequency quadrature carries the
@@ -55,11 +56,11 @@ class Grid:
 
 
 class Field:
-    """Real-valued samples on a Grid with a lazily cached spectrum."""
+    """Real-valued samples on a Grid; the spectrum is computed on demand."""
 
-    __slots__ = ("grid", "_samples", "_spectrum")
+    __slots__ = ("grid", "_samples")
 
-    def __init__(self, grid: Grid, samples, spectrum=None):
+    def __init__(self, grid: Grid, samples):
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (grid.size,):
             raise ValueError(
@@ -69,7 +70,6 @@ class Field:
         samples.setflags(write=False)
         self.grid = grid
         self._samples = samples
-        self._spectrum = spectrum
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -77,11 +77,8 @@ class Field:
 
     @classmethod
     def from_spectrum(cls, grid: Grid, spectrum) -> "Field":
-        """Build a field from FFT coefficients; keeps them cached."""
-        spectrum = np.asarray(spectrum, dtype=complex)
-        samples = np.fft.ifft(spectrum).real
-        samples.setflags(write=False)
-        return cls(grid, samples, spectrum=spectrum)
+        """Build a field from FFT coefficients (real part of the inverse)."""
+        return cls(grid, np.fft.ifft(spectrum).real)
 
     @property
     def samples(self) -> np.ndarray:
@@ -89,40 +86,26 @@ class Field:
 
     @property
     def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = np.fft.fft(self._samples)
-        return self._spectrum
-
-    def _combine(self, other_samples, other_spectrum, a, b):
-        # linearity: cached spectra combine without a transform
-        samples = a * self._samples + b * other_samples
-        spectrum = None
-        if self._spectrum is not None and other_spectrum is not None:
-            spectrum = a * self._spectrum + b * other_spectrum
-        samples.setflags(write=False)
-        return Field(self.grid, samples, spectrum=spectrum)
+        return np.fft.fft(self._samples)
 
     def __add__(self, other):
         if not isinstance(other, Field):
             return NotImplemented
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
-        return self._combine(other._samples, other._spectrum, 1.0, 1.0)
+        return Field(self.grid, self._samples + other._samples)
 
     def __sub__(self, other):
         if not isinstance(other, Field):
             return NotImplemented
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
-        return self._combine(other._samples, other._spectrum, 1.0, -1.0)
+        return Field(self.grid, self._samples - other._samples)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        samples = self._samples * scalar
-        spectrum = None if self._spectrum is None else self._spectrum * scalar
-        samples.setflags(write=False)
-        return Field(self.grid, samples, spectrum=spectrum)
+        return Field(self.grid, self._samples * scalar)
 
     __rmul__ = __mul__
 
@@ -160,16 +143,20 @@ def sobolev_scale(f: Field, s: float) -> Field:
     return Field.from_spectrum(f.grid, (1.0 + f.grid.freqs**2) ** (s / 2.0) * f.spectrum)
 
 
-def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete Sobolev norm of order s.
+def spectrum_norm(grid: Grid, spectrum, s: float) -> float:
+    """Discrete Sobolev norm of order s of the field with FFT coefficients `spectrum`.
 
     Quadrature of the defining frequency integral with the grid's frequency
     spacing as measure weight, normalized so that s = 0 reproduces the
     physical-space L2 norm exactly.
     """
-    g = f.grid
-    weights = (1.0 + g.freqs**2) ** s
-    return float(np.sqrt(g.spacing / g.size * np.sum(weights * np.abs(f.spectrum) ** 2)))
+    weights = (1.0 + grid.freqs**2) ** s
+    return float(np.sqrt(grid.spacing / grid.size * np.sum(weights * np.abs(spectrum) ** 2)))
+
+
+def sobolev_norm(f: Field, s: float) -> float:
+    """Discrete Sobolev norm of order s (see `spectrum_norm`)."""
+    return spectrum_norm(f.grid, f.spectrum, s)
 
 
 def linf_norm(f: Field) -> float:

@@ -115,6 +115,33 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("grid_l", '"x"'),
+            ("grid_l", "null"),
+            ("delta_list", '["a"]'),
+            ("t_end", "1e400"),
+            ("t_end", "Infinity"),
+            pytest.param("t_end", "1" + "0" * 400, id="t_end-int-1e400"),
+            ("n", "true"),
+            ("sample_stride", "true"),
+        ],
+    )
+    def test_bad_numeric_value_exits_3_naming_key(self, tmp_path, capsys, key, text):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"grid_n": 64, "grid_l": 10.0, "{key}": {text}}}')
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert f"config field '{key}'" in capsys.readouterr().err
+
+    def test_nan_dt_is_a_numeric_failure(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"grid_n": 64, "grid_l": 10.0, "dt": NaN}')
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert "numeric failure" in capsys.readouterr().err
+
+
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
     def test_nan_epsilon_exits_1_without_invalid_json(self, tmp_path, capsys, command):
@@ -163,6 +190,11 @@ class TestConvergeCommands:
         series = (out / "series.csv").read_text().splitlines()
         assert series[0] == "delta,t,error"
         assert len(series) > 2
+
+    def test_unaligned_delta_list_exits_3(self, tmp_path, capsys):
+        # the default delta_list does not fit the default grid spacing 0.0390625
+        assert main(["converge-lattice", "--out", str(tmp_path)]) == 3
+        assert "config field 'delta_list'" in capsys.readouterr().err
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.1,

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlwaves import (
     Chain,
     CompatibilityError,
     Field,
+    Grid,
     InvalidSpecError,
     Kernel,
     ModelConfig,
@@ -15,17 +18,17 @@ from nlwaves import (
     initial_velocity,
     integrate,
     integrate_chain,
-    lattice_rhs,
     make_chain,
     make_initial,
     second_difference,
     strain_to_displacement,
 )
-from nlwaves.lattice import (
-    _rk4_chain_step_loops,
-    _rk4_chain_step_numpy,
-    write_chain_csv,
-)
+from nlwaves.lattice import _chain_rhs
+
+
+def chain_rhs(chain, epsilon, n):
+    """The chain integrator's right-hand side at the chain's state."""
+    return _chain_rhs(chain.delta, epsilon, n)(chain.strain, chain.velocity)
 
 
 class TestSecondDifference:
@@ -55,7 +58,7 @@ class TestSecondDifference:
 class TestLatticeRhs:
     def test_zero_chain(self):
         chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
-        du, dut = lattice_rhs(chain, 0.1, 1)
+        du, dut = chain_rhs(chain, 0.1, 1)
         assert np.all(du == 0.0) and np.all(dut == 0.0)
 
     def test_linear_single_mode_acceleration(self):
@@ -63,20 +66,20 @@ class TestLatticeRhs:
         delta = 2 * L / M
         x = -L + delta * np.arange(M)
         chain = Chain(L, np.sin(x), np.zeros(M), 0.0)
-        _, acc = lattice_rhs(chain, 0.0, 1)
+        _, acc = chain_rhs(chain, 0.0, 1)
         tri = Kernel.from_name("triangular")
         np.testing.assert_allclose(acc, -tri.symbol(delta) * np.sin(x), rtol=1e-10, atol=1e-12)
 
     def test_constant_strain_has_no_force(self):
         chain = Chain(8.0, np.full(16, 0.7), np.zeros(16), 0.0)
-        _, acc = lattice_rhs(chain, 0.1, 1)
+        _, acc = chain_rhs(chain, 0.1, 1)
         assert np.max(np.abs(acc)) == 0.0
 
     def test_velocities_pass_through(self):
         rng = np.random.default_rng(3)
         vel = rng.standard_normal(16)
         chain = Chain(8.0, np.zeros(16), vel, 0.0)
-        du, _ = lattice_rhs(chain, 0.1, 1)
+        du, _ = chain_rhs(chain, 0.1, 1)
         np.testing.assert_array_equal(du, vel)
 
 
@@ -172,7 +175,6 @@ class TestIntegrateChain:
         grid_l, size = 16.0, 512
         u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
         v0 = {"shape": "gaussian", "a": 0.3, "b": 1.0}
-        from nlwaves import Grid
 
         grid = Grid(grid_l, size)
         dt = 0.125 * grid.spacing
@@ -183,6 +185,30 @@ class TestIntegrateChain:
         spectral_final = integrate(cfg, make_initial(u0, v0, grid))
         chain_final = integrate_chain(make_chain(u0, v0, grid_l, size), 0.1, 1, dt, 1.0)
         assert np.max(np.abs(spectral_final.u.samples - chain_final.strain)) < 1e-8
+
+    @settings(max_examples=20, deadline=None)
+    @given(amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12))
+    def test_linear_chain_equals_spectral_run_at_delta_h(self, amplitudes):
+        """At delta = h the linear chain and the triangular-kernel spectral
+        run agree to round-off on band-limited data."""
+
+        def trig(a):
+            return lambda x: sum(
+                a[2 * k] * np.cos((k + 1) * x) + a[2 * k + 1] * np.sin((k + 1) * x)
+                for k in range(3)
+            )
+
+        u0, v0 = trig(amplitudes[:6]), trig(amplitudes[6:])
+        grid = Grid(np.pi, 32)
+        dt = grid.spacing / 4
+        t_end = 50 * dt
+        cfg = ModelConfig(
+            kernel=Kernel.from_name("triangular"),
+            delta=grid.spacing, dt=dt, t_end=t_end, epsilon=0.0,
+        )
+        spectral_final = integrate(cfg, make_initial(u0, v0, grid))
+        chain_final = integrate_chain(make_chain(u0, v0, np.pi, 32), 0.0, 1, dt, t_end)
+        assert np.max(np.abs(spectral_final.u.samples - chain_final.strain)) <= 1e-13
 
     def test_momentum_conserved(self):
         rng = np.random.default_rng(5)
@@ -202,32 +228,6 @@ class TestIntegrateChain:
         chain = Chain(8.0, np.full(16, 1e200), np.zeros(16), 0.0)
         with pytest.raises(NonFiniteError):
             integrate_chain(chain, 1.0, 3, 0.01, 1.0)
-
-
-class TestAccelerationPaths:
-    def test_numba_and_numpy_steppers_agree(self):
-        rng = np.random.default_rng(17)
-        u = rng.standard_normal(128) * 0.3
-        ut = rng.standard_normal(128) * 0.3
-        args = (0.25, 0.01, 2, 5e-3)
-        u_a, ut_a = _rk4_chain_step_numpy(u, ut, *args)
-        u_b, ut_b = _rk4_chain_step_loops(u, ut, *args)
-        np.testing.assert_allclose(u_a, u_b, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(ut_a, ut_b, rtol=1e-13, atol=1e-15)
-
-
-def test_chain_csv_dump(tmp_path):
-    chain = make_chain(
-        {"shape": "gaussian", "a": 1.0, "b": 1.0}, {"shape": "zero"}, 8.0, 16
-    )
-    path = tmp_path / "chain.csv"
-    write_chain_csv(chain, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,x,u,u_t"
-    assert len(lines) == 17
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == -8.0
 
 
 def test_chain_geometry():

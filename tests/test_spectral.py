@@ -70,16 +70,6 @@ class TestField:
         np.testing.assert_array_equal((2.5 * a).samples, 2.5 * a.samples)
         np.testing.assert_array_equal((-a).samples, -a.samples)
 
-    def test_arithmetic_propagates_cached_spectra(self, rng):
-        g = Grid(10.0, 64)
-        a, b = random_field(g, rng), random_field(g, rng)
-        a.spectrum, b.spectrum  # populate caches
-        c = a + 0.5 * b
-        assert c._spectrum is not None
-        np.testing.assert_allclose(
-            c._spectrum, np.fft.fft(c.samples), rtol=1e-12, atol=1e-12
-        )
-
     def test_mismatched_grids_rejected(self, rng):
         a = random_field(Grid(10.0, 64), rng)
         b = random_field(Grid(10.0, 128), rng)
