@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convergence, dynamics
-from .errors import AlignmentError, BreakdownError, ConfigError, NlwavesError, NonFiniteError
+from . import convergence, dynamics, lattice, shapes
+from .errors import AlignmentError, BreakdownError, ConfigError, InvalidSpecError
+from .errors import NlwavesError, NonFiniteError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid, write_field_csv
 
@@ -132,6 +133,18 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("delta_list", "entries must be positive")
     if any(later >= earlier for later, earlier in zip(dl[1:], dl)):
         raise ConfigError("delta_list ordering", "must be strictly decreasing")
+
+
+def _check_initial_data(cfg: dict, command: str) -> None:
+    """Evaluate u0 and v0 as `command` will; a bad spec is a config error on its key."""
+    grid = Grid(cfg["grid_l"], cfg["grid_n"])
+    for key in ("u0", "v0"):
+        try:
+            shapes.evaluate_on_nodes(cfg[key], grid.nodes, grid.half_length)
+            if key == "v0" and command == "converge-lattice":
+                lattice.initial_velocity(cfg[key], grid.spacing, grid.nodes, grid.half_length)
+        except InvalidSpecError as exc:
+            raise ConfigError(key, str(exc)) from None
 
 
 def _build_kernel(spec: str) -> Kernel:
@@ -349,6 +362,8 @@ def main(argv=None) -> int:
         if args.command == "kernel-info" and args.kernel_name is not None:
             overrides["kernel"] = args.kernel_name
         cfg = parse_config(args.config, overrides)
+        if args.command != "kernel-info":
+            _check_initial_data(cfg, args.command)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "kernel-info":

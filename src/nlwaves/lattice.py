@@ -6,8 +6,9 @@ The chain integrates
 
 on M sites with spacing delta = 2L/M, independent of the spectral solver so
 the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
-stepped by the same RK4 stage combination as the spectral core
-(`dynamics._rk4`) with the array right-hand side (u, u_t) -> (u_t, D2 g).
+stepped by the RK4 of the spectral core (`dynamics._rk4`) with the array
+right-hand side (u, u_t) -> (u_t, D2 g).  The chains of a lattice sweep are
+stepped together, end to end in one pair of arrays, each wrapping on itself.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import shapes
 from .dynamics import _rk4, n_steps
-from .errors import CompatibilityError, InvalidSpecError, NonFiniteError
+from .errors import CompatibilityError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -53,25 +54,39 @@ class Chain:
         return -self.half_length + self.delta * np.arange(self.sites)
 
 
+def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right neighbours of chains of `sizes` sites laid end to end, each periodic."""
+    ends = np.cumsum(sizes)
+    left, right = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
+    left[ends - sizes] = ends - 1
+    right[ends - 1] = ends - sizes
+    return left, right
+
+
+def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(g_{j+1} - 2 g_j + g_{j-1}) * inv with the given neighbour indices."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (g[right] - 2.0 * g + g[left]) * inv
+
+
 def second_difference(values: np.ndarray, delta: float) -> np.ndarray:
     """Centered second difference with periodic wraparound.
 
     Non-finite values propagate silently; integrate_chain reports them.
     """
     values = np.asarray(values, dtype=float)
-    inv = 1.0 / (delta * delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) * inv
+    return _stencil(values, 1.0 / (delta * delta), *_neighbours([values.size]))
 
 
-def _chain_rhs(delta: float, epsilon: float, n: int):
-    """(u, u_t) -> (u_t, D2 (u + eps^n u^(n+1))) for site arrays."""
+def _chain_rhs(delta, epsilon: float, n: int, neighbours):
+    """(u, u_t) -> (u_t, D2 (u + eps^n u^(n+1))) for site arrays with per-site spacing delta."""
     coef = epsilon**n
+    inv = 1.0 / (delta * delta)
 
     def rhs(u, ut, _t=None):
         with np.errstate(over="ignore", invalid="ignore"):
             g = u + coef * u ** (n + 1)
-        return ut, second_difference(g, delta)
+        return ut, _stencil(g, inv, *neighbours)
 
     return rhs
 
@@ -82,10 +97,6 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
     v0 must be evaluable at x +/- delta/2 analytically; sample arrays are
     rejected because interpolation would pollute the quotient.
     """
-    if isinstance(v0_spec, (list, tuple, np.ndarray)) or (
-        isinstance(v0_spec, dict) and v0_spec.get("shape") == "samples"
-    ):
-        raise InvalidSpecError("initial velocity needs an analytic v0, not samples")
     v0 = shapes.make_callable(v0_spec, half_length)
     return (v0(sites + delta / 2.0) - v0(sites - delta / 2.0)) / delta
 
@@ -123,38 +134,47 @@ def strain_to_displacement(strain: np.ndarray, delta: float) -> np.ndarray:
     return w
 
 
-def integrate_chain(
-    chain: Chain,
-    epsilon: float,
-    n: int,
-    dt: float,
-    t_end: float,
-    observers=(),
-) -> Chain:
+def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=()):
     """March the chain to t_end with RK4; last step shortened to land exactly.
 
     Observers see the initial chain and every stepped snapshot.  Raises
-    NonFiniteError when the state blows up to NaN/inf.
-    """
+    NonFiniteError when the state blows up to NaN/inf.  `chain` may also be a
+    sequence of chains at one time t, stepped together; observers then get,
+    and the call returns, a tuple of chains in input order."""
+    batch = not isinstance(chain, Chain)
+    chains = tuple(chain) if batch else (chain,)
+    if not chains:
+        raise ValueError("integrate_chain needs at least one chain")
+    t = chains[0].t
+    if any(c.t != t for c in chains[1:]):
+        raise ValueError("batched chains must start at one time")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < chain.t:
-        raise ValueError(f"t_end {t_end} precedes chain time {chain.t}")
-    steps = n_steps(t_end - chain.t, dt)
-    rhs = _chain_rhs(chain.delta, epsilon, n)
+    if t_end < t:
+        raise ValueError(f"t_end {t_end} precedes chain time {t}")
+    steps = n_steps(t_end - t, dt)
+    sizes = [c.sites for c in chains]
+    rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, _neighbours(sizes))
+    bounds = np.cumsum(sizes)[:-1]
 
-    state = chain
-    for observer in observers:
-        observer(state)
-    u, ut, t = state.strain, state.velocity, state.t
+    def notify(states):
+        for observer in observers:
+            observer(states if batch else states[0])
+
+    states = chains
+    notify(states)
+    u, ut = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
     for i in range(steps):
-        step = (t_end - t) if i == steps - 1 else dt
+        last = i == steps - 1
+        step = (t_end - t) if last else dt
         u, ut = _rk4(rhs, u, ut, t, step)
-        t = t_end if i == steps - 1 else t + step
+        t = t_end if last else t + step
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(ut))):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
-        state = replace(state, strain=u, velocity=ut, t=t)
-        for observer in observers:
-            observer(state)
-    return state
-
+        if observers or last:
+            states = tuple(
+                replace(c, strain=su, velocity=sv, t=t)
+                for c, su, sv in zip(chains, np.split(u, bounds), np.split(ut, bounds))
+            )
+            notify(states)
+    return states if batch else states[0]

@@ -15,6 +15,8 @@ half-site values); sample arrays cannot.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidSpecError
@@ -28,6 +30,19 @@ _REQUIRED_KEYS = {
 }
 
 
+def _checked_shape(spec: dict) -> str:
+    """The shape name of a dict spec with exactly that shape's keys and real parameters."""
+    name = spec.get("shape")
+    if not isinstance(name, str) or name not in _REQUIRED_KEYS:
+        raise InvalidSpecError(f"unknown shape {name!r}")
+    if set(spec) - {"shape"} != _REQUIRED_KEYS[name]:
+        raise InvalidSpecError(f"shape '{name}' takes exactly keys {sorted(_REQUIRED_KEYS[name])}")
+    for key in sorted(_REQUIRED_KEYS[name] - {"values"}):
+        if isinstance(spec[key], bool) or not isinstance(spec[key], numbers.Real):
+            raise InvalidSpecError(f"shape parameter '{key}' must be a number, got {spec[key]!r}")
+    return name
+
+
 def make_callable(spec, half_length: float):
     """Return f(x) for an analytic spec; reject sample arrays.
 
@@ -38,17 +53,11 @@ def make_callable(spec, half_length: float):
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if callable(spec):
         return spec
+    if isinstance(spec, (list, tuple, np.ndarray)):
+        raise InvalidSpecError("sample arrays cannot be evaluated off-grid")
     if not isinstance(spec, dict):
         raise InvalidSpecError(f"spec must be a dict, array, or callable: {spec!r}")
-    name = spec.get("shape")
-    if name not in _REQUIRED_KEYS:
-        raise InvalidSpecError(f"unknown shape '{name}'")
-    missing = _REQUIRED_KEYS[name] - set(spec)
-    if missing:
-        raise InvalidSpecError(f"shape '{name}' is missing keys {sorted(missing)}")
-    extra = set(spec) - _REQUIRED_KEYS[name] - {"shape"}
-    if extra:
-        raise InvalidSpecError(f"shape '{name}' has unknown keys {sorted(extra)}")
+    name = _checked_shape(spec)
 
     if name == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -67,12 +76,14 @@ def make_callable(spec, half_length: float):
 
 def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float) -> np.ndarray:
     """Evaluate any spec (including sample arrays) at the given nodes."""
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        values = np.asarray(spec, dtype=float)
-    elif isinstance(spec, dict) and spec.get("shape") == "samples":
-        values = np.asarray(spec["values"], dtype=float)
-    else:
+    if isinstance(spec, dict) and _checked_shape(spec) == "samples":
+        spec = spec["values"]
+    elif not isinstance(spec, (list, tuple, np.ndarray)):
         return make_callable(spec, half_length)(nodes)
+    try:
+        values = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpecError("sample values must be numbers") from None
     if values.shape != nodes.shape:
         raise InvalidSpecError(
             f"sample array has shape {values.shape}, expected {nodes.shape}"

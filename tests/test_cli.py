@@ -142,6 +142,32 @@ class TestConfigTypes:
         assert "numeric failure" in capsys.readouterr().err
 
 
+class TestInitialDataSpecs:
+    @pytest.mark.parametrize(
+        "command, key, spec",
+        [
+            ("simulate", "u0", {"shape": "blob"}),
+            ("simulate", "v0", {"shape": ["x"]}),
+            ("simulate", "u0", {"shape": "samples", "values": [1.0, 2.0]}),
+            ("simulate", "u0", {"shape": "samples"}),
+            ("simulate", "u0", {"shape": "samples", "values": ["a"] * 64}),
+            ("simulate", "u0", {"shape": "gaussian", "a": 0.5}),
+            ("simulate", "u0", {"shape": "gaussian", "a": 0.5, "b": 2.0, "c": 1.0}),
+            ("simulate", "u0", 5),
+            ("simulate", "u0", {"shape": "gaussian", "a": "x", "b": 2.0}),
+            ("simulate", "v0", {"shape": "sine", "a": 0.1, "k": True}),
+            ("converge-dispersion", "u0", {"shape": "blob"}),
+            ("converge-lattice", "v0", {"shape": "samples", "values": [0.0] * 64}),
+        ],
+    )
+    def test_bad_spec_exits_3_naming_key(self, tmp_path, capsys, command, key, spec):
+        h = 2 * 10.0 / 64
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05,
+                           delta_list=[2 * h, h], **{key: spec})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        assert f"config field '{key}'" in capsys.readouterr().err
+
+
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
     def test_nan_epsilon_exits_1_without_invalid_json(self, tmp_path, capsys, command):

@@ -5,17 +5,25 @@ import pytest
 
 from nlwaves import (
     AlignmentError,
+    ModelConfig,
     DegenerateDataError,
     DegenerateFitError,
     Field,
     Grid,
     Kernel,
     SweepConfig,
+    derivative,
     fit_rate,
+    integrate,
+    integrate_chain,
     lattice_sweep,
+    make_chain,
+    make_initial,
     operator_error,
+    sobolev_norm,
     zero_dispersion_sweep,
 )
+from nlwaves import lattice
 
 TRI = Kernel.from_name("triangular")
 DIRAC = Kernel.from_name("dirac")
@@ -162,6 +170,55 @@ class TestLatticeSweep:
         assert all(e > 0 for e in initial_errors)
         slope = np.polyfit(np.log(deltas), np.log(initial_errors), 1)[0]
         assert 1.8 < slope < 2.2
+
+    def aligned_config(self):
+        grid = Grid(10.0, 128)
+        h = grid.spacing
+        return small_sweep_config(
+            grid=grid,
+            deltas=(4 * h, 2 * h, h),
+            v0={"shape": "gaussian", "a": 0.3, "b": 1.0},
+        )
+
+    def test_errors_equal_per_delta_single_chain_runs(self):
+        cfg = self.aligned_config()
+        grid = cfg.grid
+        dt = 0.25 * grid.spacing
+        mc = ModelConfig(kernel=TRI, delta=None, dt=dt, t_end=cfg.t_end,
+                         epsilon=cfg.epsilon, n=cfg.n)
+        classical = []
+        integrate(mc, make_initial(cfg.u0, cfg.v0, grid), observers=(
+            lambda s: classical.append((s.u.samples, derivative(s.v).samples)),))
+        expected = []
+        for delta in cfg.deltas:
+            stride = int(round(delta / grid.spacing))
+            chain = make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // stride)
+            snaps = []
+            integrate_chain(chain, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(snaps.append,))
+            coarse = Grid(grid.half_length, chain.sites)
+            expected.append(tuple(
+                sobolev_norm(Field(coarse, c.strain - u[::stride]), cfg.s - 1)
+                + sobolev_norm(Field(coarse, c.velocity - ut[::stride]), cfg.s - 1)
+                for i, (c, (u, ut)) in enumerate(zip(snaps, classical))
+                if i % cfg.sample_stride == 0 or i == len(snaps) - 1
+            ))
+        report = lattice_sweep(cfg)
+        assert report.series == tuple(expected)
+        assert report.errors == tuple(e[-1] for e in expected)
+
+    def test_one_integrate_chain_call_for_all_deltas(self, monkeypatch):
+        calls = []
+        original = lattice.integrate_chain
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "integrate_chain", counted)
+        cfg = self.aligned_config()
+        lattice_sweep(cfg)
+        assert len(calls) == 1
+        assert [c.sites for c in calls[0]] == [32, 64, 128]
 
     def test_unaligned_delta_rejected(self):
         grid = Grid(10.0, 128)

@@ -23,12 +23,13 @@ from nlwaves import (
     second_difference,
     strain_to_displacement,
 )
-from nlwaves.lattice import _chain_rhs
+from nlwaves.lattice import _chain_rhs, _neighbours
 
 
 def chain_rhs(chain, epsilon, n):
     """The chain integrator's right-hand side at the chain's state."""
-    return _chain_rhs(chain.delta, epsilon, n)(chain.strain, chain.velocity)
+    rhs = _chain_rhs(chain.delta, epsilon, n, _neighbours([chain.sites]))
+    return rhs(chain.strain, chain.velocity)
 
 
 class TestSecondDifference:
@@ -150,6 +151,14 @@ class TestStrainDisplacementTransforms:
             strain_to_displacement(np.ones(16), 0.5)
 
 
+def trig_data(a):
+    """A smooth 2 pi-periodic callable from three cosine and three sine modes."""
+    return lambda x: sum(
+        a[2 * k] * np.cos((k + 1) * x) + a[2 * k + 1] * np.sin((k + 1) * x)
+        for k in range(3)
+    )
+
+
 class TestIntegrateChain:
     def test_zero_chain_stays_zero(self):
         chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
@@ -191,14 +200,7 @@ class TestIntegrateChain:
     def test_linear_chain_equals_spectral_run_at_delta_h(self, amplitudes):
         """At delta = h the linear chain and the triangular-kernel spectral
         run agree to round-off on band-limited data."""
-
-        def trig(a):
-            return lambda x: sum(
-                a[2 * k] * np.cos((k + 1) * x) + a[2 * k + 1] * np.sin((k + 1) * x)
-                for k in range(3)
-            )
-
-        u0, v0 = trig(amplitudes[:6]), trig(amplitudes[6:])
+        u0, v0 = trig_data(amplitudes[:6]), trig_data(amplitudes[6:])
         grid = Grid(np.pi, 32)
         dt = grid.spacing / 4
         t_end = 50 * dt
@@ -228,6 +230,66 @@ class TestIntegrateChain:
         chain = Chain(8.0, np.full(16, 1e200), np.zeros(16), 0.0)
         with pytest.raises(NonFiniteError):
             integrate_chain(chain, 1.0, 3, 0.01, 1.0)
+
+
+class TestBatchedChains:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sites=st.lists(st.sampled_from([8, 16, 32, 64]), min_size=1, max_size=4),
+        amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12),
+        epsilon=st.floats(0.0, 0.2),
+        n=st.sampled_from([1, 2]),
+    )
+    def test_batched_chains_equal_single_chain_runs(self, sites, amplitudes, epsilon, n):
+        u0, v0 = trig_data(amplitudes[:6]), trig_data(amplitudes[6:])
+        chains = [make_chain(u0, v0, np.pi, m) for m in sites]
+        dt, t_end = 0.02, 0.5
+        batched = integrate_chain(chains, epsilon, n, dt, t_end)
+        assert len(batched) == len(chains)
+        for chain, out in zip(chains, batched):
+            single = integrate_chain(chain, epsilon, n, dt, t_end)
+            assert out.sites == chain.sites and out.t == single.t
+            assert np.array_equal(out.strain, single.strain)
+            assert np.array_equal(out.velocity, single.velocity)
+
+    def test_observers_get_tuples_in_input_order(self):
+        chains = [Chain(8.0, np.full(m, float(m)), np.zeros(m), 0.0) for m in (32, 8, 16)]
+        seen = []
+        out = integrate_chain(chains, 0.0, 1, 0.25, 0.5, observers=(seen.append,))
+        assert len(seen) == 3  # initial chains and two steps
+        for states in seen:
+            assert isinstance(states, tuple)
+            assert [c.sites for c in states] == [32, 8, 16]
+            assert [c.strain[0] for c in states] == [32.0, 8.0, 16.0]
+        assert all(a is b for a, b in zip(seen[0], chains))
+        assert out is seen[-1] and all(c.t == 0.5 for c in out)
+
+    def test_single_chain_still_returns_a_chain(self):
+        chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
+        seen = []
+        out = integrate_chain(chain, 0.0, 1, 0.25, 0.5, observers=(seen.append,))
+        assert isinstance(out, Chain)
+        assert all(isinstance(c, Chain) for c in seen)
+        one = integrate_chain([chain], 0.0, 1, 0.25, 0.5)
+        assert isinstance(one, tuple) and len(one) == 1
+
+    def test_mixed_times_rejected(self):
+        a = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
+        b = Chain(8.0, np.zeros(8), np.zeros(8), 0.5)
+        with pytest.raises(ValueError):
+            integrate_chain([a, b], 0.0, 1, 0.25, 1.0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_chain([], 0.0, 1, 0.25, 1.0)
+
+    def test_one_blowing_up_chain_signalled(self):
+        calm = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
+        wild = Chain(8.0, np.full(8, 1e200), np.zeros(8), 0.0)
+        seen = []
+        with pytest.raises(NonFiniteError):
+            integrate_chain([calm, wild, calm], 1.0, 3, 0.01, 1.0, observers=(seen.append,))
+        assert len(seen) == 1  # raised at the first step, before any stepped snapshot
 
 
 def test_chain_geometry():
