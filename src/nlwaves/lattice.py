@@ -140,7 +140,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     Observers see the initial chain and every stepped snapshot.  Raises
     NonFiniteError when the state blows up to NaN/inf.  `chain` may also be a
     sequence of chains at one time t, stepped together; observers then get,
-    and the call returns, a tuple of chains in input order."""
+    and the call returns, a tuple of chains in input order.
+    """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
     if not chains:
