@@ -24,12 +24,10 @@ from .dynamics import (
     integrate,
     make_initial,
     nonlocal_rhs,
-    rk4_step,
 )
 from .errors import (
     AlignmentError,
     BreakdownError,
-    CompatibilityError,
     ConfigError,
     DegenerateDataError,
     DegenerateFitError,
@@ -42,20 +40,15 @@ from .errors import (
 from .kernels import Kernel, ValidationReport
 from .lattice import (
     Chain,
-    displacement_to_strain,
     initial_velocity,
     integrate_chain,
     make_chain,
     second_difference,
-    strain_to_displacement,
 )
 from .spectral import (
     Field,
     Grid,
-    apply_multiplier,
-    dealiased_power,
     derivative,
-    linf_norm,
     sobolev_norm,
     sobolev_scale,
 )
@@ -66,7 +59,6 @@ __all__ = [
     "AlignmentError",
     "BreakdownError",
     "Chain",
-    "CompatibilityError",
     "ConfigError",
     "ConvergenceReport",
     "DegenerateDataError",
@@ -84,28 +76,22 @@ __all__ = [
     "State",
     "SweepConfig",
     "ValidationReport",
-    "apply_multiplier",
     "breakdown_monitor",
     "cfl_dt",
     "classical_rhs",
-    "dealiased_power",
     "derivative",
-    "displacement_to_strain",
     "energy",
     "fit_rate",
     "initial_velocity",
     "integrate",
     "integrate_chain",
     "lattice_sweep",
-    "linf_norm",
     "make_chain",
     "make_initial",
     "nonlocal_rhs",
     "operator_error",
-    "rk4_step",
     "second_difference",
     "sobolev_norm",
     "sobolev_scale",
-    "strain_to_displacement",
     "zero_dispersion_sweep",
 ]

@@ -38,7 +38,7 @@ _DEFAULTS = {
     "grid_l": 20.0,
     "grid_n": 1024,
     "delta": None,
-    "delta_list": [0.4, 0.2, 0.1, 0.05],
+    "delta_list": [0.3125, 0.15625, 0.078125, 0.0390625],
     "epsilon": 0.1,
     "n": 1,
     "s": 3.0,

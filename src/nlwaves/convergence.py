@@ -217,7 +217,9 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             raise AlignmentError(
                 f"delta {delta} is not an integer multiple of grid spacing {grid.spacing}"
             )
-    chains = [lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s) for s in strides]
+    chains = [
+        lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
+    ]
     dt = dynamics.shared_dt(grid, cfg.kernel, cfg.deltas, cfg.dt)
     n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)

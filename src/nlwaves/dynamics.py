@@ -16,21 +16,25 @@ right-hand side is then (M v^, M (u + g(u))^) with the fused multiplier
 M = i xi sqrt(b(delta xi)) built once per call, so a stage costs one padded
 transform pair for the power and none when eps = 0.  The breakdown monitor
 reuses the first RK4 stage.  Runs that differ only in delta are rows of one
-array and share every transform.  `nonlocal_rhs`, `classical_rhs`,
-`rk4_step` and `breakdown_monitor` are Field-level wrappers over the same
-core.
+array and share every transform.  Each call allocates its work buffers once
+(RK4 stage input, stage derivative and accumulator, dealiasing and monitor
+buffers); a step then allocates only its new state, which observers get as
+states whose samples are transformed on the first read of u or v.
+`nonlocal_rhs`, `classical_rhs` and `breakdown_monitor` are Field-level
+wrappers over the same core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import shapes
 from .errors import BreakdownError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
-from .spectral import Field, Grid, dealiased_power_rfft, sobolev_scale
+from .spectral import Field, Grid, dealiased_power_rfft, power_buffers, sobolev_scale
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
 
@@ -118,8 +122,8 @@ def n_steps(span: float, dt: float) -> int:
 
 # --- spectral-state core ----------------------------------------------------
 #
-# The stepper holds real-FFT coefficients (u^, v^) of shape (rows, N/2+1); a
-# row is one run, and runs that differ only in delta share every transform.
+# The stepper holds real-FFT coefficients y = (u^, v^) of shape (2, rows, N/2+1);
+# a row is one run, and runs that differ only in delta share every transform.
 
 
 def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
@@ -135,56 +139,83 @@ def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
     return m
 
 
-def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
-    """(u^, v^) -> (M v^, M (u + eps^n u^(n+1))^) for coefficient arrays."""
+def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
+    """y -> (M y[1], M (y[0] + eps^n y[0]^(n+1))^) for (2, *shape) coefficient arrays.
+
+    The returned rhs(y, t, out) writes into `out`; its dealiasing buffers are
+    allocated here, once.
+    """
     coef = cfg.nonlinear_coefficient
     power = cfg.n + 1
+    buffers = None if coef == 0.0 else power_buffers(shape, size, power)
 
-    def rhs(u, v, _t=None):
-        stress = u if coef == 0.0 else u + coef * dealiased_power_rfft(u, size, power)
-        return multiplier * v, multiplier * stress
+    def rhs(y, _t, out):
+        np.multiply(multiplier, y[1], out=out[0])
+        stress = y[0]
+        if coef != 0.0:
+            stress = dealiased_power_rfft(y[0], size, power, buffers)
+            np.multiply(coef, stress, out=stress)
+            np.add(y[0], stress, out=stress)
+        np.multiply(multiplier, stress, out=out[1])
 
     return rhs
 
 
-def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, size: int) -> np.ndarray:
+def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, stacked, samples) -> np.ndarray:
     """|u|_inf + |u_t|_inf + |u_x|_inf per row, from one inverse transform.
 
-    ddx is the classical multiplier, so ddx * u is the coefficient array of u_x.
+    ddx is the classical multiplier, so ddx * u is the coefficient array of
+    u_x; `stacked` (3, *u.shape) and `samples` (3, *u.shape[:-1], N) are work buffers.
     """
-    stacked = np.stack([u, du, ddx * u], axis=-2)
-    peaks = np.max(np.abs(np.fft.irfft(stacked, n=size)), axis=-1)
-    return peaks[..., 0] + peaks[..., 1] + peaks[..., 2]
+    stacked[0] = u
+    stacked[1] = du
+    np.multiply(ddx, u, out=stacked[2])
+    np.fft.irfft(stacked, n=samples.shape[-1], out=samples)
+    peaks = np.max(np.abs(samples, out=samples), axis=-1)
+    return peaks[0] + peaks[1] + peaks[2]
 
 
-def _rk4(rhs, u, v, t: float, h: float, k1=None):
-    """One classical RK4 step of the pair (u, v); rhs(u, v, t) -> (du, dv).
+def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
+    """One classical RK4 step of the stacked pair y = (u, v); returns the new y.
 
-    Works for coefficient arrays, Fields and the chain's site arrays alike.
-    Pass k1 when the first stage is already known.
+    rhs(y, t, out) writes the derivative of y into out; `stage`, `k` and `acc`
+    are buffers shaped like y for the stage input, the stage derivative and
+    the weighted stage sum, which holds k1 = rhs(y, t) on entry.  Only the
+    new y is allocated, and it is never written again, so snapshots may keep
+    it.  Serves coefficient arrays and the chain's site arrays alike.
     """
-    k1u, k1v = rhs(u, v, t) if k1 is None else k1
-    k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v, t + 0.5 * h)
-    k3u, k3v = rhs(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v, t + 0.5 * h)
-    k4u, k4v = rhs(u + h * k3u, v + h * k3v, t + h)
-    w = h / 6.0
-    return (
-        u + w * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
+    half = 0.5 * h
+    np.multiply(half, acc, out=stage)
+    np.add(y, stage, out=stage)
+    rhs(stage, t + half, k)  # k2
+    np.multiply(half, k, out=stage)
+    np.add(y, stage, out=stage)
+    np.multiply(2.0, k, out=k)
+    np.add(acc, k, out=acc)
+    rhs(stage, t + half, k)  # k3
+    np.multiply(h, k, out=stage)
+    np.add(y, stage, out=stage)
+    np.multiply(2.0, k, out=k)
+    np.add(acc, k, out=acc)
+    rhs(stage, t + h, k)  # k4
+    np.add(acc, k, out=acc)
+    np.multiply(h / 6.0, acc, out=acc)
+    return np.add(y, acc)
 
 
-def _coefficients(state: State) -> tuple[np.ndarray, np.ndarray]:
-    u, v = np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
-    return u, v
+def _coefficients(state: State) -> np.ndarray:
+    """Real-FFT coefficients of (u, v), stacked."""
+    return np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
 
 
 def _rhs_fields(state: State, cfg: ModelConfig, delta: float | None) -> tuple[Field, Field]:
     grid = state.grid
-    rhs = _spectral_rhs(_multiplier(grid, cfg.kernel, delta), cfg, grid.size)
+    y = _coefficients(state)
+    rhs = _spectral_rhs(_multiplier(grid, cfg.kernel, delta), cfg, grid.size, y.shape[1:])
+    dy = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        du, dv = rhs(*_coefficients(state))
-    du, dv = np.fft.irfft(np.stack([du, dv]), n=grid.size)
+        rhs(y, state.t, dy)
+    du, dv = np.fft.irfft(dy, n=grid.size)
     return Field(grid, du), Field(grid, dv)
 
 
@@ -200,13 +231,6 @@ def classical_rhs(state: State, cfg: ModelConfig) -> tuple[Field, Field]:
     return _rhs_fields(state, cfg, None)
 
 
-def rk4_step(state: State, cfg: ModelConfig, rhs, dt: float | None = None) -> State:
-    """One classical fourth-order Runge-Kutta step of length dt (default cfg.dt)."""
-    h = cfg.dt if dt is None else dt
-    u, v = _rk4(lambda u, v, t: rhs(State(u, v, t), cfg), state.u, state.v, state.t, h)
-    return State(u, v, state.t + h)
-
-
 def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
     """Wave-breaking indicator: |u|_inf + |u_t|_inf + |u_x|_inf.
 
@@ -216,7 +240,8 @@ def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
     grid = state.grid
     u, v = _coefficients(state)
     du = _multiplier(grid, cfg.kernel, cfg.delta) * v
-    return float(_monitor(u, du, _multiplier(grid, None, None), grid.size))
+    stacked, samples = np.empty((3, *u.shape), dtype=complex), np.empty((3, grid.size))
+    return float(_monitor(u, du, _multiplier(grid, None, None), stacked, samples))
 
 
 def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
@@ -255,11 +280,34 @@ def _shared_settings(cfg: ModelConfig) -> tuple:
     return tuple(getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "delta")
 
 
-def _states(grid: Grid, u: np.ndarray, v: np.ndarray, t: float) -> tuple[State, ...]:
-    """Physical snapshots of every row, from one inverse transform."""
-    samples = np.fft.irfft(np.stack([u, v], axis=-2), n=grid.size)
-    samples.setflags(write=False)
-    return tuple(State(Field(grid, su), Field(grid, sv), t) for su, sv in samples)
+def _unchecked(cls, **attributes):
+    """An instance of the frozen dataclass `cls` with `attributes`, built without __init__."""
+    instance = cls.__new__(cls)
+    instance.__dict__.update(attributes)
+    return instance
+
+
+class _Snapshot(State):
+    """A State handed out by `integrate`: u and v are built on first access.
+
+    The rows of one step share `_samples`, which transforms all of them in one
+    cached inverse FFT; `t` needs no transform.
+    """
+
+    u = cached_property(lambda self: Field(self._grid, self._samples()[0, self._row]))
+    v = cached_property(lambda self: Field(self._grid, self._samples()[1, self._row]))
+
+
+def _snapshots(grid: Grid, y: np.ndarray, t: float) -> tuple[State, ...]:
+    """Lazy states of every row of the coefficients y, sharing one transform."""
+    @cache
+    def samples():
+        out = np.fft.irfft(y, n=grid.size)
+        out.setflags(write=False)
+        return out
+
+    rows = range(y.shape[1])
+    return tuple(_unchecked(_Snapshot, t=t, _grid=grid, _samples=samples, _row=r) for r in rows)
 
 
 def integrate(cfg, initial: State, observers=()):
@@ -297,30 +345,33 @@ def integrate(cfg, initial: State, observers=()):
         return states if batch else initial
 
     grid = initial.grid
+    y = np.empty((2, len(configs), grid.size // 2 + 1), dtype=complex)
+    y[...] = _coefficients(initial)[:, None]
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
-    rhs = _spectral_rhs(multiplier, base, grid.size)
+    rhs = _spectral_rhs(multiplier, base, grid.size, y.shape[1:])
     ddx = _multiplier(grid, None, None)
-    u0, v0 = _coefficients(initial)
-    u = np.tile(u0, (len(configs), 1))
-    v = np.tile(v0, (len(configs), 1))
+    # the stage input and derivative; before the stages, the monitor's stack
+    work = np.empty((4, *y.shape[1:]), dtype=complex)
+    stage, k, acc = work[:2], work[2:], np.empty_like(y)
+    samples = np.empty((3, len(configs), grid.size))
     t = initial.t
     for i in range(steps):
         last = i == steps - 1
         h = base.t_end - t if last else base.dt
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(u, v)
-            monitor = _monitor(u, k1[0], ddx, grid.size)
+            rhs(y, t, acc)
+            monitor = _monitor(y[0], acc[0], ddx, work[:3], samples)
             if not np.all(np.isfinite(monitor)):
                 raise NonFiniteError(f"state became non-finite at t={t:.6g}")
             over = monitor > base.breakdown_threshold
             if np.any(over):
                 row = int(np.argmax(over))
                 raise BreakdownError(t, float(monitor[row]), base.breakdown_threshold)
-            u, v = _rk4(rhs, u, v, t, h, k1)
+            y = _rk4(rhs, y, t, h, stage, k, acc)
         t = base.t_end if last else t + h
-        if last and not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        if last and not np.all(np.isfinite(y)):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         if observers or last:
-            states = _states(grid, u, v, t)
+            states = _snapshots(grid, y, t)
             notify(states)
     return states if batch else states[0]

@@ -34,10 +34,6 @@ class BreakdownError(NlwavesError):
         )
 
 
-class CompatibilityError(NlwavesError):
-    """Periodic strain field does not sum to zero; no displacement exists."""
-
-
 class AlignmentError(NlwavesError):
     """Chain spacing is not an integer multiple of the spectral grid spacing."""
 

@@ -7,21 +7,24 @@ The chain integrates
 on M sites with spacing delta = 2L/M, independent of the spectral solver so
 the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
 stepped by the RK4 of the spectral core (`dynamics._rk4`) with the array
-right-hand side (u, u_t) -> (u_t, D2 g).  The chains of a lattice sweep are
-stepped together, end to end in one pair of arrays, each wrapping on itself.
+right-hand side (u, u_t) -> (u_t, D2 g) and work buffers allocated once per
+call.  The chains of a lattice sweep are stepped together, end to end in one
+pair of arrays, each wrapping on itself; observers get chains whose site
+arrays are views of the stepped state, taken on first access.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import shapes
-from .dynamics import _rk4, n_steps
-from .errors import CompatibilityError, NonFiniteError
+from .dynamics import _rk4, _unchecked, n_steps
+from .errors import NonFiniteError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """Periodic particle chain: strains and strain velocities at M sites."""
 
@@ -39,6 +42,16 @@ class Chain:
             raise ValueError("half_length must be positive")
         object.__setattr__(self, "strain", strain)
         object.__setattr__(self, "velocity", velocity)
+
+    def __eq__(self, other):
+        if not isinstance(other, Chain):
+            return NotImplemented
+        return (
+            self.half_length == other.half_length
+            and self.t == other.t
+            and np.array_equal(self.strain, other.strain)
+            and np.array_equal(self.velocity, other.velocity)
+        )
 
     @property
     def sites(self) -> int:
@@ -79,14 +92,16 @@ def second_difference(values: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _chain_rhs(delta, epsilon: float, n: int, neighbours):
-    """(u, u_t) -> (u_t, D2 (u + eps^n u^(n+1))) for site arrays with per-site spacing delta."""
+    """rhs(y, t, out): out = (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)."""
     coef = epsilon**n
     inv = 1.0 / (delta * delta)
 
-    def rhs(u, ut, _t=None):
+    def rhs(y, _t, out):
+        u = y[0]
         with np.errstate(over="ignore", invalid="ignore"):
             g = u + coef * u ** (n + 1)
-        return ut, _stencil(g, inv, *neighbours)
+        out[0] = y[1]
+        out[1] = _stencil(g, inv, *neighbours)
 
     return rhs
 
@@ -101,37 +116,22 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
     return (v0(sites + delta / 2.0) - v0(sites - delta / 2.0)) / delta
 
 
-def make_chain(u0_spec, v0_spec, half_length: float, sites: int) -> Chain:
-    """Chain at t=0: strains from u0, velocities from the discrete quotient of v0."""
+def make_chain(u0_spec, v0_spec, half_length: float, sites: int, stride: int = 1) -> Chain:
+    """Chain at t=0: strains from u0 (sample arrays span sites * stride nodes),
+    velocities from the discrete quotient of v0."""
     delta = 2.0 * half_length / sites
     x = -half_length + delta * np.arange(sites)
-    strain = shapes.evaluate_on_nodes(u0_spec, x, half_length)
+    strain = shapes.evaluate_on_nodes(u0_spec, x, half_length, stride)
     velocity = initial_velocity(v0_spec, delta, x, half_length)
     return Chain(half_length, strain, velocity, 0.0)
 
 
-def displacement_to_strain(displacement: np.ndarray, delta: float) -> np.ndarray:
-    """Forward difference quotient (w_{j+1} - w_j)/delta with wraparound."""
-    w = np.asarray(displacement, dtype=float)
-    return (np.roll(w, -1) - w) / delta
+class _ChainSnapshot(Chain):
+    """A Chain handed out by `integrate_chain`: its site arrays are views of
+    the state of its step, taken on first access."""
 
-
-def strain_to_displacement(strain: np.ndarray, delta: float) -> np.ndarray:
-    """Discrete anti-difference with the w_0 = 0 gauge.
-
-    Requires the periodic strain sum to vanish (tolerance 1e-10 * M);
-    otherwise no periodic displacement exists.
-    """
-    u = np.asarray(strain, dtype=float)
-    total = float(np.sum(u))
-    if abs(total) > 1e-10 * u.size:
-        raise CompatibilityError(
-            f"strain sums to {total:.3e} over the period; cannot integrate"
-        )
-    w = np.empty_like(u)
-    w[0] = 0.0
-    np.cumsum(u[:-1] * delta, out=w[1:])
-    return w
+    strain = cached_property(lambda self: self._y[0, self._span])
+    velocity = cached_property(lambda self: self._y[1, self._span])
 
 
 def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=()):
@@ -156,7 +156,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     steps = n_steps(t_end - t, dt)
     sizes = [c.sites for c in chains]
     rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, _neighbours(sizes))
-    bounds = np.cumsum(sizes)[:-1]
+    ends = np.cumsum(sizes)
+    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
 
     def notify(states):
         for observer in observers:
@@ -164,18 +165,20 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
 
     states = chains
     notify(states)
-    u, ut = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
+    y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
+    stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for i in range(steps):
         last = i == steps - 1
         step = (t_end - t) if last else dt
-        u, ut = _rk4(rhs, u, ut, t, step)
+        rhs(y, t, acc)
+        y = _rk4(rhs, y, t, step, stage, k, acc)
         t = t_end if last else t + step
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(ut))):
+        if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
         if observers or last:
             states = tuple(
-                replace(c, strain=su, velocity=sv, t=t)
-                for c, su, sv in zip(chains, np.split(u, bounds), np.split(ut, bounds))
+                _unchecked(_ChainSnapshot, half_length=c.half_length, t=t, _y=y, _span=s)
+                for c, s in zip(chains, spans)
             )
             notify(states)
     return states if batch else states[0]

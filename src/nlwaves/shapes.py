@@ -74,8 +74,9 @@ def make_callable(spec, half_length: float):
     raise InvalidSpecError("sample arrays cannot be evaluated off-grid")
 
 
-def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float) -> np.ndarray:
-    """Evaluate any spec (including sample arrays) at the given nodes."""
+def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int = 1) -> np.ndarray:
+    """Evaluate any spec at the given nodes; sample arrays hold values at
+    `stride` times as many nodes, of which `nodes` are every stride-th."""
     if isinstance(spec, dict) and _checked_shape(spec) == "samples":
         spec = spec["values"]
     elif not isinstance(spec, (list, tuple, np.ndarray)):
@@ -84,8 +85,7 @@ def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float) -> np.ndarray
         values = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
         raise InvalidSpecError("sample values must be numbers") from None
-    if values.shape != nodes.shape:
-        raise InvalidSpecError(
-            f"sample array has shape {values.shape}, expected {nodes.shape}"
-        )
-    return values
+    expected = (nodes.size * stride,)
+    if values.shape != expected:
+        raise InvalidSpecError(f"sample array has shape {values.shape}, expected {expected}")
+    return values[::stride]

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError
-
 
 class Grid:
     """Uniform periodic grid on [-L, L) with an even number of nodes."""
@@ -113,24 +111,6 @@ class Field:
         return self * -1.0
 
 
-def apply_multiplier(f: Field, multiplier) -> Field:
-    """Multiply the spectrum pointwise by multiplier(xi) and transform back.
-
-    `multiplier` is a callable evaluated at every grid frequency, or an array
-    already aligned with ``f.grid.freqs``.  Real output is guaranteed only for
-    even multipliers (kernel symbols are even by construction).
-    """
-    m = multiplier(f.grid.freqs) if callable(multiplier) else np.asarray(multiplier)
-    if m.shape != f.grid.freqs.shape:
-        raise ValueError("multiplier values do not match the grid frequency set")
-    # non-finite intermediates surface as a typed error, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Field.from_spectrum(f.grid, m * f.spectrum)
-    if not np.all(np.isfinite(out.samples)):
-        raise NonFiniteError("multiplier application produced non-finite samples")
-    return out
-
-
 def derivative(f: Field) -> Field:
     """Spectral x-derivative; the Nyquist mode is zeroed (odd multiplier)."""
     m = 1j * f.grid.freqs.copy()
@@ -159,66 +139,46 @@ def sobolev_norm(f: Field, s: float) -> float:
     return spectrum_norm(f.grid, f.spectrum, s)
 
 
-def linf_norm(f: Field) -> float:
-    """Max absolute sample value."""
-    return float(np.max(np.abs(f.samples)))
-
-
 def _padded_size(n: int, power: int) -> int:
     """Even padded length of at least (power+1)/2 * n points."""
     padded = int(np.ceil((power + 1) * n / 2))
     return padded + padded % 2
 
 
-def dealiased_power(f: Field, power: int) -> Field:
-    """Pointwise integer power computed without aliasing.
-
-    The product is evaluated on a zero-padded grid of at least
-    (power+1)/2 * N points and truncated back, which removes aliasing of a
-    degree-`power` product exactly.  Contributions at the +/- Nyquist pair of
-    the coarse grid fold into its single shared bin.
-    """
-    if power < 1 or int(power) != power:
-        raise ValueError(f"power must be a positive integer, got {power}")
-    if power == 1:
-        return f
-    n = f.grid.size
-    half = n // 2
+def power_buffers(shape, n: int, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work buffers of `dealiased_power_rfft` for coefficients of `shape`: the
+    padded spectrum (zero above n/2, which no call writes), the padded samples
+    and the padded spectrum of their power."""
     padded = _padded_size(n, power)
-
-    spec = f.spectrum
-    fine = np.zeros(padded, dtype=complex)
-    fine[:half] = spec[:half]
-    fine[padded - half:] = spec[half:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = np.fft.ifft(fine).real * (padded / n)
-        product **= power
-        fine_spec = np.fft.fft(product) * (n / padded)
-        out = np.empty(n, dtype=complex)
-        out[:half] = fine_spec[:half]
-        out[half] = fine_spec[half] + fine_spec[padded - half]
-        out[half + 1:] = fine_spec[padded - half + 1:]
-        return Field.from_spectrum(f.grid, out)
+    spectra = (*shape[:-1], padded // 2 + 1)
+    return np.zeros(spectra, complex), np.empty((*shape[:-1], padded)), np.empty(spectra, complex)
 
 
-def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
-    """`dealiased_power` on real-FFT coefficients of an n-point field.
+def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, buffers) -> np.ndarray:
+    """Pointwise integer power of an n-point field, computed without aliasing.
 
-    `coeffs` has shape (..., n/2 + 1); every leading row is transformed in
-    the same call.  The coarse Nyquist coefficient is split evenly between
-    the +/- n/2 modes of the padded grid, which reproduces the real part that
-    `dealiased_power` takes, and the result folds both back into one bin.
+    `coeffs` holds real-FFT coefficients of shape (..., n/2 + 1); every
+    leading row is transformed in the same call.  The product is evaluated on
+    a zero-padded grid of at least (power+1)/2 * n points and truncated back,
+    which removes aliasing of a degree-`power` product exactly.  The coarse
+    Nyquist coefficient is split evenly between the +/- n/2 modes of the
+    padded grid (the real part of the full-spectrum product), and the result
+    folds both back into one bin.
+
+    The work happens in `buffers` from `power_buffers`, and the result is a
+    view into them, valid until the next call with the same buffers.
     """
     half = n // 2
     padded = _padded_size(n, power)
-    fine = np.zeros(coeffs.shape[:-1] + (padded // 2 + 1,), dtype=complex)
+    fine, product, spec = buffers
     fine[..., :half] = coeffs[..., :half]
-    fine[..., half] = 0.5 * coeffs[..., half]
+    np.multiply(0.5, coeffs[..., half], out=fine[..., half])
     with np.errstate(over="ignore", invalid="ignore"):
-        product = np.fft.irfft(fine, n=padded) * (padded / n)
+        np.fft.irfft(fine, n=padded, out=product)
+        np.multiply(product, padded / n, out=product)
         product **= power
-        fine_spec = np.fft.rfft(product) * (n / padded)
-    out = fine_spec[..., : half + 1]
+        np.fft.rfft(product, out=spec)
+        out = np.multiply(spec[..., : half + 1], n / padded, out=spec[..., : half + 1])
     out[..., half] = 2.0 * out[..., half].real
     return out
 

@@ -7,6 +7,7 @@ import pytest
 
 from nlwaves.cli import main, parse_config
 from nlwaves.errors import ConfigError
+from nlwaves.shapes import evaluate_on_nodes
 
 
 def write_config(tmp_path, **entries):
@@ -218,9 +219,33 @@ class TestConvergeCommands:
         assert len(series) > 2
 
     def test_unaligned_delta_list_exits_3(self, tmp_path, capsys):
-        # the default delta_list does not fit the default grid spacing 0.0390625
-        assert main(["converge-lattice", "--out", str(tmp_path)]) == 3
+        # none of these is a multiple of the default grid spacing 0.0390625
+        cfg = write_config(tmp_path, delta_list=[0.4, 0.2, 0.1, 0.05])
+        assert main(["converge-lattice", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "config field 'delta_list'" in capsys.readouterr().err
+
+    def test_lattice_sweep_runs_on_defaults(self, tmp_path):
+        assert main(["converge-lattice", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["deltas"] == [0.3125, 0.15625, 0.078125, 0.0390625]
+        assert 1.7 <= summary["slope"] <= 2.3
+
+    def test_lattice_sweep_takes_sample_u0_on_coarse_chains(self, tmp_path):
+        # the chain sites of delta = 2h are every second grid node
+        grid_l, grid_n = 10.0, 64
+        h = 2 * grid_l / grid_n
+        gaussian = {"shape": "gaussian", "a": 0.5, "b": 2.0}
+        nodes = -grid_l + h * np.arange(grid_n)
+        values = evaluate_on_nodes(gaussian, nodes, grid_l).tolist()
+        common = dict(grid_n=grid_n, grid_l=grid_l, t_end=0.2, delta_list=[2 * h, h])
+        outputs = []
+        for name, u0 in (("samples", {"shape": "samples", "values": values}), ("shape", gaussian)):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, u0=u0, **common)
+            out = tmp_path / name / "out"
+            assert main(["converge-lattice", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.1,

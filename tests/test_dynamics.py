@@ -15,18 +15,16 @@ from nlwaves import (
     ModelConfig,
     NonFiniteError,
     State,
-    apply_multiplier,
     breakdown_monitor,
     cfl_dt,
     classical_rhs,
-    dealiased_power,
     derivative,
     energy,
     integrate,
     make_initial,
     nonlocal_rhs,
-    rk4_step,
 )
+from reference import apply_multiplier, dealiased_power, integrate_rows
 
 TRI = Kernel.from_name("triangular")
 DIRAC = Kernel.from_name("dirac")
@@ -103,14 +101,6 @@ class TestClassicalRhs:
 
 
 class TestRk4Step:
-    def test_zero_rhs_only_advances_time(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 1.5)
-        zero_rhs = lambda s, c: (Field.zeros(unit_grid), Field.zeros(unit_grid))
-        out = rk4_step(st, config(dt=0.25), zero_rhs)
-        assert out.t == pytest.approx(1.75)
-        np.testing.assert_array_equal(out.u.samples, st.u.samples)
-        np.testing.assert_array_equal(out.v.samples, st.v.samples)
-
     def test_linear_wave_returns_after_one_period(self, unit_grid):
         # single-mode classical linear system has period 2*pi
         x = unit_grid.nodes
@@ -440,3 +430,66 @@ class TestSpectralCoreParity:
         classical, dirac = rows
         assert np.max(np.abs(dirac.u.samples - classical.u.samples)) <= 1e-14
         assert np.max(np.abs(dirac.v.samples - classical.v.samples)) <= 1e-14
+
+
+class TestInPlaceStep:
+    """integrate against the allocating RK4 loop it replaced, bit for bit."""
+
+    GRID = Grid(20.0, 256)
+
+    def initial(self):
+        u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
+        return make_initial(u0, {"shape": "sine", "a": 0.3, "k": 2}, self.GRID)
+
+    @pytest.mark.parametrize("n,eps", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
+    @pytest.mark.parametrize(
+        "deltas", [(0.7,), (None, 0.4, 0.2, 0.1, 0.05)], ids=["single", "batch"]
+    )
+    def test_integrate_matches_allocating_step(self, deltas, n, eps):
+        dt = 0.5 * cfl_dt(self.GRID, TRI, None)
+        configs = [config(delta=d, epsilon=eps, n=n, dt=dt, t_end=50 * dt) for d in deltas]
+        init = self.initial()
+        out = integrate(configs, init) if len(configs) > 1 else (integrate(configs[0], init),)
+        expected = integrate_rows(configs, init, configs[0].t_end)
+        assert len(out) == len(expected)
+        for state, (u, v) in zip(out, expected):
+            assert np.array_equal(state.u.samples, u)
+            assert np.array_equal(state.v.samples, v)
+
+
+class TestLazySnapshots:
+    GRID = Grid(10.0, 64)
+    STEPS = 20
+
+    def configs(self, eps=0.1):
+        t_end = self.STEPS * 0.01
+        return [config(delta=d, epsilon=eps, dt=0.01, t_end=t_end) for d in (None, 0.5, 0.2)]
+
+    def test_samples_transformed_only_when_read(self, monkeypatch):
+        irfft = np.fft.irfft
+        calls = []
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+
+        # eps = 0: the breakdown monitor makes the only other transform of a step
+        integrate(self.configs(eps=0.0), init, observers=(lambda states: states[0].t,))
+        assert len(calls) == self.STEPS
+        calls.clear()
+        read_all = lambda states: [(s.u, s.v) for s in states]
+        integrate(self.configs(eps=0.0), init, observers=(read_all,))
+        assert len(calls) == 2 * self.STEPS
+
+    def test_states_kept_past_their_step_keep_their_values(self):
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+        kept, copies = [], []
+
+        def read_now(states):
+            copies.append([(s.u.samples.copy(), s.v.samples.copy()) for s in states])
+
+        integrate(self.configs(), init, observers=(kept.append,))
+        integrate(self.configs(), init, observers=(read_now,))
+        assert len(kept) == len(copies) == self.STEPS + 1
+        for states, arrays in zip(kept, copies):
+            for state, (u, v) in zip(states, arrays):
+                assert isinstance(state, State)
+                assert np.array_equal(state.u.samples, u) and np.array_equal(state.v.samples, v)

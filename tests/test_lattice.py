@@ -7,29 +7,29 @@ from hypothesis import strategies as st
 
 from nlwaves import (
     Chain,
-    CompatibilityError,
     Field,
     Grid,
     InvalidSpecError,
     Kernel,
     ModelConfig,
     NonFiniteError,
-    displacement_to_strain,
     initial_velocity,
     integrate,
     integrate_chain,
     make_chain,
     make_initial,
     second_difference,
-    strain_to_displacement,
 )
 from nlwaves.lattice import _chain_rhs, _neighbours
+from reference import integrate_chains
 
 
 def chain_rhs(chain, epsilon, n):
     """The chain integrator's right-hand side at the chain's state."""
     rhs = _chain_rhs(chain.delta, epsilon, n, _neighbours([chain.sites]))
-    return rhs(chain.strain, chain.velocity)
+    out = np.empty((2, chain.sites))
+    rhs(np.stack([chain.strain, chain.velocity]), chain.t, out)
+    return out[0], out[1]
 
 
 class TestSecondDifference:
@@ -125,30 +125,6 @@ class TestInitialVelocity:
             initial_velocity(np.zeros(8), 0.5, np.zeros(8), 10.0)
         with pytest.raises(InvalidSpecError):
             initial_velocity({"shape": "samples", "values": [1.0]}, 0.5, np.zeros(8), 10.0)
-
-
-class TestStrainDisplacementTransforms:
-    def test_uniform_stretch_interior(self):
-        # pre-periodization check on an interior segment: w = c*x gives strain c
-        delta = 0.5
-        x = delta * np.arange(20)
-        strain = displacement_to_strain(0.3 * x, delta)
-        np.testing.assert_allclose(strain[:-1], 0.3, rtol=1e-12)
-
-    def test_round_trip_for_zero_mean_strain(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal(64)
-        u -= u.mean()
-        w = strain_to_displacement(u, 0.25)
-        assert w[0] == 0.0
-        np.testing.assert_allclose(displacement_to_strain(w, 0.25), u, atol=1e-12)
-
-    def test_zero_displacement_gives_zero_strain(self):
-        assert np.all(displacement_to_strain(np.zeros(16), 0.5) == 0.0)
-
-    def test_incompatible_strain_rejected(self):
-        with pytest.raises(CompatibilityError):
-            strain_to_displacement(np.ones(16), 0.5)
 
 
 def trig_data(a):
@@ -298,3 +274,51 @@ def test_chain_geometry():
     assert chain.positions[0] == -10.0
     with pytest.raises(ValueError):
         Chain(10.0, np.zeros(8), np.zeros(4), 0.0)
+
+
+class TestChainEquality:
+    def test_chains_compare_by_value(self):
+        a = Chain(8.0, np.arange(4.0), np.zeros(4), 0.5)
+        assert a == Chain(8.0, np.arange(4.0), np.zeros(4), 0.5)
+        assert a != Chain(8.0, np.arange(4.0), np.ones(4), 0.5)
+        assert a != Chain(8.0, -np.arange(4.0), np.zeros(4), 0.5)
+        assert a != Chain(8.0, np.arange(4.0), np.zeros(4), 0.25)
+        assert a != Chain(4.0, np.arange(4.0), np.zeros(4), 0.5)
+        assert a != Chain(8.0, np.arange(8.0), np.zeros(8), 0.5)
+        assert a != "chain"
+
+    def test_stepped_chain_equals_its_rebuilt_copy(self):
+        chain = make_chain({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, 8.0, 32)
+        out = integrate_chain(chain, 0.1, 1, 0.05, 0.5)
+        assert out == Chain(8.0, out.strain.copy(), out.velocity.copy(), out.t)
+        assert out != chain
+
+
+class TestInPlaceChainStep:
+    """integrate_chain against the allocating RK4 loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n,epsilon", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
+    def test_batched_chains_match_allocating_step(self, n, epsilon):
+        u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
+        v0 = {"shape": "sine", "a": 0.3, "k": 2}
+        chains = [make_chain(u0, v0, 8.0, m) for m in (128, 64, 32, 16)]
+        dt = 0.01
+        out = integrate_chain(chains, epsilon, n, dt, 50 * dt)
+        u, ut = integrate_chains(chains, epsilon, n, dt, 50 * dt)
+        assert np.array_equal(np.concatenate([c.strain for c in out]), u)
+        assert np.array_equal(np.concatenate([c.velocity for c in out]), ut)
+
+    def test_chains_kept_past_their_step_keep_their_values(self):
+        u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
+        chains = [make_chain(u0, None, 8.0, m) for m in (32, 16)]
+        kept, copies = [], []
+
+        def observer(states):
+            kept.append(states)
+            copies.append([(c.strain.copy(), c.velocity.copy()) for c in states])
+
+        integrate_chain(chains, 0.1, 1, 0.05, 0.5, observers=(observer,))
+        assert len(kept) == 11
+        for states, arrays in zip(kept, copies):
+            for c, (strain, velocity) in zip(states, arrays):
+                assert np.array_equal(c.strain, strain) and np.array_equal(c.velocity, velocity)
