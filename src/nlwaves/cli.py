@@ -21,37 +21,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import convergence, dynamics, lattice, shapes
-from .errors import AlignmentError, BreakdownError, ConfigError, InvalidSpecError
+from . import convergence, dynamics, lattice, schema, shapes
+from .errors import BreakdownError, ConfigError, InvalidSpecError
 from .errors import NlwavesError, NonFiniteError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid, write_field_csv
-
-_DEFAULTS = {
-    "kernel": "triangular",
-    "grid_l": 20.0,
-    "grid_n": 1024,
-    "delta": None,
-    "delta_list": [0.3125, 0.15625, 0.078125, 0.0390625],
-    "epsilon": 0.1,
-    "n": 1,
-    "s": 3.0,
-    "theta": 2.0,
-    "dt": None,
-    "t_end": 1.0,
-    "u0": {"shape": "gaussian", "a": 0.5, "b": 2.0},
-    "v0": {"shape": "zero"},
-    "breakdown_threshold": 1e3,
-    "sample_stride": 10,
-    "emit_timeseries": False,
-}
-
 
 #: keys that ModelConfig and SweepConfig take under the same name
 _MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
@@ -63,7 +43,8 @@ def _fmt(x) -> str:
 
 def parse_config(config_path, overrides) -> dict:
     """Merge defaults, config file, and flag overrides; validate everything."""
-    resolved = json.loads(json.dumps(_DEFAULTS))  # deep copy
+    defaults = {key: rule[0] for key, rule in schema.RULES.items()}
+    resolved = json.loads(json.dumps(defaults))  # deep copy
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -75,64 +56,19 @@ def parse_config(config_path, overrides) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
         for key, value in loaded.items():
-            if key not in _DEFAULTS:
+            if key not in schema.RULES:
                 raise ConfigError(key, "unknown configuration key")
             resolved[key] = value
     for key, value in overrides.items():
         if value is not None:
             resolved[key] = value
-    _validate(resolved)
+    if resolved["delta"] == "dirac-limit":
+        resolved["delta"] = None
+    for key, value in resolved.items():
+        schema.check(key, value)
+    if resolved["breakdown_threshold"] == math.inf:  # summary.json echoes the config
+        raise ConfigError("breakdown_threshold", "must be finite")
     return resolved
-
-
-#: numeric keys (delta and dt may also be null): the range each value must
-#: lie in, checked after its type
-_NUMERIC_RULES = {
-    "grid_l": (lambda v: v > 0, "must be positive"),
-    "grid_n": (lambda v: isinstance(v, int) and v >= 8 and v % 2 == 0,
-               "must be an even integer >= 8"),
-    "delta": (lambda v: v > 0, "must be positive (or null for the Dirac limit)"),
-    "epsilon": (lambda v: v >= 0, "must be nonnegative"),
-    "n": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
-    "s": (lambda v: v > 2.5, "must exceed 5/2"),
-    "theta": (lambda v: 0 < v <= 2, "must be in (0, 2]"),
-    "dt": (lambda v: v > 0, "must be positive (or null for the CFL default)"),
-    "t_end": (lambda v: v >= 0, "must be nonnegative"),
-    "breakdown_threshold": (lambda v: v > 0, "must be positive"),
-    "sample_stride": (lambda v: isinstance(v, int) and v >= 1, "must be a positive integer"),
-}
-
-
-def _check_number(key: str, value) -> None:
-    """Reject bools, non-numbers and infinities (exit 3); NaN is a numeric failure."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(key, f"must be a number, got {value!r}")
-    if value != value:  # NaN; math.isnan would overflow on huge ints
-        raise NonFiniteError(f"config field '{key}' is NaN")
-    if abs(value) > sys.float_info.max:  # also ints too large for a float
-        raise ConfigError(key, "must be finite")
-
-
-def _validate(cfg: dict) -> None:
-    if isinstance(cfg["delta"], str):
-        if cfg["delta"] != "dirac-limit":
-            raise ConfigError("delta", f"unknown value '{cfg['delta']}'")
-        cfg["delta"] = None
-    for key, (in_range, message) in _NUMERIC_RULES.items():
-        if cfg[key] is None and key in ("delta", "dt"):
-            continue
-        _check_number(key, cfg[key])
-        if not in_range(cfg[key]):
-            raise ConfigError(key, message)
-    dl = cfg["delta_list"]
-    if not isinstance(dl, (list, tuple)) or not dl:
-        raise ConfigError("delta_list", "must be a nonempty list")
-    for d in dl:
-        _check_number("delta_list", d)
-    if any(d <= 0 for d in dl):
-        raise ConfigError("delta_list", "entries must be positive")
-    if any(later >= earlier for later, earlier in zip(dl[1:], dl)):
-        raise ConfigError("delta_list ordering", "must be strictly decreasing")
 
 
 def _check_initial_data(cfg: dict, command: str) -> None:
@@ -153,7 +89,10 @@ def _build_kernel(spec: str) -> Kernel:
     path = Path(spec)
     if not path.is_file():
         raise ConfigError("kernel", f"not a built-in kernel name or table file: {spec}")
-    return Kernel.from_file(path)
+    try:
+        return Kernel.from_file(path)
+    except (ValueError, InvalidSpecError) as exc:  # np.loadtxt raises ValueError
+        raise ConfigError("kernel", f"bad table file {spec}: {exc}") from None
 
 
 def _write_summary(out_dir: Path, payload: dict) -> None:
@@ -200,22 +139,11 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     )
     initial = dynamics.make_initial(cfg["u0"], cfg["v0"], grid)
 
-    rows = []
-    stride = cfg["sample_stride"]
-    counter = {"i": -1}
+    def sample(state):
+        u_linf = float(np.max(np.abs(state.u.samples)))
+        return dynamics.energy(state, mc), dynamics.breakdown_monitor(state, mc), u_linf
 
-    def recorder(state):
-        counter["i"] += 1
-        if counter["i"] % stride == 0:
-            rows.append(
-                (
-                    state.t,
-                    dynamics.energy(state, mc),
-                    dynamics.breakdown_monitor(state, mc),
-                    float(np.max(np.abs(state.u.samples))),
-                )
-            )
-
+    recorder = dynamics._Recorder(cfg["sample_stride"], dynamics.n_steps(mc.t_end, dt), sample)
     observers = (recorder,) if cfg["emit_timeseries"] else ()
     breakdown = None
     try:
@@ -227,7 +155,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     if cfg["emit_timeseries"]:
         with open(out_dir / "timeseries.csv", "w") as fh:
             fh.write("t,E_s,monitor,u_linf\n")
-            for t, e, m, ul in rows:
+            for t, (e, m, ul) in zip(recorder.times, recorder.snaps):
                 fh.write(f"{_fmt(t)},{_fmt(e)},{_fmt(m)},{_fmt(ul)}\n")
 
     payload = {"command": "simulate", "config": cfg, "dt_used": dt}
@@ -304,10 +232,7 @@ def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
     if command == "converge-dispersion":
         report = convergence.zero_dispersion_sweep(sweep_cfg)
     else:
-        try:
-            report = convergence.lattice_sweep(sweep_cfg)
-        except AlignmentError as exc:
-            raise ConfigError("delta_list", str(exc)) from None
+        report = convergence.lattice_sweep(sweep_cfg)
     _write_sweep_outputs(command, cfg, report, out_dir)
     return 0
 

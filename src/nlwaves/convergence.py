@@ -16,12 +16,12 @@ cancels to leading order in the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dynamics, lattice
-from .errors import AlignmentError, DegenerateDataError, DegenerateFitError
+from . import dynamics, lattice, schema
+from .errors import AlignmentError, ConfigError, DegenerateDataError, DegenerateFitError
 from .kernels import Kernel
 from .spectral import Field, Grid, derivative, sobolev_norm, spectrum_norm
 
@@ -37,6 +37,10 @@ class RateFit:
     intercept: float
     r_squared: float
     excluded: tuple[float, ...] = ()
+
+
+#: config-file keys of the SweepConfig fields not named as in the config
+_CONFIG_KEYS = {"deltas": "delta_list", "theta_expected": "theta"}
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,10 @@ class SweepConfig:
     breakdown_threshold: float = 1e3
 
     def __post_init__(self):
-        deltas = tuple(float(d) for d in self.deltas)
-        object.__setattr__(self, "deltas", deltas)
-        if not deltas or any(d <= 0 for d in deltas):
-            raise ValueError("deltas must be positive")
-        if any(later >= earlier for later, earlier in zip(deltas[1:], deltas)):
-            raise ValueError("deltas must be strictly decreasing")
-        if not 0 < self.theta_expected <= 2:
-            raise ValueError("theta_expected must be in (0, 2]")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        for f in fields(self):
+            if f.name not in ("kernel", "grid"):
+                schema.check(_CONFIG_KEYS.get(f.name, f.name), getattr(self, f.name))
+        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
 
 @dataclass(frozen=True)
@@ -141,25 +139,6 @@ def operator_error(
     return err, err / (delta**theta * reference)
 
 
-class _Recorder:
-    """Observer keeping take(state) every `stride` steps plus the last step."""
-
-    def __init__(self, stride: int, n_steps: int, take):
-        self.stride = stride
-        self.n_steps = n_steps
-        self.take = take
-        self.count = -1
-        self.times = []
-        self.snaps = []
-
-    def __call__(self, state):
-        self.count += 1
-        if self.count % self.stride == 0 or self.count == self.n_steps:
-            first = state[0] if isinstance(state, tuple) else state
-            self.times.append(first.t)
-            self.snaps.append(self.take(state))
-
-
 def _model_config(cfg: SweepConfig, delta: float | None, dt: float) -> dynamics.ModelConfig:
     return dynamics.ModelConfig(
         kernel=cfg.kernel,
@@ -192,7 +171,7 @@ def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
             for s in states[1:]
         )
 
-    rec = _Recorder(
+    rec = dynamics._Recorder(
         cfg.sample_stride, dynamics.n_steps(cfg.t_end, dt), errors_against_classical
     )
     configs = [_model_config(cfg, delta, dt) for delta in (None, *cfg.deltas)]
@@ -217,6 +196,11 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             raise AlignmentError(
                 f"delta {delta} is not an integer multiple of grid spacing {grid.spacing}"
             )
+        try:  # a chain's sites make a grid of their own
+            schema.check("grid_n", grid.size // stride)
+        except ConfigError:
+            raise AlignmentError(f"delta {delta} gives a chain of {grid.size // stride} sites, "
+                                 "not an even number >= 8") from None
     chains = [
         lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
     ]
@@ -224,7 +208,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
     # classical strain u and strain rate u_t = v_x, sampled once per snapshot
-    reference = _Recorder(
+    reference = dynamics._Recorder(
         cfg.sample_stride, n_steps, lambda s: (s.u.samples, derivative(s.v).samples)
     )
     dynamics.integrate(_model_config(cfg, None, dt), initial, observers=(reference,))
@@ -243,7 +227,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             for c, g, stride in zip(states, coarse, strides)
         )
 
-    rec = _Recorder(cfg.sample_stride, n_steps, errors_against_classical)
+    rec = dynamics._Recorder(cfg.sample_stride, n_steps, errors_against_classical)
     lattice.integrate_chain(chains, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(rec,))
     if rec.times != reference.times:
         raise AssertionError("sample times diverged between paired runs")

@@ -31,8 +31,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import shapes
-from .errors import BreakdownError, HyperbolicityError, NonFiniteError
+from . import schema, shapes
+from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
 from .spectral import Field, Grid, dealiased_power_rfft, power_buffers, sobolev_scale
 
@@ -75,18 +75,10 @@ class ModelConfig:
     breakdown_threshold: float = 1e3
 
     def __post_init__(self):
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError(f"delta must be positive or None, got {self.delta}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.s <= 2.5:
-            raise ValueError(f"diagnostic Sobolev index must exceed 5/2, got {self.s}")
-        if self.breakdown_threshold <= 0:
-            raise ValueError("breakdown_threshold must be positive")
+        for f in fields(self)[1:]:  # each field after the kernel is named as in the config
+            schema.check(f.name, getattr(self, f.name))
+        if self.dt is None:  # null asks for the CFL step, which `shared_dt` resolves
+            raise ConfigError("dt", "must be a number in a ModelConfig, got None")
 
     @property
     def nonlinear_coefficient(self) -> float:
@@ -308,6 +300,25 @@ def _snapshots(grid: Grid, y: np.ndarray, t: float) -> tuple[State, ...]:
 
     rows = range(y.shape[1])
     return tuple(_unchecked(_Snapshot, t=t, _grid=grid, _samples=samples, _row=r) for r in rows)
+
+
+class _Recorder:
+    """Observer keeping take(state) every `stride` steps plus the last step."""
+
+    def __init__(self, stride: int, n_steps: int, take):
+        self.stride = stride
+        self.n_steps = n_steps
+        self.take = take
+        self.count = -1
+        self.times = []
+        self.snaps = []
+
+    def __call__(self, state):
+        self.count += 1
+        if self.count % self.stride == 0 or self.count == self.n_steps:
+            first = state[0] if isinstance(state, tuple) else state
+            self.times.append(first.t)
+            self.snaps.append(self.take(state))
 
 
 def integrate(cfg, initial: State, observers=()):

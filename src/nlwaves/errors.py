@@ -34,10 +34,6 @@ class BreakdownError(NlwavesError):
         )
 
 
-class AlignmentError(NlwavesError):
-    """Chain spacing is not an integer multiple of the spectral grid spacing."""
-
-
 class DegenerateFitError(NlwavesError):
     """Fewer than two positive errors: no log-log rate can be fitted."""
 
@@ -46,9 +42,17 @@ class DegenerateDataError(NlwavesError):
     """Input field has zero norm; the requested ratio is undefined."""
 
 
-class ConfigError(NlwavesError):
-    """Experiment configuration is invalid.  `field` names the bad entry."""
+class ConfigError(NlwavesError, ValueError):
+    """Experiment configuration is invalid (also a ValueError).  `field` names the bad entry."""
 
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"config field '{field}': {message}")
+
+
+class AlignmentError(ConfigError):
+    """A lattice delta gives no chain on the grid: it is not an integer multiple
+    of the grid spacing, or its chain has an odd number of sites or fewer than 8."""
+
+    def __init__(self, message):
+        super().__init__("delta_list", message)

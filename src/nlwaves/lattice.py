@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import shapes
+from . import schema, shapes
 from .dynamics import _rk4, _unchecked, n_steps
 from .errors import NonFiniteError
 
@@ -38,8 +38,7 @@ class Chain:
         velocity = np.asarray(self.velocity, dtype=float)
         if strain.ndim != 1 or strain.shape != velocity.shape:
             raise ValueError("strain and velocity must be equal-length 1-d arrays")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        schema.check("grid_l", self.half_length)
         object.__setattr__(self, "strain", strain)
         object.__setattr__(self, "velocity", velocity)
 
@@ -149,8 +148,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     t = chains[0].t
     if any(c.t != t for c in chains[1:]):
         raise ValueError("batched chains must start at one time")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    for key, value in (("epsilon", epsilon), ("n", n), ("dt", dt), ("t_end", t_end)):
+        schema.check(key, value)
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
     steps = n_steps(t_end - t, dt)

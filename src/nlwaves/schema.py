@@ -1,0 +1,74 @@
+"""The configuration schema: the default, type and range of each key, stated once.
+
+`check(key, value)` applies a key's rule and raises ConfigError naming the
+key.  The CLI checks every key of the resolved config; Grid, ModelConfig,
+SweepConfig, Chain and `integrate_chain` check their arguments under the
+config-file name of each, so a bad value fails alike from JSON and from
+Python.  Numbers must be finite, which NaN is not; bools are not numbers.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from numbers import Integral, Real
+
+from .errors import ConfigError
+
+#: key -> (CLI default, type, range test, message when the test fails).  A key
+#: whose default is null may be null.  u0 and v0 are initial-data specs,
+#: checked by evaluating them (see `shapes`).
+RULES = {
+    "kernel": ("triangular", str, None, None),
+    "grid_l": (20.0, Real, lambda v: v > 0, "must be positive"),
+    "grid_n": (1024, Integral, lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
+    "delta": (None, Real, lambda v: v > 0, "must be positive (or null for the Dirac limit)"),
+    "delta_list": (
+        [0.3125, 0.15625, 0.078125, 0.0390625], list, lambda v: v > 0, "entries must be positive"
+    ),
+    "epsilon": (0.1, Real, lambda v: v >= 0, "must be nonnegative"),
+    "n": (1, Integral, lambda v: v >= 1, "must be a positive integer"),
+    "s": (3.0, Real, lambda v: v > 2.5, "must exceed 5/2"),
+    "theta": (2.0, Real, lambda v: 0 < v <= 2, "must be in (0, 2]"),
+    "dt": (None, Real, lambda v: v > 0, "must be positive (or null for the CFL default)"),
+    "t_end": (1.0, Real, lambda v: v >= 0, "must be nonnegative"),
+    "u0": ({"shape": "gaussian", "a": 0.5, "b": 2.0}, object, None, None),
+    "v0": ({"shape": "zero"}, object, None, None),
+    "breakdown_threshold": (1e3, Real, lambda v: v > 0, "must be positive"),
+    "sample_stride": (10, Integral, lambda v: v >= 1, "must be a positive integer"),
+    "emit_timeseries": (False, bool, None, None),
+}
+
+#: an infinite breakdown threshold turns the monitor off.  Library callers may
+#: pass it; the CLI may not, since summary.json echoes the config as strict JSON.
+MAY_BE_INFINITE = ("breakdown_threshold",)
+
+_NOUNS = {str: "a string", bool: "true or false", Real: "a number", Integral: "an integer"}
+
+
+def check(key: str, value) -> None:
+    """Raise ConfigError naming `key` unless `value` obeys the key's rule."""
+    default, kind, in_range, message = RULES[key]
+    if value is None and default is None:
+        return
+    if kind is list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(key, f"must be a nonempty list, got {value!r}")
+        for entry in value:
+            _check_number(key, entry, Real, in_range, message)
+        if any(later >= earlier for later, earlier in zip(value[1:], value)):
+            raise ConfigError("delta_list ordering", "must be strictly decreasing")
+    elif kind in (Real, Integral):
+        _check_number(key, value, kind, in_range, message)
+    elif not isinstance(value, kind):
+        raise ConfigError(key, f"must be {_NOUNS[kind]}, got {value!r}")
+
+
+def _check_number(key: str, value, kind, in_range, message: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(key, f"must be {_NOUNS[kind]}, got {value!r}")
+    # int/float comparison is exact, so an int too large for a float fails here
+    if not abs(value) <= sys.float_info.max and not (value == math.inf and key in MAY_BE_INFINITE):
+        raise ConfigError(key, "must be finite")
+    if not in_range(value):
+        raise ConfigError(key, message)

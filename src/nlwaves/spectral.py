@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import schema
+
 
 class Grid:
     """Uniform periodic grid on [-L, L) with an even number of nodes."""
 
     def __init__(self, half_length: float, size: int):
-        if half_length <= 0:
-            raise ValueError(f"half_length must be positive, got {half_length}")
-        if size < 8 or size % 2 != 0:
-            raise ValueError(f"size must be even and >= 8, got {size}")
+        schema.check("grid_l", half_length)
+        schema.check("grid_n", size)
         self.half_length = float(half_length)
         self.size = int(size)
         self.spacing = 2.0 * self.half_length / self.size

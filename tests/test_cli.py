@@ -101,6 +101,14 @@ class TestSimulate:
         assert (out / "final_u.csv").exists()
         assert (out / "final_v.csv").exists()
 
+    def test_timeseries_ends_at_t_end(self, tmp_path):
+        # two steps, fewer than sample_stride: rows at t = 0 and t = t_end
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--grid-n", "64", "--grid-l", "10",
+                     "--t-end", "0.1", "--dt", "0.06", "--emit-timeseries"]) == 0
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.1]
+
     def test_breakdown_exits_2_with_halt_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path, breakdown_threshold=0.1, t_end=1.0,
                            grid_n=64, grid_l=10.0, delta=0.5)
@@ -128,6 +136,9 @@ class TestConfigTypes:
             pytest.param("t_end", "1" + "0" * 400, id="t_end-int-1e400"),
             ("n", "true"),
             ("sample_stride", "true"),
+            ("dt", "NaN"),
+            ("epsilon", "NaN"),
+            ("breakdown_threshold", "Infinity"),
         ],
     )
     def test_bad_numeric_value_exits_3_naming_key(self, tmp_path, capsys, key, text):
@@ -136,11 +147,23 @@ class TestConfigTypes:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
         assert f"config field '{key}'" in capsys.readouterr().err
 
-    def test_nan_dt_is_a_numeric_failure(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text('{"grid_n": 64, "grid_l": 10.0, "dt": NaN}')
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
-        assert "numeric failure" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "key, value, table",
+        [
+            ("kernel", 5, None),
+            ("kernel", ["triangular"], None),
+            pytest.param("kernel", None, "0 1\n1 x\n", id="kernel-non-numeric-table"),
+            pytest.param("kernel", None, "0 1 1\n1 0.5 0.5\n", id="kernel-three-column-table"),
+            ("emit_timeseries", "no", None),
+        ],
+    )
+    def test_bad_value_exits_3_naming_key(self, tmp_path, capsys, key, value, table):
+        if table is not None:
+            value = str(tmp_path / "kern.txt")
+            (tmp_path / "kern.txt").write_text(table)
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05, **{key: value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        assert f"config field '{key}'" in capsys.readouterr().err
 
 
 class TestInitialDataSpecs:
@@ -171,9 +194,17 @@ class TestInitialDataSpecs:
 
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
-    def test_nan_epsilon_exits_1_without_invalid_json(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, epsilon=float("nan"), grid_n=64, grid_l=10.0,
-                           t_end=0.05, delta_list=[0.4, 0.2])  # one step
+    def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command):
+        # finite values whose run overflows: a table kernel with an infinite
+        # entry, or a huge u0 under a huge breakdown threshold
+        xi = np.linspace(0, 5, 50)
+        values = 1.0 / (1.0 + xi**2)
+        values[-1] = np.inf
+        np.savetxt(tmp_path / "kern.txt", np.column_stack([xi, values]))
+        kernel = str(tmp_path / "kern.txt") if command == "kernel-info" else "triangular"
+        cfg = write_config(tmp_path, kernel=kernel, grid_n=64, grid_l=10.0, t_end=0.05,
+                           delta_list=[0.4, 0.2], u0={"shape": "gaussian", "a": 1e155, "b": 2.0},
+                           epsilon=1.0, breakdown_threshold=1e300)
         out = tmp_path / "run"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "numeric failure" in capsys.readouterr().err
@@ -221,6 +252,15 @@ class TestConvergeCommands:
     def test_unaligned_delta_list_exits_3(self, tmp_path, capsys):
         # none of these is a multiple of the default grid spacing 0.0390625
         cfg = write_config(tmp_path, delta_list=[0.4, 0.2, 0.1, 0.05])
+        assert main(["converge-lattice", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "config field 'delta_list'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_n, strides", [(64, (16, 8)), (96, (32, 16))])
+    def test_chain_of_fewer_than_8_sites_exits_3(self, tmp_path, capsys, grid_n, strides):
+        # 64 / 16 = 4 sites; 96 / 32 = 3 sites
+        h = 2 * 10.0 / grid_n
+        cfg = write_config(tmp_path, grid_n=grid_n, grid_l=10.0, t_end=0.05,
+                           delta_list=[s * h for s in strides])
         assert main(["converge-lattice", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "config field 'delta_list'" in capsys.readouterr().err
 

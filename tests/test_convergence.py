@@ -227,6 +227,14 @@ class TestLatticeSweep:
             lattice_sweep(cfg)
 
 
+    def test_chain_of_fewer_than_8_sites_rejected(self):
+        grid = Grid(10.0, 64)
+        cfg = small_sweep_config(grid=grid, deltas=(16 * grid.spacing, 8 * grid.spacing))
+        with pytest.raises(AlignmentError) as info:  # 4 sites
+            lattice_sweep(cfg)
+        assert info.value.field == "delta_list"
+
+
 def test_report_serialization_round_trip():
     report = zero_dispersion_sweep(small_sweep_config())
     d = report.to_dict()

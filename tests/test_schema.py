@@ -1,0 +1,158 @@
+"""The configuration schema: one rule per key, applied alike by the CLI and the library."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, integrate_chain
+from nlwaves.cli import main, parse_config
+from nlwaves.schema import RULES
+
+TRI = Kernel.from_name("triangular")
+NAN, INF = float("nan"), float("inf")
+
+
+def model(**kw):
+    return ModelConfig(**{"kernel": TRI, "delta": 0.5, "dt": 0.01, "t_end": 1.0, **kw})
+
+
+def sweep(**kw):
+    base = {"kernel": TRI, "deltas": (0.4, 0.2), "grid": Grid(10.0, 64), "t_end": 0.1}
+    return SweepConfig(**{**base, **kw})
+
+
+#: each numeric config key as a library call takes it
+LIBRARY = {
+    "grid_l": lambda v: Grid(v, 64),
+    "grid_n": lambda v: Grid(10.0, v),
+    "delta": lambda v: model(delta=v),
+    "delta_list": lambda v: sweep(deltas=v),
+    "epsilon": lambda v: model(epsilon=v),
+    "n": lambda v: model(n=v),
+    "s": lambda v: model(s=v),
+    "theta": lambda v: sweep(theta_expected=v),
+    "dt": lambda v: sweep(dt=v),
+    "t_end": lambda v: model(t_end=v),
+    "breakdown_threshold": lambda v: model(breakdown_threshold=v),
+    "sample_stride": lambda v: sweep(sample_stride=v),
+}
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: model(dt=INF), "dt"),
+        (lambda: model(t_end=NAN), "t_end"),
+        (lambda: model(n=True), "n"),
+        (lambda: model(n=1.0), "n"),
+        (lambda: model(dt=None), "dt"),
+        (lambda: sweep(epsilon=-1), "epsilon"),
+        (lambda: sweep(n=0), "n"),
+        (lambda: sweep(s=1), "s"),
+        (lambda: sweep(deltas=(0.2, 0.4)), "delta_list ordering"),
+        (lambda: Grid(NAN, 64), "grid_l"),
+        (lambda: Grid(10.0, 64.0), "grid_n"),
+        (lambda: Chain(-1.0, [0.0] * 8, [0.0] * 8, 0.0), "grid_l"),
+        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, INF, 1.0), "dt"),
+        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, 0.1, NAN), "t_end"),
+    ],
+)
+def test_library_rejects_bad_value_naming_key(make, key):
+    with pytest.raises(ValueError) as info:  # ConfigError is a ValueError
+        make()
+    assert isinstance(info.value, ConfigError)
+    assert info.value.field == key
+
+
+def test_every_numeric_key_is_compared_with_the_library():
+    numeric = {key for key, (_, kind, _, _) in RULES.items() if kind not in (str, bool, object)}
+    assert set(LIBRARY) == numeric
+    assert list(parse_config(None, {})) == list(RULES)  # the defaults obey the rules
+
+
+VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-20, 100),
+    st.lists(st.floats(-1.0, 1.0), max_size=3),
+    st.sampled_from([10**400, -(10**400), True, False, None, "x", [0.4, "a"], [0.4, 10**400]]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from(sorted(LIBRARY)), value=VALUES)
+def test_cli_and_library_accept_alike(key, value):
+    def field_of_error(call):
+        try:
+            call()
+        except ConfigError as exc:
+            return exc.field
+        return None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({key: value}))
+        cli = field_of_error(lambda: parse_config(path, {}))
+    library = field_of_error(lambda: LIBRARY[key](value))
+    if key == "breakdown_threshold" and value == INF:  # the CLI echoes it as strict JSON
+        assert (cli, library) == (key, None)
+    else:
+        assert cli == library
+
+
+#: values each key takes in a small, fast run (grid_n <= 32, t_end <= 0.05)
+VALID = {
+    "kernel": ["triangular", "exponential", "dirac"],
+    "grid_l": [10.0, 5.0],
+    "grid_n": [16, 32],
+    "delta": [None, 0.5, "dirac-limit"],
+    "delta_list": [[0.4, 0.2], [2.5, 1.25], [1.25, 0.625]],
+    "epsilon": [0.0, 0.1, 5.0],
+    "n": [1, 2],
+    "s": [3.0],
+    "theta": [2.0, 1.0],
+    "dt": [None, 0.01, 0.05],
+    "t_end": [0.0, 0.02, 0.05],
+    "u0": [
+        {"shape": "gaussian", "a": 0.5, "b": 2.0},
+        {"shape": "sine", "a": 0.1, "k": 1},
+        {"shape": "gaussian", "a": 1e155, "b": 2.0},
+    ],
+    "v0": [{"shape": "zero"}, {"shape": "gaussian", "a": 0.1, "b": 1.0}],
+    "breakdown_threshold": [1e3, 0.1, 1e300],
+    "sample_stride": [1, 10],
+    "emit_timeseries": [True, False],
+}
+#: out-of-range, NaN, wrong-type and huge-int values
+BAD = [NAN, INF, -1, 0, 2.5, "x", True, None, 10**400, [], [0.2, 0.4], {"shape": "blob"}, 5]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    bad = draw(st.sets(st.sampled_from(sorted(VALID)), max_size=3))
+    return {
+        key: draw(st.sampled_from(BAD if key in bad else options)) for key, options in VALID.items()
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    command=st.sampled_from(["kernel-info", "simulate", "converge-dispersion", "converge-lattice"]),
+    cfg=fuzzed_configs(),
+)
+@example(command="simulate", cfg={**{key: options[0] for key, options in VALID.items()}, "kernel": 5})
+def test_fuzzed_config_exits_with_a_documented_code(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if (out / "summary.json").exists():
+            json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
