@@ -8,13 +8,15 @@ Commands:
     nlwaves converge-dispersion [flags]      nonlocal-vs-classical delta sweep
     nlwaves converge-lattice [flags]         chain-vs-classical delta sweep
 
-Configuration is a flat JSON file (--config); individual flags override file
-values.  Every run writes a JSON summary embedding the fully-resolved config
-(defaults included) plus command-specific CSV files into --out.  All floats
-are emitted with 17 significant digits so downstream fits can round-trip.
+Configuration is a flat JSON file (--config); flags override file values.  A
+flag's text is read as JSON under the file's rules (--t-end 1 is the integer
+1), or as a string if it is not JSON (--delta dirac-limit).  Every run writes
+a JSON summary embedding the fully-resolved config (defaults included) plus
+command-specific CSV files into --out.  All floats are emitted with 17
+significant digits so downstream fits can round-trip.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 breakdown detected,
-3 invalid configuration.
+Exit codes: 0 success, 1 internal numeric failure (no file written),
+2 breakdown detected, 3 invalid configuration or usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .spectral import Grid, write_field_csv
 
 #: keys that ModelConfig and SweepConfig take under the same name
 _MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
+#: keys with a value flag of the same name (grid_n is --grid-n)
+FLAG_KEYS = ("delta", "epsilon", "n", "grid_n", "grid_l", "t_end", "dt")
 
 
 def _fmt(x) -> str:
@@ -42,9 +46,11 @@ def _fmt(x) -> str:
 
 
 def parse_config(config_path, overrides) -> dict:
-    """Merge defaults, config file, and flag overrides; validate everything."""
+    """Merge defaults, config file, and flag overrides (config values, None
+    meaning null); validate everything."""
     defaults = {key: rule[0] for key, rule in schema.RULES.items()}
     resolved = json.loads(json.dumps(defaults))  # deep copy
+    loaded = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -55,13 +61,10 @@ def parse_config(config_path, overrides) -> dict:
             raise ConfigError("config", f"invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
-        for key, value in loaded.items():
-            if key not in schema.RULES:
-                raise ConfigError(key, "unknown configuration key")
-            resolved[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            resolved[key] = value
+    for key, value in {**loaded, **overrides}.items():
+        if key not in schema.RULES:
+            raise ConfigError(key, "unknown configuration key")
+        resolved[key] = value
     if resolved["delta"] == "dirac-limit":
         resolved["delta"] = None
     for key, value in resolved.items():
@@ -95,13 +98,14 @@ def _build_kernel(spec: str) -> Kernel:
         raise ConfigError("kernel", f"bad table file {spec}: {exc}") from None
 
 
-def _write_summary(out_dir: Path, payload: dict) -> None:
-    """Write strict JSON; a NaN or infinity anywhere is a numeric failure."""
+def _summary_text(payload: dict) -> str:
+    """summary.json as strict JSON, encoded before any output is written; a NaN
+    or infinity anywhere is a numeric failure."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"summary.json would contain a non-finite value: {exc}") from None
-    (out_dir / "summary.json").write_text(text + "\n")
+    return text + "\n"
 
 
 def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
@@ -114,19 +118,19 @@ def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
         for x in xi
     ]
     table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    (out_dir / "kernel_info.csv").write_text(table)
     report = kernel.validate(grid.freqs)
-    _write_summary(
-        out_dir,
+    summary = _summary_text(
         {
             "command": "kernel-info",
             "config": cfg,
             "hypotheses_passed": report.passed,
             "symbol_min": report.symbol_min,
             "symbol_max": report.symbol_max,
-        },
+        }
     )
+    sys.stdout.write(table)
+    (out_dir / "kernel_info.csv").write_text(table)
+    (out_dir / "summary.json").write_text(summary)
     return 0
 
 
@@ -152,37 +156,34 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         breakdown = exc
         final = None
 
-    if cfg["emit_timeseries"]:
-        with open(out_dir / "timeseries.csv", "w") as fh:
-            fh.write("t,E_s,monitor,u_linf\n")
-            for t, (e, m, ul) in zip(recorder.times, recorder.snaps):
-                fh.write(f"{_fmt(t)},{_fmt(e)},{_fmt(m)},{_fmt(ul)}\n")
-
-    payload = {"command": "simulate", "config": cfg, "dt_used": dt}
+    payload = {"command": "simulate", "config": cfg, "dt_used": dt, "breakdown": None}
     if breakdown is not None:
         payload["breakdown"] = {
             "time": breakdown.time,
             "monitor": breakdown.monitor,
             "threshold": breakdown.threshold,
         }
-        _write_summary(out_dir, payload)
-        sys.stderr.write(
-            f"breakdown detected at t={_fmt(breakdown.time)} "
-            f"(monitor={_fmt(breakdown.monitor)})\n"
-        )
-        return 2
+    else:
+        energy, monitor, u_linf = sample(final)
+        payload["final"] = {"t": final.t, "energy": energy, "monitor": monitor, "u_linf": u_linf}
+    summary = _summary_text(payload)
 
-    write_field_csv(final.u, out_dir / "final_u.csv")
-    write_field_csv(final.v, out_dir / "final_v.csv")
-    payload["breakdown"] = None
-    payload["final"] = {
-        "t": final.t,
-        "energy": dynamics.energy(final, mc),
-        "monitor": dynamics.breakdown_monitor(final, mc),
-        "u_linf": float(np.max(np.abs(final.u.samples))),
-    }
-    _write_summary(out_dir, payload)
-    return 0
+    if cfg["emit_timeseries"]:
+        with open(out_dir / "timeseries.csv", "w") as fh:
+            fh.write("t,E_s,monitor,u_linf\n")
+            for t, (e, m, ul) in zip(recorder.times, recorder.snaps):
+                fh.write(f"{_fmt(t)},{_fmt(e)},{_fmt(m)},{_fmt(ul)}\n")
+    if final is not None:
+        write_field_csv(final.u, out_dir / "final_u.csv")
+        write_field_csv(final.v, out_dir / "final_v.csv")
+    (out_dir / "summary.json").write_text(summary)
+    if breakdown is None:
+        return 0
+    sys.stderr.write(
+        f"breakdown detected at t={_fmt(breakdown.time)} "
+        f"(monitor={_fmt(breakdown.monitor)})\n"
+    )
+    return 2
 
 
 def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepConfig:
@@ -199,9 +200,15 @@ def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepCon
     )
 
 
-def _write_sweep_outputs(
-    command: str, cfg: dict, report: convergence.ConvergenceReport, out_dir: Path
-) -> None:
+def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
+    kernel = _build_kernel(cfg["kernel"])
+    grid = Grid(cfg["grid_l"], cfg["grid_n"])
+    sweep_cfg = _sweep_config(cfg, kernel, grid)
+    if command == "converge-dispersion":
+        report = convergence.zero_dispersion_sweep(sweep_cfg)
+    else:
+        report = convergence.lattice_sweep(sweep_cfg)
+    summary = _summary_text({"command": command, "config": cfg, **report.to_dict()})
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write("delta,error_terminal,slope_running\n")
         for i, (d, e) in enumerate(zip(report.deltas, report.errors)):
@@ -220,20 +227,7 @@ def _write_sweep_outputs(
             for d, errs in zip(report.deltas, report.series):
                 for t, e in zip(report.times, errs):
                     fh.write(f"{_fmt(d)},{_fmt(t)},{_fmt(e)}\n")
-    payload = {"command": command, "config": cfg}
-    payload.update(report.to_dict())
-    _write_summary(out_dir, payload)
-
-
-def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
-    kernel = _build_kernel(cfg["kernel"])
-    grid = Grid(cfg["grid_l"], cfg["grid_n"])
-    sweep_cfg = _sweep_config(cfg, kernel, grid)
-    if command == "converge-dispersion":
-        report = convergence.zero_dispersion_sweep(sweep_cfg)
-    else:
-        report = convergence.lattice_sweep(sweep_cfg)
-    _write_sweep_outputs(command, cfg, report, out_dir)
+    (out_dir / "summary.json").write_text(summary)
     return 0
 
 
@@ -249,43 +243,38 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("kernel_name", nargs="?", default=None)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=".")
-        p.add_argument("--delta", default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--grid-l", type=float, default=None, dest="grid_l")
-        p.add_argument("--t-end", type=float, default=None, dest="t_end")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument(
-            "--emit-timeseries",
-            action="store_true",
-            default=None,
-            dest="emit_timeseries",
-        )
+        for key in FLAG_KEYS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
+        p.add_argument("--emit-timeseries", action="store_true")
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _json_or_text(text: str):
     try:
-        delta = args.delta
-        if delta is not None and delta != "dirac-limit":
-            try:
-                delta = float(delta)
-            except ValueError:
-                raise ConfigError("delta", f"not a number: {delta!r}") from None
-        overrides = {
-            "delta": delta,
-            "epsilon": args.epsilon,
-            "n": args.n,
-            "grid_n": args.grid_n,
-            "grid_l": args.grid_l,
-            "t_end": args.t_end,
-            "dt": args.dt,
-            "emit_timeseries": args.emit_timeseries,
-        }
-        if args.command == "kernel-info" and args.kernel_name is not None:
-            overrides["kernel"] = args.kernel_name
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def split_argv(argv) -> tuple[argparse.Namespace, dict]:
+    """Parsed arguments and the config overrides their flags give, each flag's
+    text read as JSON; a usage error raises SystemExit, as argparse does."""
+    args = _build_parser().parse_args(argv)
+    overrides = {key: _json_or_text(getattr(args, key)) for key in FLAG_KEYS
+                 if getattr(args, key) is not None}
+    if args.emit_timeseries:
+        overrides["emit_timeseries"] = True
+    if getattr(args, "kernel_name", None) is not None:
+        overrides["kernel"] = args.kernel_name
+    return args, overrides
+
+
+def main(argv=None) -> int:
+    try:
+        args, overrides = split_argv(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 3 if exc.code else 0
+    try:
         cfg = parse_config(args.config, overrides)
         if args.command != "kernel-info":
             _check_initial_data(cfg, args.command)

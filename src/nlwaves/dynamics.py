@@ -254,7 +254,10 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
     lu = sobolev_scale(state.u, order).samples
     lv = sobolev_scale(state.v, order).samples
     h = state.grid.spacing
-    return float(np.sqrt(0.5 * h * np.sum(one_plus_w * lu**2 + lv**2)))
+    # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
+    e = np.frexp(max(np.max(np.abs(lu)), np.max(np.abs(lv))))[1]
+    lu, lv = np.ldexp(lu, -e), np.ldexp(lv, -e)
+    return float(np.ldexp(np.sqrt(0.5 * h * np.sum(one_plus_w * lu**2 + lv**2)), e))
 
 
 def make_initial(u0_spec, v0_spec, grid: Grid) -> State:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import schema, shapes
 from .dynamics import _rk4, _unchecked, n_steps
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +150,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         raise ValueError("batched chains must start at one time")
     for key, value in (("epsilon", epsilon), ("n", n), ("dt", dt), ("t_end", t_end)):
         schema.check(key, value)
+    if dt is None:  # null asks for the CFL step, which `shared_dt` resolves
+        raise ConfigError("dt", "must be a number in integrate_chain, got None")
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
     steps = n_steps(t_end - t, dt)

@@ -131,7 +131,10 @@ def spectrum_norm(grid: Grid, spectrum, s: float) -> float:
     physical-space L2 norm exactly.
     """
     weights = (1.0 + grid.freqs**2) ** s
-    return float(np.sqrt(grid.spacing / grid.size * np.sum(weights * np.abs(spectrum) ** 2)))
+    # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
+    e = np.frexp(np.max(np.abs(spectrum)))[1]
+    scaled = np.ldexp(np.abs(spectrum), -e)
+    return float(np.ldexp(np.sqrt(grid.spacing / grid.size * np.sum(weights * scaled**2)), e))
 
 
 def sobolev_norm(f: Field, s: float) -> float:

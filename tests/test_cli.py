@@ -123,6 +123,26 @@ class TestSimulate:
         cfg = write_config(tmp_path, delta=-1.0)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate", "--epsilon", "abc"], "epsilon"),
+            (["simulate", "--grid-n", "1e3"], "grid_n"),
+            (["simulate", "--n", "2.0"], "n"),
+            (["simulate", "--bogus", "1"], None),
+            ([], None),
+        ],
+        ids=["epsilon-abc", "grid_n-1e3", "n-2.0", "unknown-flag", "no-command"],
+    )
+    def test_bad_flag_or_usage_exits_3(self, tmp_path, capsys, argv, key):
+        assert main([*argv, "--out", str(tmp_path)] if argv else []) == 3
+        if key is not None:
+            assert f"config field '{key}'" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert "--grid-n" in capsys.readouterr().out
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize(
@@ -211,6 +231,26 @@ class TestNonFiniteOutputs:
         summary = out / "summary.json"
         if summary.exists():
             json.loads(summary.read_text(), parse_constant=pytest.fail)
+        assert list(out.iterdir()) == []
+
+    def test_norms_of_huge_finite_data_do_not_overflow(self, tmp_path):
+        # with eps = 0 the run is linear, so scaling u0 by 2**515 scales every
+        # sweep error and the energy by 2**515 exactly
+        results = []
+        for a in (0.5, np.ldexp(0.5, 515)):
+            (tmp_path / str(a)).mkdir()
+            cfg = write_config(tmp_path / str(a), grid_n=64, grid_l=10.0, t_end=0.05,
+                               delta_list=[0.4, 0.2], epsilon=0.0, breakdown_threshold=1e300,
+                               u0={"shape": "gaussian", "a": a, "b": 2.0})
+            summaries = []
+            for command in ("converge-dispersion", "simulate"):
+                out = tmp_path / str(a) / command
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+                summaries.append(json.loads((out / "summary.json").read_text()))
+            results.append((summaries[0]["errors"], summaries[1]["final"]["energy"]))
+        (errors, energy), (huge_errors, huge_energy) = results
+        assert huge_errors == [np.ldexp(e, 515) for e in errors]
+        assert huge_energy == np.ldexp(energy, 515)
 
 
 class TestConvergeCommands:

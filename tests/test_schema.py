@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, integrate_chain
-from nlwaves.cli import main, parse_config
+from nlwaves.cli import FLAG_KEYS, main, parse_config, split_argv
 from nlwaves.schema import RULES
 
 TRI = Kernel.from_name("triangular")
@@ -60,6 +60,7 @@ LIBRARY = {
         (lambda: Grid(10.0, 64.0), "grid_n"),
         (lambda: Chain(-1.0, [0.0] * 8, [0.0] * 8, 0.0), "grid_l"),
         (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, INF, 1.0), "dt"),
+        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, None, 1.0), "dt"),
         (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, 0.1, NAN), "t_end"),
     ],
 )
@@ -103,6 +104,10 @@ def test_cli_and_library_accept_alike(key, value):
         assert (cli, library) == (key, None)
     else:
         assert cli == library
+    if key in FLAG_KEYS:  # the same value as flag text, through main's parse path
+        # --key=text, since argparse takes a text such as -1e-05 for an option
+        argv = ["simulate", f"--{key.replace('_', '-')}={json.dumps(value)}"]
+        assert field_of_error(lambda: parse_config(None, split_argv(argv)[1])) == cli
 
 
 #: values each key takes in a small, fast run (grid_n <= 32, t_end <= 0.05)
