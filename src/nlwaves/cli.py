@@ -258,8 +258,20 @@ def _json_or_text(text: str):
 
 def split_argv(argv) -> tuple[argparse.Namespace, dict]:
     """Parsed arguments and the config overrides their flags give, each flag's
-    text read as JSON; a usage error raises SystemExit, as argparse does."""
-    args = _build_parser().parse_args(argv)
+    text read as JSON; a usage error raises SystemExit, as argparse does.
+
+    Each value flag is joined with the token after it (--dt -1e-3 becomes
+    --dt=-1e-3), so argparse cannot take a negative value for an option and
+    the schema names the key it rejects.
+    """
+    value_flags = {"--" + key.replace("_", "-") for key in FLAG_KEYS}
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in value_flags:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     overrides = {key: _json_or_text(getattr(args, key)) for key in FLAG_KEYS
                  if getattr(args, key) is not None}
     if args.emit_timeseries:

@@ -14,12 +14,15 @@ isolates the kernel effect alone.
 `integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
 right-hand side is then (M v^, M (u + g(u))^) with the fused multiplier
 M = i xi sqrt(b(delta xi)) built once per call, so a stage costs one padded
-transform pair for the power and none when eps = 0.  The breakdown monitor
-reuses the first RK4 stage.  Runs that differ only in delta are rows of one
-array and share every transform.  Each call allocates its work buffers once
-(RK4 stage input, stage derivative and accumulator, dealiasing and monitor
-buffers); a step then allocates only its new state, which observers get as
-states whose samples are transformed on the first read of u or v.
+transform pair for the power and none when eps = 0.  Before each step the
+breakdown monitor is bounded from the coefficients u^, the first RK4 stage
+and |xi| u^, with no transform; the exact monitor, one inverse transform of
+all rows, runs only when the bound reaches the threshold, so every breakdown
+decision is the exact monitor's.  Runs that differ only in delta are rows of
+one array and share every transform.  Each call allocates its work buffers
+once (RK4 stage input, stage derivative and accumulator, dealiasing and
+monitor buffers); a step then allocates only its new state, which observers
+get as states whose samples are transformed on the first read of u or v.
 `nonlocal_rhs`, `classical_rhs` and `breakdown_monitor` are Field-level
 wrappers over the same core.
 """
@@ -37,6 +40,11 @@ from .kernels import Kernel
 from .spectral import Field, Grid, dealiased_power_rfft, power_buffers, sobolev_scale
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
+# The exact monitor runs when the coefficient bound reaches the threshold less
+# this fraction, which covers the round-off of both, or this ceiling, far below
+# where a transform of the coefficients could overflow.
+_BOUND_MARGIN = 1e-6
+_BOUND_CEILING = 1e300
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,27 @@ def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, stacked, samples) -
     np.fft.irfft(stacked, n=samples.shape[-1], out=samples)
     peaks = np.max(np.abs(samples, out=samples), axis=-1)
     return peaks[0] + peaks[1] + peaks[2]
+
+
+def _monitor_bound(ddx: np.ndarray, size: int):
+    """(u, du) -> per-row upper bound on what `_monitor` returns, without a transform.
+
+    An inverse real DFT sample is at most sum_k w_k |c_k| with w_0 = w_{N/2} =
+    1/N and 2/N elsewhere, and |c| <= |Re c| + |Im c|; the u_x term weighs u^
+    by |xi| and skips the Nyquist bin, as ddx does.  The weights are built
+    here, once; the returned bound(u, du, scratch) uses `scratch`, a real
+    buffer of shape (*u.shape[:-1], 2 * u.shape[-1]).
+    """
+    w = np.full(ddx.shape, 2.0 / size)
+    w[0] = w[-1] = 1.0 / size
+    w_u = np.repeat(w * (1.0 + np.abs(ddx)), 2)  # over (Re, Im) pairs
+    w_du = np.repeat(w, 2)
+
+    def bound(u, du, scratch):
+        total = np.abs(u.view(float), out=scratch) @ w_u
+        return total + np.abs(du.view(float), out=scratch) @ w_du
+
+    return bound
 
 
 def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
@@ -331,7 +360,9 @@ def integrate(cfg, initial: State, observers=()):
     invoked on the initial state and after every step.  Raises BreakdownError
     when the wave-breaking monitor exceeds cfg.breakdown_threshold and
     NonFiniteError if the state stops being finite, including after the last
-    step.
+    step.  Each step checks a bound on the monitor summed from the
+    coefficients; the monitor itself is transformed only when that bound
+    reaches the threshold (less a round-off margin), is non-finite or is huge.
 
     `cfg` may also be a sequence of configs that differ only in delta: the
     runs then start from the same initial state and are stepped together.
@@ -364,7 +395,10 @@ def integrate(cfg, initial: State, observers=()):
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     rhs = _spectral_rhs(multiplier, base, grid.size, y.shape[1:])
     ddx = _multiplier(grid, None, None)
+    bound = _monitor_bound(ddx, grid.size)
+    gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
     # the stage input and derivative; before the stages, the monitor's stack
+    # (work[:3]) and the bound's scratch (work[3] as reals)
     work = np.empty((4, *y.shape[1:]), dtype=complex)
     stage, k, acc = work[:2], work[2:], np.empty_like(y)
     samples = np.empty((3, len(configs), grid.size))
@@ -374,13 +408,16 @@ def integrate(cfg, initial: State, observers=()):
         h = base.t_end - t if last else base.dt
         with np.errstate(over="ignore", invalid="ignore"):
             rhs(y, t, acc)
-            monitor = _monitor(y[0], acc[0], ddx, work[:3], samples)
-            if not np.all(np.isfinite(monitor)):
-                raise NonFiniteError(f"state became non-finite at t={t:.6g}")
-            over = monitor > base.breakdown_threshold
-            if np.any(over):
-                row = int(np.argmax(over))
-                raise BreakdownError(t, float(monitor[row]), base.breakdown_threshold)
+            # below the gate the exact monitor is finite and cannot exceed the
+            # threshold (a NaN bound fails the test too)
+            if not np.all(bound(y[0], acc[0], work[3].view(float)) <= gate):
+                monitor = _monitor(y[0], acc[0], ddx, work[:3], samples)
+                if not np.all(np.isfinite(monitor)):
+                    raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+                over = monitor > base.breakdown_threshold
+                if np.any(over):
+                    row = int(np.argmax(over))
+                    raise BreakdownError(t, float(monitor[row]), base.breakdown_threshold)
             y = _rk4(rhs, y, t, h, stage, k, acc)
         t = base.t_end if last else t + h
         if last and not np.all(np.isfinite(y)):

@@ -7,11 +7,14 @@
   allocating versions that the in-place core replaced, kept verbatim.
   `integrate_rows` and `integrate_chains` step them in the loops the
   integrators used, so a test can require equal bits from the in-place step.
+  `integrate_rows` also evaluates the exact breakdown monitor before every
+  step, which `integrate` skips while a coefficient bound stays below the
+  threshold, so a test can require the same errors too.
 """
 
 import numpy as np
 
-from nlwaves import Field, NonFiniteError
+from nlwaves import BreakdownError, Field, NonFiniteError
 from nlwaves.dynamics import ModelConfig, _multiplier, n_steps
 from nlwaves.lattice import _neighbours, _stencil
 from nlwaves.spectral import _padded_size
@@ -130,10 +133,25 @@ def _chain_rhs(delta, epsilon: float, n: int, neighbours):
     return rhs
 
 
-def integrate_rows(configs, initial, t_end):
-    """(rows, 2, N) samples of (u, v) at t_end, stepped with the allocating RK4."""
+def monitor(u, du, ddx, size: int):
+    """|u|_inf + |u_t|_inf + |u_x|_inf per row from the coefficients of u and
+    u_t, by the one inverse transform of `dynamics._monitor`, allocating."""
+    samples = np.fft.irfft(np.stack([u, du, ddx * u]), n=size)
+    peaks = np.max(np.abs(samples), axis=-1)
+    return peaks[0] + peaks[1] + peaks[2]
+
+
+def integrate_rows(configs, initial, t_end, record=None):
+    """(rows, 2, N) samples of (u, v) at t_end, stepped with the allocating RK4.
+
+    Before every step the exact breakdown monitor is evaluated on every row,
+    and NonFiniteError and BreakdownError are raised as `integrate` raised
+    them when it transformed for the monitor on every step.  `record`, if a
+    list, receives the coefficients (u^, u_t^) that each check saw.
+    """
     grid, base = initial.grid, configs[0]
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
+    ddx = _multiplier(grid, None, None)
     rhs = _spectral_rhs(multiplier, base, grid.size)
     u0, v0 = np.fft.rfft(np.stack([initial.u.samples, initial.v.samples]))
     u = np.tile(u0, (len(configs), 1))
@@ -143,8 +161,21 @@ def integrate_rows(configs, initial, t_end):
     for i in range(steps):
         last = i == steps - 1
         h = t_end - t if last else base.dt
-        u, v = _rk4(rhs, u, v, t, h, rhs(u, v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rhs(u, v)
+            if record is not None:
+                record.append((u, k1[0]))
+            peaks = monitor(u, k1[0], ddx, grid.size)
+            if not np.all(np.isfinite(peaks)):
+                raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+            over = peaks > base.breakdown_threshold
+            if np.any(over):
+                row = int(np.argmax(over))
+                raise BreakdownError(t, float(peaks[row]), base.breakdown_threshold)
+            u, v = _rk4(rhs, u, v, t, h, k1)
         t = t_end if last else t + h
+        if last and not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
     return np.fft.irfft(np.stack([u, v], axis=-2), n=grid.size)
 
 

@@ -129,10 +129,13 @@ class TestSimulate:
             (["simulate", "--epsilon", "abc"], "epsilon"),
             (["simulate", "--grid-n", "1e3"], "grid_n"),
             (["simulate", "--n", "2.0"], "n"),
+            (["simulate", "--dt", "-1e-3"], "dt"),
+            (["simulate", "--epsilon", "-Infinity"], "epsilon"),
             (["simulate", "--bogus", "1"], None),
             ([], None),
         ],
-        ids=["epsilon-abc", "grid_n-1e3", "n-2.0", "unknown-flag", "no-command"],
+        ids=["epsilon-abc", "grid_n-1e3", "n-2.0", "dt--1e-3", "epsilon--Infinity",
+             "unknown-flag", "no-command"],
     )
     def test_bad_flag_or_usage_exits_3(self, tmp_path, capsys, argv, key):
         assert main([*argv, "--out", str(tmp_path)] if argv else []) == 3

@@ -1,5 +1,7 @@
 """System right-hand sides, RK4 stepping, energy, monitor, and integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +26,8 @@ from nlwaves import (
     make_initial,
     nonlocal_rhs,
 )
-from reference import apply_multiplier, dealiased_power, integrate_rows
+from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier
+from reference import apply_multiplier, dealiased_power, integrate_rows, monitor
 
 TRI = Kernel.from_name("triangular")
 DIRAC = Kernel.from_name("dirac")
@@ -505,6 +508,124 @@ class TestInPlaceStep:
             assert np.array_equal(state.v.samples, v)
 
 
+class TestMonitorGate:
+    """integrate checks a coefficient bound before each step and transforms for
+    the exact monitor only when the bound reaches the threshold; every outcome
+    must equal that of the loop that transforms on every step."""
+
+    GRID = Grid(10.0, 64)
+
+    def initial(self):
+        u0 = {"shape": "gaussian", "a": 0.8, "b": 4.0}
+        return make_initial(u0, {"shape": "sine", "a": 0.3, "k": 2}, self.GRID)
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except (BreakdownError, NonFiniteError) as exc:
+            return exc
+
+    def assert_same_outcome(self, configs, init):
+        expected = self.outcome(lambda: integrate_rows(configs, init, configs[0].t_end))
+        out = self.outcome(lambda: integrate(configs, init))
+        if isinstance(expected, Exception):
+            assert type(out) is type(expected) and str(out) == str(expected)
+            if isinstance(expected, BreakdownError):
+                assert out.time == expected.time and out.monitor == expected.monitor
+        else:
+            assert isinstance(out, tuple) and len(out) == len(expected)
+            for state, (u, v) in zip(out, expected):
+                assert np.array_equal(state.u.samples, u)
+                assert np.array_equal(state.v.samples, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 3]),
+        n=st.sampled_from([1, 2]),
+        eps=st.floats(0.0, 2.0),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_integrate_matches_the_exact_monitor_loop(self, rows, n, eps, where):
+        init = self.initial()
+        deltas = (0.5,) if rows == 1 else (None, 0.5, 0.2)
+        dt = cfl_dt(self.GRID, DIRAC, None)
+        configs = [
+            config(delta=d, epsilon=eps, n=n, dt=dt, t_end=40 * dt, breakdown_threshold=np.inf)
+            for d in deltas
+        ]
+        checks = []
+        integrate_rows(configs, init, configs[0].t_end, record=checks)
+        ddx = _multiplier(self.GRID, None, None)
+        bound = _monitor_bound(ddx, self.GRID.size)
+        scratch = np.empty((rows, self.GRID.size + 2))
+        peak_monitor = max(np.max(monitor(u, du, ddx, self.GRID.size)) for u, du in checks)
+        peak_bound = max(np.max(bound(u, du, scratch)) for u, du in checks)
+        assume(np.isfinite(peak_bound))
+        # log-uniform from half the peak monitor to twice the peak bound, so a
+        # run may break down at once, later, or pass the exact check and go on
+        low, high = np.log(0.5 * peak_monitor), np.log(2.0 * peak_bound)
+        threshold = float(np.exp(low + where * (high - low)))
+        configs = [replace(c, breakdown_threshold=threshold) for c in configs]
+        self.assert_same_outcome(configs, init)
+
+    @pytest.mark.parametrize(
+        "shape,size,eps,n,steps,threshold",
+        [
+            ("wave", 1e200, 1.0, 3, 3, np.inf),  # finite bound, then u^4 overflows
+            ("wave", 1e155, 1.0, 1, 1, 1e300),  # non-finite only after the last step
+            ("wave", 1e301, 0.0, 1, 3, np.inf),  # finite, the bound above its ceiling
+            # finite coefficients whose inverse transform overflows: a bound
+            # below the ceiling would skip the NonFiniteError
+            ("spike", 1e307, 0.0, 1, 3, np.inf),
+        ],
+    )
+    def test_huge_states_match_the_exact_monitor_loop(self, shape, size, eps, n, steps, threshold):
+        x = self.GRID.nodes
+        u = np.cos(np.pi * x / 10.0) ** 2 if shape == "wave" else (x == 0.0).astype(float)
+        init = State(Field(self.GRID, size * u), Field.zeros(self.GRID), 0.0)
+        configs = [
+            config(delta=d, epsilon=eps, n=n, dt=0.01, t_end=steps * 0.01,
+                   breakdown_threshold=threshold)
+            for d in (None, 0.5)
+        ]
+        self.assert_same_outcome(configs, init)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "nyquist", "single-mode"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_is_at_least_the_monitor(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        size, rows = 64, 4
+        shape = (rows, size // 2 + 1)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        du = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if kind == "real":
+            u, du = u.real + 0j, du.real + 0j
+        elif kind != "complex":
+            mode = np.zeros(shape[1], dtype=bool)
+            mode[-1 if kind == "nyquist" else rng.integers(shape[1])] = True
+            u, du = np.where(mode, u, 0), np.where(mode, du, 0)
+        u *= 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        ddx = _multiplier(Grid(10.0, size), None, None)
+        exact = _monitor(u, du, ddx, np.empty((3, *shape), complex), np.empty((3, rows, size)))
+        bound = _monitor_bound(ddx, size)(u, du, np.empty((rows, size + 2)))
+        assert np.all(bound >= exact)
+
+    @pytest.mark.parametrize("level", [0.7, -1.3, 1e-3])
+    def test_constant_state_breaks_down_just_below_its_monitor(self, level):
+        # u = level, v = 0 has monitor |level| and a bound equal to it: the
+        # exact monitor decides both thresholds
+        init = State(Field(self.GRID, np.full(self.GRID.size, level)), Field.zeros(self.GRID), 0.0)
+        assert breakdown_monitor(init, config(delta=0.5)) == abs(level)
+        at = config(delta=0.5, dt=0.01, t_end=0.05, breakdown_threshold=abs(level))
+        final = integrate(at, init)
+        assert np.array_equal(final.u.samples, init.u.samples)
+        below = replace(at, breakdown_threshold=np.nextafter(abs(level), 0.0))
+        with pytest.raises(BreakdownError) as info:
+            integrate(below, init)
+        assert info.value.time == 0.0 and info.value.monitor == abs(level)
+
+
 class TestLazySnapshots:
     GRID = Grid(10.0, 64)
     STEPS = 20
@@ -519,13 +640,24 @@ class TestLazySnapshots:
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
         init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
 
-        # eps = 0: the breakdown monitor makes the only other transform of a step
-        integrate(self.configs(eps=0.0), init, observers=(lambda states: states[0].t,))
-        assert len(calls) == self.STEPS
-        calls.clear()
+        # eps = 0 and the monitor's coefficient bound below the threshold:
+        # a step makes no transform of its own
+        read_t = lambda states: states[0].t
+        integrate(self.configs(eps=0.0), init, observers=(read_t,))
+        assert len(calls) == 0
         read_all = lambda states: [(s.u, s.v) for s in states]
         integrate(self.configs(eps=0.0), init, observers=(read_all,))
-        assert len(calls) == 2 * self.STEPS
+        assert len(calls) == self.STEPS
+        calls.clear()
+        # with this v0 the checked monitor peaks at 1.335 and the least bound
+        # is 1.485 (measured): the exact monitor runs on every step, never raising
+        init = make_initial(
+            {"shape": "gaussian", "a": 0.5, "b": 2.0}, {"shape": "sine", "a": 0.3, "k": 2},
+            self.GRID,
+        )
+        configs = [replace(c, breakdown_threshold=1.4) for c in self.configs(eps=0.0)]
+        integrate(configs, init, observers=(read_t,))
+        assert len(calls) == self.STEPS
 
     def test_states_kept_past_their_step_keep_their_values(self):
         init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)

@@ -2,23 +2,27 @@
 
     python3 tools/same_outputs.py REV
 
-Checks REV out into a temporary git worktree, then runs the three perfbench
-workload configs (``perfbench/workloads.make_config``) for seeds 0-9 with the
-program of REV and with the program of the working tree.  It compares
-summary.json and every CSV byte for byte, prints how many files differ and
-the largest relative difference between their numbers, and exits 1 on any
-difference.
+Exports REV (``git archive``) into a temporary directory, then runs the
+three perfbench workload configs (``perfbench/workloads.make_config``) for
+seeds 0-9 with the program of REV and with the program of the working tree.
+Each seed also runs the simulate-n256 config with breakdown_threshold 1.0,
+which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
+decides it.  It requires equal exit codes (0 or 2), compares summary.json
+and every CSV byte for byte, prints how many files differ and the largest
+relative difference between their numbers, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -28,18 +32,26 @@ import workloads  # noqa: E402
 
 SEEDS = range(10)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
+#: label -> (workload, config entries changed): every workload as it is, and
+#: simulate-n256 with a threshold that its initial data reaches
+RUNS = {name: (name, {}) for name in workloads.WORKLOADS}
+RUNS["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0})
 
 
-def run(src: Path, name: str, seed: int, work: Path) -> Path:
-    """Run one workload with the program in `src`; returns its output directory."""
+def run(src: Path, label: str, seed: int, work: Path) -> tuple[int, Path]:
+    """Run one labelled config with the program in `src`; returns its exit code
+    (0, or 2 for a breakdown) and its output directory."""
+    name, changes = RUNS[label]
     work.mkdir(parents=True)
     config = work / "config.json"
-    config.write_text(json.dumps(workloads.make_config(name, seed)))
+    config.write_text(json.dumps({**workloads.make_config(name, seed), **changes}))
     out = work / "out"
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1"}
     argv = workloads.argv(name, str(config), str(out))
-    subprocess.run([sys.executable, "-m", "nlwaves.cli", *argv], env=env, check=True)
-    return out
+    done = subprocess.run([sys.executable, "-m", "nlwaves.cli", *argv], env=env)
+    if done.returncode not in (0, 2):
+        raise subprocess.CalledProcessError(done.returncode, done.args)
+    return done.returncode, out
 
 
 def relative_difference(a: bytes, b: bytes) -> float:
@@ -59,38 +71,37 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     args = parser.parse_args()
-    compared, differing, worst = 0, 0, 0.0
+    compared, differing, exits_differing, worst = 0, 0, 0, 0.0
     with tempfile.TemporaryDirectory() as tmp:
         checkout = Path(tmp) / "rev"
-        subprocess.run(
-            ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(checkout), args.rev],
-            check=True, capture_output=True,
-        )
-        try:
-            for name in workloads.WORKLOADS:
-                for seed in SEEDS:
-                    before = run(checkout / "src", name, seed, Path(tmp) / "a" / name / str(seed))
-                    after = run(ROOT / "src", name, seed, Path(tmp) / "b" / name / str(seed))
-                    files = sorted({p.name for p in before.iterdir()} | {p.name for p in after.iterdir()})
-                    for file in files:
-                        compared += 1
-                        a, b = before / file, after / file
-                        if not (a.exists() and b.exists()):
-                            differing += 1
-                            worst = float("inf")
-                            print(f"{name} seed {seed}: {file} written by one side only")
-                        elif a.read_bytes() != b.read_bytes():
-                            differing += 1
-                            worst = max(worst, relative_difference(a.read_bytes(), b.read_bytes()))
-                            print(f"{name} seed {seed}: {file} differs")
-        finally:
-            subprocess.run(
-                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(checkout)],
-                check=True, capture_output=True,
-            )
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.rev], check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkout, filter="data")
+        for label in RUNS:
+            for seed in SEEDS:
+                work = Path(tmp) / label / str(seed)
+                code_a, before = run(checkout / "src", label, seed, work / "a")
+                code_b, after = run(ROOT / "src", label, seed, work / "b")
+                if code_a != code_b:
+                    exits_differing += 1
+                    print(f"{label} seed {seed}: exit {code_a} at REV, {code_b} here")
+                files = sorted({p.name for p in [*before.iterdir(), *after.iterdir()]})
+                for file in files:
+                    compared += 1
+                    a, b = before / file, after / file
+                    if not (a.exists() and b.exists()):
+                        differing += 1
+                        worst = float("inf")
+                        print(f"{label} seed {seed}: {file} written by one side only")
+                    elif a.read_bytes() != b.read_bytes():
+                        differing += 1
+                        worst = max(worst, relative_difference(a.read_bytes(), b.read_bytes()))
+                        print(f"{label} seed {seed}: {file} differs")
     print(f"{compared} files compared, {differing} differ, "
-          f"largest relative difference {worst:.3g}")
-    return 1 if differing else 0
+          f"largest relative difference {worst:.3g}; {exits_differing} exit codes differ")
+    return 1 if differing or exits_differing else 0
 
 
 if __name__ == "__main__":
