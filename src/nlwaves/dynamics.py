@@ -37,7 +37,14 @@ import numpy as np
 from . import schema, shapes
 from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
-from .spectral import Field, Grid, dealiased_power_rfft, power_buffers, sobolev_scale
+from .spectral import (
+    Field,
+    Grid,
+    _integer_power,
+    dealiased_power_rfft,
+    power_buffers,
+    sobolev_scale,
+)
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
 # The exact monitor runs when the coefficient bound reaches the threshold less
@@ -274,7 +281,7 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
     """
     order = cfg.s if s is None else s
     coef = (cfg.n + 1) * cfg.nonlinear_coefficient
-    w = coef * state.u.samples**cfg.n if coef != 0.0 else 0.0
+    w = coef * _integer_power(state.u.samples, cfg.n) if coef != 0.0 else 0.0
     one_plus_w = 1.0 + w
     if np.min(one_plus_w) <= 0.0:
         raise HyperbolicityError(
@@ -410,7 +417,7 @@ def integrate(cfg, initial: State, observers=()):
             rhs(y, t, acc)
             # below the gate the exact monitor is finite and cannot exceed the
             # threshold (a NaN bound fails the test too)
-            if not np.all(bound(y[0], acc[0], work[3].view(float)) <= gate):
+            if not (bound(y[0], acc[0], work[3].view(float)) <= gate).all():
                 monitor = _monitor(y[0], acc[0], ddx, work[:3], samples)
                 if not np.all(np.isfinite(monitor)):
                     raise NonFiniteError(f"state became non-finite at t={t:.6g}")

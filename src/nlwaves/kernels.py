@@ -8,7 +8,7 @@ Built-in variants:
 - ``dirac``:        b(xi) = 1 (classical, dispersionless limit)
 - ``exponential``:  weight 0.5*exp(-|x|), b(xi) = 1/(1+xi^2)
 - ``triangular``:   weight 1-|x| on [-1,1], b(xi) = (4/xi^2)*sin^2(xi/2)
-- ``table``:        tabulated symbol values, linearly interpolated, even
+- ``table``:        tabulated finite symbol values, linearly interpolated, even
                     extension in xi implied
 
 All symbols are even, real, bounded, and normalized to b(0) = 1.
@@ -69,6 +69,8 @@ class Kernel:
             vals = np.asarray(table_values, dtype=float)
             if xi.ndim != 1 or xi.shape != vals.shape or xi.size < 2:
                 raise InvalidSpecError("table kernel needs two equal-length 1-d columns")
+            if not (np.isfinite(xi).all() and np.isfinite(vals).all()):
+                raise InvalidSpecError("table entries must be finite numbers")
             if xi[0] < 0 or np.any(np.diff(xi) <= 0):
                 raise InvalidSpecError("table frequencies must be >= 0 and ascending")
             # private immutable copies: kernels are shared across runs

@@ -22,6 +22,7 @@ import numpy as np
 from . import schema, shapes
 from .dynamics import _rk4, _unchecked, n_steps
 from .errors import ConfigError, NonFiniteError
+from .spectral import _integer_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +99,7 @@ def _chain_rhs(delta, epsilon: float, n: int, neighbours):
     def rhs(y, _t, out):
         u = y[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            g = u + coef * u ** (n + 1)
+            g = u + coef * _integer_power(u, n + 1)
         out[0] = y[1]
         out[1] = _stencil(g, inv, *neighbours)
 

@@ -142,6 +142,25 @@ def sobolev_norm(f: Field, s: float) -> float:
     return spectrum_norm(f.grid, f.spectrum, s)
 
 
+def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndarray:
+    """x**power for an integer power >= 1, as the left-to-right product x*x*...*x.
+
+    numpy's vectorised `pow` may send negative bases to a slow scalar path
+    whose last bits differ from its fast one (numpy 2.4's AVX-512 build does
+    for powers >= 3).  The product costs power - 1 multiplications, is exactly
+    odd or even in x and does not depend on how numpy was built; power 2 is
+    numpy's own square, bit for bit.  The result goes to `out` (new if None),
+    which may be x; powers >= 3 keep their partial products in `scratch` (new
+    if None), which must not overlap x or `out`.
+    """
+    if power <= 2:
+        return np.multiply(x, x, out=out) if power == 2 else np.positive(x, out=out)
+    partial = np.multiply(x, x, out=scratch)
+    for _ in range(power - 3):
+        np.multiply(partial, x, out=partial)
+    return np.multiply(partial, x, out=out)
+
+
 def _padded_size(n: int, power: int) -> int:
     """Even padded length of at least (power+1)/2 * n points."""
     padded = int(np.ceil((power + 1) * n / 2))
@@ -163,25 +182,29 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, buffers) -> np.
     `coeffs` holds real-FFT coefficients of shape (..., n/2 + 1); every
     leading row is transformed in the same call.  The product is evaluated on
     a zero-padded grid of at least (power+1)/2 * n points and truncated back,
-    which removes aliasing of a degree-`power` product exactly.  The coarse
-    Nyquist coefficient is split evenly between the +/- n/2 modes of the
-    padded grid (the real part of the full-spectrum product), and the result
-    folds both back into one bin.
+    which removes aliasing of a degree-`power` product exactly.  The power
+    itself is the repeated product of `_integer_power`.  The coarse Nyquist
+    coefficient is split evenly between the +/- n/2 modes of the padded grid
+    (the real part of the full-spectrum product), and the result folds both
+    back into one bin.
 
     The work happens in `buffers` from `power_buffers`, and the result is a
-    view into them, valid until the next call with the same buffers.
+    view into them, valid until the next call with the same buffers.  It
+    sets no `np.errstate`: both callers, `dynamics.integrate`'s step loop and
+    the Field-level right-hand sides, already hold one that lets overflow
+    pass silently.
     """
     half = n // 2
     padded = _padded_size(n, power)
     fine, product, spec = buffers
     fine[..., :half] = coeffs[..., :half]
     np.multiply(0.5, coeffs[..., half], out=fine[..., half])
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.fft.irfft(fine, n=padded, out=product)
-        np.multiply(product, padded / n, out=product)
-        product **= power
-        np.fft.rfft(product, out=spec)
-        out = np.multiply(spec[..., : half + 1], n / padded, out=spec[..., : half + 1])
+    np.fft.irfft(fine, n=padded, out=product)
+    np.multiply(product, padded / n, out=product)
+    # the padded spectrum is free until rfft writes it: its reals hold the partial products
+    _integer_power(product, power, out=product, scratch=spec.view(float)[..., :padded])
+    np.fft.rfft(product, out=spec)
+    out = np.multiply(spec[..., : half + 1], n / padded, out=spec[..., : half + 1])
     out[..., half] = 2.0 * out[..., half].real
     return out
 

@@ -4,7 +4,9 @@
   complex FFT.  `TestSpectralCoreParity` builds an RK4 from them that shares
   no code with the real-FFT core of `dynamics.integrate`.
 - `dealiased_power_rfft`, `_spectral_rhs`, `_rk4` and `_chain_rhs` are the
-  allocating versions that the in-place core replaced, kept verbatim.
+  allocating versions that the in-place core replaced, kept verbatim except
+  for their integer powers, which are spelled out as the left-to-right
+  product x*x*...*x that the core computes in place of numpy's `**`.
   `integrate_rows` and `integrate_chains` step them in the loops the
   integrators used, so a test can require equal bits from the in-place step.
   `integrate_rows` also evaluates the exact breakdown monitor before every
@@ -83,8 +85,10 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
     fine[..., :half] = coeffs[..., :half]
     fine[..., half] = 0.5 * coeffs[..., half]
     with np.errstate(over="ignore", invalid="ignore"):
-        product = np.fft.irfft(fine, n=padded) * (padded / n)
-        product **= power
+        samples = np.fft.irfft(fine, n=padded) * (padded / n)
+        product = samples
+        for _ in range(power - 1):
+            product = product * samples
         fine_spec = np.fft.rfft(product) * (n / padded)
     out = fine_spec[..., : half + 1]
     out[..., half] = 2.0 * out[..., half].real
@@ -127,7 +131,10 @@ def _chain_rhs(delta, epsilon: float, n: int, neighbours):
 
     def rhs(u, ut, _t=None):
         with np.errstate(over="ignore", invalid="ignore"):
-            g = u + coef * u ** (n + 1)
+            power = u
+            for _ in range(n):
+                power = power * u
+            g = u + coef * power
         return ut, _stencil(g, inv, *neighbours)
 
     return rhs

@@ -8,6 +8,7 @@ import pytest
 from nlwaves.cli import main, parse_config
 from nlwaves.errors import ConfigError
 from nlwaves.shapes import evaluate_on_nodes
+from nlwaves.spectral import Grid
 
 
 def write_config(tmp_path, **entries):
@@ -188,6 +189,20 @@ class TestConfigTypes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
         assert f"config field '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "kernel-info", "converge-dispersion"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=["xi", "value"])
+    def test_non_finite_kernel_table_exits_3(self, tmp_path, capsys, command, entry, column):
+        xi = np.linspace(0, 5, 50)
+        table = np.column_stack([xi, 1.0 / (1.0 + xi**2)])
+        table[-1, column] = entry
+        np.savetxt(tmp_path / "kern.txt", table)
+        cfg = write_config(tmp_path, kernel=str(tmp_path / "kern.txt"), grid_n=64, grid_l=10.0,
+                           t_end=0.05, delta=0.5, delta_list=[0.4, 0.2])
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        assert "config field 'kernel'" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "summary.json").exists()
+
 
 class TestInitialDataSpecs:
     @pytest.mark.parametrize(
@@ -218,12 +233,12 @@ class TestInitialDataSpecs:
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
     def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command):
-        # finite values whose run overflows: a table kernel with an infinite
-        # entry, or a huge u0 under a huge breakdown threshold
-        xi = np.linspace(0, 5, 50)
-        values = 1.0 / (1.0 + xi**2)
-        values[-1] = np.inf
-        np.savetxt(tmp_path / "kern.txt", np.column_stack([xi, values]))
+        # finite values whose run overflows: a table kernel whose slope
+        # overflows between entries one ulp either side of the grid frequency
+        # pi/10, or a huge u0 under a huge breakdown threshold
+        xi1 = Grid(10.0, 64).freqs[1]
+        xi = [0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0]
+        np.savetxt(tmp_path / "kern.txt", np.column_stack([xi, [1.0, 1.0, 1e308, 0.0]]))
         kernel = str(tmp_path / "kern.txt") if command == "kernel-info" else "triangular"
         cfg = write_config(tmp_path, kernel=kernel, grid_n=64, grid_l=10.0, t_end=0.05,
                            delta_list=[0.4, 0.2], u0={"shape": "gaussian", "a": 1e155, "b": 2.0},

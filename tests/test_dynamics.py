@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import (
@@ -347,6 +347,34 @@ class TestParityPreservation:
         u, v = final.u.samples, final.v.samples
         assert np.max(np.abs(u - self.reflect(u))) < 1e-13  # measured: <= 8e-16
         assert np.max(np.abs(v + self.reflect(v))) < 1e-13
+
+
+class TestSignSymmetry:
+    """g(u) = eps^n u^(n+1) is odd for even n, so negating (u0, v0) negates
+    the run exactly: every operation of a step is then odd in the state, and
+    rounding to nearest is symmetric."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        a=st.floats(0.05, 0.6),
+        b=st.floats(-0.3, 0.3),
+        kernel=st.sampled_from(["exponential", "triangular", "dirac"]),
+        delta=st.floats(0.1, 1.0),
+        n=st.sampled_from([2, 4]),
+    )
+    @example(a=0.5, b=0.3, kernel="exponential", delta=0.5, n=2)
+    @example(a=0.5, b=0.3, kernel="exponential", delta=0.5, n=4)
+    def test_negated_data_give_the_negated_run(self, a, b, kernel, delta, n):
+        g = Grid(10.0, 128)
+        init = make_initial(
+            {"shape": "gaussian", "a": a, "b": 2.0}, {"shape": "sine", "a": b, "k": 3}, g
+        )
+        flipped = State(-init.u, -init.v, 0.0)
+        cfg = config(kernel=Kernel.from_name(kernel), delta=delta, epsilon=0.3, n=n,
+                     dt=0.02, t_end=0.5)
+        out, out_flipped = integrate(cfg, init), integrate(cfg, flipped)
+        assert np.array_equal(out_flipped.u.samples, -out.u.samples)
+        assert np.array_equal(out_flipped.v.samples, -out.v.samples)
 
 
 class TestSpectralCoreParity:

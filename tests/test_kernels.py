@@ -218,3 +218,8 @@ class TestTableKernel:
             Kernel.from_table([-1.0, 0.5], [1.0, 0.9])  # negative frequency
         with pytest.raises(InvalidSpecError):
             Kernel.from_table([0.0], [1.0])  # too short
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidSpecError):
+                Kernel.from_table([0.0, 1.0], [1.0, bad])  # non-finite value
+            with pytest.raises(InvalidSpecError):
+                Kernel.from_table([0.0, bad], [1.0, 0.5])  # non-finite frequency

@@ -294,6 +294,23 @@ class TestChainEquality:
         assert out != chain
 
 
+class TestSignSymmetry:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12),
+        sites=st.sampled_from([16, 64, 256]),
+        n=st.sampled_from([2, 4]),
+    )
+    def test_negated_chain_gives_the_negated_run(self, amplitudes, sites, n):
+        # g(u) = eps^n u^(n+1) is odd for even n, and so is every step
+        chain = make_chain(trig_data(amplitudes[:6]), trig_data(amplitudes[6:]), np.pi, sites)
+        flipped = Chain(chain.half_length, -chain.strain, -chain.velocity, 0.0)
+        out = integrate_chain(chain, 0.3, n, 0.01, 0.5)
+        out_flipped = integrate_chain(flipped, 0.3, n, 0.01, 0.5)
+        assert np.array_equal(out_flipped.strain, -out.strain)
+        assert np.array_equal(out_flipped.velocity, -out.velocity)
+
+
 class TestInPlaceChainStep:
     """integrate_chain against the allocating RK4 loop it replaced, bit for bit."""
 

@@ -12,7 +12,7 @@ from nlwaves import (
     sobolev_norm,
     sobolev_scale,
 )
-from nlwaves.spectral import write_field_csv
+from nlwaves.spectral import _integer_power, write_field_csv
 from reference import apply_multiplier, dealiased_power
 
 
@@ -278,6 +278,42 @@ class TestDealiasedPower:
         g = Grid(10.0, 64)
         with pytest.raises(ValueError):
             dealiased_power(Field.zeros(g), 0)
+
+
+class TestIntegerPower:
+    """`_integer_power`, the product x*x*...*x, against numpy's powers."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1e200, -1.5])
+
+    def test_square_is_numpys_square_bit_for_bit(self, rng):
+        normals = np.ldexp(rng.standard_normal(10**5), rng.integers(-600, 600, 10**5))
+        x = np.concatenate([self.SPECIALS, normals])
+        y = x.copy()
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.power(x, 2)
+            got = _integer_power(x, 2)
+            assert _integer_power(y, 2, out=y) is y
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(y.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is float64 here")
+    @pytest.mark.parametrize("power", [3, 4, 5])
+    def test_within_power_minus_one_ulp(self, rng, power):
+        # mantissas in [1, 2) of either sign, at exponents that keep every
+        # partial product and the result in the normal range
+        size = 3 * 10**5
+        x = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1000 // power, 1000 // power, size))
+        x *= rng.choice([-1.0, 1.0], size)
+        exact = np.power(x.astype(np.longdouble), power).astype(float)
+        ulps = np.abs(_integer_power(x, power) - exact) / np.spacing(np.abs(exact))
+        assert ulps.max() <= power - 1  # measured: power - 2
+
+    @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])
+    def test_exactly_odd_or_even_in_place(self, rng, power):
+        x = rng.standard_normal(1000)
+        y, scratch = -x, np.empty_like(x)
+        assert _integer_power(y, power, out=y, scratch=scratch) is y
+        assert np.array_equal(y, (-1.0) ** power * _integer_power(x, power))
 
 
 def test_field_csv_round_trip(tmp_path, rng):
