@@ -19,11 +19,9 @@ from .dynamics import (
     State,
     breakdown_monitor,
     cfl_dt,
-    classical_rhs,
     energy,
     integrate,
     make_initial,
-    nonlocal_rhs,
 )
 from .errors import (
     AlignmentError,
@@ -43,7 +41,6 @@ from .lattice import (
     initial_velocity,
     integrate_chain,
     make_chain,
-    second_difference,
 )
 from .spectral import (
     Field,
@@ -78,7 +75,6 @@ __all__ = [
     "ValidationReport",
     "breakdown_monitor",
     "cfl_dt",
-    "classical_rhs",
     "derivative",
     "energy",
     "fit_rate",
@@ -88,9 +84,7 @@ __all__ = [
     "lattice_sweep",
     "make_chain",
     "make_initial",
-    "nonlocal_rhs",
     "operator_error",
-    "second_difference",
     "sobolev_norm",
     "sobolev_scale",
     "zero_dispersion_sweep",

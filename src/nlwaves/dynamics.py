@@ -23,8 +23,7 @@ one array and share every transform.  Each call allocates its work buffers
 once (RK4 stage input, stage derivative and accumulator, dealiasing and
 monitor buffers); a step then allocates only its new state, which observers
 get as states whose samples are transformed on the first read of u or v.
-`nonlocal_rhs`, `classical_rhs` and `breakdown_monitor` are Field-level
-wrappers over the same core.
+`breakdown_monitor` is a Field-level wrapper over the same core.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .spectral import (
 )
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
+_CFL_SAFETY = 0.25  # Courant number of the CFL step
 # The exact monitor runs when the coefficient bound reaches the threshold less
 # this fraction, which covers the round-off of both, or this ceiling, far below
 # where a transform of the coefficients could overflow.
@@ -100,13 +100,13 @@ class ModelConfig:
         return self.epsilon**self.n
 
 
-def cfl_dt(grid: Grid, kernel: Kernel, delta: float | None, safety: float = 0.25) -> float:
-    """Time step from the unit-wave-speed CFL guard: safety * h / max(k)."""
+def cfl_dt(grid: Grid, kernel: Kernel, delta: float | None) -> float:
+    """Time step from the unit-wave-speed CFL guard: _CFL_SAFETY * h / max(k)."""
     if delta is None:
         speed = 1.0
     else:
         speed = float(np.max(kernel.scaled_sqrt_symbol(delta, grid.freqs)))
-    return safety * grid.spacing / max(speed, 1e-12)
+    return _CFL_SAFETY * grid.spacing / max(speed, 1e-12)
 
 
 def shared_dt(grid: Grid, kernel: Kernel, deltas, dt: float | None = None) -> float:
@@ -236,29 +236,6 @@ def _coefficients(state: State) -> np.ndarray:
     return np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
 
 
-def _rhs_fields(state: State, cfg: ModelConfig, delta: float | None) -> tuple[Field, Field]:
-    grid = state.grid
-    y = _coefficients(state)
-    rhs = _spectral_rhs(_multiplier(grid, cfg.kernel, delta), cfg, grid.size, y.shape[1:])
-    dy = np.empty_like(y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs(y, state.t, dy)
-    du, dv = np.fft.irfft(dy, n=grid.size)
-    return Field(grid, du), Field(grid, dv)
-
-
-def nonlocal_rhs(state: State, cfg: ModelConfig) -> tuple[Field, Field]:
-    """Time derivatives (u_t, v_t) of the nonlocal system at scale cfg.delta."""
-    if cfg.delta is None:
-        raise ValueError("nonlocal right-hand side needs a positive delta")
-    return _rhs_fields(state, cfg, cfg.delta)
-
-
-def classical_rhs(state: State, cfg: ModelConfig) -> tuple[Field, Field]:
-    """Time derivatives of the classical elasticity system (conservative form)."""
-    return _rhs_fields(state, cfg, None)
-
-
 def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
     """Wave-breaking indicator: |u|_inf + |u_t|_inf + |u_x|_inf.
 
@@ -281,7 +258,8 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
     """
     order = cfg.s if s is None else s
     coef = (cfg.n + 1) * cfg.nonlinear_coefficient
-    w = coef * _integer_power(state.u.samples, cfg.n) if coef != 0.0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = coef * _integer_power(state.u.samples, cfg.n) if coef != 0.0 else 0.0
     one_plus_w = 1.0 + w
     if np.min(one_plus_w) <= 0.0:
         raise HyperbolicityError(

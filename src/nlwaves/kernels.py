@@ -167,7 +167,8 @@ class Kernel:
             raise ValueError("need a nonempty frequency sample list")
         tol = self.tolerance
         vals = self.symbol(xi)
-        evenness = float(np.max(np.abs(vals - self.symbol(-xi))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing table reads nan
+            evenness = float(np.max(np.abs(vals - self.symbol(-xi))))
         smin = float(np.min(vals))
         smax = float(np.max(vals))
         norm_res = float(abs(self.symbol(0.0) - 1.0))

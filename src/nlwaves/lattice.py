@@ -82,15 +82,6 @@ def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndar
         return (g[right] - 2.0 * g + g[left]) * inv
 
 
-def second_difference(values: np.ndarray, delta: float) -> np.ndarray:
-    """Centered second difference with periodic wraparound.
-
-    Non-finite values propagate silently; integrate_chain reports them.
-    """
-    values = np.asarray(values, dtype=float)
-    return _stencil(values, 1.0 / (delta * delta), *_neighbours([values.size]))
-
-
 def _chain_rhs(delta, epsilon: float, n: int, neighbours):
     """rhs(y, t, out): out = (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)."""
     coef = epsilon**n

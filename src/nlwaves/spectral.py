@@ -190,9 +190,9 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, buffers) -> np.
 
     The work happens in `buffers` from `power_buffers`, and the result is a
     view into them, valid until the next call with the same buffers.  It
-    sets no `np.errstate`: both callers, `dynamics.integrate`'s step loop and
-    the Field-level right-hand sides, already hold one that lets overflow
-    pass silently.
+    sets no `np.errstate`: its one caller, the right-hand side that
+    `dynamics._spectral_rhs` builds, runs inside `dynamics.integrate`'s step
+    loop, which holds one that lets overflow pass silently.
     """
     half = n // 2
     padded = _padded_size(n, power)

@@ -1,5 +1,10 @@
-"""Independent and previous implementations that the tests compare against.
+"""Independent and previous implementations that the tests compare against,
+and an adapter onto the production core.
 
+- `rhs_fields` evaluates the right-hand side that `dynamics.integrate` steps,
+  built by `dynamics._spectral_rhs` with `dynamics._multiplier`, on a State
+  and returns (u_t, v_t) as Fields.  `cfg.delta` picks the system: None is
+  the classical one.
 - `apply_multiplier` and `dealiased_power` act on Fields through the full
   complex FFT.  `TestSpectralCoreParity` builds an RK4 from them that shares
   no code with the real-FFT core of `dynamics.integrate`.
@@ -16,10 +21,21 @@
 
 import numpy as np
 
-from nlwaves import BreakdownError, Field, NonFiniteError
+from nlwaves import BreakdownError, Field, NonFiniteError, dynamics
 from nlwaves.dynamics import ModelConfig, _multiplier, n_steps
 from nlwaves.lattice import _neighbours, _stencil
 from nlwaves.spectral import _padded_size
+
+
+def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
+    """(u_t, v_t) of the system at scale cfg.delta, by the core's right-hand side."""
+    grid, y = state.grid, dynamics._coefficients(state)
+    multiplier = _multiplier(grid, cfg.kernel, cfg.delta)
+    dy = np.empty_like(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dynamics._spectral_rhs(multiplier, cfg, grid.size, y.shape[1:])(y, state.t, dy)
+    du, dv = np.fft.irfft(dy, n=grid.size)
+    return Field(grid, du), Field(grid, dv)
 
 
 def apply_multiplier(f: Field, multiplier) -> Field:

