@@ -30,12 +30,11 @@ from .errors import (
     DegenerateDataError,
     DegenerateFitError,
     HyperbolicityError,
-    InvalidKernelError,
     InvalidSpecError,
     NlwavesError,
     NonFiniteError,
 )
-from .kernels import Kernel, ValidationReport
+from .kernels import Kernel
 from .lattice import (
     Chain,
     initial_velocity,
@@ -63,7 +62,6 @@ __all__ = [
     "Field",
     "Grid",
     "HyperbolicityError",
-    "InvalidKernelError",
     "InvalidSpecError",
     "Kernel",
     "ModelConfig",
@@ -72,7 +70,6 @@ __all__ = [
     "RateFit",
     "State",
     "SweepConfig",
-    "ValidationReport",
     "breakdown_monitor",
     "cfl_dt",
     "derivative",

@@ -88,7 +88,7 @@ def _check_initial_data(cfg: dict, command: str) -> None:
 
 def _build_kernel(spec: str) -> Kernel:
     if spec in BUILTIN_NAMES:
-        return Kernel.from_name(spec)
+        return Kernel(spec)
     path = Path(spec)
     if not path.is_file():
         raise ConfigError("kernel", f"not a built-in kernel name or table file: {spec}")
@@ -112,20 +112,16 @@ def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
     kernel = _build_kernel(cfg["kernel"])
     grid = Grid(cfg["grid_l"], cfg["grid_n"])
     xi = np.sort(grid.freqs[grid.freqs >= 0])
-    lines = ["xi,symbol,k_symbol"]
-    lines += [
-        f"{_fmt(x)},{_fmt(kernel.symbol(x))},{_fmt(kernel.sqrt_symbol(x))}"
-        for x in xi
-    ]
-    table = "\n".join(lines) + "\n"
-    report = kernel.validate(grid.freqs)
+    rows = zip(xi, kernel.symbol(xi), kernel.sqrt_symbol(xi))
+    table = "xi,symbol,k_symbol\n"
+    table += "".join(f"{_fmt(x)},{_fmt(b)},{_fmt(k)}\n" for x, b, k in rows)
+    symbol = kernel.symbol(grid.freqs)
     summary = _summary_text(
         {
             "command": "kernel-info",
             "config": cfg,
-            "hypotheses_passed": report.passed,
-            "symbol_min": report.symbol_min,
-            "symbol_max": report.symbol_max,
+            "symbol_min": float(symbol.min()),
+            "symbol_max": float(symbol.max()),
         }
     )
     sys.stdout.write(table)

@@ -5,10 +5,6 @@ class NlwavesError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidKernelError(NlwavesError):
-    """Kernel symbol violates the nonnegativity hypothesis."""
-
-
 class InvalidSpecError(NlwavesError):
     """Initial-data spec is malformed or not usable in this context."""
 

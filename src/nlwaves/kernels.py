@@ -11,16 +11,20 @@ Built-in variants:
 - ``table``:        tabulated finite symbol values, linearly interpolated, even
                     extension in xi implied
 
-All symbols are even, real, bounded, and normalized to b(0) = 1.
+A Kernel that exists satisfies the hypotheses: its symbol is even, real,
+nonnegative, bounded and normalized to b(0) = 1.  The built-in formulas
+satisfy them by construction; a table is checked against them once, when it
+is built, and one that fails raises InvalidSpecError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidKernelError, InvalidSpecError
+from .errors import InvalidSpecError
 
 BUILTIN_NAMES = ("dirac", "exponential", "triangular")
 
@@ -28,24 +32,8 @@ BUILTIN_NAMES = ("dirac", "exponential", "triangular")
 # the closed form is 0/0 at xi = 0.
 _TRI_TAYLOR_CUTOFF = 2e-4
 
-_CLOSED_FORM_TOL = 1e-12
+#: largest |b(0) - 1| a table may have
 _TABLE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Hypothesis checks for a kernel symbol on a frequency sample set."""
-
-    evenness_residual: float
-    symbol_min: float
-    symbol_max: float
-    normalization_residual: float
-    tolerance: float
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def _triangular_symbol(xi):
@@ -57,35 +45,55 @@ def _triangular_symbol(xi):
     return out
 
 
+def _table_symbol(table_xi, table_values, xi):
+    # even extension and edge clamping are np.interp defaults; one ulp below
+    # a zero entry it can round to a negative of round-off size
+    return np.maximum(np.interp(np.abs(xi), table_xi, table_values), 0.0)
+
+
+_SYMBOLS = {"dirac": np.ones_like, "exponential": lambda xi: 1.0 / (1.0 + xi**2),
+            "triangular": _triangular_symbol}
+
+
+def _checked_table(table_xi, table_values):
+    """Private copies of a table's two columns, or InvalidSpecError naming the
+    first hypothesis the table fails."""
+    xi = np.array(table_xi, dtype=float)
+    vals = np.array(table_values, dtype=float)
+    if xi.ndim != 1 or xi.shape != vals.shape:
+        raise InvalidSpecError("table kernel needs two equal-length 1-d columns")
+    if xi.size < 2:
+        raise InvalidSpecError(f"table kernel needs at least two rows, got {xi.size}")
+    if not (np.isfinite(xi).all() and np.isfinite(vals).all()):
+        raise InvalidSpecError("table entries must be finite numbers")
+    if xi[0] < 0 or np.any(np.diff(xi) <= 0):
+        raise InvalidSpecError("table frequencies must be >= 0 and ascending")
+    if np.any(vals < 0):
+        raise InvalidSpecError(f"table values must be >= 0, got {vals.min():.17g}")
+    if abs(vals[0] - 1.0) > _TABLE_TOL:
+        raise InvalidSpecError(f"table b(0) = {vals[0]:.17g} is not 1 within {_TABLE_TOL:g}")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.diff(vals) / np.diff(xi))
+    if not finite.all():
+        raise InvalidSpecError(f"table slope overflows after xi = {xi[np.argmin(finite)]:.17g}")
+    return xi, vals
+
+
 class Kernel:
-    """A dispersive kernel, evaluated through its Fourier symbol."""
+    """A dispersive kernel, evaluated through its Fourier symbol.
+
+    The methods act elementwise on an array of frequencies; a scalar gives a
+    0-d result.
+    """
 
     def __init__(self, variant, table_xi=None, table_values=None):
-        if variant not in BUILTIN_NAMES + ("table",):
+        if variant == "table":
+            self._symbol = partial(_table_symbol, *_checked_table(table_xi, table_values))
+        elif variant in _SYMBOLS:
+            self._symbol = _SYMBOLS[variant]
+        else:
             raise InvalidSpecError(f"unknown kernel variant '{variant}'")
         self.variant = variant
-        if variant == "table":
-            xi = np.asarray(table_xi, dtype=float)
-            vals = np.asarray(table_values, dtype=float)
-            if xi.ndim != 1 or xi.shape != vals.shape or xi.size < 2:
-                raise InvalidSpecError("table kernel needs two equal-length 1-d columns")
-            if not (np.isfinite(xi).all() and np.isfinite(vals).all()):
-                raise InvalidSpecError("table entries must be finite numbers")
-            if xi[0] < 0 or np.any(np.diff(xi) <= 0):
-                raise InvalidSpecError("table frequencies must be >= 0 and ascending")
-            # private immutable copies: kernels are shared across runs
-            xi, vals = xi.copy(), vals.copy()
-            xi.setflags(write=False)
-            vals.setflags(write=False)
-            self.table_xi = xi
-            self.table_values = vals
-        else:
-            self.table_xi = None
-            self.table_values = None
-
-    @classmethod
-    def from_name(cls, name: str) -> "Kernel":
-        return cls(name)
 
     @classmethod
     def from_table(cls, xi, values) -> "Kernel":
@@ -94,56 +102,30 @@ class Kernel:
     @classmethod
     def from_file(cls, path) -> "Kernel":
         """Load a table kernel: two whitespace-separated columns, xi >= 0 ascending."""
-        data = np.loadtxt(path, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file; counted below
+            data = np.loadtxt(path, dtype=float, ndmin=2)
+        if len(data) < 2:
+            raise InvalidSpecError(f"kernel table '{path}' needs at least two rows")
+        if data.shape[1] != 2:
             raise InvalidSpecError(f"kernel table '{path}' must have exactly two columns")
         return cls.from_table(data[:, 0], data[:, 1])
-
-    @property
-    def tolerance(self) -> float:
-        return _TABLE_TOL if self.variant == "table" else _CLOSED_FORM_TOL
 
     def __repr__(self):
         return f"Kernel({self.variant!r})"
 
     def symbol(self, xi):
-        """Evaluate the Fourier symbol b(xi).  Vectorized; total on finite xi."""
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.variant == "dirac":
-            out = np.ones_like(arr)
-        elif self.variant == "exponential":
-            out = 1.0 / (1.0 + arr**2)
-        elif self.variant == "triangular":
-            out = _triangular_symbol(arr)
-        else:
-            # even extension + edge clamping are np.interp defaults
-            out = np.interp(np.abs(arr), self.table_xi, self.table_values)
-        return float(out[0]) if np.isscalar(xi) else out
+        """The Fourier symbol b(xi)."""
+        return self._symbol(np.asarray(xi, dtype=float))
 
     def sqrt_symbol(self, xi):
         """Square root of the symbol; the multiplier of the convolution operator."""
-        s = np.atleast_1d(np.asarray(self.symbol(xi), dtype=float))
-        if np.any(s < -self.tolerance):
-            raise InvalidKernelError(
-                f"symbol of {self.variant} kernel is negative (min {s.min():.3e})"
-            )
-        out = np.sqrt(np.clip(s, 0.0, None))
-        return float(out[0]) if np.isscalar(xi) else out
-
-    def scaled_symbol(self, delta: float, xi):
-        """Symbol of the delta-scaled kernel family: b(delta*xi)."""
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        if np.isscalar(xi):
-            return self.symbol(delta * xi)
-        return self.symbol(np.asarray(xi, dtype=float) * delta)
+        return np.sqrt(self.symbol(xi))
 
     def scaled_sqrt_symbol(self, delta: float, xi):
         """sqrt(b(delta*xi)), the scaled operator's multiplier."""
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        if np.isscalar(xi):
-            return self.sqrt_symbol(delta * xi)
         return self.sqrt_symbol(np.asarray(xi, dtype=float) * delta)
 
     def taylor_deviation(self, xi, theta: float):
@@ -154,39 +136,7 @@ class Kernel:
         """
         if not 0 < theta <= 2:
             raise ValueError(f"theta must be in (0, 2], got {theta}")
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if np.any(arr == 0.0):
+        xi = np.asarray(xi, dtype=float)
+        if np.any(xi == 0.0):
             raise ValueError("taylor_deviation is undefined at xi = 0")
-        out = np.abs(self.sqrt_symbol(arr) - 1.0) / np.abs(arr) ** theta
-        return float(out[0]) if np.isscalar(xi) else out
-
-    def validate(self, xi_samples) -> ValidationReport:
-        """Check evenness, nonnegativity, boundedness, and normalization."""
-        xi = np.asarray(xi_samples, dtype=float)
-        if xi.size == 0:
-            raise ValueError("need a nonempty frequency sample list")
-        tol = self.tolerance
-        vals = self.symbol(xi)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing table reads nan
-            evenness = float(np.max(np.abs(vals - self.symbol(-xi))))
-        smin = float(np.min(vals))
-        smax = float(np.max(vals))
-        norm_res = float(abs(self.symbol(0.0) - 1.0))
-
-        failures = []
-        if evenness > tol:
-            failures.append("evenness")
-        if smin < -tol:
-            failures.append("nonnegativity")
-        if not np.isfinite(smax):
-            failures.append("boundedness")
-        if norm_res > tol:
-            failures.append("normalization")
-        return ValidationReport(
-            evenness_residual=evenness,
-            symbol_min=smin,
-            symbol_max=smax,
-            normalization_residual=norm_res,
-            tolerance=tol,
-            failures=tuple(failures),
-        )
+        return np.abs(self.sqrt_symbol(xi) - 1.0) / np.abs(xi) ** theta

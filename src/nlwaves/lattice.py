@@ -78,8 +78,7 @@ def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:
 
 def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """(g_{j+1} - 2 g_j + g_{j-1}) * inv with the given neighbour indices."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (g[right] - 2.0 * g + g[left]) * inv
+    return (g[right] - 2.0 * g + g[left]) * inv
 
 
 def _chain_rhs(delta, epsilon: float, n: int, neighbours):
@@ -89,8 +88,7 @@ def _chain_rhs(delta, epsilon: float, n: int, neighbours):
 
     def rhs(y, _t, out):
         u = y[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = u + coef * _integer_power(u, n + 1)
+        g = u + coef * _integer_power(u, n + 1)
         out[0] = y[1]
         out[1] = _stencil(g, inv, *neighbours)
 
@@ -163,8 +161,9 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     for i in range(steps):
         last = i == steps - 1
         step = (t_end - t) if last else dt
-        rhs(y, t, acc)
-        y = _rk4(rhs, y, t, step, stage, k, acc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs(y, t, acc)
+            y = _rk4(rhs, y, t, step, stage, k, acc)
         t = t_end if last else t + step
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")

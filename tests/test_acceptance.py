@@ -31,9 +31,9 @@ from nlwaves import (
 )
 from reference import rhs_fields
 
-TRI = Kernel.from_name("triangular")
-EXP = Kernel.from_name("exponential")
-DIRAC = Kernel.from_name("dirac")
+TRI = Kernel("triangular")
+EXP = Kernel("exponential")
+DIRAC = Kernel("dirac")
 
 GAUSS_HALF = {"shape": "gaussian", "a": 0.5, "b": 2.0}
 
@@ -185,7 +185,7 @@ def test_criterion_05_linear_energy_conservation():
     )
     worst = {}
     for name in ("dirac", "exponential", "triangular"):
-        kernel = Kernel.from_name(name)
+        kernel = Kernel(name)
         cfg = ModelConfig(
             kernel=kernel, delta=1.0, dt=1e-3, t_end=10.0, epsilon=0.0, n=1
         )

@@ -1,6 +1,7 @@
 """CLI config handling, dispatch, exit codes, and output determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,30 @@ def write_config(tmp_path, **entries):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(entries))
     return str(path)
+
+
+def _bad_kernel_tables() -> dict:
+    """Tables that break a kernel hypothesis, by test id: a non-finite entry
+    in either column, a negative value, b(0) = 2, and finite entries one ulp
+    either side of the grid frequency pi/10 whose slope overflows."""
+    xi = np.linspace(0, 5, 50)
+    good = np.column_stack([xi, 1.0 / (1.0 + xi**2)])
+    tables = {}
+    for column, name in ((0, "xi"), (1, "value")):
+        for entry in (np.nan, np.inf):
+            tables[f"{name}-{entry}"] = good.copy()
+            tables[f"{name}-{entry}"][-1, column] = entry
+    tables["negative-value"] = good.copy()
+    tables["negative-value"][-1, 1] = -0.01
+    tables["b0-is-2"] = good * [1.0, 2.0]
+    xi1 = Grid(10.0, 64).freqs[1]
+    tables["slope-overflow"] = np.column_stack(
+        [[0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0], [1.0, 1.0, 1e308, 0.0]]
+    )
+    return tables
+
+
+BAD_TABLES = _bad_kernel_tables()
 
 
 class TestParseConfig:
@@ -67,7 +92,7 @@ class TestKernelInfo:
         assert float(first[1]) == 1.0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["command"] == "kernel-info"
-        assert summary["hypotheses_passed"] is True
+        assert "hypotheses_passed" not in summary  # a kernel that exists satisfies them
         assert summary["config"]["kernel"] == "triangular"
 
     def test_table_kernel_from_file(self, tmp_path, capsys):
@@ -189,19 +214,27 @@ class TestConfigTypes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
         assert f"config field '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "kernel-info", "converge-dispersion"])
-    @pytest.mark.parametrize("entry", [np.nan, np.inf])
-    @pytest.mark.parametrize("column", [0, 1], ids=["xi", "value"])
-    def test_non_finite_kernel_table_exits_3(self, tmp_path, capsys, command, entry, column):
-        xi = np.linspace(0, 5, 50)
-        table = np.column_stack([xi, 1.0 / (1.0 + xi**2)])
-        table[-1, column] = entry
+    @pytest.mark.parametrize(
+        "command", ["simulate", "kernel-info", "converge-dispersion", "converge-lattice"]
+    )
+    @pytest.mark.parametrize("table", list(BAD_TABLES.values()), ids=list(BAD_TABLES))
+    def test_non_finite_kernel_table_exits_3(self, tmp_path, capsys, command, table):
         np.savetxt(tmp_path / "kern.txt", table)
         cfg = write_config(tmp_path, kernel=str(tmp_path / "kern.txt"), grid_n=64, grid_l=10.0,
                            t_end=0.05, delta=0.5, delta_list=[0.4, 0.2])
         assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
         assert "config field 'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "run" / "summary.json").exists()
+
+    @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
+    def test_short_kernel_table_exits_3_without_warning(self, tmp_path, capsys, text):
+        (tmp_path / "kern.txt").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["kernel-info", str(tmp_path / "kern.txt"), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "config field 'kernel'" in err and "at least two rows" in err
 
 
 class TestInitialDataSpecs:
@@ -234,19 +267,13 @@ class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command, changes", [
         pytest.param("simulate", {}, id="simulate"),
         pytest.param("converge-dispersion", {}, id="converge-dispersion"),
-        pytest.param("kernel-info", {}, id="kernel-info"),
         pytest.param("simulate", {"n": 2, "t_end": 0.0}, id="simulate-energy-weight"),
     ])
     def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command, changes):
-        # finite values whose run overflows: a table kernel whose slope
-        # overflows between entries one ulp either side of the grid frequency
-        # pi/10, or a huge u0 under a huge breakdown threshold; with n = 2 and
-        # no step, the energy weight u^2 of the initial state overflows
-        xi1 = Grid(10.0, 64).freqs[1]
-        xi = [0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0]
-        np.savetxt(tmp_path / "kern.txt", np.column_stack([xi, [1.0, 1.0, 1e308, 0.0]]))
-        kernel = str(tmp_path / "kern.txt") if command == "kernel-info" else "triangular"
-        settings = dict(kernel=kernel, grid_n=64, grid_l=10.0, t_end=0.05,
+        # finite values whose run overflows: a huge u0 under a huge breakdown
+        # threshold; with n = 2 and no step, the energy weight u^2 of the
+        # initial state overflows
+        settings = dict(grid_n=64, grid_l=10.0, t_end=0.05,
                         delta_list=[0.4, 0.2], u0={"shape": "gaussian", "a": 1e155, "b": 2.0},
                         epsilon=1.0, breakdown_threshold=1e300)
         cfg = write_config(tmp_path, **{**settings, **changes})

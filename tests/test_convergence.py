@@ -25,8 +25,8 @@ from nlwaves import (
 )
 from nlwaves import lattice
 
-TRI = Kernel.from_name("triangular")
-DIRAC = Kernel.from_name("dirac")
+TRI = Kernel("triangular")
+DIRAC = Kernel("dirac")
 
 
 class TestFitRate:

@@ -27,8 +27,8 @@ from nlwaves import (
 from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier
 from reference import apply_multiplier, dealiased_power, integrate_rows, monitor, rhs_fields
 
-TRI = Kernel.from_name("triangular")
-DIRAC = Kernel.from_name("dirac")
+TRI = Kernel("triangular")
+DIRAC = Kernel("dirac")
 
 
 def config(**kw):
@@ -215,7 +215,7 @@ class TestEnergy:
     @settings(max_examples=25, deadline=None)
     @given(
         amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
-        kernel=st.sampled_from([TRI, DIRAC, Kernel.from_name("exponential")]),
+        kernel=st.sampled_from([TRI, DIRAC, Kernel("exponential")]),
         delta=st.floats(0.05, 2.0),
     )
     def test_linear_energy_drift_is_bounded(self, amplitudes, kernel, delta):
@@ -331,7 +331,7 @@ class TestParityPreservation:
     @settings(max_examples=25, deadline=None)
     @given(
         noise=st.lists(st.floats(-0.3, 0.3), min_size=64, max_size=64),
-        kernel=st.sampled_from([TRI, Kernel.from_name("exponential")]),
+        kernel=st.sampled_from([TRI, Kernel("exponential")]),
         eps=st.floats(0.0, 0.3),
         n=st.integers(1, 3),
         delta=st.floats(0.05, 2.0),
@@ -368,7 +368,7 @@ class TestSignSymmetry:
             {"shape": "gaussian", "a": a, "b": 2.0}, {"shape": "sine", "a": b, "k": 3}, g
         )
         flipped = State(-init.u, -init.v, 0.0)
-        cfg = config(kernel=Kernel.from_name(kernel), delta=delta, epsilon=0.3, n=n,
+        cfg = config(kernel=Kernel(kernel), delta=delta, epsilon=0.3, n=n,
                      dt=0.02, t_end=0.5)
         out, out_flipped = integrate(cfg, init), integrate(cfg, flipped)
         assert np.array_equal(out_flipped.u.samples, -out.u.samples)
@@ -384,7 +384,7 @@ class TestSpectralCoreParity:
     )
     SYSTEMS = {
         "dirac": (DIRAC, 0.7),
-        "exponential": (Kernel.from_name("exponential"), 0.7),
+        "exponential": (Kernel("exponential"), 0.7),
         "triangular": (TRI, 0.7),
         "table": (TABLE, 0.7),
         "classical": (TRI, None),

@@ -1,9 +1,13 @@
 """Kernel symbol values against closed forms and brute-force quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlwaves import InvalidKernelError, InvalidSpecError, Kernel
+from nlwaves import InvalidSpecError, Kernel
 
 
 def exponential_symbol_oracle(xi):
@@ -33,7 +37,7 @@ def triangular_symbol_oracle(xi):
 
 @pytest.fixture(scope="module")
 def builtins():
-    return {name: Kernel.from_name(name) for name in ("dirac", "exponential", "triangular")}
+    return {name: Kernel(name) for name in ("dirac", "exponential", "triangular")}
 
 
 class TestSymbolValues:
@@ -90,35 +94,34 @@ class TestSqrtSymbol:
             )
 
     def test_negative_symbol_rejected(self):
-        k = Kernel.from_table([0.0, 1.0, 2.0], [1.0, 0.5, -0.3])
-        with pytest.raises(InvalidKernelError):
-            k.sqrt_symbol(np.array([0.0, 2.0]))
+        with pytest.raises(InvalidSpecError, match=">= 0"):
+            Kernel.from_table([0.0, 1.0, 2.0], [1.0, 0.5, -0.3])
 
 
 class TestScaledSymbol:
     def test_scaling_moves_the_argument(self, builtins):
         k = builtins["triangular"]
-        assert k.scaled_symbol(0.5, 2 * np.pi) == pytest.approx(4 / np.pi**2, rel=1e-14)
+        assert k.scaled_sqrt_symbol(0.5, 2 * np.pi) == pytest.approx(2 / np.pi, rel=1e-14)
 
     def test_zero_frequency_is_one_for_any_delta(self, builtins):
         for k in builtins.values():
             for delta in (0.01, 1.0, 7.3):
-                assert k.scaled_symbol(delta, 0.0) == 1.0
+                assert k.scaled_sqrt_symbol(delta, 0.0) == 1.0
 
     def test_exponential_with_delta_two(self, builtins):
-        expected = exponential_symbol_oracle(1.0)
-        assert builtins["exponential"].scaled_symbol(2.0, 0.5) == pytest.approx(
+        expected = np.sqrt(exponential_symbol_oracle(1.0))
+        assert builtins["exponential"].scaled_sqrt_symbol(2.0, 0.5) == pytest.approx(
             expected, rel=1e-7
         )
 
     def test_unit_scale_is_identity(self, builtins):
         xi = np.linspace(-30, 30, 301)
         for k in builtins.values():
-            assert np.array_equal(k.scaled_symbol(1.0, xi), k.symbol(xi))
+            assert np.array_equal(k.scaled_sqrt_symbol(1.0, xi), k.sqrt_symbol(xi))
 
     def test_nonpositive_delta_rejected(self, builtins):
         with pytest.raises(ValueError):
-            builtins["triangular"].scaled_symbol(0.0, 1.0)
+            builtins["triangular"].scaled_sqrt_symbol(0.0, 1.0)
         with pytest.raises(ValueError):
             builtins["triangular"].scaled_sqrt_symbol(-1.0, 1.0)
 
@@ -149,29 +152,28 @@ class TestTaylorDeviation:
 
 
 class TestValidate:
+    """The hypotheses hold for every kernel that exists: the built-in formulas
+    by construction, a table by the checks it passes when it is built."""
+
     def test_builtins_pass_on_dense_grid(self, builtins):
         xi = np.linspace(-80, 80, 4001)
         for name, k in builtins.items():
-            report = k.validate(xi)
-            assert report.passed, f"{name}: {report.failures}"
-            assert report.evenness_residual == 0.0
-            assert report.normalization_residual <= 1e-12
+            vals = k.symbol(xi)
+            assert np.array_equal(vals, k.symbol(-xi)), name
+            assert k.symbol(0.0) == 1.0, name
+            assert vals.max() == vals[xi == 0.0][0] == 1.0, name
+            assert vals.min() >= 0.0, name
 
     def test_exponential_max_at_zero(self, builtins):
         xi = np.linspace(-80, 80, 4001)
-        report = builtins["exponential"].validate(xi)
-        assert report.symbol_max == pytest.approx(1.0, abs=1e-12)
-        assert report.symbol_min >= 0.0
+        vals = builtins["exponential"].symbol(xi)
+        assert np.argmax(vals) == 2000 and xi[2000] == 0.0
+        assert vals.max() == 1.0
+        assert vals.min() >= 0.0
 
     def test_negative_table_entry_fails_nonnegativity(self):
-        k = Kernel.from_table([0.0, 1.0, 2.0], [1.0, 0.2, -0.5])
-        report = k.validate(np.linspace(0, 2, 50))
-        assert not report.passed
-        assert "nonnegativity" in report.failures
-
-    def test_empty_sample_list_rejected(self, builtins):
-        with pytest.raises(ValueError):
-            builtins["dirac"].validate([])
+        with pytest.raises(InvalidSpecError, match=">= 0"):
+            Kernel.from_table([0.0, 1.0, 2.0], [1.0, 0.2, -0.5])
 
 
 class TestInvariants:
@@ -198,13 +200,12 @@ class TestInvariants:
 class TestTableKernel:
     def test_loads_from_file_and_interpolates(self, tmp_path):
         xi = np.linspace(0.0, 5.0, 200)
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         path = tmp_path / "tri_table.txt"
         np.savetxt(path, np.column_stack([xi, tri.symbol(xi)]))
         table = Kernel.from_file(path)
         probe = np.linspace(-4.9, 4.9, 401)
         np.testing.assert_allclose(table.symbol(probe), tri.symbol(probe), atol=2e-4)
-        assert table.validate(probe).passed
 
     def test_edge_clamping(self):
         k = Kernel.from_table([0.0, 1.0], [1.0, 0.25])
@@ -223,3 +224,67 @@ class TestTableKernel:
                 Kernel.from_table([0.0, 1.0], [1.0, bad])  # non-finite value
             with pytest.raises(InvalidSpecError):
                 Kernel.from_table([0.0, bad], [1.0, 0.5])  # non-finite frequency
+
+    def test_normalization_checked(self):
+        Kernel.from_table([0.0, 1.0], [1.0 + 9e-9, 0.5])
+        for b0 in (2.0, 1.0 + 2e-8, 0.5):
+            with pytest.raises(InvalidSpecError, match="not 1 within"):
+                Kernel.from_table([0.0, 1.0], [b0, 0.5])
+
+    def test_overflowing_slope_rejected(self):
+        # finite entries one ulp apart whose slope overflows
+        xi1 = np.pi / 10.0
+        xi = [0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0]
+        with pytest.raises(InvalidSpecError, match="slope overflows"):
+            Kernel.from_table(xi, [1.0, 1.0, 1e308, 0.0])
+
+    @pytest.mark.parametrize("text", ["", "# header only\n", "0 1\n"])
+    def test_short_file_names_too_few_rows(self, tmp_path, text):
+        path = tmp_path / "kern.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpecError, match="at least two rows"):
+                Kernel.from_file(path)
+
+
+@st.composite
+def tables(draw):
+    """A table that passes construction: ascending xi >= 0 and nonnegative
+    values, zeros included, with b(0) within 1e-8 of 1."""
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
+    xi = draw(st.floats(0.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    rest = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    values = [1.0 + draw(st.floats(-9e-9, 9e-9))] + draw(
+        st.lists(rest, min_size=len(gaps), max_size=len(gaps))
+    )
+    return xi, np.array(values)
+
+
+class TestTableHypotheses:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), probe=st.lists(st.floats(-100.0, 100.0), max_size=50))
+    def test_built_table_satisfies_hypotheses(self, table, probe):
+        xi, values = table
+        k = Kernel.from_table(xi, values)
+        # the nodes and their neighbouring floats, where interpolation rounds
+        xs = np.concatenate([probe, xi, np.nextafter(xi, 0.0), np.nextafter(xi, np.inf)])
+        vals = k.symbol(xs)
+        assert np.isfinite(vals).all()
+        assert (vals >= 0.0).all()
+        assert np.array_equal(vals, k.symbol(-xs))
+        assert abs(k.symbol(0.0) - 1.0) <= 1e-8
+        assert np.isfinite(k.sqrt_symbol(xs)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_table_breaking_a_hypothesis_rejected(self, table, data):
+        xi, values = table
+        if data.draw(st.booleans(), label="negative entry"):
+            values[data.draw(st.integers(0, len(values) - 1))] = -data.draw(st.floats(1e-300, 1e6))
+        else:
+            values[0] = 1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
+                st.floats(2e-8, 1e3)
+            )
+        with pytest.raises(InvalidSpecError):
+            Kernel.from_table(xi, values)

@@ -1,5 +1,7 @@
 """Particle-chain mechanics: differences, transforms, and chain integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,7 @@ class TestSecondDifference:
         x = -L + delta * np.arange(M)
         xi = 3 * np.pi / L
         out = _stencil(np.sin(xi * x), 1.0 / (delta * delta), *_neighbours([M]))
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         expected = -(xi**2) * tri.symbol(xi * delta) * np.sin(xi * x)
         np.testing.assert_allclose(out, expected, rtol=1e-11, atol=1e-12)
 
@@ -67,7 +69,7 @@ class TestLatticeRhs:
         x = -L + delta * np.arange(M)
         chain = Chain(L, np.sin(x), np.zeros(M), 0.0)
         _, acc = chain_rhs(chain, 0.0, 1)
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         np.testing.assert_allclose(acc, -tri.symbol(delta) * np.sin(x), rtol=1e-10, atol=1e-12)
 
     def test_constant_strain_has_no_force(self):
@@ -147,7 +149,7 @@ class TestIntegrateChain:
         delta = 2 * L / M
         x = -L + delta * np.arange(M)
         chain = Chain(L, np.sin(x), np.zeros(M), 0.0)
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         omega = 1.0 * tri.sqrt_symbol(delta)  # mode xi = 1
         period = 2 * np.pi / omega
         out = integrate_chain(chain, 0.0, 1, period / 4000, period)
@@ -163,7 +165,7 @@ class TestIntegrateChain:
         grid = Grid(grid_l, size)
         dt = 0.125 * grid.spacing
         cfg = ModelConfig(
-            kernel=Kernel.from_name("triangular"),
+            kernel=Kernel("triangular"),
             delta=grid.spacing, dt=dt, t_end=1.0, epsilon=0.1, n=1,
         )
         spectral_final = integrate(cfg, make_initial(u0, v0, grid))
@@ -180,7 +182,7 @@ class TestIntegrateChain:
         dt = grid.spacing / 4
         t_end = 50 * dt
         cfg = ModelConfig(
-            kernel=Kernel.from_name("triangular"),
+            kernel=Kernel("triangular"),
             delta=grid.spacing, dt=dt, t_end=t_end, epsilon=0.0,
         )
         spectral_final = integrate(cfg, make_initial(u0, v0, grid))
@@ -205,6 +207,15 @@ class TestIntegrateChain:
         chain = Chain(8.0, np.full(16, 1e200), np.zeros(16), 0.0)
         with pytest.raises(NonFiniteError):
             integrate_chain(chain, 1.0, 3, 0.01, 1.0)
+
+    def test_overflow_in_the_step_raises_without_a_warning(self):
+        # the RK4 stage arithmetic, not only the right-hand side, overflows
+        chain = make_chain({"shape": "gaussian", "a": 1e154, "b": 2.0},
+                           {"shape": "sine", "a": 1e154, "k": 1}, 20.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                integrate_chain(chain, 1.0, 1, 0.1, 1.0)
 
 
 class TestBatchedChains:

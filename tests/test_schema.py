@@ -14,7 +14,7 @@ from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, 
 from nlwaves.cli import FLAG_KEYS, main, parse_config, split_argv
 from nlwaves.schema import RULES
 
-TRI = Kernel.from_name("triangular")
+TRI = Kernel("triangular")
 NAN, INF = float("nan"), float("inf")
 
 

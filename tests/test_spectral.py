@@ -85,7 +85,7 @@ class TestApplyMultiplier:
     def test_triangular_symbol_on_single_mode(self):
         g = Grid(np.pi, 64)
         f = Field(g, np.sin(g.nodes))
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         out = apply_multiplier(f, tri.symbol)
         expected = 4 * np.sin(0.5) ** 2 * np.sin(g.nodes)
         np.testing.assert_allclose(out.samples, expected, atol=1e-14)
@@ -113,7 +113,7 @@ class TestApplyMultiplier:
         g = Grid(10.0, 256)
         f = random_field(g, rng)
         m1 = lambda xi: 1.0 / (1.0 + xi**2)
-        m2 = Kernel.from_name("triangular").symbol
+        m2 = Kernel("triangular").symbol
         chained = apply_multiplier(apply_multiplier(f, m1), m2)
         product = apply_multiplier(f, lambda xi: m1(xi) * m2(xi))
         np.testing.assert_allclose(chained.samples, product.samples, atol=1e-12)
@@ -149,7 +149,7 @@ class TestDerivative:
     def test_commutes_with_multipliers(self, rng):
         g = Grid(10.0, 256)
         f = random_field(g, rng)
-        k = Kernel.from_name("triangular").sqrt_symbol
+        k = Kernel("triangular").sqrt_symbol
         a = derivative(apply_multiplier(f, k))
         b = apply_multiplier(derivative(f), k)
         np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
@@ -204,7 +204,7 @@ class TestNorms:
 class TestSelfAdjointness:
     def test_multiplier_self_adjoint_in_discrete_inner_product(self, rng):
         g = Grid(10.0, 256)
-        k = Kernel.from_name("triangular").sqrt_symbol
+        k = Kernel("triangular").sqrt_symbol
         for _ in range(3):
             f, w = random_field(g, rng), random_field(g, rng)
             kf = apply_multiplier(f, k)
@@ -224,7 +224,7 @@ class TestParity:
         g = Grid(10.0, 256)
         base = rng.standard_normal(g.size)
         even = Field(g, base + self.reflect(base))
-        out = apply_multiplier(even, Kernel.from_name("exponential").symbol)
+        out = apply_multiplier(even, Kernel("exponential").symbol)
         np.testing.assert_allclose(out.samples, self.reflect(out.samples), atol=1e-13)
 
     def test_derivative_flips_parity(self, rng):
@@ -247,7 +247,7 @@ class TestConvolutionOracle:
         conv = np.zeros_like(f)
         for off, w in zip(offsets, weights):
             conv += w * np.roll(f, off)
-        tri = Kernel.from_name("triangular")
+        tri = Kernel("triangular")
         out = apply_multiplier(Field(g, f), tri.symbol)
         assert np.max(np.abs(out.samples - conv)) < 1e-6
 
