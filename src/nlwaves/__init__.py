@@ -18,7 +18,6 @@ from .dynamics import (
     ModelConfig,
     State,
     breakdown_monitor,
-    cfl_dt,
     energy,
     integrate,
     make_initial,
@@ -71,7 +70,6 @@ __all__ = [
     "State",
     "SweepConfig",
     "breakdown_monitor",
-    "cfl_dt",
     "derivative",
     "energy",
     "fit_rate",

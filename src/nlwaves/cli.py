@@ -133,7 +133,7 @@ def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     kernel = _build_kernel(cfg["kernel"])
     grid = Grid(cfg["grid_l"], cfg["grid_n"])
-    dt = dynamics.shared_dt(grid, kernel, [cfg["delta"]], cfg["dt"])
+    dt = dynamics.shared_dt(grid, cfg["dt"])
     mc = dynamics.ModelConfig(
         kernel=kernel, delta=cfg["delta"], dt=dt, **{k: cfg[k] for k in _MODEL_KEYS}
     )

@@ -160,7 +160,7 @@ def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     together.  The error at each sampled time is |u_d - u| + |v_d - v| in the
     order-(s-1) Sobolev norm; terminal errors feed the log-log slope fit.
     """
-    dt = dynamics.shared_dt(cfg.grid, cfg.kernel, cfg.deltas, cfg.dt)
+    dt = dynamics.shared_dt(cfg.grid, cfg.dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, cfg.grid)
     order = cfg.s - 1.0
 
@@ -204,7 +204,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     chains = [
         lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
     ]
-    dt = dynamics.shared_dt(grid, cfg.kernel, cfg.deltas, cfg.dt)
+    dt = dynamics.shared_dt(grid, cfg.dt)
     n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
     # classical strain u and strain rate u_t = v_x, sampled once per snapshot

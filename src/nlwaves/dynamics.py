@@ -19,17 +19,22 @@ breakdown monitor is bounded from the coefficients u^, the first RK4 stage
 and |xi| u^, with no transform; the exact monitor, one inverse transform of
 all rows, runs only when the bound reaches the threshold, so every breakdown
 decision is the exact monitor's.  Runs that differ only in delta are rows of
-one array and share every transform.  Each call allocates its work buffers
-once (RK4 stage input, stage derivative and accumulator, dealiasing and
-monitor buffers); a step then allocates only its new state, which observers
-get as states whose samples are transformed on the first read of u or v.
-`breakdown_monitor` is a Field-level wrapper over the same core.
+one array and share every transform.
+
+One RK4 march, `_march`, steps both models: this spectral core and the
+particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
+last step that lands on t_end, the check of each first stage, the final
+finiteness check and the observers, and allocates its work buffers once
+per call (RK4 stage input, stage derivative and accumulator); a step then
+allocates only its new state.  Observers of `integrate` get states whose
+samples are transformed on the first read of u or v.  `breakdown_monitor`
+is a Field-level wrapper over the same core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -100,26 +105,14 @@ class ModelConfig:
         return self.epsilon**self.n
 
 
-def cfl_dt(grid: Grid, kernel: Kernel, delta: float | None) -> float:
-    """Time step from the unit-wave-speed CFL guard: _CFL_SAFETY * h / max(k)."""
-    if delta is None:
-        speed = 1.0
-    else:
-        speed = float(np.max(kernel.scaled_sqrt_symbol(delta, grid.freqs)))
-    return _CFL_SAFETY * grid.spacing / max(speed, 1e-12)
+def shared_dt(grid: Grid, dt: float | None = None) -> float:
+    """Step size shared by the runs of one study: an explicit dt, or the CFL
+    step _CFL_SAFETY * h.
 
-
-def shared_dt(grid: Grid, kernel: Kernel, deltas, dt: float | None = None) -> float:
-    """Step size shared by the classical run and one run per delta.
-
-    An explicit dt wins; otherwise the most restrictive CFL guard over the
-    classical system and every positive delta in `deltas`.
+    The CFL step needs no kernel: every kernel obeys 0 <= b <= b(0) = 1, so
+    no wave is faster than the classical speed 1.
     """
-    if dt is not None:
-        return dt
-    candidates = [cfl_dt(grid, kernel, None)]
-    candidates += [cfl_dt(grid, kernel, d) for d in deltas if d is not None]
-    return min(candidates)
+    return _CFL_SAFETY * grid.spacing if dt is None else dt
 
 
 def n_steps(span: float, dt: float) -> int:
@@ -229,6 +222,40 @@ def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
     np.add(acc, k, out=acc)
     np.multiply(h / 6.0, acc, out=acc)
     return np.add(y, acc)
+
+
+def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, states, snapshots,
+           observers, check, batch: bool):
+    """March y from t to t_end with RK4 steps of dt, the last one shortened to
+    land on t_end; returns the states after the last step.
+
+    `states` are the states at t and snapshots(y, t) builds those of a
+    stepped y.  Observers get them at t and after every step, as a tuple
+    when `batch` is set and as the one state otherwise.  Before each step
+    check(y, k1, t) sees the state and its first stage k1 = rhs(y, t) and may
+    raise; the state after the last step must be finite.
+    """
+    def notify(states):
+        for observer in observers:
+            observer(states if batch else states[0])
+
+    notify(states)
+    steps = n_steps(t_end - t, dt)
+    stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    for i in range(steps):
+        last = i == steps - 1
+        h = t_end - t if last else dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs(y, t, acc)
+            check(y, acc, t)
+            y = _rk4(rhs, y, t, h, stage, k, acc)
+        t = t_end if last else t + h
+        if last and not np.all(np.isfinite(y)):
+            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+        if observers or last:
+            states = snapshots(y, t)
+            notify(states)
+    return states if batch else states[0]
 
 
 def _coefficients(state: State) -> np.ndarray:
@@ -363,17 +390,6 @@ def integrate(cfg, initial: State, observers=()):
         raise ValueError("batched configs may differ only in delta")
     if base.t_end < initial.t:
         raise ValueError(f"t_end {base.t_end} precedes initial time {initial.t}")
-    steps = n_steps(base.t_end - initial.t, base.dt)
-
-    def notify(states):
-        for observer in observers:
-            observer(states if batch else states[0])
-
-    states = (initial,) * len(configs)
-    notify(states)
-    if steps == 0:
-        return states if batch else initial
-
     grid = initial.grid
     y = np.empty((2, len(configs), grid.size // 2 + 1), dtype=complex)
     y[...] = _coefficients(initial)[:, None]
@@ -382,32 +398,21 @@ def integrate(cfg, initial: State, observers=()):
     ddx = _multiplier(grid, None, None)
     bound = _monitor_bound(ddx, grid.size)
     gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
-    # the stage input and derivative; before the stages, the monitor's stack
-    # (work[:3]) and the bound's scratch (work[3] as reals)
-    work = np.empty((4, *y.shape[1:]), dtype=complex)
-    stage, k, acc = work[:2], work[2:], np.empty_like(y)
+    stacked = np.empty((3, *y.shape[1:]), dtype=complex)
+    scratch = np.empty((*y.shape[1:-1], 2 * y.shape[-1]))
     samples = np.empty((3, len(configs), grid.size))
-    t = initial.t
-    for i in range(steps):
-        last = i == steps - 1
-        h = base.t_end - t if last else base.dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs(y, t, acc)
-            # below the gate the exact monitor is finite and cannot exceed the
-            # threshold (a NaN bound fails the test too)
-            if not (bound(y[0], acc[0], work[3].view(float)) <= gate).all():
-                monitor = _monitor(y[0], acc[0], ddx, work[:3], samples)
-                if not np.all(np.isfinite(monitor)):
-                    raise NonFiniteError(f"state became non-finite at t={t:.6g}")
-                over = monitor > base.breakdown_threshold
-                if np.any(over):
-                    row = int(np.argmax(over))
-                    raise BreakdownError(t, float(monitor[row]), base.breakdown_threshold)
-            y = _rk4(rhs, y, t, h, stage, k, acc)
-        t = base.t_end if last else t + h
-        if last and not np.all(np.isfinite(y)):
+
+    def check(y, k1, t):
+        # below the gate the exact monitor is finite and cannot exceed the
+        # threshold (a NaN bound fails the test too)
+        if (bound(y[0], k1[0], scratch) <= gate).all():
+            return
+        monitor = _monitor(y[0], k1[0], ddx, stacked, samples)
+        if not np.all(np.isfinite(monitor)):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
-        if observers or last:
-            states = _snapshots(grid, y, t)
-            notify(states)
-    return states if batch else states[0]
+        over = monitor > base.breakdown_threshold
+        if np.any(over):
+            raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
+
+    return _march(rhs, y, initial.t, base.t_end, base.dt, (initial,) * len(configs),
+                  partial(_snapshots, grid), observers, check, batch)

@@ -12,9 +12,13 @@ Built-in variants:
                     extension in xi implied
 
 A Kernel that exists satisfies the hypotheses: its symbol is even, real,
-nonnegative, bounded and normalized to b(0) = 1.  The built-in formulas
-satisfy them by construction; a table is checked against them once, when it
-is built, and one that fails raises InvalidSpecError.
+normalized to b(0) = 1 and bounded by it, 0 <= b(xi) <= b(0) = 1.  The
+upper bound is this package's own hypothesis: every nonnegative weight beta
+obeys it, since |int beta(x) cos(xi x) dx| <= int beta = b(0), and it caps
+every wave speed sqrt(b) at the classical speed 1, so the CFL step needs no
+kernel.  The built-in formulas satisfy the hypotheses by construction; a
+table is checked against them once, when it is built, and one that fails
+raises InvalidSpecError.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ BUILTIN_NAMES = ("dirac", "exponential", "triangular")
 # the closed form is 0/0 at xi = 0.
 _TRI_TAYLOR_CUTOFF = 2e-4
 
-#: largest |b(0) - 1| a table may have
+#: largest |b(0) - 1| a table may have, and largest excess of a value over 1
 _TABLE_TOL = 1e-8
 
 
@@ -72,6 +76,9 @@ def _checked_table(table_xi, table_values):
         raise InvalidSpecError(f"table values must be >= 0, got {vals.min():.17g}")
     if abs(vals[0] - 1.0) > _TABLE_TOL:
         raise InvalidSpecError(f"table b(0) = {vals[0]:.17g} is not 1 within {_TABLE_TOL:g}")
+    if vals.max() > 1.0 + _TABLE_TOL:
+        raise InvalidSpecError(f"table value {vals.max():.17g} exceeds b(0) = 1 by more than "
+                               f"{_TABLE_TOL:g}")
     with np.errstate(over="ignore"):
         finite = np.isfinite(np.diff(vals) / np.diff(xi))
     if not finite.all():

@@ -6,11 +6,12 @@ The chain integrates
 
 on M sites with spacing delta = 2L/M, independent of the spectral solver so
 the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
-stepped by the RK4 of the spectral core (`dynamics._rk4`) with the array
-right-hand side (u, u_t) -> (u_t, D2 g) and work buffers allocated once per
-call.  The chains of a lattice sweep are stepped together, end to end in one
-pair of arrays, each wrapping on itself; observers get chains whose site
-arrays are views of the stepped state, taken on first access.
+stepped by the RK4 march of the spectral core (`dynamics._march`) with the
+array right-hand side (u, u_t) -> (u_t, D2 g), so the chain and the
+classical reference of a lattice sweep land on one time grid.  The chains
+of a lattice sweep are stepped together, end to end in one pair of arrays,
+each wrapping on itself; observers get chains whose site arrays are views of
+the stepped state, taken on first access.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import schema, shapes
-from .dynamics import _rk4, _unchecked, n_steps
+from .dynamics import _march, _unchecked
 from .errors import ConfigError, NonFiniteError
 from .spectral import _integer_power
 
@@ -127,9 +128,10 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     """March the chain to t_end with RK4; last step shortened to land exactly.
 
     Observers see the initial chain and every stepped snapshot.  Raises
-    NonFiniteError when the state blows up to NaN/inf.  `chain` may also be a
-    sequence of chains at one time t, stepped together; observers then get,
-    and the call returns, a tuple of chains in input order.
+    NonFiniteError when the first RK4 stage of a step, or the state after
+    the last step, is not finite.  `chain` may also be a sequence of chains
+    at one time t, stepped together; observers then get, and the call
+    returns, a tuple of chains in input order.
     """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
@@ -144,33 +146,18 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         raise ConfigError("dt", "must be a number in integrate_chain, got None")
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
-    steps = n_steps(t_end - t, dt)
     sizes = [c.sites for c in chains]
     rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, _neighbours(sizes))
     ends = np.cumsum(sizes)
     spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
 
-    def notify(states):
-        for observer in observers:
-            observer(states if batch else states[0])
+    def snapshots(y, t):
+        return tuple(_unchecked(_ChainSnapshot, half_length=c.half_length, t=t, _y=y, _span=s)
+                     for c, s in zip(chains, spans))
 
-    states = chains
-    notify(states)
-    y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
-    stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    for i in range(steps):
-        last = i == steps - 1
-        step = (t_end - t) if last else dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs(y, t, acc)
-            y = _rk4(rhs, y, t, step, stage, k, acc)
-        t = t_end if last else t + step
-        if not np.all(np.isfinite(y)):
+    def check(_y, k1, t):
+        if not np.all(np.isfinite(k1)):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
-        if observers or last:
-            states = tuple(
-                _unchecked(_ChainSnapshot, half_length=c.half_length, t=t, _y=y, _span=s)
-                for c, s in zip(chains, spans)
-            )
-            notify(states)
-    return states if batch else states[0]
+
+    y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
+    return _march(rhs, y, t, t_end, dt, chains, snapshots, observers, check, batch)

@@ -16,7 +16,6 @@ from nlwaves import (
     ModelConfig,
     SweepConfig,
     breakdown_monitor,
-    cfl_dt,
     energy,
     fit_rate,
     initial_velocity,
@@ -29,6 +28,7 @@ from nlwaves import (
     sobolev_norm,
     zero_dispersion_sweep,
 )
+from nlwaves.dynamics import shared_dt
 from reference import rhs_fields
 
 TRI = Kernel("triangular")
@@ -291,7 +291,7 @@ def test_criterion_09_long_time_existence():
     cfg = ModelConfig(
         kernel=TRI,
         delta=1.0,
-        dt=cfl_dt(grid, TRI, 1.0),
+        dt=shared_dt(grid),
         t_end=10.0,  # 1/eps
         epsilon=0.1,
         n=1,
@@ -328,7 +328,7 @@ def test_criterion_10_parity_and_closed_forms():
         {"shape": "sine", "a": 0.3, "k": 2},        # odd
         grid,
     )
-    dt = cfl_dt(grid, TRI, 0.8)
+    dt = shared_dt(grid)
     cfg = ModelConfig(
         kernel=TRI, delta=0.8, dt=dt, t_end=100 * dt, epsilon=0.1, n=1
     )

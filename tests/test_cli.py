@@ -20,8 +20,10 @@ def write_config(tmp_path, **entries):
 
 def _bad_kernel_tables() -> dict:
     """Tables that break a kernel hypothesis, by test id: a non-finite entry
-    in either column, a negative value, b(0) = 2, and finite entries one ulp
-    either side of the grid frequency pi/10 whose slope overflows."""
+    in either column, a negative value, b(0) = 2, finite entries one ulp
+    either side of the grid frequency pi/10 whose slope overflows, and a
+    value above b(0) = 1, huge (its CFL step would be of order 1e-152) or
+    mild."""
     xi = np.linspace(0, 5, 50)
     good = np.column_stack([xi, 1.0 / (1.0 + xi**2)])
     tables = {}
@@ -36,6 +38,8 @@ def _bad_kernel_tables() -> dict:
     tables["slope-overflow"] = np.column_stack(
         [[0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0], [1.0, 1.0, 1e308, 0.0]]
     )
+    tables["value-1e300"] = np.array([[0.0, 1.0], [1.0, 1e300], [2.0, 0.0]])
+    tables["value-1.5"] = np.array([[0.0, 1.0], [1.0, 1.5], [2.0, 0.0]])
     return tables
 
 

@@ -18,13 +18,12 @@ from nlwaves import (
     NonFiniteError,
     State,
     breakdown_monitor,
-    cfl_dt,
     derivative,
     energy,
     integrate,
     make_initial,
 )
-from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier
+from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier, shared_dt
 from reference import apply_multiplier, dealiased_power, integrate_rows, monitor, rhs_fields
 
 TRI = Kernel("triangular")
@@ -164,7 +163,7 @@ class TestIntegrate:
         init = make_initial({"shape": "gaussian", "a": 0.8, "b": 4.0}, None, g)
         cfg = config(
             kernel=DIRAC, delta=None, epsilon=2.0, n=1,
-            dt=cfl_dt(g, DIRAC, None), t_end=3.0, breakdown_threshold=4.0,
+            dt=shared_dt(g), t_end=3.0, breakdown_threshold=4.0,
         )
         with pytest.raises(BreakdownError) as info:
             integrate(cfg, init)
@@ -300,11 +299,34 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             config(s=2.0)  # diagnostics demand s > 5/2
 
-    def test_cfl_dt_uses_max_wave_speed(self):
-        g = Grid(20.0, 256)
-        # classical speed is 1; nonlocal speeds are <= 1 for the built-ins
-        assert cfl_dt(g, DIRAC, None) == pytest.approx(0.25 * g.spacing)
-        assert cfl_dt(g, TRI, 0.5) >= 0.25 * g.spacing
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_length=st.floats(0.5, 50.0),
+        size=st.integers(4, 512).map(lambda m: 2 * m),
+        delta=st.floats(1e-3, 10.0),
+        variant=st.sampled_from(["dirac", "exponential", "triangular", "table"]),
+        b0=st.floats(1.0 - 9e-9, 1.0 + 9e-9),
+        gaps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_shared_dt_is_the_kernel_cfl_rule(self, half_length, size, delta, variant, b0,
+                                              gaps, data):
+        # the rule before kernels were bounded by b(0) = 1: the classical
+        # speed 1 and the fastest nonlocal wave speed sqrt(b(delta xi))
+        g = Grid(half_length, size)
+        if variant == "table":
+            rest = st.floats(0.0, 1.0 + 1e-8)
+            values = [b0, *data.draw(st.lists(rest, min_size=len(gaps), max_size=len(gaps)))]
+            kernel = Kernel.from_table(np.concatenate([[0.0], np.cumsum(gaps)]), values)
+        else:
+            kernel = Kernel(variant)
+        speed = float(np.max(kernel.scaled_sqrt_symbol(delta, g.freqs)))
+        old = 0.25 * g.spacing / max(1.0, speed)
+        if variant == "table":
+            assert abs(shared_dt(g) - old) <= 5e-9 * old
+        else:
+            assert shared_dt(g) == old
+        assert shared_dt(g, 0.0123) == 0.0123
 
 
 class TestParityPreservation:
@@ -421,7 +443,7 @@ class TestSpectralCoreParity:
     def test_integrate_matches_field_rk4(self, system, n, eps):
         kernel, delta = self.SYSTEMS[system]
         steps = 200
-        dt = 0.5 * cfl_dt(self.GRID, kernel, delta)
+        dt = 0.5 * shared_dt(self.GRID)
         cfg = config(kernel=kernel, delta=delta, epsilon=eps, n=n, dt=dt, t_end=steps * dt)
         init = make_initial(
             {"shape": "gaussian", "a": 0.5, "b": 2.0},
@@ -436,7 +458,7 @@ class TestSpectralCoreParity:
     def test_batched_rows_equal_single_runs(self):
         g = Grid(20.0, 256)
         init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, g)
-        dt = cfl_dt(g, TRI, None)
+        dt = shared_dt(g)
         configs = [
             config(delta=d, epsilon=0.1, n=1, dt=dt, t_end=60 * dt)
             for d in (None, 0.4, 0.2, 0.1)
@@ -458,7 +480,7 @@ class TestSpectralCoreParity:
         g = Grid(10.0, 256)
         init = make_initial({"shape": "gaussian", "a": 0.8, "b": 4.0}, None, g)
         configs = [
-            config(kernel=TRI, delta=d, epsilon=2.0, n=1, dt=cfl_dt(g, DIRAC, None),
+            config(kernel=TRI, delta=d, epsilon=2.0, n=1, dt=shared_dt(g),
                    t_end=3.0, breakdown_threshold=4.0)
             for d in (0.2, 0.1, None)
         ]
@@ -523,7 +545,7 @@ class TestInPlaceStep:
         "deltas", [(0.7,), (None, 0.4, 0.2, 0.1, 0.05)], ids=["single", "batch"]
     )
     def test_integrate_matches_allocating_step(self, deltas, n, eps):
-        dt = 0.5 * cfl_dt(self.GRID, TRI, None)
+        dt = 0.5 * shared_dt(self.GRID)
         configs = [config(delta=d, epsilon=eps, n=n, dt=dt, t_end=50 * dt) for d in deltas]
         init = self.initial()
         out = integrate(configs, init) if len(configs) > 1 else (integrate(configs[0], init),)
@@ -575,7 +597,7 @@ class TestMonitorGate:
     def test_integrate_matches_the_exact_monitor_loop(self, rows, n, eps, where):
         init = self.initial()
         deltas = (0.5,) if rows == 1 else (None, 0.5, 0.2)
-        dt = cfl_dt(self.GRID, DIRAC, None)
+        dt = shared_dt(self.GRID)
         configs = [
             config(delta=d, epsilon=eps, n=n, dt=dt, t_end=40 * dt, breakdown_threshold=np.inf)
             for d in deltas

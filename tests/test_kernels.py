@@ -232,11 +232,15 @@ class TestTableKernel:
                 Kernel.from_table([0.0, 1.0], [b0, 0.5])
 
     def test_overflowing_slope_rejected(self):
-        # finite entries one ulp apart whose slope overflows
-        xi1 = np.pi / 10.0
-        xi = [0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0]
-        with pytest.raises(InvalidSpecError, match="slope overflows"):
-            Kernel.from_table(xi, [1.0, 1.0, 1e308, 0.0])
+        # values in [0, 1] whose slope overflows over the smallest subnormal gap
+        with pytest.raises(InvalidSpecError, match="slope overflows after xi = 0"):
+            Kernel.from_table([0.0, 5e-324, 1.0], [1.0, 0.0, 0.0])
+
+    def test_value_above_b0_rejected(self):
+        Kernel.from_table([0.0, 1.0, 2.0], [1.0, 1.0 + 1e-8, 0.0])
+        for peak in (1.0 + 2e-8, 1.5, 1e300):
+            with pytest.raises(InvalidSpecError, match="exceeds b\\(0\\) = 1"):
+                Kernel.from_table([0.0, 1.0, 2.0], [1.0, peak, 0.0])
 
     @pytest.mark.parametrize("text", ["", "# header only\n", "0 1\n"])
     def test_short_file_names_too_few_rows(self, tmp_path, text):
@@ -250,11 +254,11 @@ class TestTableKernel:
 
 @st.composite
 def tables(draw):
-    """A table that passes construction: ascending xi >= 0 and nonnegative
-    values, zeros included, with b(0) within 1e-8 of 1."""
+    """A table that passes construction: ascending xi >= 0 and values in
+    [0, 1], zeros included, with b(0) within 1e-8 of 1."""
     gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
     xi = draw(st.floats(0.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
-    rest = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    rest = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
     values = [1.0 + draw(st.floats(-9e-9, 9e-9))] + draw(
         st.lists(rest, min_size=len(gaps), max_size=len(gaps))
     )
@@ -271,7 +275,7 @@ class TestTableHypotheses:
         xs = np.concatenate([probe, xi, np.nextafter(xi, 0.0), np.nextafter(xi, np.inf)])
         vals = k.symbol(xs)
         assert np.isfinite(vals).all()
-        assert (vals >= 0.0).all()
+        assert (vals >= 0.0).all() and (vals <= 1.0 + 1e-8).all()
         assert np.array_equal(vals, k.symbol(-xs))
         assert abs(k.symbol(0.0) - 1.0) <= 1e-8
         assert np.isfinite(k.sqrt_symbol(xs)).all()
@@ -280,11 +284,15 @@ class TestTableHypotheses:
     @given(table=tables(), data=st.data())
     def test_table_breaking_a_hypothesis_rejected(self, table, data):
         xi, values = table
-        if data.draw(st.booleans(), label="negative entry"):
-            values[data.draw(st.integers(0, len(values) - 1))] = -data.draw(st.floats(1e-300, 1e6))
-        else:
+        broken = data.draw(st.sampled_from(["negative entry", "b(0) off", "above b(0)"]))
+        entry = data.draw(st.integers(0, len(values) - 1))
+        if broken == "negative entry":
+            values[entry] = -data.draw(st.floats(1e-300, 1e6))
+        elif broken == "b(0) off":
             values[0] = 1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
                 st.floats(2e-8, 1e3)
             )
+        else:
+            values[entry] = 1.0 + data.draw(st.floats(2e-8, 1e300))
         with pytest.raises(InvalidSpecError):
             Kernel.from_table(xi, values)

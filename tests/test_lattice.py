@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import (
@@ -216,6 +216,43 @@ class TestIntegrateChain:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError):
                 integrate_chain(chain, 1.0, 1, 0.1, 1.0)
+
+    def test_first_stage_overflow_raises_at_its_time(self):
+        # the strain's power overflows in the first stage of the first step
+        chain = make_chain({"shape": "gaussian", "a": 1e154, "b": 2.0},
+                           {"shape": "sine", "a": 1e154, "k": 1}, 20.0, 64)
+        seen = []
+        with pytest.raises(NonFiniteError, match=r"at t=0$"):
+            integrate_chain(chain, 1.0, 1, 0.1, 1.0, observers=(lambda c: seen.append(c.t),))
+        assert seen == [0.0]
+
+
+class TestSharedTimeGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dt=st.floats(1e-2, 1.0),
+        t_end=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        start=st.sampled_from([0.0, 0.3]),
+    )
+    @example(dt=0.1, t_end=0.0, start=0.0)
+    @example(dt=0.1, t_end=0.35, start=0.0)
+    @example(dt=0.25, t_end=1.0, start=0.0)
+    def test_integrators_observe_the_same_times(self, dt, t_end, start):
+        # lattice_sweep pairs the chain with the classical run at equal times
+        assume(t_end >= start)
+        grid = Grid(np.pi, 16)
+        u0, v0 = trig_data([0.1, 0.0, 0.05, 0.0, 0.0, 0.02]), trig_data([0.0] * 6)
+        initial = make_initial(u0, v0, grid)
+        initial = type(initial)(initial.u, initial.v, start)
+        chain = make_chain(u0, v0, np.pi, 16)
+        chain = Chain(chain.half_length, chain.strain, chain.velocity, start)
+        cfg = ModelConfig(kernel=Kernel("dirac"), delta=None, dt=dt, t_end=t_end, epsilon=0.1)
+        spectral, lattice = [], []
+        integrate(cfg, initial, observers=(lambda s: spectral.append(s.t),))
+        integrate_chain(chain, 0.1, 1, dt, t_end, observers=(lambda c: lattice.append(c.t),))
+        assert spectral == lattice
+        # a span below the step count's rounding (1e-9 dt) takes no step
+        assert spectral[0] == start and (spectral[-1] == t_end or t_end - start <= 1e-9 * dt)
 
 
 class TestBatchedChains:

@@ -7,7 +7,9 @@ three perfbench workload configs (``perfbench/workloads.make_config``) for
 seeds 0-9 with the program of REV and with the program of the working tree.
 Each seed also runs the simulate-n256 config with breakdown_threshold 1.0,
 which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
-decides it.  It requires equal exit codes (0 or 2), compares summary.json
+decides it, and the sweep-dispersion-n2048 config with a table kernel: the
+exponential symbol sampled into a file that is written once into the
+temporary directory and read by both sides.  It requires equal exit codes (0 or 2), compares summary.json
 and every CSV byte for byte, prints how many files differ and the largest
 relative difference between their numbers (in a CSV, relative to the
 column's peak), and exits 1 on any difference.
@@ -33,16 +35,29 @@ import workloads  # noqa: E402
 
 SEEDS = range(10)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
-#: label -> (workload, config entries changed): every workload as it is, and
-#: simulate-n256 with a threshold that its initial data reaches
-RUNS = {name: (name, {}) for name in workloads.WORKLOADS}
-RUNS["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0})
 
 
-def run(src: Path, label: str, seed: int, work: Path) -> tuple[int, Path]:
-    """Run one labelled config with the program in `src`; returns its exit code
-    (0, or 2 for a breakdown) and its output directory."""
-    name, changes = RUNS[label]
+def runs(table: Path) -> dict:
+    """label -> (workload, config entries changed): every workload as it is,
+    simulate-n256 with a threshold that its initial data reaches, and
+    sweep-dispersion-n2048 with the kernel table file `table`."""
+    labelled = {name: (name, {}) for name in workloads.WORKLOADS}
+    labelled["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0})
+    labelled["sweep-dispersion-n2048-table"] = ("sweep-dispersion-n2048", {"kernel": str(table)})
+    return labelled
+
+
+def exponential_table() -> str:
+    """The exponential kernel's symbol 1/(1+xi^2) at xi = 0, 0.01, ..., 80, as
+    a kernel table file; the sweep's delta * xi stays below 65."""
+    xi = [i / 100.0 for i in range(8001)]
+    return "".join(f"{x!r} {1.0 / (1.0 + x * x)!r}\n" for x in xi)
+
+
+def run(src: Path, name: str, changes: dict, seed: int, work: Path) -> tuple[int, Path]:
+    """Run workload `name` with the config entries `changes` and the program
+    in `src`; returns its exit code (0, or 2 for a breakdown) and its output
+    directory."""
     work.mkdir(parents=True)
     config = work / "config.json"
     config.write_text(json.dumps({**workloads.make_config(name, seed), **changes}))
@@ -100,11 +115,13 @@ def main() -> int:
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(checkout, filter="data")
-        for label in RUNS:
+        table = Path(tmp) / "exponential_table.txt"
+        table.write_text(exponential_table())
+        for label, (name, changes) in runs(table).items():
             for seed in SEEDS:
                 work = Path(tmp) / label / str(seed)
-                code_a, before = run(checkout / "src", label, seed, work / "a")
-                code_b, after = run(ROOT / "src", label, seed, work / "b")
+                code_a, before = run(checkout / "src", name, changes, seed, work / "a")
+                code_b, after = run(ROOT / "src", name, changes, seed, work / "b")
                 if code_a != code_b:
                     exits_differing += 1
                     print(f"{label} seed {seed}: exit {code_a} at REV, {code_b} here")
