@@ -12,14 +12,15 @@ right-hand side is written in the same conservative form so a delta-sweep
 isolates the kernel effect alone.
 
 `integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
-right-hand side is then (M v^, M (u + g(u))^) with the fused multiplier
-M = i xi sqrt(b(delta xi)) built once per call, so a stage costs one padded
-transform pair for the power and none when eps = 0.  Before each step the
-breakdown monitor is bounded from the coefficients u^, the first RK4 stage
-and |xi| u^, with no transform; the exact monitor, one inverse transform of
-all rows, runs only when the bound reaches the threshold, so every breakdown
-decision is the exact monitor's.  Runs that differ only in delta are rows of
-one array and share every transform.
+right-hand side is then M (v^, u^) + (0, M g(u)^) with the fused multiplier
+M = i xi sqrt(b(delta xi)) built once per call.  A stage is one multiply of M
+by the swapped pair, plus, when eps != 0, one padded transform pair for the
+power and one multiply-add by eps^n M times the padding's scale.  Before each
+step the breakdown monitor is bounded from the coefficients u^, the first RK4
+stage and |xi| u^, with no transform; the exact monitor, one inverse
+transform of all rows, runs only when the bound reaches the threshold, so
+every breakdown decision is the exact monitor's.  Runs that differ only in
+delta are rows of one array and share every transform.
 
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
@@ -45,9 +46,9 @@ from .spectral import (
     Field,
     Grid,
     _integer_power,
+    _padded_size,
     dealiased_power_rfft,
     power_buffers,
-    sobolev_scale,
 )
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
@@ -116,8 +117,8 @@ def shared_dt(grid: Grid, dt: float | None = None) -> float:
 
 
 def n_steps(span: float, dt: float) -> int:
-    """RK4 steps that cover `span`; the last one may be shorter than dt."""
-    return int(np.ceil(span / dt - _STEP_ROUNDING)) if span > 0 else 0
+    """RK4 steps that cover `span`, one at least if span > 0; the last may be shorter than dt."""
+    return max(1, int(np.ceil(span / dt - _STEP_ROUNDING))) if span > 0 else 0
 
 
 # --- spectral-state core ----------------------------------------------------
@@ -142,21 +143,23 @@ def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """y -> (M y[1], M (y[0] + eps^n y[0]^(n+1))^) for (2, *shape) coefficient arrays.
 
-    The returned rhs(y, t, out) writes into `out`; its dealiasing buffers are
-    allocated here, once.
+    The returned rhs(y, t, out) writes into `out`; its dealiasing buffers and
+    the multiplier eps^n (P/N)^n M of the unscaled power are built here, once.
+    M zeroes the Nyquist bin, which the power leaves out.
     """
     coef = cfg.nonlinear_coefficient
-    power = cfg.n + 1
-    buffers = None if coef == 0.0 else power_buffers(shape, size, power)
+    if coef == 0.0:
+        return lambda y, _t, out: np.multiply(multiplier, y[::-1], out=out)
+    power, half = cfg.n + 1, size // 2
+    buffers = power_buffers(shape, size, power)
+    m_nl = coef * (_padded_size(size, power) / size) ** cfg.n * multiplier[..., :half]
 
     def rhs(y, _t, out):
-        np.multiply(multiplier, y[1], out=out[0])
-        stress = y[0]
-        if coef != 0.0:
-            stress = dealiased_power_rfft(y[0], size, power, buffers)
-            np.multiply(coef, stress, out=stress)
-            np.add(y[0], stress, out=stress)
-        np.multiply(multiplier, stress, out=out[1])
+        np.multiply(multiplier, y[::-1], out=out)
+        stress = dealiased_power_rfft(y[0], power, buffers)
+        np.multiply(m_nl, stress, out=stress)
+        head = out[1, ..., :half]
+        np.add(head, stress, out=head)
 
     return rhs
 
@@ -292,8 +295,8 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
         raise HyperbolicityError(
             f"1 + g'(u) reaches {np.min(one_plus_w):.3e} <= 0 at t={state.t:.6g}"
         )
-    lu = sobolev_scale(state.u, order).samples
-    lv = sobolev_scale(state.v, order).samples
+    scale = (1.0 + state.grid.rfreqs**2) ** (order / 2.0)  # as in `spectral.sobolev_scale`
+    lu, lv = np.fft.irfft(scale * _coefficients(state), n=state.grid.size)
     h = state.grid.spacing
     # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
     e = np.frexp(max(np.max(np.abs(lu)), np.max(np.abs(lv))))[1]

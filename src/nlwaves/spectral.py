@@ -167,46 +167,43 @@ def _padded_size(n: int, power: int) -> int:
     return padded + padded % 2
 
 
-def power_buffers(shape, n: int, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work buffers of `dealiased_power_rfft` for coefficients of `shape`: the
-    padded spectrum (zero above n/2, which no call writes), the padded samples
-    and the padded spectrum of their power."""
+def power_buffers(shape, n: int, power: int) -> tuple[np.ndarray, ...]:
+    """Work buffers of `dealiased_power_rfft` for the coefficients, of `shape`,
+    of an n-point field, and the views a call writes: weights [1, ..., 1, 1/2];
+    the padded spectrum (zero above n/2, never written) and its first n/2 + 1
+    bins; the padded samples; P reals of their power's padded spectrum, free for
+    partial products until rfft writes it; that spectrum; its first n/2 bins."""
     padded = _padded_size(n, power)
-    spectra = (*shape[:-1], padded // 2 + 1)
-    return np.zeros(spectra, complex), np.empty((*shape[:-1], padded)), np.empty(spectra, complex)
+    spectra, half = (*shape[:-1], padded // 2 + 1), n // 2
+    fine, spec = np.zeros(spectra, complex), np.empty(spectra, complex)
+    return (np.append(np.ones(half), 0.5), fine, fine[..., : half + 1],
+            np.empty((*shape[:-1], padded)), spec.view(float)[..., :padded], spec, spec[..., :half])
 
 
-def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, buffers) -> np.ndarray:
-    """Pointwise integer power of an n-point field, computed without aliasing.
+def dealiased_power_rfft(coeffs: np.ndarray, power: int, buffers) -> np.ndarray:
+    """Pointwise integer power of an n-point field (n as in `buffers`), computed
+    without aliasing, times (n/P)^(power-1); bins 0 .. n/2 - 1 only.
 
     `coeffs` holds real-FFT coefficients of shape (..., n/2 + 1); every
-    leading row is transformed in the same call.  The product is evaluated on
-    a zero-padded grid of at least (power+1)/2 * n points and truncated back,
-    which removes aliasing of a degree-`power` product exactly.  The power
-    itself is the repeated product of `_integer_power`.  The coarse Nyquist
-    coefficient is split evenly between the +/- n/2 modes of the padded grid
-    (the real part of the full-spectrum product), and the result folds both
-    back into one bin.
+    leading row is transformed in the same call.  `_integer_power` takes the
+    power on a zero-padded grid of P = `_padded_size(n, power)` >= (power+1)/2
+    * n points, truncated back, which removes aliasing of a degree-`power`
+    product exactly.  The last weight splits the coarse Nyquist coefficient
+    evenly between the +/- n/2 modes of the padded grid (the real part of the
+    full-spectrum product).  Neither transform is rescaled: the caller folds
+    (P/n)^(power-1) into its multiplier, which zeroes the left-out Nyquist bin.
 
     The work happens in `buffers` from `power_buffers`, and the result is a
     view into them, valid until the next call with the same buffers.  It
-    sets no `np.errstate`: its one caller, the right-hand side that
-    `dynamics._spectral_rhs` builds, runs inside `dynamics.integrate`'s step
-    loop, which holds one that lets overflow pass silently.
+    sets no `np.errstate`: its one caller, the right-hand side of
+    `dynamics._spectral_rhs`, runs in `dynamics._march`, which lets overflow pass.
     """
-    half = n // 2
-    padded = _padded_size(n, power)
-    fine, product, spec = buffers
-    fine[..., :half] = coeffs[..., :half]
-    np.multiply(0.5, coeffs[..., half], out=fine[..., half])
-    np.fft.irfft(fine, n=padded, out=product)
-    np.multiply(product, padded / n, out=product)
-    # the padded spectrum is free until rfft writes it: its reals hold the partial products
-    _integer_power(product, power, out=product, scratch=spec.view(float)[..., :padded])
+    weights, fine, head, product, scratch, spec, result = buffers
+    np.multiply(coeffs, weights, out=head)
+    np.fft.irfft(fine, n=product.shape[-1], out=product)
+    _integer_power(product, power, out=product, scratch=scratch)
     np.fft.rfft(product, out=spec)
-    out = np.multiply(spec[..., : half + 1], n / padded, out=spec[..., : half + 1])
-    out[..., half] = 2.0 * out[..., half].real
-    return out
+    return result
 
 
 def write_field_csv(f: Field, path) -> None:

@@ -11,7 +11,10 @@ and an adapter onto the production core.
 - `dealiased_power_rfft`, `_spectral_rhs`, `_rk4` and `_chain_rhs` are the
   allocating versions that the in-place core replaced, kept verbatim except
   for their integer powers, which are spelled out as the left-to-right
-  product x*x*...*x that the core computes in place of numpy's `**`.
+  product x*x*...*x that the core computes in place of numpy's `**`, and
+  for the spectral right-hand side's arithmetic, which follows the core's:
+  the power is left unscaled and without its Nyquist bin, and its scale
+  (P/N)^n and eps^n are folded into one multiplier.
   `integrate_rows` and `integrate_chains` step them in the loops the
   integrators used, so a test can require equal bits from the in-place step.
   `integrate_rows` also evaluates the exact breakdown monitor before every
@@ -88,37 +91,38 @@ def dealiased_power(f: Field, power: int) -> Field:
 
 
 def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
-    """`dealiased_power` on real-FFT coefficients of an n-point field.
+    """`dealiased_power` on real-FFT coefficients of an n-point field, times
+    (n/P)^(power-1) and without the Nyquist bin, as `spectral.dealiased_power_rfft`.
 
     `coeffs` has shape (..., n/2 + 1); every leading row is transformed in
     the same call.  The coarse Nyquist coefficient is split evenly between
     the +/- n/2 modes of the padded grid, which reproduces the real part that
-    `dealiased_power` takes, and the result folds both back into one bin.
+    `dealiased_power` takes.
     """
     half = n // 2
     padded = _padded_size(n, power)
     fine = np.zeros(coeffs.shape[:-1] + (padded // 2 + 1,), dtype=complex)
-    fine[..., :half] = coeffs[..., :half]
-    fine[..., half] = 0.5 * coeffs[..., half]
+    fine[..., : half + 1] = coeffs * np.append(np.ones(half), 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.irfft(fine, n=padded) * (padded / n)
+        samples = np.fft.irfft(fine, n=padded)
         product = samples
         for _ in range(power - 1):
             product = product * samples
-        fine_spec = np.fft.rfft(product) * (n / padded)
-    out = fine_spec[..., : half + 1]
-    out[..., half] = 2.0 * out[..., half].real
-    return out
+        return np.fft.rfft(product)[..., :half]
 
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
-    """(u^, v^) -> (M v^, M (u + eps^n u^(n+1))^) for coefficient arrays."""
+    """(u^, v^) -> (M v^, M u^ + eps^n M u^(n+1)^) for coefficient arrays, the
+    power's padding scale (P/N)^n folded into its multiplier."""
     coef = cfg.nonlinear_coefficient
-    power = cfg.n + 1
+    power, half = cfg.n + 1, size // 2
+    m_nl = coef * (_padded_size(size, power) / size) ** cfg.n * multiplier[..., :half]
 
     def rhs(u, v, _t=None):
-        stress = u if coef == 0.0 else u + coef * dealiased_power_rfft(u, size, power)
-        return multiplier * v, multiplier * stress
+        du, dv = multiplier * v, multiplier * u
+        if coef != 0.0:
+            dv[..., :half] = dv[..., :half] + m_nl * dealiased_power_rfft(u, size, power)
+        return du, dv
 
     return rhs
 

@@ -23,7 +23,14 @@ from nlwaves import (
     integrate,
     make_initial,
 )
-from nlwaves.dynamics import _monitor, _monitor_bound, _multiplier, shared_dt
+from nlwaves.dynamics import (
+    _coefficients,
+    _monitor,
+    _monitor_bound,
+    _multiplier,
+    _spectral_rhs,
+    shared_dt,
+)
 from reference import apply_multiplier, dealiased_power, integrate_rows, monitor, rhs_fields
 
 TRI = Kernel("triangular")
@@ -98,6 +105,37 @@ class TestClassicalRhs:
             du_b, dv_b = rhs_fields(st, cfg_cl)
             assert np.max(np.abs(du_a.samples - du_b.samples)) < 1e-13
             assert np.max(np.abs(dv_a.samples - dv_b.samples)) < 1e-13
+
+
+class TestSpectralRhsTransforms:
+    """One right-hand-side call makes one padded transform pair when eps > 0,
+    none when eps = 0, and leaves the Nyquist bin of both derivatives at 0."""
+
+    GRID = Grid(10.0, 64)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_one_transform_pair_per_call(self, monkeypatch, eps, n, rows):
+        deltas = (None, 0.4, 0.2, 0.1, 0.05)[:rows]
+        multiplier = np.stack([_multiplier(self.GRID, TRI, d) for d in deltas])
+        u0, v0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}, {"shape": "sine", "a": 0.3, "k": 2}
+        y = np.repeat(_coefficients(make_initial(u0, v0, self.GRID))[:, None], rows, axis=1)
+        y[..., -1] = 0.1 + 0.2j  # a Nyquist bin that the derivatives must not see
+        rhs = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size, y.shape[1:])
+        calls = {"irfft": 0, "rfft": 0}
+        for name in calls:
+            def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        out = np.full_like(y, np.nan)
+        rhs(y, 0.0, out)
+        pairs = 1 if eps > 0.0 else 0
+        assert calls == {"irfft": pairs, "rfft": pairs}
+        assert np.all(out[..., -1] == 0.0)
+        assert np.all(np.isfinite(out))
 
 
 class TestRk4Step:
