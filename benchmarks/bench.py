@@ -2,15 +2,21 @@
 
     python3 benchmarks/bench.py [--out BENCH_layers.json]
 
-Times one right-hand-side call (the closure `dynamics._spectral_rhs` builds)
-and one step of a whole `integrate` call, at N in {256, 2048}, rows in
-{1, 5} and eps in {0, 0.1}: triangular kernel, n = 1, L = 20, dt = 0.25 h,
-Gaussian strain.  A row is one run; five rows are the deltas of one batched
-sweep, stepped together.  A repeat times a batch of calls or steps with
-`time.perf_counter` and divides by the batch size; each result is the median
-and interquartile range over the repeats, in ms.  The file also records the
-grid, rows, repeats, numpy version, CPU count and git commit.  For the
-end-to-end CLI workloads see perfbench/.
+Times one right-hand-side call (the closure `dynamics._spectral_rhs` builds,
+under the numpy settings with which `dynamics._march` steps it) and one step
+of a whole `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in
+{0, 0.1}: triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A
+row is one run; five rows are the deltas of one batched sweep, stepped
+together.  It also times one diagnostic sample as each command takes it from
+the stepped arrays: `simulate`'s energy, monitor and |u|_inf at N=256 (one
+row, eps 0.1), the dispersion sweep's errors at N=2048 (five rows: the
+classical run and four deltas), and the lattice sweep's classical (u, u_t)
+and the errors of the four chains of deltas h * {8, 4, 2, 1} at N=2048.  A
+repeat times a batch of calls, steps or samples with `time.perf_counter` and
+divides by the batch size; each result is the median and interquartile range
+over the repeats, in ms.  The file also records the grid, rows, repeats,
+numpy version, CPU count and git commit.  For the end-to-end CLI workloads
+see perfbench/.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -31,7 +38,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from nlwaves import Grid, Kernel, ModelConfig, integrate, make_initial  # noqa: E402
+from nlwaves import convergence, dynamics, lattice  # noqa: E402
 from nlwaves.dynamics import _coefficients, _multiplier, _spectral_rhs, shared_dt  # noqa: E402
+from nlwaves.spectral import norm_weights  # noqa: E402
 
 SIZES = (256, 2048)
 ROWS = (1, 5)
@@ -43,6 +52,8 @@ U0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
 REPEATS = 7
 RHS_CALLS = 200  # right-hand-side calls per repeat
 STEPS = 200  # steps of the integrate call of one repeat
+SAMPLES = 200  # diagnostic samples per repeat
+CHAIN_STRIDES = (8, 4, 2, 1)  # the lattice sweep's deltas, in grid spacings
 
 
 def summary(seconds: list[float]) -> dict:
@@ -51,19 +62,27 @@ def summary(seconds: list[float]) -> dict:
     return {"median_ms": statistics.median(ms), "iqr_ms": q3 - q1, "samples_ms": ms}
 
 
+def repeat(call, batch: int) -> list[float]:
+    """Seconds per call of call(), one entry per repeat of `batch` calls, after a warm-up."""
+    call()
+    seconds = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        for _ in range(batch):
+            call()
+        seconds.append((perf_counter() - start) / batch)
+    return seconds
+
+
 def time_rhs(grid: Grid, configs, init) -> list[float]:
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
     out = np.empty_like(y)
     rhs = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
-    rhs(y, 0.0, out)  # warm-up
-    seconds = []
-    for _ in range(REPEATS):
-        start = perf_counter()
-        for _ in range(RHS_CALLS):
-            rhs(y, 0.0, out)
-        seconds.append((perf_counter() - start) / RHS_CALLS)
-    return seconds
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(configs) > 1:  # as `dynamics._march` steps a state of several rows
+            np.setbufsize(dynamics._STAGE_BUFSIZE)
+        return repeat(lambda: rhs(y, 0.0, out), RHS_CALLS)
 
 
 def time_step(configs, init) -> list[float]:
@@ -77,6 +96,51 @@ def time_step(configs, init) -> list[float]:
     return seconds
 
 
+def stepped(configs, init, steps: int = 20) -> np.ndarray:
+    """The coefficients that `integrate` holds after `steps` steps of the configs."""
+    held = []
+    integrate([replace(c, t_end=steps * c.dt) for c in configs], init,
+              probe=lambda y, _t: held.append(y))
+    return held[-1]
+
+
+def time_samples(kernel: Kernel) -> list[dict]:
+    """One diagnostic sample of each command, as its probe takes it."""
+    cases = []
+    grid = Grid(HALF_LENGTH, 256)
+    cfg = ModelConfig(kernel=kernel, delta=DELTAS[0], dt=shared_dt(grid), t_end=0.0,
+                      epsilon=0.1, n=1)
+    y = stepped([cfg], make_initial(U0, None, grid))
+    take = dynamics._sampler(cfg, grid)
+    cases.append(({"layer": "simulate_sample", "grid_n": 256, "rows": 1, "epsilon": 0.1},
+                  repeat(lambda: take(y, 0.0), SAMPLES)))
+
+    grid = Grid(HALF_LENGTH, 2048)
+    init = make_initial(U0, None, grid)
+    configs = [ModelConfig(kernel=kernel, delta=d, dt=shared_dt(grid), t_end=0.0, epsilon=0.1,
+                           n=1) for d in (None, *DELTAS[:4])]
+    y = stepped(configs, init)
+    weights = norm_weights(grid, 2.0)
+    cases.append(({"layer": "dispersion_errors", "grid_n": 2048, "rows": 5, "epsilon": 0.1},
+                  repeat(lambda: convergence._dispersion_errors(y, weights), SAMPLES)))
+
+    y = stepped(configs[:1], init)
+    ddx = _multiplier(grid, None, None)
+    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s, s) for s in CHAIN_STRIDES]
+    sites = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
+    ends = np.cumsum([c.sites for c in chains])
+    spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
+    chain_weights = [norm_weights(Grid(HALF_LENGTH, c.sites), 2.0) for c in chains]
+
+    def lattice_sample():
+        classical = convergence._strain_and_rate(y, ddx, grid.size)
+        return convergence._chain_errors(sites, classical, spans, CHAIN_STRIDES, chain_weights)
+
+    cases.append(({"layer": "lattice_errors", "grid_n": 2048, "rows": len(chains),
+                   "epsilon": 0.1}, repeat(lattice_sample, SAMPLES)))
+    return cases
+
+
 def git_commit() -> str | None:
     try:
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -86,6 +150,11 @@ def git_commit() -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return head + ("+dirty" if dirty else "")
+
+
+def report(result: dict) -> None:
+    print(f"{result['layer']:17s} N={result['grid_n']:5d} rows={result['rows']} "
+          f"eps={result['epsilon']:<4g} {result['median_ms']:.4f} ms (IQR {result['iqr_ms']:.4f})")
 
 
 def main(argv=None) -> int:
@@ -112,8 +181,10 @@ def main(argv=None) -> int:
                 }
                 for layer, (batch, seconds) in timings.items():
                     results.append({"layer": layer, **case, "batch": batch, **summary(seconds)})
-                    print(f"{layer:15s} N={size:5d} rows={rows} eps={eps:<4g} "
-                          f"{results[-1]['median_ms']:.4f} ms (IQR {results[-1]['iqr_ms']:.4f})")
+                    report(results[-1])
+    for case, seconds in time_samples(Kernel(KERNEL)):
+        results.append({**case, "batch": SAMPLES, **summary(seconds)})
+        report(results[-1])
     record = {
         "commit": git_commit(),
         "numpy": np.__version__,
@@ -121,7 +192,8 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "repeats": REPEATS,
         "setup": {"kernel": KERNEL, "n": 1, "grid_l": HALF_LENGTH, "dt": "0.25 h", "u0": U0,
-                  "deltas": list(DELTAS)},
+                  "deltas": list(DELTAS), "sample_s": 3.0, "sampled_after_steps": 20,
+                  "chain_strides": list(CHAIN_STRIDES)},
         "results": results,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -43,9 +43,7 @@ from .lattice import (
 from .spectral import (
     Field,
     Grid,
-    derivative,
     sobolev_norm,
-    sobolev_scale,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __all__ = [
     "State",
     "SweepConfig",
     "breakdown_monitor",
-    "derivative",
     "energy",
     "fit_rate",
     "initial_velocity",
@@ -81,6 +78,5 @@ __all__ = [
     "make_initial",
     "operator_error",
     "sobolev_norm",
-    "sobolev_scale",
     "zero_dispersion_sweep",
 ]

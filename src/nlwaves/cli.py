@@ -143,11 +143,13 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         u_linf = float(np.max(np.abs(state.u.samples)))
         return dynamics.energy(state, mc), dynamics.breakdown_monitor(state, mc), u_linf
 
-    recorder = dynamics._Recorder(cfg["sample_stride"], dynamics.n_steps(mc.t_end, dt), sample)
-    observers = (recorder,) if cfg["emit_timeseries"] else ()
+    recorder = None
+    if cfg["emit_timeseries"]:  # the first row from the initial samples, as the final one
+        recorder = dynamics._Recorder(cfg["sample_stride"], dynamics.n_steps(mc.t_end, dt),
+                                      dynamics._sampler(mc, grid), lambda _y, _t: sample(initial))
     breakdown = None
     try:
-        final = dynamics.integrate(mc, initial, observers=observers)
+        final = dynamics.integrate(mc, initial, probe=recorder)
     except BreakdownError as exc:
         breakdown = exc
         final = None
@@ -187,7 +189,6 @@ def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepCon
         kernel=kernel,
         deltas=tuple(cfg["delta_list"]),
         grid=grid,
-        theta_expected=cfg["theta"],
         dt=cfg["dt"],
         u0=cfg["u0"],
         v0=cfg["v0"],

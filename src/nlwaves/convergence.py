@@ -12,6 +12,14 @@ Three studies, one per quantitative claim:
 
 Both runs of a pair share grid, dt, and dealiasing so discretization error
 cancels to leading order in the difference.
+
+Every error is one Sobolev norm, taken over real-FFT coefficients
+(`spectral.coefficient_norm`); a sweep builds its weights once per grid.
+The sweeps read the integrators' arrays through their probe (see
+`dynamics._march`) and build no snapshot between samples: the dispersion
+error is the norm of the coefficient differences, with no transform; the
+lattice sweep keeps the classical (u, u_t) from one inverse transform per
+sample and takes one forward transform of each chain's differences.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 from . import dynamics, lattice, schema
 from .errors import AlignmentError, ConfigError, DegenerateDataError, DegenerateFitError
 from .kernels import Kernel
-from .spectral import Field, Grid, derivative, sobolev_norm, spectrum_norm
+from .spectral import Field, Grid, coefficient_norm, norm_weights
 
 #: errors below this are treated as exact zeros and excluded from log fits
 ZERO_ERROR_FLOOR = 1e-14
@@ -40,7 +48,7 @@ class RateFit:
 
 
 #: config-file keys of the SweepConfig fields not named as in the config
-_CONFIG_KEYS = {"deltas": "delta_list", "theta_expected": "theta"}
+_CONFIG_KEYS = {"deltas": "delta_list"}
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,6 @@ class SweepConfig:
     epsilon: float = 0.1
     n: int = 1
     s: float = 3.0
-    theta_expected: float = 2.0
     dt: float | None = None
     u0: object = None
     v0: object = None
@@ -129,13 +136,13 @@ def operator_error(
     approaches theta only once delta * xi, at the frequencies that carry v,
     lies in the Taylor regime of sqrt(b) (see Kernel.taylor_deviation).
     """
-    spec = v.spectrum
-    reference = spectrum_norm(v.grid, spec, s + theta)
+    coeffs = np.fft.rfft(v.samples)
+    reference = float(coefficient_norm(coeffs, norm_weights(v.grid, s + theta)))
     if reference == 0.0:
         raise DegenerateDataError("field has zero norm; bound ratio undefined")
     # (Kd - I) v as one multiplier, so a symbol equal to 1 gives exactly 0
-    symbol = kernel.scaled_sqrt_symbol(delta, v.grid.freqs)
-    err = spectrum_norm(v.grid, (symbol - 1.0) * spec, s)
+    symbol = kernel.scaled_sqrt_symbol(delta, v.grid.rfreqs)
+    err = float(coefficient_norm((symbol - 1.0) * coeffs, norm_weights(v.grid, s)))
     return err, err / (delta**theta * reference)
 
 
@@ -152,30 +159,52 @@ def _model_config(cfg: SweepConfig, delta: float | None, dt: float) -> dynamics.
     )
 
 
+def _dispersion_errors(y: np.ndarray, weights: np.ndarray) -> tuple[float, ...]:
+    """|u_d - u| + |v_d - v| for the runs in rows 1.. of the coefficients y
+    against the classical run in row 0, in the norm of `weights`."""
+    norms = coefficient_norm(y[:, 1:] - y[:, :1], weights)
+    return tuple(float(e) for e in norms[0] + norms[1])
+
+
+def _strain_and_rate(y: np.ndarray, ddx: np.ndarray, size: int, u=None) -> np.ndarray:
+    """Samples of the classical strain u and strain rate u_t = v_x of the
+    first run of the coefficients y, from one inverse transform; the strain
+    samples `u`, if given, stand for the transformed ones."""
+    samples = np.fft.irfft(np.stack([y[0, 0], ddx * y[1, 0]]), n=size)
+    if u is not None:
+        samples[0] = u
+    return samples
+
+
+def _chain_errors(y: np.ndarray, classical: np.ndarray, spans, strides,
+                  weights) -> tuple[float, ...]:
+    """|u_c - u| + |u_t,c - u_t| for the chains at `spans` of the site arrays
+    y = (u, u_t) against the classical samples (u, u_t) at every stride-th
+    node, one forward transform per chain, in the norms of `weights`."""
+    return tuple(
+        float(np.sum(coefficient_norm(np.fft.rfft(y[:, span] - classical[:, ::stride]), w)))
+        for span, stride, w in zip(spans, strides, weights)
+    )
+
+
 def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Error of the nonlocal system against the classical one, per delta.
 
     The classical run and one nonlocal run per delta start from identical
     initial data and share grid and dt; one batched integration steps them
     together.  The error at each sampled time is |u_d - u| + |v_d - v| in the
-    order-(s-1) Sobolev norm; terminal errors feed the log-log slope fit.
+    order-(s-1) Sobolev norm, taken from the difference of the coefficients
+    with no transform, so it is exactly 0 at t = 0; terminal errors feed the
+    log-log slope fit.
     """
     dt = dynamics.shared_dt(cfg.grid, cfg.dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, cfg.grid)
-    order = cfg.s - 1.0
-
-    def errors_against_classical(states):
-        classical = states[0]
-        return tuple(
-            sobolev_norm(s.u - classical.u, order) + sobolev_norm(s.v - classical.v, order)
-            for s in states[1:]
-        )
-
-    rec = dynamics._Recorder(
-        cfg.sample_stride, dynamics.n_steps(cfg.t_end, dt), errors_against_classical
-    )
+    weights = norm_weights(cfg.grid, cfg.s - 1.0)
+    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(cfg.t_end, dt),
+                             lambda y, _t: _dispersion_errors(y, weights))
+    # the classical run is row 0 of the coefficients, then one row per delta
     configs = [_model_config(cfg, delta, dt) for delta in (None, *cfg.deltas)]
-    dynamics.integrate(configs, initial, observers=(rec,))
+    dynamics.integrate(configs, initial, probe=rec)
     series = list(zip(*rec.snaps))
     errors = [errs[-1] for errs in series]
     return _assemble_report(cfg.deltas, errors, tuple(rec.times), series)
@@ -188,6 +217,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     sites coincide with grid nodes.  The error compares strain and strain
     rate on the chain sites in the order-(s-1) Sobolev norm of the aligned
     coarse grid; the classical strain rate is the spectral derivative of v.
+    At t = 0 the strains match exactly.
     """
     grid = cfg.grid
     strides = [int(round(delta / grid.spacing)) for delta in cfg.deltas]
@@ -207,28 +237,26 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     dt = dynamics.shared_dt(grid, cfg.dt)
     n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
-    # classical strain u and strain rate u_t = v_x, sampled once per snapshot
+    ddx = dynamics._multiplier(grid, None, None)
+    # at t = 0 the initial samples, on which the chains start, stand for the strain
     reference = dynamics._Recorder(
-        cfg.sample_stride, n_steps, lambda s: (s.u.samples, derivative(s.v).samples)
+        cfg.sample_stride, n_steps, lambda y, _t: _strain_and_rate(y, ddx, grid.size),
+        lambda y, _t: _strain_and_rate(y, ddx, grid.size, initial.u.samples),
     )
-    dynamics.integrate(_model_config(cfg, None, dt), initial, observers=(reference,))
+    dynamics.integrate(_model_config(cfg, None, dt), initial, probe=reference)
 
-    order = cfg.s - 1.0
-    coarse = [Grid(grid.half_length, c.sites) for c in chains]
+    ends = np.cumsum([c.sites for c in chains])  # the chains lie end to end in y
+    spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
+    weights = [norm_weights(Grid(grid.half_length, c.sites), cfg.s - 1.0) for c in chains]
 
-    def errors_against_classical(states):
+    def errors_against_classical(y, t):
         sample = len(rec.times) - 1
-        if reference.times[sample : sample + 1] != [states[0].t]:
+        if reference.times[sample : sample + 1] != [t]:
             raise AssertionError("sample times diverged between paired runs")
-        u, ut = reference.snaps[sample]
-        return tuple(
-            sobolev_norm(Field(g, c.strain - u[::stride]), order)
-            + sobolev_norm(Field(g, c.velocity - ut[::stride]), order)
-            for c, g, stride in zip(states, coarse, strides)
-        )
+        return _chain_errors(y, reference.snaps[sample], spans, strides, weights)
 
     rec = dynamics._Recorder(cfg.sample_stride, n_steps, errors_against_classical)
-    lattice.integrate_chain(chains, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(rec,))
+    lattice.integrate_chain(chains, cfg.epsilon, cfg.n, dt, cfg.t_end, probe=rec)
     if rec.times != reference.times:
         raise AssertionError("sample times diverged between paired runs")
     series = list(zip(*rec.snaps))

@@ -25,17 +25,23 @@ delta are rows of one array and share every transform.
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
-finiteness check and the observers, and allocates its work buffers once
-per call (RK4 stage input, stage derivative and accumulator); a step then
-allocates only its new state.  Observers of `integrate` get states whose
-samples are transformed on the first read of u or v.  `breakdown_monitor`
-is a Field-level wrapper over the same core.
+finiteness check, the probe and the observers, and allocates its work
+buffers once per call (RK4 stage input, stage derivative and accumulator);
+a step then allocates only its new state.
+
+Every built-in diagnostic reads the stepped arrays through the march's one
+internal hook, `probe(y, t)`, which sees the initial state and every step
+before any snapshot; `_Recorder` is that probe.  A run without observers
+builds a State only for its last step.  A `simulate` sample (`_sampler`) is
+one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
+smoothing multiplier; `energy` and `breakdown_monitor` are State-level
+wrappers over the same cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,6 +64,8 @@ _CFL_SAFETY = 0.25  # Courant number of the CFL step
 # where a transform of the coefficients could overflow.
 _BOUND_MARGIN = 1e-6
 _BOUND_CEILING = 1e300
+#: ufunc buffer size, in elements, while a state of several rows is stepped
+_STAGE_BUFSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,11 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     return rhs
 
 
+def _smoothing(grid: Grid, s: float) -> np.ndarray:
+    """Order-s smoothing multiplier (1 + xi^2)^(s/2) over the real-FFT frequencies."""
+    return (1.0 + grid.rfreqs**2) ** (s / 2.0)
+
+
 def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, stacked, samples) -> np.ndarray:
     """|u|_inf + |u_t|_inf + |u_x|_inf per row, from one inverse transform.
 
@@ -228,33 +241,46 @@ def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
 
 
 def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, states, snapshots,
-           observers, check, batch: bool):
+           observers, check, batch: bool, probe=None):
     """March y from t to t_end with RK4 steps of dt, the last one shortened to
     land on t_end; returns the states after the last step.
 
-    `states` are the states at t and snapshots(y, t) builds those of a
-    stepped y.  Observers get them at t and after every step, as a tuple
-    when `batch` is set and as the one state otherwise.  Before each step
-    check(y, k1, t) sees the state and its first stage k1 = rhs(y, t) and may
-    raise; the state after the last step must be finite.
+    probe(y, t), if given, sees y at t and after every step, before any
+    snapshot is built; it must not write y.  `states` are the states at t
+    and snapshots(y, t) builds those of a stepped y, after every step when
+    there are observers and after the last one otherwise.  Observers get
+    them at t and after every step, as a tuple when `batch` is set and as
+    the one state otherwise.  Before each step check(y, k1, t) sees the
+    state and its first stage k1 = rhs(y, t) and may raise; the state after
+    the last step must be finite.
     """
     def notify(states):
         for observer in observers:
             observer(states if batch else states[0])
 
+    if probe is not None:
+        probe(y, t)
     notify(states)
     steps = n_steps(t_end - t, dt)
     stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    # numpy's ufuncs copy the row-strided views of a stage on several rows
+    # through new buffers of `np.getbufsize()` elements; with buffers shorter
+    # than a row they take each row in place, with the same arithmetic.
+    strided = y.ndim > 2 and y.shape[1] > 1
     for i in range(steps):
         last = i == steps - 1
         h = t_end - t if last else dt
         with np.errstate(over="ignore", invalid="ignore"):
+            if strided:
+                np.setbufsize(_STAGE_BUFSIZE)  # leaving the errstate restores it
             rhs(y, t, acc)
             check(y, acc, t)
             y = _rk4(rhs, y, t, h, stage, k, acc)
         t = t_end if last else t + h
         if last and not np.all(np.isfinite(y)):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+        if probe is not None:
+            probe(y, t)
         if observers or last:
             states = snapshots(y, t)
             notify(states)
@@ -264,6 +290,22 @@ def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, states, snapsh
 def _coefficients(state: State) -> np.ndarray:
     """Real-FFT coefficients of (u, v), stacked."""
     return np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
+
+
+def _energy(u: np.ndarray, lu: np.ndarray, lv: np.ndarray, cfg: ModelConfig, h: float,
+            t: float) -> float:
+    """The energy of `energy` from the samples of u and of its and v's order-s
+    smoothings lu = S u and lv = S v; raises HyperbolicityError when 1 + w <= 0."""
+    coef = (cfg.n + 1) * cfg.nonlinear_coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = coef * _integer_power(u, cfg.n) if coef != 0.0 else 0.0
+    one_plus_w = 1.0 + w
+    if np.min(one_plus_w) <= 0.0:
+        raise HyperbolicityError(f"1 + g'(u) reaches {np.min(one_plus_w):.3e} <= 0 at t={t:.6g}")
+    # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
+    e = np.frexp(max(np.max(np.abs(lu)), np.max(np.abs(lv))))[1]
+    lu, lv = np.ldexp(lu, -e), np.ldexp(lv, -e)
+    return float(np.ldexp(np.sqrt(0.5 * h * np.sum(one_plus_w * lu**2 + lv**2)), e))
 
 
 def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
@@ -286,22 +328,34 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
     Conserved exactly by the linear (eps=0) semi-discrete flow; a diagnostic
     otherwise.  Raises HyperbolicityError when 1 + w <= 0 anywhere.
     """
-    order = cfg.s if s is None else s
-    coef = (cfg.n + 1) * cfg.nonlinear_coefficient
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = coef * _integer_power(state.u.samples, cfg.n) if coef != 0.0 else 0.0
-    one_plus_w = 1.0 + w
-    if np.min(one_plus_w) <= 0.0:
-        raise HyperbolicityError(
-            f"1 + g'(u) reaches {np.min(one_plus_w):.3e} <= 0 at t={state.t:.6g}"
-        )
-    scale = (1.0 + state.grid.rfreqs**2) ** (order / 2.0)  # as in `spectral.sobolev_scale`
-    lu, lv = np.fft.irfft(scale * _coefficients(state), n=state.grid.size)
-    h = state.grid.spacing
-    # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
-    e = np.frexp(max(np.max(np.abs(lu)), np.max(np.abs(lv))))[1]
-    lu, lv = np.ldexp(lu, -e), np.ldexp(lv, -e)
-    return float(np.ldexp(np.sqrt(0.5 * h * np.sum(one_plus_w * lu**2 + lv**2)), e))
+    grid = state.grid
+    scale = _smoothing(grid, cfg.s if s is None else s)
+    lu, lv = np.fft.irfft(scale * _coefficients(state), n=grid.size)
+    return _energy(state.u.samples, lu, lv, cfg, grid.spacing, state.t)
+
+
+def _sampler(cfg: ModelConfig, grid: Grid):
+    """take(y, t) -> (energy, monitor, |u|_inf) of the first run of the
+    coefficients y at t, from one inverse transform of (u^, M v^, u_x^, S u^,
+    S v^); M, the derivative and S are built here, once.  Raises
+    HyperbolicityError where `energy` does."""
+    m, ddx = _multiplier(grid, cfg.kernel, cfg.delta), _multiplier(grid, None, None)
+    scale = _smoothing(grid, cfg.s)
+    stacked = np.empty((5, grid.size // 2 + 1), dtype=complex)
+    samples = np.empty((5, grid.size))
+
+    def take(y, t):
+        u, v = y[:, 0]
+        stacked[0] = u
+        np.multiply(m, v, out=stacked[1])
+        np.multiply(ddx, u, out=stacked[2])
+        np.multiply(scale, y[:, 0], out=stacked[3:])
+        np.fft.irfft(stacked, n=grid.size, out=samples)
+        e = _energy(samples[0], samples[3], samples[4], cfg, grid.spacing, t)
+        peaks = np.max(np.abs(samples[:3], out=samples[:3]), axis=-1)
+        return e, float(peaks[0] + peaks[1] + peaks[2]), float(peaks[0])
+
+    return take
 
 
 def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
@@ -326,58 +380,70 @@ def _unchecked(cls, **attributes):
     return instance
 
 
+class _Step:
+    """The coefficients y of one step, shared by the snapshots of its rows;
+    `samples` transforms every row in one inverse FFT, on first read."""
+
+    def __init__(self, grid: Grid, y: np.ndarray):
+        self.grid = grid
+        self.y = y
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        out = np.fft.irfft(self.y, n=self.grid.size)
+        out.setflags(write=False)
+        return out
+
+
 class _Snapshot(State):
-    """A State handed out by `integrate`: u and v are built on first access.
+    """A State handed out by `integrate`: u and v are built on first access
+    from the shared samples of its step; `t` needs no transform."""
 
-    The rows of one step share `_samples`, which transforms all of them in one
-    cached inverse FFT; `t` needs no transform.
-    """
-
-    u = cached_property(lambda self: Field(self._grid, self._samples()[0, self._row]))
-    v = cached_property(lambda self: Field(self._grid, self._samples()[1, self._row]))
+    u = cached_property(lambda self: Field(self._step.grid, self._step.samples[0, self._row]))
+    v = cached_property(lambda self: Field(self._step.grid, self._step.samples[1, self._row]))
 
 
 def _snapshots(grid: Grid, y: np.ndarray, t: float) -> tuple[State, ...]:
     """Lazy states of every row of the coefficients y, sharing one transform."""
-    @cache
-    def samples():
-        out = np.fft.irfft(y, n=grid.size)
-        out.setflags(write=False)
-        return out
-
-    rows = range(y.shape[1])
-    return tuple(_unchecked(_Snapshot, t=t, _grid=grid, _samples=samples, _row=r) for r in rows)
+    step = _Step(grid, y)
+    return tuple(_unchecked(_Snapshot, t=t, _step=step, _row=r) for r in range(y.shape[1]))
 
 
 class _Recorder:
-    """Observer keeping take(state) every `stride` steps plus the last step."""
+    """Probe keeping take(y, t) every `stride` steps plus the last step.
 
-    def __init__(self, stride: int, n_steps: int, take):
+    The initial sample is first(y, t) if given, so a caller can read it from
+    exact initial samples rather than from their coefficients.
+    """
+
+    def __init__(self, stride: int, n_steps: int, take, first=None):
         self.stride = stride
         self.n_steps = n_steps
         self.take = take
+        self.first = take if first is None else first
         self.count = -1
         self.times = []
         self.snaps = []
 
-    def __call__(self, state):
+    def __call__(self, y, t):
         self.count += 1
         if self.count % self.stride == 0 or self.count == self.n_steps:
-            first = state[0] if isinstance(state, tuple) else state
-            self.times.append(first.t)
-            self.snaps.append(self.take(state))
+            self.times.append(t)
+            self.snaps.append((self.take if self.count else self.first)(y, t))
 
 
-def integrate(cfg, initial: State, observers=()):
+def integrate(cfg, initial: State, observers=(), probe=None):
     """March the configured system from initial.t to cfg.t_end with RK4.
 
     The last step is shortened to land on t_end exactly.  Observers are
-    invoked on the initial state and after every step.  Raises BreakdownError
-    when the wave-breaking monitor exceeds cfg.breakdown_threshold and
-    NonFiniteError if the state stops being finite, including after the last
-    step.  Each step checks a bound on the monitor summed from the
-    coefficients; the monitor itself is transformed only when that bound
-    reaches the threshold (less a round-off margin), is non-finite or is huge.
+    invoked on the initial state and after every step; so is the internal
+    probe(y, t), before them, with the coefficients y of shape (2, runs,
+    N/2 + 1) (see `_march`).  Raises BreakdownError when the wave-breaking
+    monitor exceeds cfg.breakdown_threshold and NonFiniteError if the state
+    stops being finite, including after the last step.  Each step checks a
+    bound on the monitor summed from the coefficients; the monitor itself is
+    transformed only when that bound reaches the threshold (less a round-off
+    margin), is non-finite or is huge.
 
     `cfg` may also be a sequence of configs that differ only in delta: the
     runs then start from the same initial state and are stepped together.
@@ -418,4 +484,4 @@ def integrate(cfg, initial: State, observers=()):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
     return _march(rhs, y, initial.t, base.t_end, base.dt, (initial,) * len(configs),
-                  partial(_snapshots, grid), observers, check, batch)
+                  partial(_snapshots, grid), observers, check, batch, probe)

@@ -124,10 +124,13 @@ class _ChainSnapshot(Chain):
     velocity = cached_property(lambda self: self._y[1, self._span])
 
 
-def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=()):
+def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=(),
+                    probe=None):
     """March the chain to t_end with RK4; last step shortened to land exactly.
 
-    Observers see the initial chain and every stepped snapshot.  Raises
+    Observers see the initial chain and every stepped snapshot; the internal
+    probe(y, t) sees, before them, the site arrays y = (u, u_t) of every
+    chain laid end to end (see `dynamics._march`).  Raises
     NonFiniteError when the first RK4 stage of a step, or the state after
     the last step, is not finite.  `chain` may also be a sequence of chains
     at one time t, stepped together; observers then get, and the call
@@ -160,4 +163,4 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
     y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
-    return _march(rhs, y, t, t_end, dt, chains, snapshots, observers, check, batch)
+    return _march(rhs, y, t, t_end, dt, chains, snapshots, observers, check, batch, probe)

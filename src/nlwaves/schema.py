@@ -29,7 +29,6 @@ RULES = {
     "epsilon": (0.1, Real, lambda v: v >= 0, "must be nonnegative"),
     "n": (1, Integral, lambda v: v >= 1, "must be a positive integer"),
     "s": (3.0, Real, lambda v: v > 2.5, "must exceed 5/2"),
-    "theta": (2.0, Real, lambda v: 0 < v <= 2, "must be in (0, 2]"),
     "dt": (None, Real, lambda v: v > 0, "must be positive (or null for the CFL default)"),
     "t_end": (1.0, Real, lambda v: v >= 0, "must be nonnegative"),
     "u0": ({"shape": "gaussian", "a": 0.5, "b": 2.0}, object, None, None),

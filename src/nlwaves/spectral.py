@@ -1,16 +1,18 @@
-"""Periodic grid, real fields, and Fourier-multiplier operations.
+"""Periodic grid, real fields, the coefficient Sobolev norm and the dealiased power.
 
 The domain is the periodic box [-L, L) sampled at N uniform nodes.  Discrete
 frequencies are xi_m = m*pi/L for m = -N/2 .. N/2-1 (stored in FFT order).
 Fields are value-semantics snapshots: every operation returns a new Field and
 never mutates its inputs.  A Field stores samples only; `Field.spectrum`
-transforms them on every access.  The time stepper does not use Fields: it
-holds real-FFT coefficients (see `dynamics.integrate`), and Fields serve the
-diagnostics, the norms and the CSV output.
+transforms them on every access.  Neither the time stepper nor the sweeps
+use Fields: both hold real-FFT coefficients (see `dynamics.integrate`), and
+Fields serve the public diagnostics, the initial data and the CSV output.
 
-Norm convention: sobolev_norm(f, 0) equals the physical-space L2 norm
-(sqrt(h * sum f_j^2)) exactly, i.e. the frequency quadrature carries the
-measure weight that makes the discrete Parseval identity exact.
+Norm convention: the order-s Sobolev norm is a weighted sum over the N/2+1
+real-FFT coefficients, `coefficient_norm` with weights from `norm_weights`;
+sobolev_norm(f, 0) equals the physical-space L2 norm (sqrt(h * sum f_j^2))
+to round-off, i.e. the frequency quadrature carries the measure weight that
+makes the discrete Parseval identity exact.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class Grid:
         # real-FFT frequencies m*pi/L, m = 0..N/2
         self.rfreqs = 2.0 * np.pi * np.fft.rfftfreq(self.size, d=self.spacing)
         self.rfreqs.setflags(write=False)
-        self.nyquist_index = self.size // 2
 
     def __eq__(self, other):
         return (
@@ -73,11 +74,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.size))
 
-    @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum) -> "Field":
-        """Build a field from FFT coefficients (real part of the inverse)."""
-        return cls(grid, np.fft.ifft(spectrum).real)
-
     @property
     def samples(self) -> np.ndarray:
         return self._samples
@@ -111,35 +107,38 @@ class Field:
         return self * -1.0
 
 
-def derivative(f: Field) -> Field:
-    """Spectral x-derivative; the Nyquist mode is zeroed (odd multiplier)."""
-    m = 1j * f.grid.freqs.copy()
-    m[f.grid.nyquist_index] = 0.0
-    return Field.from_spectrum(f.grid, m * f.spectrum)
-
-
-def sobolev_scale(f: Field, s: float) -> Field:
-    """Apply the smoothing/roughening multiplier (1 + xi^2)^(s/2)."""
-    return Field.from_spectrum(f.grid, (1.0 + f.grid.freqs**2) ** (s / 2.0) * f.spectrum)
-
-
-def spectrum_norm(grid: Grid, spectrum, s: float) -> float:
-    """Discrete Sobolev norm of order s of the field with FFT coefficients `spectrum`.
+def norm_weights(grid: Grid, s: float) -> np.ndarray:
+    """Weights of the order-s Sobolev norm over the (Re, Im) pairs of real-FFT
+    coefficients on `grid`; a caller taking many norms builds them once.
 
     Quadrature of the defining frequency integral with the grid's frequency
-    spacing as measure weight, normalized so that s = 0 reproduces the
-    physical-space L2 norm exactly.
+    spacing as measure weight, h/N (1 + xi^2)^s, normalized so that s = 0
+    reproduces the physical-space L2 norm.  The interior bins stand for a
+    +/- xi pair of the full spectrum and count twice; bin 0 and the Nyquist
+    bin count once.
     """
-    weights = (1.0 + grid.freqs**2) ** s
-    # squared over 2**e, the peak's power of two: exact, and finite data cannot overflow
-    e = np.frexp(np.max(np.abs(spectrum)))[1]
-    scaled = np.ldexp(np.abs(spectrum), -e)
-    return float(np.ldexp(np.sqrt(grid.spacing / grid.size * np.sum(weights * scaled**2)), e))
+    weights = (1.0 + grid.rfreqs**2) ** s * (2.0 * grid.spacing / grid.size)
+    weights[0] /= 2.0
+    weights[-1] /= 2.0
+    return np.repeat(weights, 2)
+
+
+def coefficient_norm(coeffs, weights: np.ndarray) -> np.ndarray:
+    """Discrete Sobolev norm of each row of the real-FFT coefficients `coeffs`,
+    of shape (..., N/2 + 1), with `weights` from `norm_weights`; shape (...).
+
+    Each row is squared over 2**e, its peak's power of two: exact, and finite
+    data cannot overflow.
+    """
+    pairs = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+    e = np.frexp(np.max(np.abs(pairs), axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(pairs, -e)
+    return np.ldexp(np.sqrt(np.sum(weights * np.square(scaled, out=scaled), axis=-1)), e[..., 0])
 
 
 def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete Sobolev norm of order s (see `spectrum_norm`)."""
-    return spectrum_norm(f.grid, f.spectrum, s)
+    """Discrete Sobolev norm of order s of a field (see `norm_weights`)."""
+    return float(coefficient_norm(np.fft.rfft(f.samples), norm_weights(f.grid, s)))
 
 
 def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndarray:
@@ -176,7 +175,7 @@ def power_buffers(shape, n: int, power: int) -> tuple[np.ndarray, ...]:
     padded = _padded_size(n, power)
     spectra, half = (*shape[:-1], padded // 2 + 1), n // 2
     fine, spec = np.zeros(spectra, complex), np.empty(spectra, complex)
-    return (np.append(np.ones(half), 0.5), fine, fine[..., : half + 1],
+    return (np.append(np.ones(half, complex), 0.5), fine, fine[..., : half + 1],
             np.empty((*shape[:-1], padded)), spec.view(float)[..., :padded], spec, spec[..., :half])
 
 

@@ -5,9 +5,12 @@ and an adapter onto the production core.
   built by `dynamics._spectral_rhs` with `dynamics._multiplier`, on a State
   and returns (u_t, v_t) as Fields.  `cfg.delta` picks the system: None is
   the classical one.
-- `apply_multiplier` and `dealiased_power` act on Fields through the full
-  complex FFT.  `TestSpectralCoreParity` builds an RK4 from them that shares
-  no code with the real-FFT core of `dynamics.integrate`.
+- `apply_multiplier`, `derivative`, `sobolev_scale` and `dealiased_power`
+  act on Fields through the full complex FFT (`field_from_spectrum`), and
+  `spectrum_norm` is the Sobolev norm over the full spectrum.
+  `TestSpectralCoreParity` builds an RK4 from them that shares no code with
+  the real-FFT core of `dynamics.integrate`; the norm tests compare the
+  core's real-FFT coefficient norm with `spectrum_norm`.
 - `dealiased_power_rfft`, `_spectral_rhs`, `_rk4` and `_chain_rhs` are the
   allocating versions that the in-place core replaced, kept verbatim except
   for their integer powers, which are spelled out as the left-to-right
@@ -41,6 +44,33 @@ def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
     return Field(grid, du), Field(grid, dv)
 
 
+def field_from_spectrum(grid, spectrum) -> Field:
+    """A field from FFT coefficients (real part of the inverse)."""
+    return Field(grid, np.fft.ifft(spectrum).real)
+
+
+def derivative(f: Field) -> Field:
+    """Spectral x-derivative; the Nyquist mode is zeroed (odd multiplier)."""
+    m = 1j * f.grid.freqs.copy()
+    m[f.grid.size // 2] = 0.0
+    return field_from_spectrum(f.grid, m * f.spectrum)
+
+
+def sobolev_scale(f: Field, s: float) -> Field:
+    """Apply the smoothing/roughening multiplier (1 + xi^2)^(s/2)."""
+    return field_from_spectrum(f.grid, (1.0 + f.grid.freqs**2) ** (s / 2.0) * f.spectrum)
+
+
+def spectrum_norm(grid, spectrum, s: float) -> float:
+    """Discrete Sobolev norm of order s of the field with FFT coefficients
+    `spectrum`: the frequency quadrature with measure weight h/N, squared
+    over the peak's power of two."""
+    weights = (1.0 + grid.freqs**2) ** s
+    e = np.frexp(np.max(np.abs(spectrum)))[1]
+    scaled = np.ldexp(np.abs(spectrum), -e)
+    return float(np.ldexp(np.sqrt(grid.spacing / grid.size * np.sum(weights * scaled**2)), e))
+
+
 def apply_multiplier(f: Field, multiplier) -> Field:
     """Multiply the spectrum pointwise by multiplier(xi) and transform back.
 
@@ -53,7 +83,7 @@ def apply_multiplier(f: Field, multiplier) -> Field:
         raise ValueError("multiplier values do not match the grid frequency set")
     # non-finite intermediates surface as a typed error, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Field.from_spectrum(f.grid, m * f.spectrum)
+        out = field_from_spectrum(f.grid, m * f.spectrum)
     if not np.all(np.isfinite(out.samples)):
         raise NonFiniteError("multiplier application produced non-finite samples")
     return out
@@ -87,7 +117,7 @@ def dealiased_power(f: Field, power: int) -> Field:
         out[:half] = fine_spec[:half]
         out[half] = fine_spec[half] + fine_spec[padded - half]
         out[half + 1:] = fine_spec[padded - half + 1:]
-        return Field.from_spectrum(f.grid, out)
+        return field_from_spectrum(f.grid, out)
 
 
 def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:

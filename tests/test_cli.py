@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlwaves.cli import main, parse_config
 from nlwaves.errors import ConfigError
@@ -138,6 +140,26 @@ class TestSimulate:
                      "--t-end", "0.1", "--dt", "0.06", "--emit-timeseries"]) == 0
         rows = (out / "timeseries.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.1]
+
+    # the Gaussian amplitude and width of perfbench's seeds (a in [0.4, 0.6],
+    # b in [1.5, 2.5], six decimals); seeds 62 and 65 as examples
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(0.4, 0.6).map(lambda a: round(a, 6)),
+           b=st.floats(1.5, 2.5).map(lambda b: round(b, 6)))
+    @example(a=0.585598, b=1.673027)
+    @example(a=0.482949, b=1.7877)
+    def test_first_row_is_read_from_the_initial_samples(self, tmp_path_factory, a, b):
+        """The t = 0 row of the time series has u_linf = max|u0| bit for bit,
+        here the amplitude, which the grid samples at x = 0."""
+        tmp_path = tmp_path_factory.mktemp("first-row")
+        cfg = write_config(tmp_path, kernel="exponential", grid_n=256, grid_l=20.0, delta=0.5,
+                           epsilon=0.1, n=2, t_end=0.0625, sample_stride=10,
+                           u0={"shape": "gaussian", "a": a, "b": b}, emit_timeseries=True)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        rows = (tmp_path / "run" / "timeseries.csv").read_text().splitlines()[1:]
+        u0 = evaluate_on_nodes({"shape": "gaussian", "a": a, "b": b}, Grid(20.0, 256).nodes, 20.0)
+        first = [float(x) for x in rows[0].split(",")]
+        assert first[0] == 0.0 and first[3] == np.max(np.abs(u0)) == a
 
     def test_breakdown_exits_2_with_halt_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path, breakdown_threshold=0.1, t_end=1.0,
@@ -310,6 +332,19 @@ class TestNonFiniteOutputs:
 
 
 class TestConvergeCommands:
+    @settings(max_examples=10, deadline=None)
+    @given(a=st.floats(0.4, 0.6).map(lambda a: round(a, 6)),
+           b=st.floats(1.5, 2.5).map(lambda b: round(b, 6)))
+    def test_dispersion_error_at_t0_is_exactly_zero(self, tmp_path_factory, a, b):
+        tmp_path = tmp_path_factory.mktemp("dispersion-t0")
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.1, delta_list=[0.4, 0.2],
+                           u0={"shape": "gaussian", "a": a, "b": b}, emit_timeseries=True)
+        out = tmp_path / "sweep"
+        assert main(["converge-dispersion", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+        initial = [float(error) for _, t, error in rows if float(t) == 0.0]
+        assert initial == [0.0, 0.0]
+
     def test_dispersion_sweep_summary_has_slope(self, tmp_path):
         cfg = write_config(
             tmp_path, grid_n=128, grid_l=10.0, t_end=0.2,

@@ -1,5 +1,7 @@
 """Rate fitting, operator error, and sweep plumbing (full sweeps live in acceptance)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from nlwaves import (
     Grid,
     Kernel,
     SweepConfig,
-    derivative,
     fit_rate,
     integrate,
     integrate_chain,
@@ -24,6 +25,8 @@ from nlwaves import (
     zero_dispersion_sweep,
 )
 from nlwaves import lattice
+from nlwaves.spectral import coefficient_norm, norm_weights
+from reference import derivative
 
 TRI = Kernel("triangular")
 DIRAC = Kernel("dirac")
@@ -111,10 +114,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             small_sweep_config(deltas=(0.2, -0.1))
 
-    def test_theta_range_enforced(self):
-        with pytest.raises(ValueError):
-            small_sweep_config(theta_expected=3.0)
-
 
 class TestZeroDispersionSweep:
     def test_dirac_control_errors_vanish(self):
@@ -167,6 +166,8 @@ class TestLatticeSweep:
         )
         report = lattice_sweep(cfg)
         initial_errors = [series[0] for series in report.series]
+        strain_only = lattice_sweep(replace(cfg, v0={"shape": "zero"}))
+        assert [series[0] for series in strain_only.series] == [0.0] * len(deltas)
         assert all(e > 0 for e in initial_errors)
         slope = np.polyfit(np.log(deltas), np.log(initial_errors), 1)[0]
         assert 1.8 < slope < 2.2
@@ -181,30 +182,51 @@ class TestLatticeSweep:
         )
 
     def test_errors_equal_per_delta_single_chain_runs(self):
+        """Bit for bit the errors of one chain run per delta against the
+        classical (u, v_x) read from the coefficients, and to round-off those
+        of the Field-level norms of the snapshots' differences."""
         cfg = self.aligned_config()
         grid = cfg.grid
         dt = 0.25 * grid.spacing
         mc = ModelConfig(kernel=TRI, delta=None, dt=dt, t_end=cfg.t_end,
                          epsilon=cfg.epsilon, n=cfg.n)
-        classical = []
-        integrate(mc, make_initial(cfg.u0, cfg.v0, grid), observers=(
-            lambda s: classical.append((s.u.samples, derivative(s.v).samples)),))
-        expected = []
+        ddx = 1j * grid.rfreqs
+        ddx[-1] = 0.0
+        classical, fields = [], []
+        initial = make_initial(cfg.u0, cfg.v0, grid)
+        integrate(
+            mc, initial,
+            observers=(lambda s: fields.append((s.u.samples, derivative(s.v).samples)),),
+            probe=lambda y, t: classical.append(
+                np.fft.irfft(np.stack([y[0, 0], ddx * y[1, 0]]), n=grid.size)),
+        )
+        classical[0][0] = initial.u.samples  # the strain the chains start from
+        expected, field_level = [], []
         for delta in cfg.deltas:
             stride = int(round(delta / grid.spacing))
             chain = make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // stride)
             snaps = []
             integrate_chain(chain, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(snaps.append,))
             coarse = Grid(grid.half_length, chain.sites)
+            weights = norm_weights(coarse, cfg.s - 1)
+            sampled = [i for i in range(len(snaps))
+                       if i % cfg.sample_stride == 0 or i == len(snaps) - 1]
             expected.append(tuple(
-                sobolev_norm(Field(coarse, c.strain - u[::stride]), cfg.s - 1)
-                + sobolev_norm(Field(coarse, c.velocity - ut[::stride]), cfg.s - 1)
-                for i, (c, (u, ut)) in enumerate(zip(snaps, classical))
-                if i % cfg.sample_stride == 0 or i == len(snaps) - 1
+                float(np.sum(coefficient_norm(np.fft.rfft(
+                    np.stack([snaps[i].strain, snaps[i].velocity]) - classical[i][:, ::stride]
+                ), weights)))
+                for i in sampled
             ))
+            order = cfg.s - 1
+            field_level.append([
+                sobolev_norm(Field(coarse, snaps[i].strain - fields[i][0][::stride]), order)
+                + sobolev_norm(Field(coarse, snaps[i].velocity - fields[i][1][::stride]), order)
+                for i in sampled
+            ])
         report = lattice_sweep(cfg)
         assert report.series == tuple(expected)
         assert report.errors == tuple(e[-1] for e in expected)
+        np.testing.assert_allclose(report.series, field_level, rtol=1e-10)
 
     def test_one_integrate_chain_call_for_all_deltas(self, monkeypatch):
         calls = []

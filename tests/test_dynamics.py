@@ -18,20 +18,29 @@ from nlwaves import (
     NonFiniteError,
     State,
     breakdown_monitor,
-    derivative,
     energy,
     integrate,
     make_initial,
 )
+from nlwaves import dynamics
 from nlwaves.dynamics import (
+    _Recorder,
     _coefficients,
     _monitor,
     _monitor_bound,
     _multiplier,
+    _sampler,
     _spectral_rhs,
     shared_dt,
 )
-from reference import apply_multiplier, dealiased_power, integrate_rows, monitor, rhs_fields
+from reference import (
+    apply_multiplier,
+    dealiased_power,
+    derivative,
+    integrate_rows,
+    monitor,
+    rhs_fields,
+)
 
 TRI = Kernel("triangular")
 DIRAC = Kernel("dirac")
@@ -759,3 +768,65 @@ class TestLazySnapshots:
             for state, (u, v) in zip(states, arrays):
                 assert isinstance(state, State)
                 assert np.array_equal(state.u.samples, u) and np.array_equal(state.v.samples, v)
+
+
+class TestProbe:
+    GRID = Grid(10.0, 64)
+
+    def test_probe_sees_every_step_before_the_observers(self):
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+        seen = []
+        final = integrate(config(dt=0.25, t_end=1.0, epsilon=0.1), init,
+                          observers=(lambda s: seen.append(("observer", s.t)),),
+                          probe=lambda y, t: seen.append(("probe", t, y.shape)))
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert seen == [entry for t in times
+                        for entry in (("probe", t, (2, 1, 33)), ("observer", t))]
+        assert final.t == 1.0
+
+    def test_no_observers_builds_one_snapshot(self, monkeypatch):
+        built = []
+        snapshots = dynamics._snapshots
+        monkeypatch.setattr(dynamics, "_snapshots", lambda *a: built.append(1) or snapshots(*a))
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+        rec = _Recorder(2, 10, lambda y, t: t)
+        integrate(config(dt=0.1, t_end=1.0, epsilon=0.1), init, probe=rec)
+        assert len(built) == 1
+        assert rec.snaps == rec.times == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        assert rec.times[-1] == 1.0
+
+    def test_recorder_takes_its_first_sample_from_first(self):
+        rec = _Recorder(2, 3, lambda y, t: ("take", t), lambda y, t: ("first", t))
+        for t in (0.0, 1.0, 2.0, 3.0):
+            rec(None, t)
+        assert rec.snaps == [("first", 0.0), ("take", 2.0), ("take", 3.0)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amplitude=st.floats(-3.0, 3.0),
+        eps=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+        n=st.sampled_from([1, 2, 3]),
+        delta=st.sampled_from([None, 0.5]),
+    )
+    @example(amplitude=-1.0, eps=0.6, n=1, delta=0.5)
+    def test_sample_is_energy_monitor_and_peak(self, amplitude, eps, n, delta):
+        """A probe sample raises HyperbolicityError where `energy` does, and
+        otherwise equals the State-level diagnostics to round-off."""
+        g = self.GRID
+        u0 = amplitude * np.exp(-g.nodes**2)
+        w = (n + 1) * eps**n * u0**n
+        assume(np.min(np.abs(1.0 + w)) > 1e-6)  # the two sides may round apart at 0
+        state = State(Field(g, u0), Field(g, 0.3 * np.sin(np.pi * g.nodes / 10.0)), 0.5)
+        cfg = config(delta=delta, epsilon=eps, n=n)
+        take = _sampler(cfg, g)
+        y = _coefficients(state)[:, None]  # the one run of an `integrate` call
+        try:
+            expected = energy(state, cfg)
+        except HyperbolicityError:
+            with pytest.raises(HyperbolicityError):
+                take(y, state.t)
+            return
+        e, m, peak = take(y, state.t)
+        assert e == pytest.approx(expected, rel=1e-13)
+        assert m == pytest.approx(breakdown_monitor(state, cfg), rel=1e-13)
+        assert peak == pytest.approx(np.max(np.abs(u0)), rel=1e-13)

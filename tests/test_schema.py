@@ -36,7 +36,6 @@ LIBRARY = {
     "epsilon": lambda v: model(epsilon=v),
     "n": lambda v: model(n=v),
     "s": lambda v: model(s=v),
-    "theta": lambda v: sweep(theta_expected=v),
     "dt": lambda v: sweep(dt=v),
     "t_end": lambda v: model(t_end=v),
     "breakdown_threshold": lambda v: model(breakdown_threshold=v),
@@ -120,7 +119,6 @@ VALID = {
     "epsilon": [0.0, 0.1, 5.0],
     "n": [1, 2],
     "s": [3.0],
-    "theta": [2.0, 1.0],
     "dt": [None, 0.01, 0.05],
     "t_end": [0.0, 0.02, 0.05],
     "u0": [

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlwaves import (
     Field,
     Grid,
     Kernel,
     NonFiniteError,
-    derivative,
     sobolev_norm,
-    sobolev_scale,
 )
-from nlwaves.spectral import _integer_power, write_field_csv
-from reference import apply_multiplier, dealiased_power
+from nlwaves.spectral import _integer_power, coefficient_norm, norm_weights, write_field_csv
+from reference import (
+    apply_multiplier,
+    dealiased_power,
+    derivative,
+    field_from_spectrum,
+    sobolev_scale,
+    spectrum_norm,
+)
 
 
 @pytest.fixture
@@ -46,7 +53,7 @@ class TestField:
     def test_round_trip(self, rng):
         g = Grid(10.0, 256)
         f = random_field(g, rng)
-        back = Field.from_spectrum(g, f.spectrum)
+        back = field_from_spectrum(g, f.spectrum)
         np.testing.assert_allclose(back.samples, f.samples, rtol=1e-13, atol=1e-15)
 
     def test_spectrum_hermitian_for_real_samples(self, rng):
@@ -192,6 +199,44 @@ class TestNorms:
             f = random_field(g, rng)
             physical = np.sqrt(g.spacing * np.sum(f.samples**2))
             assert sobolev_norm(f, 0.0) == pytest.approx(physical, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.sampled_from([2**k for k in range(3, 12)]),
+        s=st.sampled_from([0, 1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-150, 1e155]),
+    )
+    @example(size=2048, s=3, seed=0, scale=1e155)
+    def test_coefficient_norm_is_the_sampled_field_norm(self, size, s, seed, scale):
+        g = Grid(13.0, size)
+        rng = np.random.default_rng(seed)
+        m = size // 2 + 1
+        coeffs = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        coeffs[[0, -1]] = coeffs[[0, -1]].real  # the bins a real field's spectrum keeps real
+        f = Field(g, np.fft.irfft(coeffs, n=size))
+        norm = coefficient_norm(coeffs, norm_weights(g, s))
+        assert np.isfinite(norm)
+        assert norm == pytest.approx(sobolev_norm(f, s), rel=1e-13)
+        assert norm == pytest.approx(spectrum_norm(g, f.spectrum, s), rel=1e-13)
+
+    @pytest.mark.parametrize("size", [8, 256, 2048])
+    def test_huge_gaussian_norm_is_finite_and_scales(self, size):
+        g = Grid(20.0, size)
+        gaussian = np.exp(-2.0 * g.nodes**2)
+        for s in (0, 1, 2, 3):
+            unit = sobolev_norm(Field(g, gaussian), s)
+            huge = sobolev_norm(Field(g, 1e155 * gaussian), s)
+            assert np.isfinite(huge)
+            assert huge == pytest.approx(1e155 * unit, rel=1e-13)
+
+    def test_norms_of_rows(self):
+        g = Grid(10.0, 64)
+        rows = np.fft.rfft(np.stack([np.sin(g.nodes), np.zeros(64), 3.0 * np.cos(g.nodes)]))
+        norms = coefficient_norm(rows, norm_weights(g, 1.0))
+        expected = [sobolev_norm(Field(g, np.fft.irfft(r, n=64)), 1.0) for r in rows]
+        assert norms.shape == (3,) and norms[1] == 0.0
+        np.testing.assert_allclose(norms, expected, rtol=1e-15)
 
     def test_linf_on_grid_peak(self):
         g = Grid(np.pi, 64)  # contains x = pi/2

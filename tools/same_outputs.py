@@ -10,9 +10,11 @@ which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
 decides it, and the sweep-dispersion-n2048 config with a table kernel: the
 exponential symbol sampled into a file that is written once into the
 temporary directory and read by both sides.  It requires equal exit codes (0 or 2), compares summary.json
-and every CSV byte for byte, prints how many files differ and the largest
-relative difference between their numbers (in a CSV, relative to the
-column's peak), and exits 1 on any difference.
+and every CSV byte for byte, prints how many files differ and, per run and
+file, the largest relative difference between their numbers (in a CSV,
+relative to the column's peak; in summary.json, between the values under the
+same key) and the summary.json keys written by one side only, and exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tarfile
@@ -34,7 +35,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = range(10)
-NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
 def runs(table: Path) -> dict:
@@ -75,13 +75,32 @@ def _columns(text: str) -> list[list[float]]:
     return [list(map(float, c)) for c in zip(*(row.split(",") for row in text.splitlines()[1:]))]
 
 
-def relative_difference(a: bytes, b: bytes, by_column: bool = False) -> float:
-    """Largest relative difference between the numbers of two outputs, in order.
+def _leaves(value, path: str = "") -> dict:
+    """key path -> value for every leaf of a JSON value."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else key, v) for key, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {path: value}
+    return {k: v for key, item in items for k, v in _leaves(item, key).items()}
 
-    Each difference is relative to the larger of its two numbers, or, with
-    `by_column` (for CSVs), to the largest finite magnitude in its column of
+
+def one_sided_keys(a: bytes, b: bytes) -> set[str]:
+    """Key paths of one summary.json that the other lacks."""
+    return set(_leaves(json.loads(a))) ^ set(_leaves(json.loads(b)))
+
+
+def relative_difference(a: bytes, b: bytes, by_column: bool = False) -> float:
+    """Largest relative difference between the numbers of two outputs.
+
+    With `by_column` (for CSVs) the numbers are paired in order and each
+    difference is relative to the largest finite magnitude in its column of
     either output, so that round-off in entries far below a column's peak
-    reads as round-off.
+    reads as round-off.  Otherwise the outputs are JSON and the values under
+    the same key are paired, each difference relative to the larger of the
+    two; keys that one side lacks are left to `one_sided_keys`, and unequal
+    values that are not both numbers differ infinitely.
     """
     if by_column:
         columns_a, columns_b = _columns(a.decode()), _columns(b.decode())
@@ -92,10 +111,14 @@ def relative_difference(a: bytes, b: bytes, by_column: bool = False) -> float:
             peak = max((abs(v) for v in xs + ys if math.isfinite(v)), default=0.0)
             triples += [(x, y, peak) for x, y in zip(xs, ys)]
     else:
-        xs, ys = NUMBER.findall(a.decode()), NUMBER.findall(b.decode())
-        if len(xs) != len(ys):
-            return float("inf")
-        triples = [(x, y, max(abs(x), abs(y))) for x, y in zip(map(float, xs), map(float, ys))]
+        leaves_a, leaves_b = _leaves(json.loads(a)), _leaves(json.loads(b))
+        triples = []
+        for key in leaves_a.keys() & leaves_b.keys():
+            x, y = leaves_a[key], leaves_b[key]
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+                triples.append((float(x), float(y), max(abs(x), abs(y))))
+            elif x != y:
+                return float("inf")
     worst = 0.0
     for x, y, scale in triples:
         if x != y and not (math.isnan(x) and math.isnan(y)):
@@ -107,7 +130,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     args = parser.parse_args()
-    compared, differing, exits_differing, worst = 0, 0, 0, 0.0
+    compared, differing, exits_differing = 0, 0, 0
+    worst = {}  # (run label, file) -> largest relative difference over the seeds
+    one_sided = set()  # (run label, summary.json key) written by one side only
     with tempfile.TemporaryDirectory() as tmp:
         checkout = Path(tmp) / "rev"
         archive = subprocess.run(
@@ -131,15 +156,24 @@ def main() -> int:
                     a, b = before / file, after / file
                     if not (a.exists() and b.exists()):
                         differing += 1
-                        worst = float("inf")
+                        worst[label, file] = float("inf")
                         print(f"{label} seed {seed}: {file} written by one side only")
                     elif a.read_bytes() != b.read_bytes():
                         differing += 1
-                        worst = max(worst, relative_difference(
-                            a.read_bytes(), b.read_bytes(), by_column=file.endswith(".csv")))
+                        csv = file.endswith(".csv")
+                        diff = relative_difference(a.read_bytes(), b.read_bytes(), by_column=csv)
+                        worst[label, file] = max(worst.get((label, file), 0.0), diff)
+                        if not csv:
+                            keys = one_sided_keys(a.read_bytes(), b.read_bytes())
+                            one_sided |= {(label, key) for key in keys}
                         print(f"{label} seed {seed}: {file} differs")
+    for (label, file), diff in sorted(worst.items()):
+        print(f"{label} {file}: largest relative difference {diff:.3g}")
+    for label, key in sorted(one_sided):
+        print(f"{label} summary.json: key {key} written by one side only")
     print(f"{compared} files compared, {differing} differ, "
-          f"largest relative difference {worst:.3g}; {exits_differing} exit codes differ")
+          f"largest relative difference {max(worst.values(), default=0.0):.3g}; "
+          f"{exits_differing} exit codes differ")
     return 1 if differing or exits_differing else 0
 
 
