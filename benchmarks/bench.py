@@ -7,16 +7,20 @@ under the numpy settings with which `dynamics._march` steps it) and one step
 of a whole `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in
 {0, 0.1}: triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A
 row is one run; five rows are the deltas of one batched sweep, stepped
-together.  It also times one diagnostic sample as each command takes it from
-the stepped arrays: `simulate`'s energy, monitor and |u|_inf at N=256 (one
-row, eps 0.1), the dispersion sweep's errors at N=2048 (five rows: the
-classical run and four deltas), and the lattice sweep's classical (u, u_t)
-and the errors of the four chains of deltas h * {8, 4, 2, 1} at N=2048.  A
-repeat times a batch of calls, steps or samples with `time.perf_counter` and
-divides by the batch size; each result is the median and interquartile range
-over the repeats, in ms.  The file also records the grid, rows, repeats,
-numpy version, CPU count and git commit.  For the end-to-end CLI workloads
-see perfbench/.
+together.  At eps 0.1 it also times the breakdown check's two layers on the
+coefficients after 20 steps and their first stage, under the same settings:
+the coefficient bound (`dynamics._monitor_bound`) and the exact monitor
+(`dynamics._monitor`).  It times one step of an `integrate_chain` call that
+steps the lattice sweep's four chains of deltas h * {8, 4, 2, 1} at N=2048
+and eps 0.1, and one diagnostic sample as each command takes it from the
+stepped arrays: `simulate`'s energy, monitor and |u|_inf at N=256 (one row,
+eps 0.1), the dispersion sweep's errors at N=2048 (five rows: the classical
+run and four deltas), and the lattice sweep's classical (u, u_t) and the
+errors of the four chains at N=2048.  A repeat times a batch of calls, steps
+or samples with `time.perf_counter` and divides by the batch size; each
+result is the median and interquartile range over the repeats, in ms.  The
+file also records the grid, rows, repeats, numpy version, CPU count and git
+commit.  For the end-to-end CLI workloads see perfbench/.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ HALF_LENGTH = 20.0
 KERNEL = "triangular"
 U0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
 REPEATS = 7
-RHS_CALLS = 200  # right-hand-side calls per repeat
+RHS_CALLS = 200  # right-hand-side or monitor calls per repeat
 STEPS = 200  # steps of the integrate call of one repeat
 SAMPLES = 200  # diagnostic samples per repeat
 CHAIN_STRIDES = (8, 4, 2, 1)  # the lattice sweep's deltas, in grid spacings
@@ -74,26 +78,53 @@ def repeat(call, batch: int) -> list[float]:
     return seconds
 
 
+def stage_repeat(call, rows: int) -> list[float]:
+    """`repeat` of RHS_CALLS calls under the numpy settings of a `dynamics._march` stage."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows > 1:  # as `dynamics._march` steps a state of several rows
+            np.setbufsize(dynamics._STAGE_BUFSIZE)
+        return repeat(call, RHS_CALLS)
+
+
 def time_rhs(grid: Grid, configs, init) -> list[float]:
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
     out = np.empty_like(y)
     rhs = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
+    return stage_repeat(lambda: rhs(y, 0.0, out), len(configs))
+
+
+def time_steps(march) -> list[float]:
+    """Seconds per step of march(), which takes STEPS steps."""
+    return [s / STEPS for s in repeat(march, 1)]
+
+
+def time_monitors(grid: Grid, configs, init) -> dict:
+    """The coefficient bound and the exact monitor of `integrate`'s check,
+    on the coefficients after 20 steps and their first stage."""
+    y = stepped(configs, init)
+    multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
+    k1 = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(configs) > 1:  # as `dynamics._march` steps a state of several rows
-            np.setbufsize(dynamics._STAGE_BUFSIZE)
-        return repeat(lambda: rhs(y, 0.0, out), RHS_CALLS)
+        _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])(y, 0.0, k1)
+    ddx = _multiplier(grid, None, None)
+    bound = dynamics._monitor_bound(ddx, grid.size)
+    scratch = np.empty((len(configs), 2 * y.shape[-1]))
+    stacked = np.empty((3, *y.shape[1:]), dtype=complex)
+    samples = np.empty((3, len(configs), grid.size))
+    return {
+        "monitor_bound": stage_repeat(lambda: bound(y[0], k1[0], scratch), len(configs)),
+        "monitor": stage_repeat(
+            lambda: dynamics._monitor(y[0], k1[0], ddx, stacked, samples), len(configs)),
+    }
 
 
-def time_step(configs, init) -> list[float]:
-    run = configs if len(configs) > 1 else configs[0]
-    integrate(run, init)  # warm-up
-    seconds = []
-    for _ in range(REPEATS):
-        start = perf_counter()
-        integrate(run, init)
-        seconds.append((perf_counter() - start) / STEPS)
-    return seconds
+def time_chain_step() -> list[float]:
+    """One step of the lattice sweep's four chains, stepped together."""
+    grid = Grid(HALF_LENGTH, 2048)
+    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s, s) for s in CHAIN_STRIDES]
+    dt = shared_dt(grid)
+    return time_steps(lambda: lattice.integrate_chain(chains, 0.1, 1, dt, STEPS * dt))
 
 
 def stepped(configs, init, steps: int = 20) -> np.ndarray:
@@ -175,13 +206,20 @@ def main(argv=None) -> int:
                     for d in DELTAS[:rows]
                 ]
                 case = {"grid_n": size, "rows": rows, "epsilon": eps}
+                run = configs if rows > 1 else configs[0]
                 timings = {
                     "rhs_call": (RHS_CALLS, time_rhs(grid, configs, init)),
-                    "integrate_step": (STEPS, time_step(configs, init)),
+                    "integrate_step": (STEPS, time_steps(lambda: integrate(run, init))),
                 }
+                if eps:
+                    timings.update((layer, (RHS_CALLS, seconds)) for layer, seconds
+                                   in time_monitors(grid, configs, init).items())
                 for layer, (batch, seconds) in timings.items():
                     results.append({"layer": layer, **case, "batch": batch, **summary(seconds)})
                     report(results[-1])
+    results.append({"layer": "chain_step", "grid_n": 2048, "rows": len(CHAIN_STRIDES),
+                    "epsilon": 0.1, "batch": STEPS, **summary(time_chain_step())})
+    report(results[-1])
     for case, seconds in time_samples(Kernel(KERNEL)):
         results.append({**case, "batch": SAMPLES, **summary(seconds)})
         report(results[-1])

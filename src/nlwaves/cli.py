@@ -288,7 +288,11 @@ def main(argv=None) -> int:
         if args.command != "kernel-info":
             _check_initial_data(cfg, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            sys.stderr.write(f"error: --out {out_dir}: {exc.strerror or exc}\n")
+            return 3
         if args.command == "kernel-info":
             return _cmd_kernel_info(cfg, out_dir)
         if args.command == "simulate":

@@ -103,11 +103,14 @@ def fit_rate(pairs) -> RateFit:
 
     Pairs with error at or below the zero floor are excluded (and reported in
     the fit's `excluded` field); fewer than two usable pairs raises
-    DegenerateFitError.
+    DegenerateFitError.  A negative or non-finite error and a delta that is
+    not finite and positive raise ValueError.
     """
     pairs = [(float(d), float(e)) for d, e in pairs]
-    if any(e < 0 for _, e in pairs):
-        raise ValueError("errors must be nonnegative")
+    if not all(0 <= e < np.inf for _, e in pairs):
+        raise ValueError("errors must be finite and nonnegative")
+    if not all(0 < d < np.inf for d, _ in pairs):
+        raise ValueError("deltas must be finite and positive")
     usable = [(d, e) for d, e in pairs if e > ZERO_ERROR_FLOOR]
     excluded = tuple(d for d, e in pairs if e <= ZERO_ERROR_FLOOR)
     if len(usable) < 2:

@@ -14,8 +14,10 @@ isolates the kernel effect alone.
 `integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
 right-hand side is then M (v^, u^) + (0, M g(u)^) with the fused multiplier
 M = i xi sqrt(b(delta xi)) built once per call.  A stage is one multiply of M
-by the swapped pair, plus, when eps != 0, one padded transform pair for the
-power and one multiply-add by eps^n M times the padding's scale.  Before each
+by the swapped pair, plus, when eps != 0, the power of u on a zero-padded
+grid of P >= (n+2)/2 N points (one padded transform pair, which removes its
+aliasing exactly) and one multiply-add by eps^n M times the padding's scale
+(P/N)^n; `_spectral_rhs` owns the padding and its buffers.  Before each
 step the breakdown monitor is bounded from the coefficients u^, the first RK4
 stage and |xi| u^, with no transform; the exact monitor, one inverse
 transform of all rows, runs only when the bound reaches the threshold, so
@@ -48,14 +50,7 @@ import numpy as np
 from . import schema, shapes
 from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
-from .spectral import (
-    Field,
-    Grid,
-    _integer_power,
-    _padded_size,
-    dealiased_power_rfft,
-    power_buffers,
-)
+from .spectral import Field, Grid, _integer_power
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
 _CFL_SAFETY = 0.25  # Courant number of the CFL step
@@ -148,26 +143,45 @@ def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
     return m
 
 
+def _padded_size(n: int, power: int) -> int:
+    """Even padded length of at least (power+1)/2 * n points."""
+    padded = int(np.ceil((power + 1) * n / 2))
+    return padded + padded % 2
+
+
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """y -> (M y[1], M (y[0] + eps^n y[0]^(n+1))^) for (2, *shape) coefficient arrays.
 
-    The returned rhs(y, t, out) writes into `out`; its dealiasing buffers and
-    the multiplier eps^n (P/N)^n M of the unscaled power are built here, once.
-    M zeroes the Nyquist bin, which the power leaves out.
+    The returned rhs(y, t, out) writes into `out`.  The power is taken on P =
+    `_padded_size` points, zero-padded, and truncated back, which removes its
+    aliasing exactly; the weight 1/2 splits the Nyquist coefficient between
+    the +/- N/2 padded modes.  Neither transform is rescaled: the multiplier
+    eps^n (P/N)^n M, which zeroes the left-out Nyquist bin, and the work
+    buffers are built here, once.
     """
     coef = cfg.nonlinear_coefficient
     if coef == 0.0:
         return lambda y, _t, out: np.multiply(multiplier, y[::-1], out=out)
     power, half = cfg.n + 1, size // 2
-    buffers = power_buffers(shape, size, power)
-    m_nl = coef * (_padded_size(size, power) / size) ** cfg.n * multiplier[..., :half]
+    padded = _padded_size(size, power)
+    m_nl = coef * (padded / size) ** cfg.n * multiplier[..., :half]
+    weights = np.append(np.ones(half, complex), 0.5)
+    fine = np.zeros((*shape[:-1], padded // 2 + 1), complex)  # zero above N/2
+    head = fine[..., : half + 1]
+    product = np.empty((*shape[:-1], padded))
+    spec = np.empty_like(fine)
+    scratch = spec.view(float)[..., :padded]  # partial products, until rfft writes spec
+    stress = spec[..., :half]
 
     def rhs(y, _t, out):
         np.multiply(multiplier, y[::-1], out=out)
-        stress = dealiased_power_rfft(y[0], power, buffers)
+        np.multiply(y[0], weights, out=head)
+        np.fft.irfft(fine, n=padded, out=product)
+        _integer_power(product, power, out=product, scratch=scratch)
+        np.fft.rfft(product, out=spec)
         np.multiply(m_nl, stress, out=stress)
-        head = out[1, ..., :half]
-        np.add(head, stress, out=head)
+        dv = out[1, ..., :half]
+        np.add(dv, stress, out=dv)
 
     return rhs
 

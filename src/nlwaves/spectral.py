@@ -1,4 +1,4 @@
-"""Periodic grid, real fields, the coefficient Sobolev norm and the dealiased power.
+"""Periodic grid, real fields, the coefficient Sobolev norm and integer powers.
 
 The domain is the periodic box [-L, L) sampled at N uniform nodes.  Discrete
 frequencies are xi_m = m*pi/L for m = -N/2 .. N/2-1 (stored in FFT order).
@@ -13,6 +13,10 @@ real-FFT coefficients, `coefficient_norm` with weights from `norm_weights`;
 sobolev_norm(f, 0) equals the physical-space L2 norm (sqrt(h * sum f_j^2))
 to round-off, i.e. the frequency quadrature carries the measure weight that
 makes the discrete Parseval identity exact.
+
+`_integer_power` takes the integer powers of the spectral right-hand side
+(which dealiases them, see `dynamics._spectral_rhs`), the chain and the
+energy weight as repeated products.
 """
 
 from __future__ import annotations
@@ -158,51 +162,6 @@ def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndar
     for _ in range(power - 3):
         np.multiply(partial, x, out=partial)
     return np.multiply(partial, x, out=out)
-
-
-def _padded_size(n: int, power: int) -> int:
-    """Even padded length of at least (power+1)/2 * n points."""
-    padded = int(np.ceil((power + 1) * n / 2))
-    return padded + padded % 2
-
-
-def power_buffers(shape, n: int, power: int) -> tuple[np.ndarray, ...]:
-    """Work buffers of `dealiased_power_rfft` for the coefficients, of `shape`,
-    of an n-point field, and the views a call writes: weights [1, ..., 1, 1/2];
-    the padded spectrum (zero above n/2, never written) and its first n/2 + 1
-    bins; the padded samples; P reals of their power's padded spectrum, free for
-    partial products until rfft writes it; that spectrum; its first n/2 bins."""
-    padded = _padded_size(n, power)
-    spectra, half = (*shape[:-1], padded // 2 + 1), n // 2
-    fine, spec = np.zeros(spectra, complex), np.empty(spectra, complex)
-    return (np.append(np.ones(half, complex), 0.5), fine, fine[..., : half + 1],
-            np.empty((*shape[:-1], padded)), spec.view(float)[..., :padded], spec, spec[..., :half])
-
-
-def dealiased_power_rfft(coeffs: np.ndarray, power: int, buffers) -> np.ndarray:
-    """Pointwise integer power of an n-point field (n as in `buffers`), computed
-    without aliasing, times (n/P)^(power-1); bins 0 .. n/2 - 1 only.
-
-    `coeffs` holds real-FFT coefficients of shape (..., n/2 + 1); every
-    leading row is transformed in the same call.  `_integer_power` takes the
-    power on a zero-padded grid of P = `_padded_size(n, power)` >= (power+1)/2
-    * n points, truncated back, which removes aliasing of a degree-`power`
-    product exactly.  The last weight splits the coarse Nyquist coefficient
-    evenly between the +/- n/2 modes of the padded grid (the real part of the
-    full-spectrum product).  Neither transform is rescaled: the caller folds
-    (P/n)^(power-1) into its multiplier, which zeroes the left-out Nyquist bin.
-
-    The work happens in `buffers` from `power_buffers`, and the result is a
-    view into them, valid until the next call with the same buffers.  It
-    sets no `np.errstate`: its one caller, the right-hand side of
-    `dynamics._spectral_rhs`, runs in `dynamics._march`, which lets overflow pass.
-    """
-    weights, fine, head, product, scratch, spec, result = buffers
-    np.multiply(coeffs, weights, out=head)
-    np.fft.irfft(fine, n=product.shape[-1], out=product)
-    _integer_power(product, power, out=product, scratch=scratch)
-    np.fft.rfft(product, out=spec)
-    return result
 
 
 def write_field_csv(f: Field, path) -> None:

@@ -28,9 +28,8 @@ and an adapter onto the production core.
 import numpy as np
 
 from nlwaves import BreakdownError, Field, NonFiniteError, dynamics
-from nlwaves.dynamics import ModelConfig, _multiplier, n_steps
+from nlwaves.dynamics import ModelConfig, _multiplier, _padded_size, n_steps
 from nlwaves.lattice import _neighbours, _stencil
-from nlwaves.spectral import _padded_size
 
 
 def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
@@ -122,7 +121,7 @@ def dealiased_power(f: Field, power: int) -> Field:
 
 def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
     """`dealiased_power` on real-FFT coefficients of an n-point field, times
-    (n/P)^(power-1) and without the Nyquist bin, as `spectral.dealiased_power_rfft`.
+    (n/P)^(power-1) and without the Nyquist bin, as `dynamics._spectral_rhs` takes it.
 
     `coeffs` has shape (..., n/2 + 1); every leading row is transformed in
     the same call.  The coarse Nyquist coefficient is split evenly between

@@ -115,6 +115,15 @@ class TestKernelInfo:
         assert code == 3
         assert "kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [None, "sub"], ids=["file", "below-file"])
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys, below):
+        target = tmp_path / "taken"
+        target.write_text("")
+        out = target / below if below else target
+        assert main(["kernel-info", "dirac", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_small_run_writes_outputs(self, tmp_path, capsys):

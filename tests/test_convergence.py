@@ -60,6 +60,17 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(0.4, -1.0), (0.2, 0.1)])
 
+    @pytest.mark.parametrize(
+        "pair, name",
+        [((0.1, np.nan), "errors"), ((0.1, np.inf), "errors"), ((0.0, 1e-3), "deltas"),
+         ((-0.1, 1e-3), "deltas"), ((np.nan, 1e-3), "deltas"), ((np.inf, 1e-3), "deltas")],
+        ids=["error-nan", "error-inf", "delta-0", "delta-negative", "delta-nan", "delta-inf"],
+    )
+    def test_non_finite_or_non_positive_input_rejected(self, pair, name):
+        # none of these is fitted silently or reaches np.log
+        with pytest.raises(ValueError, match=name):
+            fit_rate([(0.4, 1e-2), (0.2, 2.5e-3), pair])
+
 
 class TestOperatorError:
     @pytest.fixture
