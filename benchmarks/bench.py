@@ -2,14 +2,18 @@
 
     python3 benchmarks/bench.py [--out BENCH_layers.json]
 
+Times one symbol evaluation (`Kernel.scaled_sqrt_symbol` over the real-FFT
+frequencies, for each built-in kernel, at delta 0.4) at N in {256, 2048}.
 Times one right-hand-side call (the closure `dynamics._spectral_rhs` builds,
-under the numpy settings with which `dynamics._march` steps it) and one step
-of a whole `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in
-{0, 0.1}: triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A
-row is one run; five rows are the deltas of one batched sweep, stepped
-together.  At eps 0.1 it also times the breakdown check's two layers on the
-coefficients after 20 steps and their first stage, under the same settings:
-the coefficient bound (`dynamics._monitor_bound`) and the exact monitor
+under the numpy settings with which `dynamics._march` steps it), one bare RK4
+step (the first stage and `dynamics._rk4`, under the same settings, with no
+check, probe or snapshot) and one step of a whole `integrate` call, at N in
+{256, 2048}, rows in {1, 5} and eps in {0, 0.1}: triangular kernel, n = 1,
+L = 20, dt = 0.25 h, Gaussian strain.  A row is one run; five rows are the
+deltas of one batched sweep, stepped together.  At eps 0.1 it also times the
+breakdown check's two layers on the coefficients after 20 steps and their
+first stage, under the same settings: the coefficient bound
+(`dynamics._monitor_bound`) and the exact monitor
 (`dynamics._monitor`).  It times one step of an `integrate_chain` call that
 steps the lattice sweep's four chains of deltas h * {8, 4, 2, 1} at N=2048
 and eps 0.1, and one diagnostic sample as each command takes it from the
@@ -43,7 +47,8 @@ import numpy as np  # noqa: E402
 
 from nlwaves import Grid, Kernel, ModelConfig, integrate, make_initial  # noqa: E402
 from nlwaves import convergence, dynamics, lattice  # noqa: E402
-from nlwaves.dynamics import _coefficients, _multiplier, _spectral_rhs, shared_dt  # noqa: E402
+from nlwaves.dynamics import _coefficients, _multiplier, _rk4, _spectral_rhs, shared_dt  # noqa: E402
+from nlwaves.kernels import BUILTIN_NAMES  # noqa: E402
 from nlwaves.spectral import norm_weights  # noqa: E402
 
 SIZES = (256, 2048)
@@ -54,7 +59,7 @@ HALF_LENGTH = 20.0
 KERNEL = "triangular"
 U0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
 REPEATS = 7
-RHS_CALLS = 200  # right-hand-side or monitor calls per repeat
+RHS_CALLS = 200  # symbol, right-hand-side, bare-step or monitor calls per repeat
 STEPS = 200  # steps of the integrate call of one repeat
 SAMPLES = 200  # diagnostic samples per repeat
 CHAIN_STRIDES = (8, 4, 2, 1)  # the lattice sweep's deltas, in grid spacings
@@ -86,12 +91,25 @@ def stage_repeat(call, rows: int) -> list[float]:
         return repeat(call, RHS_CALLS)
 
 
-def time_rhs(grid: Grid, configs, init) -> list[float]:
+def time_symbol(grid: Grid, kernel: Kernel) -> list[float]:
+    xi = grid.rfreqs
+    return repeat(lambda: kernel.scaled_sqrt_symbol(DELTAS[0], xi), RHS_CALLS)
+
+
+def time_rhs(grid: Grid, configs, init) -> dict:
+    """One right-hand-side call, and one bare RK4 step: its first stage and `_rk4`."""
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
-    out = np.empty_like(y)
+    out, stage, k = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     rhs = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
-    return stage_repeat(lambda: rhs(y, 0.0, out), len(configs))
+    dt = configs[0].dt
+
+    def step():
+        rhs(y, 0.0, out)
+        _rk4(rhs, y, 0.0, dt, stage, k, out)
+
+    return {"rhs_call": stage_repeat(lambda: rhs(y, 0.0, out), len(configs)),
+            "rk4_step": stage_repeat(step, len(configs))}
 
 
 def time_steps(march) -> list[float]:
@@ -184,8 +202,9 @@ def git_commit() -> str | None:
 
 
 def report(result: dict) -> None:
-    print(f"{result['layer']:17s} N={result['grid_n']:5d} rows={result['rows']} "
-          f"eps={result['epsilon']:<4g} {result['median_ms']:.4f} ms (IQR {result['iqr_ms']:.4f})")
+    case = result.get("kernel") or f"rows={result['rows']} eps={result['epsilon']:<4g}"
+    print(f"{result['layer']:17s} N={result['grid_n']:5d} {case:15s} "
+          f"{result['median_ms']:.4f} ms (IQR {result['iqr_ms']:.4f})")
 
 
 def main(argv=None) -> int:
@@ -195,6 +214,10 @@ def main(argv=None) -> int:
     results = []
     for size in SIZES:
         grid = Grid(HALF_LENGTH, size)
+        for name in BUILTIN_NAMES:
+            results.append({"layer": "symbol", "grid_n": size, "kernel": name,
+                            "batch": RHS_CALLS, **summary(time_symbol(grid, Kernel(name)))})
+            report(results[-1])
         dt = shared_dt(grid)
         init = make_initial(U0, None, grid)
         kernel = Kernel(KERNEL)
@@ -207,10 +230,9 @@ def main(argv=None) -> int:
                 ]
                 case = {"grid_n": size, "rows": rows, "epsilon": eps}
                 run = configs if rows > 1 else configs[0]
-                timings = {
-                    "rhs_call": (RHS_CALLS, time_rhs(grid, configs, init)),
-                    "integrate_step": (STEPS, time_steps(lambda: integrate(run, init))),
-                }
+                timings = {layer: (RHS_CALLS, seconds) for layer, seconds
+                           in time_rhs(grid, configs, init).items()}
+                timings["integrate_step"] = (STEPS, time_steps(lambda: integrate(run, init)))
                 if eps:
                     timings.update((layer, (RHS_CALLS, seconds)) for layer, seconds
                                    in time_monitors(grid, configs, init).items())
@@ -230,8 +252,8 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "repeats": REPEATS,
         "setup": {"kernel": KERNEL, "n": 1, "grid_l": HALF_LENGTH, "dt": "0.25 h", "u0": U0,
-                  "deltas": list(DELTAS), "sample_s": 3.0, "sampled_after_steps": 20,
-                  "chain_strides": list(CHAIN_STRIDES)},
+                  "deltas": list(DELTAS), "symbol_delta": DELTAS[0], "sample_s": 3.0,
+                  "sampled_after_steps": 20, "chain_strides": list(CHAIN_STRIDES)},
         "results": results,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

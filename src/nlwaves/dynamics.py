@@ -17,7 +17,11 @@ M = i xi sqrt(b(delta xi)) built once per call.  A stage is one multiply of M
 by the swapped pair, plus, when eps != 0, the power of u on a zero-padded
 grid of P >= (n+2)/2 N points (one padded transform pair, which removes its
 aliasing exactly) and one multiply-add by eps^n M times the padding's scale
-(P/N)^n; `_spectral_rhs` owns the padding and its buffers.  Before each
+(P/N)^n; `_spectral_rhs` owns the padding and its buffers.  The pair calls
+the two pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in,
+bound once at import: at N=256 the wrappers' per-call checks cost about as
+much as a transform, and the closure's fixed buffers need none of them.
+Every other transform goes through `np.fft`.  Before each
 step the breakdown monitor is bounded from the coefficients u^, the first RK4
 stage and |xi| u^, with no transform; the exact monitor, one inverse
 transform of all rows, runs only when the bound reaches the threshold, so
@@ -46,6 +50,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from . import schema, shapes
 from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
@@ -157,7 +162,10 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     aliasing exactly; the weight 1/2 splits the Nyquist coefficient between
     the +/- N/2 padded modes.  Neither transform is rescaled: the multiplier
     eps^n (P/N)^n M, which zeroes the left-out Nyquist bin, and the work
-    buffers are built here, once.
+    buffers are built here, once.  The pair is the gufunc calls that
+    `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
+    out=spec)` make after their checks, with numpy's scales 1/P and 1; P is
+    even, so the forward gufunc is `rfft_n_even`.
     """
     coef = cfg.nonlinear_coefficient
     if coef == 0.0:
@@ -176,9 +184,9 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     def rhs(y, _t, out):
         np.multiply(multiplier, y[::-1], out=out)
         np.multiply(y[0], weights, out=head)
-        np.fft.irfft(fine, n=padded, out=product)
+        _irfft(fine, 1 / padded, out=product)
         _integer_power(product, power, out=product, scratch=scratch)
-        np.fft.rfft(product, out=spec)
+        _rfft(product, 1.0, out=spec)
         np.multiply(m_nl, stress, out=stress)
         dv = out[1, ..., :half]
         np.add(dv, stress, out=dv)

@@ -10,8 +10,12 @@ stepped by the RK4 march of the spectral core (`dynamics._march`) with the
 array right-hand side (u, u_t) -> (u_t, D2 g), so the chain and the
 classical reference of a lattice sweep land on one time grid.  The chains
 of a lattice sweep are stepped together, end to end in one pair of arrays,
-each wrapping on itself; observers get chains whose site arrays are views of
-the stepped state, taken on first access.
+each wrapping on itself.  The second difference is taken on shifted slices
+of the whole array and redone at each chain's two ends with the neighbours
+that wrap within the chain, into buffers built once per call, with the
+operations of a gather over neighbour indices and so its bits.  Observers
+get chains whose site arrays are views of the stepped state, taken on first
+access.
 """
 from __future__ import annotations
 
@@ -68,30 +72,40 @@ class Chain:
         return -self.half_length + self.delta * np.arange(self.sites)
 
 
-def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right neighbours of chains of `sizes` sites laid end to end, each periodic."""
-    ends = np.cumsum(sizes)
-    left, right = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
-    left[ends - sizes] = ends - 1
-    right[ends - 1] = ends - sizes
-    return left, right
+def _chain_rhs(delta, epsilon: float, n: int, sizes):
+    """rhs(y, t, out): out = (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)
+    of chains of `sizes` sites laid end to end, each periodic; `delta` is one
+    spacing or one per site.
 
-
-def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(g_{j+1} - 2 g_j + g_{j-1}) * inv with the given neighbour indices."""
-    return (g[right] - 2.0 * g + g[left]) * inv
-
-
-def _chain_rhs(delta, epsilon: float, n: int, neighbours):
-    """rhs(y, t, out): out = (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)."""
+    D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * inv is taken on shifted slices of
+    the whole array, then redone at each chain's first and last site with the
+    neighbours that wrap within the chain: the same operations in the same
+    order as on gathered neighbours, so the same bits.  g, 2 g and the power's
+    partial products live in buffers built here, once.
+    """
     coef = epsilon**n
-    inv = 1.0 / (delta * delta)
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    inv = np.broadcast_to(1.0 / (delta * delta), (total,))
+    starts = np.tile(ends - sizes, 2)
+    edges = np.concatenate([ends - sizes, ends - 1])
+    offset, period = edges - starts, np.tile(sizes, 2)
+    right, left = starts + (offset + 1) % period, starts + (offset - 1) % period
+    g, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
 
     def rhs(y, _t, out):
-        u = y[0]
-        g = u + coef * _integer_power(u, n + 1)
+        u, d2 = y[0], out[1]
+        _integer_power(u, n + 1, out=g, scratch=scratch)
+        np.multiply(coef, g, out=g)
+        np.add(u, g, out=g)
         out[0] = y[1]
-        out[1] = _stencil(g, inv, *neighbours)
+        np.multiply(2.0, g, out=twice)
+        inner = d2[1:-1]
+        np.subtract(g[2:], twice[1:-1], out=inner)
+        np.add(inner, g[:-2], out=inner)
+        np.multiply(inner, inv[1:-1], out=inner)
+        d2[edges] = (g[right] - twice[edges] + g[left]) * inv[edges]
 
     return rhs
 
@@ -150,7 +164,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
     sizes = [c.sites for c in chains]
-    rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, _neighbours(sizes))
+    rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
     ends = np.cumsum(sizes)
     spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
 

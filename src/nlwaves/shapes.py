@@ -70,7 +70,13 @@ def make_callable(spec, half_length: float):
         return lambda x: a * np.sin(w * np.asarray(x, dtype=float))
     if name == "sech2":
         a, b = float(spec["a"]), float(spec["b"])
-        return lambda x: a / np.cosh(b * np.asarray(x, dtype=float)) ** 2
+
+        def sech2(x):
+            # far out cosh(b x)^2 overflows to inf, and a / inf is the right 0
+            with np.errstate(over="ignore"):
+                return a / np.cosh(b * np.asarray(x, dtype=float)) ** 2
+
+        return sech2
     raise InvalidSpecError("sample arrays cannot be evaluated off-grid")
 
 

@@ -12,7 +12,9 @@ and an adapter onto the production core.
   the real-FFT core of `dynamics.integrate`; the norm tests compare the
   core's real-FFT coefficient norm with `spectrum_norm`.
 - `dealiased_power_rfft`, `_spectral_rhs`, `_rk4` and `_chain_rhs` are the
-  allocating versions that the in-place core replaced, kept verbatim except
+  allocating versions that the in-place core replaced, and `_neighbours` and
+  `_stencil` the chain's second difference on gathered neighbours that the
+  slice stencil replaced, kept verbatim except
   for their integer powers, which are spelled out as the left-to-right
   product x*x*...*x that the core computes in place of numpy's `**`, and
   for the spectral right-hand side's arithmetic, which follows the core's:
@@ -29,7 +31,6 @@ import numpy as np
 
 from nlwaves import BreakdownError, Field, NonFiniteError, dynamics
 from nlwaves.dynamics import ModelConfig, _multiplier, _padded_size, n_steps
-from nlwaves.lattice import _neighbours, _stencil
 
 
 def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
@@ -171,6 +172,20 @@ def _rk4(rhs, u, v, t: float, h: float, k1=None):
         u + w * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
+
+
+def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right neighbours of chains of `sizes` sites laid end to end, each periodic."""
+    ends = np.cumsum(sizes)
+    left, right = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
+    left[ends - sizes] = ends - 1
+    right[ends - 1] = ends - sizes
+    return left, right
+
+
+def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(g_{j+1} - 2 g_j + g_{j-1}) * inv with the given neighbour indices."""
+    return (g[right] - 2.0 * g + g[left]) * inv
 
 
 def _chain_rhs(delta, epsilon: float, n: int, neighbours):

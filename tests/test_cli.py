@@ -170,6 +170,14 @@ class TestSimulate:
         first = [float(x) for x in rows[0].split(",")]
         assert first[0] == 0.0 and first[3] == np.max(np.abs(u0)) == a
 
+    def test_steep_sech2_runs_without_warnings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid_n=64, grid_l=20.0, t_end=0.1,
+                           u0={"shape": "sech2", "a": 0.5, "b": 40})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_breakdown_exits_2_with_halt_time(self, tmp_path, capsys):
         cfg = write_config(tmp_path, breakdown_threshold=0.1, t_end=1.0,
                            grid_n=64, grid_l=10.0, delta=0.5)

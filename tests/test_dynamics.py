@@ -1,5 +1,6 @@
 """System right-hand sides, RK4 stepping, energy, monitor, and integration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,8 @@ class TestClassicalRhs:
 
 class TestSpectralRhsTransforms:
     """One right-hand-side call makes one padded transform pair when eps > 0,
-    none when eps = 0, and leaves the Nyquist bin of both derivatives at 0."""
+    none when eps = 0, with the pocketfft gufuncs that `dynamics` binds and
+    no `np.fft` call, and leaves the Nyquist bin of both derivatives at 0."""
 
     GRID = Grid(10.0, 64)
 
@@ -132,19 +134,44 @@ class TestSpectralRhsTransforms:
         y = np.repeat(_coefficients(make_initial(u0, v0, self.GRID))[:, None], rows, axis=1)
         y[..., -1] = 0.1 + 0.2j  # a Nyquist bin that the derivatives must not see
         rhs = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size, y.shape[1:])
-        calls = {"irfft": 0, "rfft": 0}
-        for name in calls:
-            def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+        calls = {"_irfft": 0, "_rfft": 0, "np.fft": 0}
+        for name in ("_irfft", "_rfft"):
+            def counted(*args, _fft=getattr(dynamics, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fft(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(dynamics, name, counted)
+        for name in ("irfft", "rfft", "fft", "ifft"):
+            def wrapper(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls["np.fft"] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, wrapper)
         out = np.full_like(y, np.nan)
         rhs(y, 0.0, out)
         pairs = 1 if eps > 0.0 else 0
-        assert calls == {"irfft": pairs, "rfft": pairs}
+        assert calls == {"_irfft": pairs, "_rfft": pairs, "np.fft": 0}
         assert np.all(out[..., -1] == 0.0)
         assert np.all(np.isfinite(out))
+
+
+class TestBoundTransforms:
+    """The gufuncs that `dynamics` binds, called as the right-hand side calls
+    them, give the bits of `np.fft.irfft(x, n=P)` and `np.fft.rfft`."""
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("size", [8, 256, 2048])
+    def test_equal_np_fft_bit_for_bit(self, size, n, rows):
+        padded = dynamics._padded_size(size, n + 1)
+        rng = np.random.default_rng(size + 10 * n + rows)
+        fine = rng.standard_normal((rows, padded // 2 + 1, 2)) @ np.array([1.0, 1j])
+        product = np.empty((rows, padded))
+        dynamics._irfft(fine, 1 / padded, out=product)
+        assert np.array_equal(product, np.fft.irfft(fine, n=padded))
+        spec = np.empty_like(fine)
+        dynamics._rfft(product, 1.0, out=spec)
+        assert np.array_equal(spec, np.fft.rfft(product))
 
 
 class TestRk4Step:
@@ -319,6 +346,15 @@ class TestMakeInitial:
         np.testing.assert_array_equal(
             st.u.samples, 0.7 / np.cosh(1.5 * g.nodes) ** 2
         )
+
+    @pytest.mark.parametrize("b", [20.0, 40.0])
+    def test_steep_sech2_raises_no_overflow_warning(self, b):
+        # cosh(b x)^2 overflows far from the peak, where a / inf = 0 is the value
+        g = Grid(20.0, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = make_initial({"shape": "sech2", "a": 0.5, "b": b}, None, g)
+        assert np.max(st.u.samples) == 0.5 and np.min(st.u.samples) == 0.0
 
     def test_sample_arrays_accepted(self, unit_grid):
         values = np.linspace(0, 1, unit_grid.size)

@@ -21,26 +21,35 @@ from nlwaves import (
     make_chain,
     make_initial,
 )
-from nlwaves.lattice import _chain_rhs, _neighbours, _stencil
-from reference import integrate_chains
+from nlwaves.lattice import _chain_rhs
+from reference import _neighbours, integrate_chains
+from reference import _chain_rhs as gathered_chain_rhs
 
 
 def chain_rhs(chain, epsilon, n):
     """The chain integrator's right-hand side at the chain's state."""
-    rhs = _chain_rhs(chain.delta, epsilon, n, _neighbours([chain.sites]))
+    rhs = _chain_rhs(chain.delta, epsilon, n, [chain.sites])
     out = np.empty((2, chain.sites))
     rhs(np.stack([chain.strain, chain.velocity]), chain.t, out)
     return out[0], out[1]
 
 
+def second_difference(values, delta):
+    """D2 of the site values of one periodic chain, by the chain's right-hand side at eps 0."""
+    rhs = _chain_rhs(delta, 0.0, 1, [values.size])
+    out = np.empty((2, values.size))
+    rhs(np.stack([values, np.zeros_like(values)]), 0.0, out)
+    return out[1]
+
+
 class TestSecondDifference:
     def test_constant_maps_to_zero(self):
         vals = np.full(16, 2.5)
-        assert np.max(np.abs(_stencil(vals, 1.0 / (0.3 * 0.3), *_neighbours([16])))) == 0.0
+        assert np.max(np.abs(second_difference(vals, 0.3))) == 0.0
 
     def test_quadratic_exact_away_from_wraparound(self):
         x = 0.25 * np.arange(32)
-        out = _stencil(x**2, 1.0 / (0.25 * 0.25), *_neighbours([32]))
+        out = second_difference(x**2, 0.25)
         np.testing.assert_allclose(out[1:-1], 2.0, rtol=1e-11)
 
     def test_pure_mode_multiplier_identity(self):
@@ -51,10 +60,29 @@ class TestSecondDifference:
         delta = 2 * L / M
         x = -L + delta * np.arange(M)
         xi = 3 * np.pi / L
-        out = _stencil(np.sin(xi * x), 1.0 / (delta * delta), *_neighbours([M]))
+        out = second_difference(np.sin(xi * x), delta)
         tri = Kernel("triangular")
         expected = -(xi**2) * tri.symbol(xi * delta) * np.sin(xi * x)
         np.testing.assert_allclose(out, expected, rtol=1e-11, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(8, 64), min_size=1, max_size=4),
+        n=st.sampled_from([1, 2, 3]),
+        epsilon=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slices_match_gathered_neighbours(self, sizes, n, epsilon, seed):
+        # the slice stencil with its redone chain ends gives the bits of the
+        # gather over periodic neighbour indices, chain by chain
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((2, sum(sizes)))
+        delta = np.repeat(rng.uniform(0.05, 1.0, len(sizes)), sizes)
+        out = np.empty_like(y)
+        _chain_rhs(delta, epsilon, n, sizes)(y, 0.0, out)
+        expected = gathered_chain_rhs(delta, epsilon, n, _neighbours(sizes))(y[0], y[1])
+        assert np.array_equal(out[0], expected[0])
+        assert np.array_equal(out[1], expected[1])
 
 
 class TestLatticeRhs:
