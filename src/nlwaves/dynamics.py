@@ -31,15 +31,16 @@ delta are rows of one array and share every transform.
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
-finiteness check, the probe and the observers, and allocates its work
-buffers once per call (RK4 stage input, stage derivative and accumulator);
-a step then allocates only its new state.
+finiteness check and its one hook, and allocates its work buffers once per
+call (RK4 stage input, stage derivative and accumulator); a step then
+allocates only its new state.
 
-Every built-in diagnostic reads the stepped arrays through the march's one
-internal hook, `probe(y, t)`, which sees the initial state and every step
-before any snapshot; `_Recorder` is that probe.  A run without observers
-builds a State only for its last step.  A `simulate` sample (`_sampler`) is
-one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
+The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
+every step, and every built-in diagnostic reads them through it; `_Recorder`
+is that probe.  The integrators' public observers are called after it with
+t alone.  No State is built between steps: `integrate` builds the final
+ones, once, from the last coefficients.  A `simulate` sample (`_sampler`)
+is one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
 smoothing multiplier; `energy` and `breakdown_monitor` are State-level
 wrappers over the same cores.
 """
@@ -47,7 +48,6 @@ wrappers over the same cores.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
@@ -125,8 +125,14 @@ def shared_dt(grid: Grid, dt: float | None = None) -> float:
 
 
 def n_steps(span: float, dt: float) -> int:
-    """RK4 steps that cover `span`, one at least if span > 0; the last may be shorter than dt."""
-    return max(1, int(np.ceil(span / dt - _STEP_ROUNDING))) if span > 0 else 0
+    """RK4 steps that cover `span`, one at least if span > 0; the last may be
+    shorter than dt.  Raises ConfigError naming dt when span / dt overflows."""
+    if span <= 0:
+        return 0
+    if not np.isfinite(span / dt):
+        raise ConfigError("dt", f"{dt!r} is too small for a span of {span!r}: "
+                                "the step count overflows")
+    return max(1, int(np.ceil(span / dt - _STEP_ROUNDING)))
 
 
 # --- spectral-state core ----------------------------------------------------
@@ -240,7 +246,7 @@ def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
     rhs(y, t, out) writes the derivative of y into out; `stage`, `k` and `acc`
     are buffers shaped like y for the stage input, the stage derivative and
     the weighted stage sum, which holds k1 = rhs(y, t) on entry.  Only the
-    new y is allocated, and it is never written again, so snapshots may keep
+    new y is allocated, and it is never written again, so a probe may keep
     it.  Serves coefficient arrays and the chain's site arrays alike.
     """
     half = 0.5 * h
@@ -262,27 +268,31 @@ def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
     return np.add(y, acc)
 
 
-def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, states, snapshots,
-           observers, check, batch: bool, probe=None):
-    """March y from t to t_end with RK4 steps of dt, the last one shortened to
-    land on t_end; returns the states after the last step.
+def _hook(probe, observers):
+    """The march's one hook: probe(y, t), if given, then each observer with t only."""
+    if not observers:
+        return probe
 
-    probe(y, t), if given, sees y at t and after every step, before any
-    snapshot is built; it must not write y.  `states` are the states at t
-    and snapshots(y, t) builds those of a stepped y, after every step when
-    there are observers and after the last one otherwise.  Observers get
-    them at t and after every step, as a tuple when `batch` is set and as
-    the one state otherwise.  Before each step check(y, k1, t) sees the
-    state and its first stage k1 = rhs(y, t) and may raise; the state after
-    the last step must be finite.
-    """
-    def notify(states):
+    def hook(y, t):
+        if probe is not None:
+            probe(y, t)
         for observer in observers:
-            observer(states if batch else states[0])
+            observer(t)
 
+    return hook
+
+
+def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
+    """March y from t to t_end with RK4 steps of dt, the last one shortened to
+    land on t_end; returns the y of the last step, or y itself if there is none.
+
+    probe(y, t), if not None, sees y at t and after every step; it must not
+    write y, and may keep it, since a stepped y is never written again.
+    Before each step check(y, k1, t) sees the state and its first stage k1 =
+    rhs(y, t) and may raise; the state after the last step must be finite.
+    """
     if probe is not None:
         probe(y, t)
-    notify(states)
     steps = n_steps(t_end - t, dt)
     stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     # numpy's ufuncs copy the row-strided views of a stage on several rows
@@ -303,10 +313,7 @@ def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, states, snapsh
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         if probe is not None:
             probe(y, t)
-        if observers or last:
-            states = snapshots(y, t)
-            notify(states)
-    return states if batch else states[0]
+    return y
 
 
 def _coefficients(state: State) -> np.ndarray:
@@ -395,42 +402,6 @@ def _shared_settings(cfg: ModelConfig) -> tuple:
     return tuple(getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "delta")
 
 
-def _unchecked(cls, **attributes):
-    """An instance of the frozen dataclass `cls` with `attributes`, built without __init__."""
-    instance = cls.__new__(cls)
-    instance.__dict__.update(attributes)
-    return instance
-
-
-class _Step:
-    """The coefficients y of one step, shared by the snapshots of its rows;
-    `samples` transforms every row in one inverse FFT, on first read."""
-
-    def __init__(self, grid: Grid, y: np.ndarray):
-        self.grid = grid
-        self.y = y
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        out = np.fft.irfft(self.y, n=self.grid.size)
-        out.setflags(write=False)
-        return out
-
-
-class _Snapshot(State):
-    """A State handed out by `integrate`: u and v are built on first access
-    from the shared samples of its step; `t` needs no transform."""
-
-    u = cached_property(lambda self: Field(self._step.grid, self._step.samples[0, self._row]))
-    v = cached_property(lambda self: Field(self._step.grid, self._step.samples[1, self._row]))
-
-
-def _snapshots(grid: Grid, y: np.ndarray, t: float) -> tuple[State, ...]:
-    """Lazy states of every row of the coefficients y, sharing one transform."""
-    step = _Step(grid, y)
-    return tuple(_unchecked(_Snapshot, t=t, _step=step, _row=r) for r in range(y.shape[1]))
-
-
 class _Recorder:
     """Probe keeping take(y, t) every `stride` steps plus the last step.
 
@@ -457,10 +428,10 @@ class _Recorder:
 def integrate(cfg, initial: State, observers=(), probe=None):
     """March the configured system from initial.t to cfg.t_end with RK4.
 
-    The last step is shortened to land on t_end exactly.  Observers are
-    invoked on the initial state and after every step; so is the internal
-    probe(y, t), before them, with the coefficients y of shape (2, runs,
-    N/2 + 1) (see `_march`).  Raises BreakdownError when the wave-breaking
+    The last step is shortened to land on t_end exactly.  The internal
+    probe(y, t) sees the coefficients y of shape (2, runs, N/2 + 1) at
+    initial.t and after every step (see `_march`); each observer is then
+    called with t alone.  Raises BreakdownError when the wave-breaking
     monitor exceeds cfg.breakdown_threshold and NonFiniteError if the state
     stops being finite, including after the last step.  Each step checks a
     bound on the monitor summed from the coefficients; the monitor itself is
@@ -469,8 +440,10 @@ def integrate(cfg, initial: State, observers=(), probe=None):
 
     `cfg` may also be a sequence of configs that differ only in delta: the
     runs then start from the same initial state and are stepped together.
-    Observers receive, and the call returns, a tuple of states in the order
-    of the configs; the earliest breakdown of any run is raised.
+    The call returns a tuple of states in the order of the configs; the
+    earliest breakdown of any run is raised.  The final states are built
+    once, from one inverse transform of the last step's coefficients; a call
+    that takes no step returns `initial` (once per config).
     """
     batch = not isinstance(cfg, ModelConfig)
     configs = tuple(cfg) if batch else (cfg,)
@@ -505,5 +478,11 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         if np.any(over):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
-    return _march(rhs, y, initial.t, base.t_end, base.dt, (initial,) * len(configs),
-                  partial(_snapshots, grid), observers, check, batch, probe)
+    last = _march(rhs, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
+    if last is y:
+        states = (initial,) * len(configs)
+    else:  # every row from one inverse transform, read-only so no Field copies it
+        final = np.fft.irfft(last, n=grid.size)
+        final.setflags(write=False)
+        states = tuple(State(Field(grid, u), Field(grid, v), base.t_end) for u, v in zip(*final))
+    return states if batch else states[0]

@@ -13,19 +13,19 @@ of a lattice sweep are stepped together, end to end in one pair of arrays,
 each wrapping on itself.  The second difference is taken on shifted slices
 of the whole array and redone at each chain's two ends with the neighbours
 that wrap within the chain, into buffers built once per call, with the
-operations of a gather over neighbour indices and so its bits.  Observers
-get chains whose site arrays are views of the stepped state, taken on first
-access.
+operations of a gather over neighbour indices and so its bits.  The march's
+probe sees the stepped site arrays and observers get t alone; the chains
+`integrate_chain` returns are built once, with site arrays that are views
+of the last step's state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import schema, shapes
-from .dynamics import _march, _unchecked
+from .dynamics import _hook, _march
 from .errors import ConfigError, NonFiniteError
 from .spectral import _integer_power
 
@@ -88,10 +88,12 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     ends = np.cumsum(sizes)
     total = int(ends[-1])
     inv = np.broadcast_to(1.0 / (delta * delta), (total,))
-    starts = np.tile(ends - sizes, 2)
-    edges = np.concatenate([ends - sizes, ends - 1])
-    offset, period = edges - starts, np.tile(sizes, 2)
-    right, left = starts + (offset + 1) % period, starts + (offset - 1) % period
+    firsts, lasts = ends - sizes, ends - 1
+    edges = np.concatenate([firsts, lasts])
+    # a chain's first site wraps left to its last, its last right to its first
+    # (a one-site chain is its own neighbour)
+    right = np.concatenate([np.minimum(firsts + 1, lasts), firsts])
+    left = np.concatenate([lasts, np.maximum(lasts - 1, firsts)])
     g, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
 
     def rhs(y, _t, out):
@@ -130,25 +132,19 @@ def make_chain(u0_spec, v0_spec, half_length: float, sites: int, stride: int = 1
     return Chain(half_length, strain, velocity, 0.0)
 
 
-class _ChainSnapshot(Chain):
-    """A Chain handed out by `integrate_chain`: its site arrays are views of
-    the state of its step, taken on first access."""
-
-    strain = cached_property(lambda self: self._y[0, self._span])
-    velocity = cached_property(lambda self: self._y[1, self._span])
-
-
 def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=(),
                     probe=None):
     """March the chain to t_end with RK4; last step shortened to land exactly.
 
-    Observers see the initial chain and every stepped snapshot; the internal
-    probe(y, t) sees, before them, the site arrays y = (u, u_t) of every
-    chain laid end to end (see `dynamics._march`).  Raises
+    The internal probe(y, t) sees the site arrays y = (u, u_t) of every
+    chain laid end to end at the chain time and after every step (see
+    `dynamics._march`); each observer is then called with t alone.  Raises
     NonFiniteError when the first RK4 stage of a step, or the state after
     the last step, is not finite.  `chain` may also be a sequence of chains
-    at one time t, stepped together; observers then get, and the call
-    returns, a tuple of chains in input order.
+    at one time t, stepped together; the call then returns a tuple of
+    chains in input order.  The returned chains are built once, their site
+    arrays views of the last step's state; a call that takes no step
+    returns its input.
     """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
@@ -165,16 +161,14 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
     sizes = [c.sites for c in chains]
     rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
-    ends = np.cumsum(sizes)
-    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
-
-    def snapshots(y, t):
-        return tuple(_unchecked(_ChainSnapshot, half_length=c.half_length, t=t, _y=y, _span=s)
-                     for c, s in zip(chains, spans))
 
     def check(_y, k1, t):
         if not np.all(np.isfinite(k1)):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
     y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
-    return _march(rhs, y, t, t_end, dt, chains, snapshots, observers, check, batch, probe)
+    last = _march(rhs, y, t, t_end, dt, check, _hook(probe, observers))
+    if last is not y:
+        parts = np.split(last, np.cumsum(sizes)[:-1], axis=1)  # views, (2, sites) each
+        chains = tuple(Chain(c.half_length, *part, t_end) for c, part in zip(chains, parts))
+    return chains if batch else chains[0]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import schema
+from .errors import ConfigError
 
 
 class Grid:
@@ -34,6 +35,9 @@ class Grid:
         schema.check("grid_n", size)
         self.half_length = float(half_length)
         self.size = int(size)
+        if not np.isfinite(np.pi * self.size / self.half_length):  # twice the largest frequency
+            raise ConfigError("grid_l", f"{self.half_length!r} is too small for {self.size} "
+                                        "nodes: the grid's frequencies overflow")
         self.spacing = 2.0 * self.half_length / self.size
         self.nodes = -self.half_length + self.spacing * np.arange(self.size)
         self.nodes.setflags(write=False)

@@ -25,11 +25,14 @@ and an adapter onto the production core.
   `integrate_rows` also evaluates the exact breakdown monitor before every
   step, which `integrate` skips while a coefficient bound stays below the
   threshold, so a test can require the same errors too.
+- `observe_states` and `observe_chains` turn an observer of States or Chains
+  into a probe for `integrate` or `integrate_chain`: it gets the initial
+  objects first, then ones built from the probe's arrays at every step.
 """
 
 import numpy as np
 
-from nlwaves import BreakdownError, Field, NonFiniteError, dynamics
+from nlwaves import BreakdownError, Chain, Field, NonFiniteError, State, dynamics
 from nlwaves.dynamics import ModelConfig, _multiplier, _padded_size, n_steps
 
 
@@ -263,3 +266,39 @@ def integrate_chains(chains, epsilon, n, dt, t_end):
         u, ut = _rk4(rhs, u, ut, t, step)
         t = t_end if last else t + step
     return u, ut
+
+
+def observe_states(observer, initial, batch=False):
+    """A probe for `integrate` that calls observer(states): `initial` (a tuple
+    of it per run when `batch`) first, then the States of every run, from one
+    inverse transform of the probe's coefficients y."""
+    grid, started = initial.grid, False
+
+    def probe(y, t):
+        nonlocal started
+        if started:
+            u, v = np.fft.irfft(y, n=grid.size)
+            states = tuple(State(Field(grid, ur), Field(grid, vr), t) for ur, vr in zip(u, v))
+        else:
+            started, states = True, (initial,) * y.shape[1]
+        observer(states if batch else states[0])
+
+    return probe
+
+
+def observe_chains(observer, chains, batch=False):
+    """A probe for `integrate_chain` that calls observer(chains): the input
+    `chains` first, then Chains whose site arrays are views of the probe's y."""
+    chains = tuple(chains) if batch else (chains,)
+    splits, started = np.cumsum([c.sites for c in chains])[:-1], False
+
+    def probe(y, t):
+        nonlocal started
+        if started:
+            parts = np.split(y, splits, axis=1)
+            seen = tuple(Chain(c.half_length, *part, t) for c, part in zip(chains, parts))
+        else:
+            started, seen = True, chains
+        observer(seen if batch else seen[0])
+
+    return probe

@@ -29,7 +29,7 @@ from nlwaves import (
     zero_dispersion_sweep,
 )
 from nlwaves.dynamics import shared_dt
-from reference import rhs_fields
+from reference import observe_states, rhs_fields
 
 TRI = Kernel("triangular")
 EXP = Kernel("exponential")
@@ -199,7 +199,7 @@ def test_criterion_05_linear_energy_conservation():
                 for s in (0, 3):
                     drift[s] = max(drift[s], abs(energy(state, cfg, s=s) / ref[s] - 1.0))
 
-        final = integrate(cfg, init, observers=(watch,))
+        final = integrate(cfg, init, probe=observe_states(watch, init))
         for s in (0, 3):
             drift[s] = max(drift[s], abs(energy(final, cfg, s=s) / ref[s] - 1.0))
         worst[name] = max(drift.values())
@@ -309,7 +309,7 @@ def test_criterion_09_long_time_existence():
         if counter["i"] % 20 == 0:
             peak[0] = max(peak[0], breakdown_monitor(state, cfg))
 
-    final = integrate(cfg, init, observers=(watch,))  # raises on breakdown
+    final = integrate(cfg, init, probe=observe_states(watch, init))  # raises on breakdown
     peak[0] = max(peak[0], breakdown_monitor(final, cfg))
     ok = peak[0] <= 4.0 * m0 and worst_one_plus_w[0] > 0.0
     assert report(
@@ -345,7 +345,7 @@ def test_criterion_10_parity_and_closed_forms():
             float(np.max(np.abs(state.v.samples + reflect(state.v.samples)))),
         )
 
-    integrate(cfg, init, observers=(watch,))
+    integrate(cfg, init, probe=observe_states(watch, init))
 
     g = Grid(np.pi, 64)
     norm = sobolev_norm(Field(g, np.sin(g.nodes)), 1.0)

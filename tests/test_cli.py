@@ -269,6 +269,25 @@ class TestConfigTypes:
         assert "config field 'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "run" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "kernel-info", "converge-dispersion", "converge-lattice"]
+    )
+    def test_grid_l_whose_frequencies_overflow_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        argv = [command, "--grid-l", "2.225073858507203e-309", "--grid-n", "64", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert "config field 'grid_l'" in capsys.readouterr().err
+        assert not out.exists()  # rejected while the config is parsed
+
+    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "converge-lattice"])
+    def test_dt_whose_step_count_overflows_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main([command, "--dt", "1e-320", "--t-end", "1", "--out", str(out)]) == 3
+        assert "config field 'dt'" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
     def test_short_kernel_table_exits_3_without_warning(self, tmp_path, capsys, text):
         (tmp_path / "kern.txt").write_text(text)

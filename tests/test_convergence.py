@@ -26,7 +26,7 @@ from nlwaves import (
 )
 from nlwaves import lattice
 from nlwaves.spectral import coefficient_norm, norm_weights
-from reference import derivative
+from reference import derivative, observe_chains, observe_states
 
 TRI = Kernel("triangular")
 DIRAC = Kernel("dirac")
@@ -205,19 +205,22 @@ class TestLatticeSweep:
         ddx[-1] = 0.0
         classical, fields = [], []
         initial = make_initial(cfg.u0, cfg.v0, grid)
-        integrate(
-            mc, initial,
-            observers=(lambda s: fields.append((s.u.samples, derivative(s.v).samples)),),
-            probe=lambda y, t: classical.append(
-                np.fft.irfft(np.stack([y[0, 0], ddx * y[1, 0]]), n=grid.size)),
-        )
+        observe = observe_states(
+            lambda s: fields.append((s.u.samples, derivative(s.v).samples)), initial)
+
+        def probe(y, t):
+            classical.append(np.fft.irfft(np.stack([y[0, 0], ddx * y[1, 0]]), n=grid.size))
+            observe(y, t)
+
+        integrate(mc, initial, probe=probe)
         classical[0][0] = initial.u.samples  # the strain the chains start from
         expected, field_level = [], []
         for delta in cfg.deltas:
             stride = int(round(delta / grid.spacing))
             chain = make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // stride)
             snaps = []
-            integrate_chain(chain, cfg.epsilon, cfg.n, dt, cfg.t_end, observers=(snaps.append,))
+            integrate_chain(chain, cfg.epsilon, cfg.n, dt, cfg.t_end,
+                            probe=observe_chains(snaps.append, chain))
             coarse = Grid(grid.half_length, chain.sites)
             weights = norm_weights(coarse, cfg.s - 1)
             sampled = [i for i in range(len(snaps))

@@ -22,7 +22,7 @@ from nlwaves import (
     make_initial,
 )
 from nlwaves.lattice import _chain_rhs
-from reference import _neighbours, integrate_chains
+from reference import _neighbours, integrate_chains, observe_chains
 from reference import _chain_rhs as gathered_chain_rhs
 
 
@@ -72,6 +72,8 @@ class TestSecondDifference:
         epsilon=st.floats(0.0, 0.5),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(sizes=[1], n=1, epsilon=0.1, seed=0)  # a one-site chain is its own neighbour
+    @example(sizes=[3, 1, 2, 1], n=2, epsilon=0.1, seed=1)
     def test_slices_match_gathered_neighbours(self, sizes, n, epsilon, seed):
         # the slice stencil with its redone chain ends gives the bits of the
         # gather over periodic neighbour indices, chain by chain
@@ -228,7 +230,7 @@ class TestIntegrateChain:
     def test_observers_see_every_step(self):
         chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
         times = []
-        integrate_chain(chain, 0.0, 1, 0.25, 1.0, observers=(lambda c: times.append(c.t),))
+        integrate_chain(chain, 0.0, 1, 0.25, 1.0, observers=(times.append,))
         assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_non_finite_chain_signalled(self):
@@ -251,7 +253,7 @@ class TestIntegrateChain:
                            {"shape": "sine", "a": 1e154, "k": 1}, 20.0, 64)
         seen = []
         with pytest.raises(NonFiniteError, match=r"at t=0$"):
-            integrate_chain(chain, 1.0, 1, 0.1, 1.0, observers=(lambda c: seen.append(c.t),))
+            integrate_chain(chain, 1.0, 1, 0.1, 1.0, observers=(seen.append,))
         assert seen == [0.0]
 
 
@@ -277,8 +279,8 @@ class TestSharedTimeGrid:
         chain = Chain(chain.half_length, chain.strain, chain.velocity, start)
         cfg = ModelConfig(kernel=Kernel("dirac"), delta=None, dt=dt, t_end=t_end, epsilon=0.1)
         spectral, lattice = [], []
-        integrate(cfg, initial, observers=(lambda s: spectral.append(s.t),))
-        integrate_chain(chain, 0.1, 1, dt, t_end, observers=(lambda c: lattice.append(c.t),))
+        integrate(cfg, initial, observers=(spectral.append,))
+        integrate_chain(chain, 0.1, 1, dt, t_end, observers=(lattice.append,))
         assert spectral == lattice
         assert spectral[0] == start and spectral[-1] == t_end
 
@@ -306,19 +308,20 @@ class TestBatchedChains:
     def test_observers_get_tuples_in_input_order(self):
         chains = [Chain(8.0, np.full(m, float(m)), np.zeros(m), 0.0) for m in (32, 8, 16)]
         seen = []
-        out = integrate_chain(chains, 0.0, 1, 0.25, 0.5, observers=(seen.append,))
+        out = integrate_chain(chains, 0.0, 1, 0.25, 0.5,
+                              probe=observe_chains(seen.append, chains, batch=True))
         assert len(seen) == 3  # initial chains and two steps
         for states in seen:
             assert isinstance(states, tuple)
             assert [c.sites for c in states] == [32, 8, 16]
             assert [c.strain[0] for c in states] == [32.0, 8.0, 16.0]
         assert all(a is b for a, b in zip(seen[0], chains))
-        assert out is seen[-1] and all(c.t == 0.5 for c in out)
+        assert out == seen[-1] and all(c.t == 0.5 for c in out)
 
     def test_single_chain_still_returns_a_chain(self):
         chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
         seen = []
-        out = integrate_chain(chain, 0.0, 1, 0.25, 0.5, observers=(seen.append,))
+        out = integrate_chain(chain, 0.0, 1, 0.25, 0.5, probe=observe_chains(seen.append, chain))
         assert isinstance(out, Chain)
         assert all(isinstance(c, Chain) for c in seen)
         one = integrate_chain([chain], 0.0, 1, 0.25, 0.5)
@@ -339,8 +342,9 @@ class TestBatchedChains:
         wild = Chain(8.0, np.full(8, 1e200), np.zeros(8), 0.0)
         seen = []
         with pytest.raises(NonFiniteError):
-            integrate_chain([calm, wild, calm], 1.0, 3, 0.01, 1.0, observers=(seen.append,))
-        assert len(seen) == 1  # raised at the first step, before any stepped snapshot
+            integrate_chain([calm, wild, calm], 1.0, 3, 0.01, 1.0,
+                            probe=observe_chains(seen.append, [calm, wild, calm], batch=True))
+        assert len(seen) == 1  # raised at the first step, before any stepped chain
 
 
 def test_chain_geometry():
@@ -409,7 +413,8 @@ class TestInPlaceChainStep:
             kept.append(states)
             copies.append([(c.strain.copy(), c.velocity.copy()) for c in states])
 
-        integrate_chain(chains, 0.1, 1, 0.05, 0.5, observers=(observer,))
+        integrate_chain(chains, 0.1, 1, 0.05, 0.5,
+                        probe=observe_chains(observer, chains, batch=True))
         assert len(kept) == 11
         for states, arrays in zip(kept, copies):
             for c, (strain, velocity) in zip(states, arrays):

@@ -29,7 +29,7 @@ def sweep(**kw):
 
 #: each numeric config key as a library call takes it
 LIBRARY = {
-    "grid_l": lambda v: Grid(v, 64),
+    "grid_l": lambda v: Grid(v, RULES["grid_n"][0]),  # a config without grid_n takes the default
     "grid_n": lambda v: Grid(10.0, v),
     "delta": lambda v: model(delta=v),
     "delta_list": lambda v: sweep(deltas=v),
@@ -86,6 +86,7 @@ VALUES = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(key=st.sampled_from(sorted(LIBRARY)), value=VALUES)
+@example(key="grid_l", value=2.225073858507203e-309)  # pi N / L overflows
 def test_cli_and_library_accept_alike(key, value):
     def field_of_error(call):
         try:
