@@ -1,17 +1,8 @@
 """Command-line entry point.
 
-Commands:
-
-    nlwaves kernel-info [KERNEL] [flags]     symbol table over the grid's
-                                             frequency range
-    nlwaves simulate [flags]                 one time integration
-    nlwaves converge-dispersion [flags]      nonlocal-vs-classical delta sweep
-    nlwaves converge-lattice [flags]         chain-vs-classical delta sweep
-
-Configuration is a flat JSON file (--config); flags override file values.  A
-flag's text is read as JSON under the file's rules (--t-end 1 is the integer
-1), or as a string if it is not JSON (--delta dirac-limit).  Every run writes
-a JSON summary embedding the fully-resolved config (defaults included) plus
+`USAGE` states the grammar, and -h or --help prints it.  Configuration is a
+flat JSON file (--config); flags override file values.  Every run writes a
+JSON summary embedding the fully-resolved config (defaults included) plus
 command-specific CSV files into --out.  All floats are emitted with 17
 significant digits so downstream fits can round-trip.
 
@@ -21,17 +12,17 @@ Exit codes: 0 success, 1 internal numeric failure (no file written),
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import convergence, dynamics, lattice, schema, shapes
 from .errors import BreakdownError, ConfigError, InvalidSpecError
-from .errors import NlwavesError, NonFiniteError
+from .errors import NlwavesError, NonFiniteError, UsageError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid, write_field_csv
 
@@ -39,6 +30,31 @@ from .spectral import Grid, write_field_csv
 _MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
 #: keys with a value flag of the same name (grid_n is --grid-n)
 FLAG_KEYS = ("delta", "epsilon", "n", "grid_n", "grid_l", "t_end", "dt")
+#: flag -> the argument or config key that its value sets
+_VALUE_FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", "out", *FLAG_KEYS)}
+COMMANDS = ("kernel-info", "simulate", "converge-dispersion", "converge-lattice")
+
+USAGE = """\
+usage: nlwaves COMMAND [flags]
+
+commands:
+  kernel-info [KERNEL]   symbol table over the grid's frequency range
+  simulate               one time integration
+  converge-dispersion    nonlocal-vs-classical delta sweep
+  converge-lattice       chain-vs-classical delta sweep
+
+flags, each given as --flag VALUE or --flag=VALUE:
+  --config PATH          flat JSON config file
+  --out DIR              output directory (default: .)
+  --delta, --epsilon, --n, --grid-n, --grid-l, --t-end, --dt VALUE
+                         the config key of the same name; VALUE is read as
+                         JSON (--t-end 1 is the integer 1), or else as text
+                         (--delta dirac-limit)
+  --emit-timeseries      set emit_timeseries to true
+  -h, --help             print this text and exit
+
+Flags are spelled out in full; an abbreviation is an unknown flag.
+"""
 
 
 def _fmt(x) -> str:
@@ -55,10 +71,10 @@ def parse_config(config_path, overrides) -> dict:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError("config", f"file not found: {config_path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+        try:  # not UTF-8, not JSON, an integer past Python's digit limit, or too deep
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError, OSError) as exc:
+            raise ConfigError("config", f"cannot read {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
     for key, value in {**loaded, **overrides}.items():
@@ -229,62 +245,67 @@ def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nlwaves",
-        description="Nonlocal wave equation simulations and convergence sweeps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("kernel-info", "simulate", "converge-dispersion", "converge-lattice"):
-        p = sub.add_parser(name)
-        if name == "kernel-info":
-            p.add_argument("kernel_name", nargs="?", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=".")
-        for key in FLAG_KEYS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key)
-        p.add_argument("--emit-timeseries", action="store_true")
-    return parser
-
-
 def _json_or_text(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, too long an integer or too deep
         return text
 
 
-def split_argv(argv) -> tuple[argparse.Namespace, dict]:
-    """Parsed arguments and the config overrides their flags give, each flag's
-    text read as JSON; a usage error raises SystemExit, as argparse does.
+def split_argv(argv) -> tuple[SimpleNamespace, dict]:
+    """Parsed arguments (command, config, out, help) and the config overrides
+    their flags give, each flag's text read as JSON; a token outside the
+    grammar of `USAGE` raises UsageError naming it.
 
-    Each value flag is joined with the token after it (--dt -1e-3 becomes
-    --dt=-1e-3), so argparse cannot take a negative value for an option and
-    the schema names the key it rejects.
+    A value flag takes the next token verbatim, so --dt -1e-3 reaches the
+    schema, which names the key it rejects.  Parsing stops at -h or --help.
     """
-    value_flags = {"--" + key.replace("_", "-") for key in FLAG_KEYS}
-    tokens = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in value_flags:
-            tokens[-1] += "=" + token
+    args = SimpleNamespace(command=None, config=None, out=".", help=False)
+    overrides = {}
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            args.help = True
+            return args, overrides
+        if not token.startswith("-"):
+            if args.command is None and token in COMMANDS:
+                args.command = token
+            elif args.command is None:
+                raise UsageError(f"unknown command {token!r}")
+            elif args.command == "kernel-info" and "kernel" not in overrides:
+                overrides["kernel"] = token
+            else:
+                raise UsageError(f"unexpected argument {token!r}")
+            continue
+        flag, has_value, value = token.partition("=")
+        if flag == "--emit-timeseries":
+            if has_value:
+                raise UsageError(f"flag {flag!r} takes no value")
+            overrides["emit_timeseries"] = True
+            continue
+        if flag not in _VALUE_FLAGS:
+            raise UsageError(f"unknown flag {token!r}")
+        if not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"flag {token!r} needs a value")
+        key = _VALUE_FLAGS[flag]
+        if key in ("config", "out"):
+            setattr(args, key, value)
         else:
-            tokens.append(token)
-    args = _build_parser().parse_args(tokens)
-    overrides = {key: _json_or_text(getattr(args, key)) for key in FLAG_KEYS
-                 if getattr(args, key) is not None}
-    if args.emit_timeseries:
-        overrides["emit_timeseries"] = True
-    if getattr(args, "kernel_name", None) is not None:
-        overrides["kernel"] = args.kernel_name
+            overrides[key] = _json_or_text(value)
+    if args.command is None:
+        raise UsageError("no command given")
     return args, overrides
+
 
 
 def main(argv=None) -> int:
     try:
         args, overrides = split_argv(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return 3 if exc.code else 0
-    try:
+        if args.help:
+            sys.stdout.write(USAGE)
+            return 0
         cfg = parse_config(args.config, overrides)
         if args.command != "kernel-info":
             _check_initial_data(cfg, args.command)
@@ -301,6 +322,9 @@ def main(argv=None) -> int:
         return _cmd_converge(args.command, cfg, out_dir)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc} (nlwaves --help states the grammar)\n")
         return 3
     except BreakdownError as exc:
         sys.stderr.write(f"breakdown: {exc}\n")

@@ -1,5 +1,8 @@
 """Sweep orchestration and log-log rate estimation.
 
+A rate is the least-squares line through (log delta, log error), computed in
+closed form from the centred logs (`fit_rate`).
+
 Three studies, one per quantitative claim:
 
 - ``operator_error``: how far the scaled convolution operator is from the
@@ -101,10 +104,12 @@ class ConvergenceReport:
 def fit_rate(pairs) -> RateFit:
     """Fit log(error) = slope * log(delta) + intercept by least squares.
 
-    Pairs with error at or below the zero floor are excluded (and reported in
-    the fit's `excluded` field); fewer than two usable pairs raises
-    DegenerateFitError.  A negative or non-finite error and a delta that is
-    not finite and positive raise ValueError.
+    The line is the closed-form one through the centred logs: slope =
+    sum(dx dy) / sum(dx^2) and intercept = mean(y) - slope mean(x).  Pairs
+    with error at or below the zero floor are excluded (and reported in the
+    fit's `excluded` field); fewer than two distinct deltas among the usable
+    pairs raises DegenerateFitError.  A negative or non-finite error and a
+    delta that is not finite and positive raise ValueError.
     """
     pairs = [(float(d), float(e)) for d, e in pairs]
     if not all(0 <= e < np.inf for _, e in pairs):
@@ -113,18 +118,19 @@ def fit_rate(pairs) -> RateFit:
         raise ValueError("deltas must be finite and positive")
     usable = [(d, e) for d, e in pairs if e > ZERO_ERROR_FLOOR]
     excluded = tuple(d for d, e in pairs if e <= ZERO_ERROR_FLOOR)
-    if len(usable) < 2:
-        raise DegenerateFitError(
-            f"need >= 2 positive errors, have {len(usable)}"
-        )
     logd = np.log([d for d, _ in usable])
     loge = np.log([e for _, e in usable])
-    slope, intercept = np.polyfit(logd, loge, 1)
-    pred = slope * logd + intercept
-    ss_res = float(np.sum((loge - pred) ** 2))
-    ss_tot = float(np.sum((loge - np.mean(loge)) ** 2))
+    if len(usable) < 2 or logd.min() == logd.max():
+        raise DegenerateFitError(
+            f"need >= 2 distinct deltas with positive errors, have {len(set(logd.tolist()))}"
+        )
+    dx, dy = logd - logd.mean(), loge - loge.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = float(loge.mean() - slope * logd.mean())
+    ss_res = float(np.sum((loge - (slope * logd + intercept)) ** 2))
+    ss_tot = float(np.sum(dy**2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), r2, excluded)
+    return RateFit(slope, intercept, r2, excluded)
 
 
 def operator_error(

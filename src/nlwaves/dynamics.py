@@ -58,6 +58,9 @@ from .kernels import Kernel
 from .spectral import Field, Grid, _integer_power
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
+# Past 2**53 steps t + dt no longer moves t near the end of the span, so the
+# march's shortened last step would cover the rest of it
+_MAX_STEPS = 2.0**53
 _CFL_SAFETY = 0.25  # Courant number of the CFL step
 # The exact monitor runs when the coefficient bound reaches the threshold less
 # this fraction, which covers the round-off of both, or this ceiling, far below
@@ -126,12 +129,13 @@ def shared_dt(grid: Grid, dt: float | None = None) -> float:
 
 def n_steps(span: float, dt: float) -> int:
     """RK4 steps that cover `span`, one at least if span > 0; the last may be
-    shorter than dt.  Raises ConfigError naming dt when span / dt overflows."""
+    shorter than dt.  Raises ConfigError naming dt when span / dt exceeds
+    _MAX_STEPS or overflows."""
     if span <= 0:
         return 0
-    if not np.isfinite(span / dt):
+    if not span / dt <= _MAX_STEPS:
         raise ConfigError("dt", f"{dt!r} is too small for a span of {span!r}: "
-                                "the step count overflows")
+                                f"{span / dt:.3g} steps exceed 2**53")
     return max(1, int(np.ceil(span / dt - _STEP_ROUNDING)))
 
 

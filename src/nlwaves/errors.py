@@ -52,3 +52,7 @@ class AlignmentError(ConfigError):
 
     def __init__(self, message):
         super().__init__("delta_list", message)
+
+
+class UsageError(NlwavesError, ValueError):
+    """The command line breaks the CLI's grammar (see `cli.USAGE`)."""

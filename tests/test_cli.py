@@ -1,14 +1,19 @@
 """CLI config handling, dispatch, exit codes, and output determinism."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlwaves.cli import main, parse_config
+import nlwaves
+from nlwaves.cli import COMMANDS, FLAG_KEYS, main, parse_config, split_argv
+from nlwaves import dynamics
 from nlwaves.errors import ConfigError
 from nlwaves.shapes import evaluate_on_nodes
 from nlwaves.spectral import Grid
@@ -82,6 +87,84 @@ class TestParseConfig:
     def test_dirac_limit_string_means_classical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, delta="dirac-limit"), {})
         assert cfg["delta"] is None
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff\xfe{", "can't decode"), (b'{"t_end": ' + b"1" * 5000 + b"}", "4300 digits"),
+         (b'{"u0": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "recursion")],
+        ids=["not-utf-8", "integer-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_unreadable_config_exits_3(self, tmp_path, capsys, content, reason):
+        (tmp_path / "config.json").write_bytes(content)
+        argv = ["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "config field 'config'" in err and reason in err
+
+
+class TestSplitArgv:
+    """The CLI's grammar: a value flag takes the next token verbatim or the
+    text after '=', and every usage error exits 3 naming its token."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(key=st.sampled_from(FLAG_KEYS), text=st.text())
+    @example(key="dt", text="-1e-3")
+    @example(key="t_end", text="--help")
+    @example(key="delta", text="a=b")
+    def test_spaced_and_joined_values_give_the_same_overrides(self, key, text):
+        flag = "--" + key.replace("_", "-")
+        spaced = split_argv(["simulate", flag, text])[1]
+        joined = split_argv(["simulate", f"{flag}={text}"])[1]
+        assert list(spaced) == [key]
+        assert repr(spaced) == repr(joined)  # repr, since NaN != NaN
+
+    def test_values_are_read_as_json_or_else_as_text(self):
+        args, overrides = split_argv(
+            ["simulate", "--dt", "-1e-3", "--grid-n=64", "--delta", "dirac-limit",
+             "--emit-timeseries", "--config", "c.json", "--out=run"]
+        )
+        assert (args.command, args.config, args.out) == ("simulate", "c.json", "run")
+        assert overrides == {"dt": -1e-3, "grid_n": 64, "delta": "dirac-limit",
+                             "emit_timeseries": True}
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 100_000], ids=["integer-past-digit-limit", "nested"]
+    )
+    def test_flag_text_that_json_cannot_read_is_text(self, capsys, text):
+        assert split_argv(["simulate", "--dt", text])[1] == {"dt": text}
+        assert main(["simulate", "--dt", text]) == 3
+        assert "config field 'dt'" in capsys.readouterr().err
+
+    def test_kernel_info_takes_an_optional_kernel(self):
+        assert split_argv(["kernel-info", "exponential"])[1] == {"kernel": "exponential"}
+        assert split_argv(["kernel-info"])[1] == {}
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["simulate", "--dt"], "'--dt'"),
+            (["simulate", "--grid", "64"], "'--grid'"),
+            (["simulate", "--config=c.json", "extra"], "'extra'"),
+            (["kernel-info", "exponential", "dirac"], "'dirac'"),
+            (["simulation"], "'simulation'"),
+            (["--dt", "0.1"], "no command"),
+            (["simulate", "--emit-timeseries=true"], "'--emit-timeseries'"),
+        ],
+        ids=["value-flag-last", "abbreviation", "second-positional", "second-kernel",
+             "unknown-command", "no-command", "switch-with-value"],
+    )
+    def test_usage_error_exits_3_naming_the_token(self, tmp_path, capsys, argv, token):
+        assert main(["--out", str(tmp_path / "run"), *argv]) == 3
+        assert token in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_cli_import_leaves_argparse_out(self):
+        src = str(Path(nlwaves.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nlwaves.cli; "
+                "print('argparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestKernelInfo:
@@ -212,8 +295,12 @@ class TestSimulate:
             assert f"config field '{key}'" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
-        assert main(["simulate", "--help"]) == 0
-        assert "--grid-n" in capsys.readouterr().out
+        flags = ["--config", "--out", "--emit-timeseries"]
+        flags += ["--" + key.replace("_", "-") for key in FLAG_KEYS]
+        for argv in (["-h"], ["simulate", "--help"]):
+            assert main(argv) == 0
+            usage = capsys.readouterr().out
+            assert all(word in usage for word in [*COMMANDS, *flags])
 
 
 class TestConfigTypes:
@@ -287,6 +374,31 @@ class TestConfigTypes:
         assert main([command, "--dt", "1e-320", "--t-end", "1", "--out", str(out)]) == 3
         assert "config field 'dt'" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("simulate", ["--grid-l", "1e-300", "--grid-n", "64", "--t-end", "0.01"]),
+            ("simulate", ["--dt", "1e-300", "--t-end", "1e-280"]),
+            ("converge-dispersion", ["--dt", "1e-300", "--t-end", "1e-280"]),
+            ("converge-lattice", ["--dt", "1e-300", "--t-end", "1e-280"]),
+        ],
+        ids=["simulate-cfl", "simulate", "converge-dispersion", "converge-lattice"],
+    )
+    def test_dt_whose_finite_step_count_exceeds_2_53_exits_3(self, tmp_path, capsys,
+                                                              command, argv):
+        # finite counts past 2**53 steps (1.3e300 and 1e20): t + dt would stall
+        out = tmp_path / "run"
+        assert main([command, *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config field 'dt'" in err and "2**53" in err
+        assert not list(out.iterdir())
+
+    def test_step_counts_up_to_2_53_are_legitimate(self):
+        assert dynamics.n_steps(1.0, 1e-10) == 10**10
+        assert dynamics.n_steps(1.0, 2.0**-53) == 2**53
+        with pytest.raises(ConfigError, match="2\\*\\*53"):
+            dynamics.n_steps(1.0, 2.0**-54)
 
     @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
     def test_short_kernel_table_exits_3_without_warning(self, tmp_path, capsys, text):

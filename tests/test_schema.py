@@ -105,7 +105,7 @@ def test_cli_and_library_accept_alike(key, value):
     else:
         assert cli == library
     if key in FLAG_KEYS:  # the same value as flag text, through main's parse path
-        # --key=text, since argparse takes a text such as -1e-05 for an option
+        # --key=text, which gives the overrides --key text gives (see test_cli.TestSplitArgv)
         argv = ["simulate", f"--{key.replace('_', '-')}={json.dumps(value)}"]
         assert field_of_error(lambda: parse_config(None, split_argv(argv)[1])) == cli
 
