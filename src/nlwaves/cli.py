@@ -4,7 +4,12 @@
 flat JSON file (--config); flags override file values.  Every run writes a
 JSON summary embedding the fully-resolved config (defaults included) plus
 command-specific CSV files into --out.  All floats are emitted with 17
-significant digits so downstream fits can round-trip.
+significant digits so downstream fits can round-trip.  `main` builds the
+grid and the kernel once, before --out is created, and hands them to the
+command.  `simulate` keeps its samples in one recorder: every
+sample_stride-th step and the last with a time series, the first and the
+last without one; summary.json's final values are its last sample, so they
+equal the time series' last row bit for bit.
 
 Exit codes: 0 success, 1 internal numeric failure (no file written),
 2 breakdown detected, 3 invalid configuration or usage error.
@@ -86,14 +91,14 @@ def parse_config(config_path, overrides) -> dict:
     for key, value in resolved.items():
         schema.check(key, value)
     Grid(resolved["grid_l"], resolved["grid_n"])  # the rule of grid_l that depends on grid_n
+    schema.nonlinear_coefficient(resolved["epsilon"], resolved["n"])  # and n's on epsilon
     if resolved["breakdown_threshold"] == math.inf:  # summary.json echoes the config
         raise ConfigError("breakdown_threshold", "must be finite")
     return resolved
 
 
-def _check_initial_data(cfg: dict, command: str) -> None:
+def _check_initial_data(cfg: dict, grid: Grid, command: str) -> None:
     """Evaluate u0 and v0 as `command` will; a bad spec is a config error on its key."""
-    grid = Grid(cfg["grid_l"], cfg["grid_n"])
     for key in ("u0", "v0"):
         try:
             shapes.evaluate_on_nodes(cfg[key], grid.nodes, grid.half_length)
@@ -125,9 +130,7 @@ def _summary_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
-    kernel = _build_kernel(cfg["kernel"])
-    grid = Grid(cfg["grid_l"], cfg["grid_n"])
+def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
     xi = np.sort(grid.freqs[grid.freqs >= 0])
     rows = zip(xi, kernel.symbol(xi), kernel.sqrt_symbol(xi))
     table = "xi,symbol,k_symbol\n"
@@ -147,23 +150,18 @@ def _cmd_kernel_info(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
-    kernel = _build_kernel(cfg["kernel"])
-    grid = Grid(cfg["grid_l"], cfg["grid_n"])
+def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
     dt = dynamics.shared_dt(grid, cfg["dt"])
     mc = dynamics.ModelConfig(
         kernel=kernel, delta=cfg["delta"], dt=dt, **{k: cfg[k] for k in _MODEL_KEYS}
     )
     initial = dynamics.make_initial(cfg["u0"], cfg["v0"], grid)
-
-    def sample(state):
-        u_linf = float(np.max(np.abs(state.u.samples)))
-        return dynamics.energy(state, mc), dynamics.breakdown_monitor(state, mc), u_linf
-
-    recorder = None
-    if cfg["emit_timeseries"]:  # the first row from the initial samples, as the final one
-        recorder = dynamics._Recorder(cfg["sample_stride"], dynamics.n_steps(mc.t_end, dt),
-                                      dynamics._sampler(mc, grid), lambda _y, _t: sample(initial))
+    steps = dynamics.n_steps(mc.t_end, dt)
+    take = dynamics._sampler(mc, grid)
+    # without a time series one stride spans the run: the first and last samples
+    stride = cfg["sample_stride"] if cfg["emit_timeseries"] else max(steps, 1)
+    recorder = dynamics._Recorder(stride, steps, take,
+                                  lambda y, t: take(y, t, initial.u.samples))
     breakdown = None
     try:
         final = dynamics.integrate(mc, initial, probe=recorder)
@@ -179,8 +177,9 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
             "threshold": breakdown.threshold,
         }
     else:
-        energy, monitor, u_linf = sample(final)
-        payload["final"] = {"t": final.t, "energy": energy, "monitor": monitor, "u_linf": u_linf}
+        energy, monitor, u_linf = recorder.snaps[-1]
+        payload["final"] = {"t": recorder.times[-1], "energy": energy, "monitor": monitor,
+                            "u_linf": u_linf}
     summary = _summary_text(payload)
 
     if cfg["emit_timeseries"]:
@@ -214,9 +213,7 @@ def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepCon
     )
 
 
-def _cmd_converge(command: str, cfg: dict, out_dir: Path) -> int:
-    kernel = _build_kernel(cfg["kernel"])
-    grid = Grid(cfg["grid_l"], cfg["grid_n"])
+def _cmd_converge(command: str, cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
     sweep_cfg = _sweep_config(cfg, kernel, grid)
     if command == "converge-dispersion":
         report = convergence.zero_dispersion_sweep(sweep_cfg)
@@ -307,8 +304,9 @@ def main(argv=None) -> int:
             sys.stdout.write(USAGE)
             return 0
         cfg = parse_config(args.config, overrides)
+        grid, kernel = Grid(cfg["grid_l"], cfg["grid_n"]), _build_kernel(cfg["kernel"])
         if args.command != "kernel-info":
-            _check_initial_data(cfg, args.command)
+            _check_initial_data(cfg, grid, args.command)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,10 +314,10 @@ def main(argv=None) -> int:
             sys.stderr.write(f"error: --out {out_dir}: {exc.strerror or exc}\n")
             return 3
         if args.command == "kernel-info":
-            return _cmd_kernel_info(cfg, out_dir)
+            return _cmd_kernel_info(cfg, grid, kernel, out_dir)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, out_dir)
-        return _cmd_converge(args.command, cfg, out_dir)
+            return _cmd_simulate(cfg, grid, kernel, out_dir)
+        return _cmd_converge(args.command, cfg, grid, kernel, out_dir)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -243,6 +243,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     chains = [
         lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
     ]
+    weights = [norm_weights(Grid(grid.half_length, c.sites), cfg.s - 1.0) for c in chains]
     dt = dynamics.shared_dt(grid, cfg.dt)
     n_steps = dynamics.n_steps(cfg.t_end, dt)
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
@@ -256,7 +257,6 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
 
     ends = np.cumsum([c.sites for c in chains])  # the chains lie end to end in y
     spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
-    weights = [norm_weights(Grid(grid.half_length, c.sites), cfg.s - 1.0) for c in chains]
 
     def errors_against_classical(y, t):
         sample = len(rec.times) - 1

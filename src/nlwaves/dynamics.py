@@ -41,12 +41,14 @@ is that probe.  The integrators' public observers are called after it with
 t alone.  No State is built between steps: `integrate` builds the final
 ones, once, from the last coefficients.  A `simulate` sample (`_sampler`)
 is one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
-smoothing multiplier; `energy` and `breakdown_monitor` are State-level
-wrappers over the same cores.
+smoothing multiplier; `simulate` takes every sample, its summary's final
+values too, through one `_Recorder`.  `energy` and `breakdown_monitor` are
+State-level wrappers over the same cores.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -111,10 +113,11 @@ class ModelConfig:
             schema.check(f.name, getattr(self, f.name))
         if self.dt is None:  # null asks for the CFL step, which `shared_dt` resolves
             raise ConfigError("dt", "must be a number in a ModelConfig, got None")
+        schema.nonlinear_coefficient(self.epsilon, self.n)  # the rule of n that needs epsilon
 
     @property
     def nonlinear_coefficient(self) -> float:
-        return self.epsilon**self.n
+        return schema.nonlinear_coefficient(self.epsilon, self.n)
 
 
 def shared_dt(grid: Grid, dt: float | None = None) -> float:
@@ -175,14 +178,23 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     buffers are built here, once.  The pair is the gufunc calls that
     `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
     out=spec)` make after their checks, with numpy's scales 1/P and 1; P is
-    even, so the forward gufunc is `rfft_n_even`.
+    even, so the forward gufunc is `rfft_n_even`.  Raises ConfigError naming
+    n when eps^n (P/N)^n M is not finite.
     """
     coef = cfg.nonlinear_coefficient
     if coef == 0.0:
         return lambda y, _t, out: np.multiply(multiplier, y[::-1], out=out)
     power, half = cfg.n + 1, size // 2
-    padded = _padded_size(size, power)
-    m_nl = coef * (padded / size) ** cfg.n * multiplier[..., :half]
+    try:
+        padded = _padded_size(size, power)
+        scale = coef * (padded / size) ** cfg.n
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_nl = scale * multiplier[..., :half]
+    if not np.all(np.isfinite(m_nl)):
+        raise ConfigError("n", f"the nonlinear multiplier epsilon**n (P/N)**n M overflows at "
+                               f"n = {cfg.n}")
     weights = np.append(np.ones(half, complex), 0.5)
     fine = np.zeros((*shape[:-1], padded // 2 + 1), complex)  # zero above N/2
     head = fine[..., : half + 1]
@@ -205,8 +217,13 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
 
 
 def _smoothing(grid: Grid, s: float) -> np.ndarray:
-    """Order-s smoothing multiplier (1 + xi^2)^(s/2) over the real-FFT frequencies."""
-    return (1.0 + grid.rfreqs**2) ** (s / 2.0)
+    """Order-s smoothing multiplier (1 + xi^2)^(s/2) over the real-FFT
+    frequencies; raises ConfigError naming s when it overflows."""
+    with np.errstate(over="ignore"):
+        scale = (1.0 + grid.rfreqs**2) ** (s / 2.0)
+    if not np.all(np.isfinite(scale)):
+        raise ConfigError("s", f"the order-{s!r} smoothing multiplier overflows on {grid}")
+    return scale
 
 
 def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, stacked, samples) -> np.ndarray:
@@ -368,25 +385,29 @@ def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
 
 
 def _sampler(cfg: ModelConfig, grid: Grid):
-    """take(y, t) -> (energy, monitor, |u|_inf) of the first run of the
-    coefficients y at t, from one inverse transform of (u^, M v^, u_x^, S u^,
-    S v^); M, the derivative and S are built here, once.  Raises
-    HyperbolicityError where `energy` does."""
+    """take(y, t, u=None) -> (energy, monitor, |u|_inf) of the first run of
+    the coefficients y at t, from one inverse transform of (u^, M v^, u_x^,
+    S u^, S v^); M, the derivative and S are built here, once.  The strain
+    samples `u`, if given, stand for the transformed ones in the energy
+    weight and in |u|_inf; the monitor keeps the transformed strain, as
+    `breakdown_monitor` does.  Raises HyperbolicityError where `energy` does."""
     m, ddx = _multiplier(grid, cfg.kernel, cfg.delta), _multiplier(grid, None, None)
     scale = _smoothing(grid, cfg.s)
     stacked = np.empty((5, grid.size // 2 + 1), dtype=complex)
     samples = np.empty((5, grid.size))
 
-    def take(y, t):
-        u, v = y[:, 0]
-        stacked[0] = u
-        np.multiply(m, v, out=stacked[1])
-        np.multiply(ddx, u, out=stacked[2])
+    def take(y, t, u=None):
+        stacked[0] = y[0, 0]
+        np.multiply(m, y[1, 0], out=stacked[1])
+        np.multiply(ddx, y[0, 0], out=stacked[2])
         np.multiply(scale, y[:, 0], out=stacked[3:])
         np.fft.irfft(stacked, n=grid.size, out=samples)
-        e = _energy(samples[0], samples[3], samples[4], cfg, grid.spacing, t)
+        if u is None:
+            u = samples[0]
+        e = _energy(u, samples[3], samples[4], cfg, grid.spacing, t)
+        u_linf = float(np.max(np.abs(u)))
         peaks = np.max(np.abs(samples[:3], out=samples[:3]), axis=-1)
-        return e, float(peaks[0] + peaks[1] + peaks[2]), float(peaks[0])
+        return e, float(peaks[0] + peaks[1] + peaks[2]), u_linf
 
     return take
 

@@ -83,7 +83,7 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     order as on gathered neighbours, so the same bits.  g, 2 g and the power's
     partial products live in buffers built here, once.
     """
-    coef = epsilon**n
+    coef = schema.nonlinear_coefficient(epsilon, n)
     sizes = np.asarray(sizes)
     ends = np.cumsum(sizes)
     total = int(ends[-1])
@@ -116,10 +116,13 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
     """Discrete initial strain rate: symmetric quotient of v0 at half-offsets.
 
     v0 must be evaluable at x +/- delta/2 analytically; sample arrays are
-    rejected because interpolation would pollute the quotient.
+    rejected because interpolation would pollute the quotient.  Raises
+    InvalidSpecError when the quotient is not finite at every site.
     """
     v0 = shapes.make_callable(v0_spec, half_length)
-    return (v0(sites + delta / 2.0) - v0(sites - delta / 2.0)) / delta
+    with np.errstate(all="ignore"):
+        rate = (v0(sites + delta / 2.0) - v0(sites - delta / 2.0)) / delta
+    return shapes._finite(rate, "its difference quotient")
 
 
 def make_chain(u0_spec, v0_spec, half_length: float, sites: int, stride: int = 1) -> Chain:

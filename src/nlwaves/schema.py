@@ -1,7 +1,7 @@
 """The configuration schema: the default, type and range of each key, stated once.
 
 `check(key, value)` applies a key's rule and raises ConfigError naming the
-key.  The CLI checks every key of the resolved config; Grid, ModelConfig,
+key; `nonlinear_coefficient` applies the rule of n that depends on epsilon.  The CLI checks every key of the resolved config; Grid, ModelConfig,
 SweepConfig, Chain and `integrate_chain` check their arguments under the
 config-file name of each, so a bad value fails alike from JSON and from
 Python.  Numbers must be finite, which NaN is not; bools are not numbers.
@@ -61,6 +61,23 @@ def check(key: str, value) -> None:
         _check_number(key, value, kind, in_range, message)
     elif not isinstance(value, kind):
         raise ConfigError(key, f"must be {_NOUNS[kind]}, got {value!r}")
+
+
+def nonlinear_coefficient(epsilon, n: int):
+    """eps^n; raises ConfigError naming n unless it, and the energy weight's
+    (n+1) eps^n, are finite floats.
+
+    An eps > 1 whose power overflows is rejected from its logarithm first, so
+    an integer eps never builds a power of more than about 1,025 bits.
+    """
+    try:
+        if epsilon <= 1 or n * math.log(epsilon) <= math.log(sys.float_info.max):
+            coef = epsilon**n
+            if math.isfinite((n + 1) * coef):
+                return coef
+    except OverflowError:  # a float power, or an integer one past the largest float
+        pass
+    raise ConfigError("n", f"(n+1) epsilon**n overflows a float at n = {n}")
 
 
 def _check_number(key: str, value, kind, in_range, message: str) -> None:

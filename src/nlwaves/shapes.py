@@ -82,11 +82,14 @@ def make_callable(spec, half_length: float):
 
 def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int = 1) -> np.ndarray:
     """Evaluate any spec at the given nodes; sample arrays hold values at
-    `stride` times as many nodes, of which `nodes` are every stride-th."""
+    `stride` times as many nodes, of which `nodes` are every stride-th.
+    Raises InvalidSpecError when a value is not finite; the evaluation
+    itself warns of nothing."""
     if isinstance(spec, dict) and _checked_shape(spec) == "samples":
         spec = spec["values"]
     elif not isinstance(spec, (list, tuple, np.ndarray)):
-        return make_callable(spec, half_length)(nodes)
+        with np.errstate(all="ignore"):
+            return _finite(make_callable(spec, half_length)(nodes), "its value")
     try:
         values = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
@@ -94,4 +97,11 @@ def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int =
     expected = (nodes.size * stride,)
     if values.shape != expected:
         raise InvalidSpecError(f"sample array has shape {values.shape}, expected {expected}")
-    return values[::stride]
+    return _finite(values[::stride], "its value")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, unless one is not finite: then InvalidSpecError naming `what`."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidSpecError(f"{what} is not finite at every node")
+    return values

@@ -123,9 +123,13 @@ def norm_weights(grid: Grid, s: float) -> np.ndarray:
     spacing as measure weight, h/N (1 + xi^2)^s, normalized so that s = 0
     reproduces the physical-space L2 norm.  The interior bins stand for a
     +/- xi pair of the full spectrum and count twice; bin 0 and the Nyquist
-    bin count once.
+    bin count once.  Raises ConfigError naming s when the weights or their
+    sum overflow, so that no norm taken with them overflows on that account.
     """
-    weights = (1.0 + grid.rfreqs**2) ** s * (2.0 * grid.spacing / grid.size)
+    with np.errstate(over="ignore"):
+        weights = (1.0 + grid.rfreqs**2) ** s * (2.0 * grid.spacing / grid.size)
+        if not np.isfinite(2.0 * np.sum(weights)):  # bounds the sum of the returned weights
+            raise ConfigError("s", f"the order-{s!r} Sobolev weights overflow on {grid}")
     weights[0] /= 2.0
     weights[-1] /= 2.0
     return np.repeat(weights, 2)

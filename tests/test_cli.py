@@ -253,6 +253,42 @@ class TestSimulate:
         first = [float(x) for x in rows[0].split(",")]
         assert first[0] == 0.0 and first[3] == np.max(np.abs(u0)) == a
 
+    @settings(max_examples=10, deadline=None)
+    @given(a=st.floats(0.4, 0.6).map(lambda a: round(a, 6)),
+           b=st.floats(1.5, 2.5).map(lambda b: round(b, 6)))
+    @example(a=0.585598, b=1.673027)
+    @example(a=0.482949, b=1.7877)
+    def test_final_is_the_last_sample_with_or_without_a_time_series(self, tmp_path_factory, a, b):
+        """summary.json's final values are the time series' last row bit for
+        bit, and the same run without a time series writes the same ones."""
+        tmp_path = tmp_path_factory.mktemp("final")
+        # 6.4 steps of the CFL dt: the last one is shortened and off the stride
+        cfg = write_config(tmp_path, kernel="exponential", grid_n=256, grid_l=20.0, delta=0.5,
+                           epsilon=0.1, n=2, t_end=0.25, sample_stride=10,
+                           u0={"shape": "gaussian", "a": a, "b": b})
+        finals = []
+        for flags in (["--emit-timeseries"], []):
+            out = tmp_path / f"run{len(flags)}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
+            finals.append(json.loads((out / "summary.json").read_text())["final"])
+        assert not (tmp_path / "run0" / "timeseries.csv").exists()
+        rows = (tmp_path / "run1" / "timeseries.csv").read_text().splitlines()
+        last = dict(zip(["t", "energy", "monitor", "u_linf"], map(float, rows[-1].split(","))))
+        assert finals[0] == finals[1] == last
+        assert last["t"] == 0.25
+
+    @pytest.mark.parametrize("flags", [[], ["--emit-timeseries"]], ids=["summary", "timeseries"])
+    def test_non_hyperbolic_initial_data_exits_1_at_t0(self, tmp_path, capsys, flags):
+        # 1 + g'(u0) = 1 + 1.2 u0 reaches -0.2 at the trough u0 = -1; the
+        # monitor is past the threshold too, but the t = 0 sample comes first
+        cfg = write_config(tmp_path, grid_n=64, t_end=0.1, epsilon=0.6, breakdown_threshold=0.5,
+                           u0={"shape": "gaussian", "a": -1.0, "b": 2.0})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "<= 0 at t=0" in err
+        assert list(out.iterdir()) == []
+
     def test_steep_sech2_runs_without_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid_n=64, grid_l=20.0, t_end=0.1,
                            u0={"shape": "sech2", "a": 0.5, "b": 40})
@@ -400,6 +436,54 @@ class TestConfigTypes:
         with pytest.raises(ConfigError, match="2\\*\\*53"):
             dynamics.n_steps(1.0, 2.0**-54)
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_kernel_exits_3_before_out_is_made(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, kernel="box", grid_n=64, t_end=0.05)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "config field 'kernel'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("simulate", ["--n", "170", "--epsilon", "0.5"]),
+            ("simulate", ["--n", "400", "--epsilon", "10"]),
+            ("simulate", ["--n", "1100", "--epsilon", "2"]),
+            ("simulate", ["--n", "1" + "0" * 21, "--epsilon", "2"]),
+            ("simulate", ["--n", "1" + "0" * 21, "--epsilon", "1"]),
+            ("converge-dispersion", ["--n", "400", "--epsilon", "10"]),
+            ("converge-lattice", ["--n", "1000", "--epsilon", "1"]),
+        ],
+        ids=["scale-n170", "eps10-n400", "int-eps2-n1100", "eps2-n1e21", "scale-n1e21",
+             "converge-dispersion", "converge-lattice"],
+    )
+    def test_n_whose_power_overflows_exits_3(self, tmp_path, capsys, command, argv):
+        # (n+1) eps^n, or the nonlinear multiplier eps^n (P/N)^n M with P/N
+        # about (n+2)/2, is not finite
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.01,
+                           delta_list=[0.625, 0.3125])
+        assert main([command, "--config", cfg, *argv, "--out", str(out)]) == 3
+        assert "config field 'n'" in capsys.readouterr().err
+        # eps^n is checked with the config, the multiplier by the integrator
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, s",
+        [("converge-dispersion", 100), ("converge-lattice", 100), ("simulate", 200),
+         ("converge-dispersion", 200), ("converge-lattice", 200)],
+    )
+    def test_s_whose_weights_overflow_exits_3(self, tmp_path, capsys, command, s):
+        # on the default grid the largest frequency is about 80: the sweeps'
+        # order-(s-1) norm weights overflow at s = 100, simulate's order-s
+        # smoothing multiplier (1 + xi^2)^(s/2) at s = 200
+        out = tmp_path / "run"
+        assert main([command, "--config", write_config(tmp_path, s=s, t_end=0.05),
+                     "--out", str(out)]) == 3
+        assert "config field 's'" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
     def test_short_kernel_table_exits_3_without_warning(self, tmp_path, capsys, text):
         (tmp_path / "kern.txt").write_text(text)
@@ -435,6 +519,28 @@ class TestInitialDataSpecs:
                            delta_list=[2 * h, h], **{key: spec})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
         assert f"config field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "converge-lattice"])
+    @pytest.mark.parametrize("key", ["u0", "v0"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"shape": "gaussian", "a": 0.5, "b": -10},  # exp(10 x^2) overflows
+            {"shape": "sine", "a": 0.5, "k": 1e308},  # k pi x / L overflows; sin(inf) is NaN
+            {"shape": "samples", "values": [float("nan")] * 64},
+        ],
+        ids=["gaussian-b-10", "sine-k-1e308", "samples-nan"],
+    )
+    def test_non_finite_initial_samples_exit_3_naming_key(self, tmp_path, capsys, command,
+                                                          key, spec):
+        h = 2 * 10.0 / 64
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05,
+                           delta_list=[2 * h, h], **{key: spec})
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"config field '{key}'" in err and "not finite" in err
+        assert not out.exists()
 
 
 class TestNonFiniteOutputs:

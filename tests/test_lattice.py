@@ -151,6 +151,14 @@ class TestInitialVelocity:
         reflected = np.concatenate([out[:1], out[1:][::-1]])
         np.testing.assert_allclose(out, reflected, atol=1e-14)
 
+    def test_non_finite_quotient_rejected_without_warning(self):
+        sites = np.linspace(-10, 9.5, 40)
+        step = lambda x: np.where(x > 0, 1e308, -1e308)  # noqa: E731; 2e308 across x = 0
+        with pytest.raises(InvalidSpecError, match="not finite"):
+            initial_velocity(step, 0.5, sites, 10.0)
+        with pytest.raises(InvalidSpecError, match="not finite"):
+            make_chain({"shape": "gaussian", "a": 0.5, "b": -10}, None, 10.0, 32)
+
     def test_sample_arrays_rejected(self):
         with pytest.raises(InvalidSpecError):
             initial_velocity(np.zeros(8), 0.5, np.zeros(8), 10.0)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, integrate_chain
+from nlwaves import energy, integrate, make_initial, operator_error, sobolev_norm
 from nlwaves.cli import FLAG_KEYS, main, parse_config, split_argv
 from nlwaves.schema import RULES
 
 TRI = Kernel("triangular")
 NAN, INF = float("nan"), float("inf")
+GRID = Grid(10.0, 64)
 
 
 def model(**kw):
@@ -61,6 +64,24 @@ LIBRARY = {
         (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, INF, 1.0), "dt"),
         (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, None, 1.0), "dt"),
         (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, 0.1, NAN), "t_end"),
+        # (n+1) eps^n, or the nonlinear multiplier eps^n (P/N)^n M, is not finite
+        pytest.param(lambda: model(epsilon=10.0, n=400), "n", id="eps10-n400"),
+        # an integer past the largest float, and one rejected before the power is taken
+        pytest.param(lambda: model(epsilon=2, n=1100), "n", id="int-eps2-n1100"),
+        pytest.param(lambda: model(epsilon=2, n=10**21), "n", id="eps2-n1e21"),
+        pytest.param(lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 10.0, 400,
+                                             0.1, 1.0), "n", id="chain-eps10-n400"),
+        pytest.param(lambda: integrate(model(epsilon=0.5, n=170), make_initial(None, None, GRID)),
+                     "n", id="multiplier-n170"),
+        pytest.param(lambda: integrate(model(epsilon=1, n=10**21), make_initial(None, None, GRID)),
+                     "n", id="multiplier-n1e21"),
+        # Sobolev weights or smoothing multipliers that overflow on the default grid
+        pytest.param(lambda: sobolev_norm(make_initial(None, None, Grid(20.0, 1024)).u, 99.0),
+                     "s", id="sobolev-norm"),
+        pytest.param(lambda: operator_error(TRI, 0.5, make_initial(None, None, GRID).u, 150.0,
+                                            10.0), "s", id="operator-error"),
+        pytest.param(lambda: energy(make_initial(None, None, Grid(20.0, 1024)), model(s=200.0)),
+                     "s", id="energy"),
     ],
 )
 def test_library_rejects_bad_value_naming_key(make, key):
@@ -68,6 +89,29 @@ def test_library_rejects_bad_value_naming_key(make, key):
         make()
     assert isinstance(info.value, ConfigError)
     assert info.value.field == key
+
+
+@settings(max_examples=200, deadline=None)
+@given(epsilon=st.one_of(st.floats(0.0, 1e10), st.integers(0, 10**6)), n=st.integers(1, 2000))
+@example(epsilon=2, n=1023)
+@example(epsilon=2, n=1024)
+@example(epsilon=2.0, n=1024)
+@example(epsilon=1e10, n=30)
+@example(epsilon=1e10, n=31)
+@example(epsilon=1e308, n=1)  # eps^n is finite, the energy weight's 2 eps^n is not
+@example(epsilon=10**308, n=1)
+def test_nonlinear_coefficient_is_eps_to_the_n_unless_it_overflows(epsilon, n):
+    try:
+        finite = math.isfinite((n + 1) * epsilon**n)
+    except OverflowError:  # a float power, or an integer one past the largest float
+        finite = False
+    if finite:
+        coef = model(epsilon=epsilon, n=n).nonlinear_coefficient
+        assert coef == epsilon**n and type(coef) is type(epsilon**n)
+    else:
+        with pytest.raises(ConfigError) as info:
+            model(epsilon=epsilon, n=n)
+        assert info.value.field == "n"
 
 
 def test_every_numeric_key_is_compared_with_the_library():
@@ -87,6 +131,7 @@ VALUES = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(key=st.sampled_from(sorted(LIBRARY)), value=VALUES)
 @example(key="grid_l", value=2.225073858507203e-309)  # pi N / L overflows
+@example(key="epsilon", value=1e308)  # the energy weight's (n+1) eps^n overflows
 def test_cli_and_library_accept_alike(key, value):
     def field_of_error(call):
         try:

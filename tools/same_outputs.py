@@ -7,14 +7,16 @@ three perfbench workload configs (``perfbench/workloads.make_config``) for
 seeds 0-9 with the program of REV and with the program of the working tree.
 Each seed also runs the simulate-n256 config with breakdown_threshold 1.0,
 which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
-decides it, and the sweep-dispersion-n2048 config with a table kernel: the
-exponential symbol sampled into a file that is written once into the
-temporary directory and read by both sides.  It requires equal exit codes (0 or 2), compares summary.json
-and every CSV byte for byte, prints how many files differ and, per run and
-file, the largest relative difference between their numbers (in a CSV,
-relative to the column's peak; in summary.json, between the values under the
-same key) and the summary.json keys written by one side only, and exits 1 on
-any difference.
+decides it; the simulate-n256 config with emit_timeseries false, whose
+summary.json is read from the run's first and last samples alone; and the
+sweep-dispersion-n2048 config with a table kernel: the exponential symbol
+sampled into a file that is written once into the temporary directory and
+read by both sides.  It requires equal exit codes (0 or 2), compares
+summary.json and every CSV byte for byte (180 files), prints how many files
+differ and, per run and file, the largest relative difference between their
+numbers (in a CSV, relative to the column's peak; in summary.json, between
+the values under the same key) and the summary.json keys written by one
+side only, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ SEEDS = range(10)
 
 def runs(table: Path) -> dict:
     """label -> (workload, config entries changed): every workload as it is,
-    simulate-n256 with a threshold that its initial data reaches, and
-    sweep-dispersion-n2048 with the kernel table file `table`."""
+    simulate-n256 with a threshold that its initial data reaches and without
+    a time series, and sweep-dispersion-n2048 with the kernel table file
+    `table`."""
     labelled = {name: (name, {}) for name in workloads.WORKLOADS}
     labelled["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0})
+    labelled["simulate-n256-summary"] = ("simulate-n256", {"emit_timeseries": False})
     labelled["sweep-dispersion-n2048-table"] = ("sweep-dispersion-n2048", {"kernel": str(table)})
     return labelled
 
