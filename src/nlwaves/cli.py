@@ -5,14 +5,17 @@ flat JSON file (--config); flags override file values.  Every run writes a
 JSON summary embedding the fully-resolved config (defaults included) plus
 command-specific CSV files into --out.  All floats are emitted with 17
 significant digits so downstream fits can round-trip.  `main` builds the
-grid and the kernel once, before --out is created, and hands them to the
-command.  `simulate` keeps its samples in one recorder: every
-sample_stride-th step and the last with a time series, the first and the
-last without one; summary.json's final values are its last sample, so they
-equal the time series' last row bit for bit.
+grid and the kernel once and hands them to the command, which returns its
+exit code and {file name: text}; only then does `main` create --out and
+write them, so a run that raises creates no directory.  `simulate` keeps
+its samples in one recorder: every sample_stride-th step and the last with
+a time series, the first and the last without one; summary.json's final
+values are its last sample, so they equal the time series' last row bit
+for bit.
 
-Exit codes: 0 success, 1 internal numeric failure (no file written),
-2 breakdown detected, 3 invalid configuration or usage error.
+Exit codes: 0 success, 1 internal numeric failure, 2 breakdown detected,
+3 invalid configuration or usage error; only 0 and a `simulate` breakdown
+(2) write files.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import convergence, dynamics, lattice, schema, shapes
+from . import convergence, dynamics, schema
 from .errors import BreakdownError, ConfigError, InvalidSpecError
 from .errors import NlwavesError, NonFiniteError, UsageError
 from .kernels import BUILTIN_NAMES, Kernel
-from .spectral import Grid, write_field_csv
+from .spectral import Grid
 
 #: keys that ModelConfig and SweepConfig take under the same name
 _MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
@@ -66,6 +69,11 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of numbers."""
+    return header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def parse_config(config_path, overrides) -> dict:
     """Merge defaults, config file, and flag overrides (config values, None
     meaning null); validate everything."""
@@ -97,17 +105,6 @@ def parse_config(config_path, overrides) -> dict:
     return resolved
 
 
-def _check_initial_data(cfg: dict, grid: Grid, command: str) -> None:
-    """Evaluate u0 and v0 as `command` will; a bad spec is a config error on its key."""
-    for key in ("u0", "v0"):
-        try:
-            shapes.evaluate_on_nodes(cfg[key], grid.nodes, grid.half_length)
-            if key == "v0" and command == "converge-lattice":
-                lattice.initial_velocity(cfg[key], grid.spacing, grid.nodes, grid.half_length)
-        except InvalidSpecError as exc:
-            raise ConfigError(key, str(exc)) from None
-
-
 def _build_kernel(spec: str) -> Kernel:
     if spec in BUILTIN_NAMES:
         return Kernel(spec)
@@ -130,11 +127,9 @@ def _summary_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
+def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     xi = np.sort(grid.freqs[grid.freqs >= 0])
-    rows = zip(xi, kernel.symbol(xi), kernel.sqrt_symbol(xi))
-    table = "xi,symbol,k_symbol\n"
-    table += "".join(f"{_fmt(x)},{_fmt(b)},{_fmt(k)}\n" for x, b, k in rows)
+    table = _csv("xi,symbol,k_symbol", zip(xi, kernel.symbol(xi), kernel.sqrt_symbol(xi)))
     symbol = kernel.symbol(grid.freqs)
     summary = _summary_text(
         {
@@ -145,12 +140,10 @@ def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> in
         }
     )
     sys.stdout.write(table)
-    (out_dir / "kernel_info.csv").write_text(table)
-    (out_dir / "summary.json").write_text(summary)
-    return 0
+    return 0, {"kernel_info.csv": table, "summary.json": summary}
 
 
-def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
+def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     dt = dynamics.shared_dt(grid, cfg["dt"])
     mc = dynamics.ModelConfig(
         kernel=kernel, delta=cfg["delta"], dt=dt, **{k: cfg[k] for k in _MODEL_KEYS}
@@ -162,42 +155,29 @@ def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
     stride = cfg["sample_stride"] if cfg["emit_timeseries"] else max(steps, 1)
     recorder = dynamics._Recorder(stride, steps, take,
                                   lambda y, t: take(y, t, initial.u.samples))
-    breakdown = None
+    payload = {"command": "simulate", "config": cfg, "dt_used": dt, "breakdown": None}
+    outputs = {}
     try:
         final = dynamics.integrate(mc, initial, probe=recorder)
     except BreakdownError as exc:
-        breakdown = exc
-        final = None
-
-    payload = {"command": "simulate", "config": cfg, "dt_used": dt, "breakdown": None}
-    if breakdown is not None:
-        payload["breakdown"] = {
-            "time": breakdown.time,
-            "monitor": breakdown.monitor,
-            "threshold": breakdown.threshold,
-        }
+        payload["breakdown"] = {"time": exc.time, "monitor": exc.monitor,
+                                "threshold": exc.threshold}
+        sys.stderr.write(f"breakdown detected at t={_fmt(exc.time)} "
+                         f"(monitor={_fmt(exc.monitor)})\n")
+        code = 2
     else:
         energy, monitor, u_linf = recorder.snaps[-1]
         payload["final"] = {"t": recorder.times[-1], "energy": energy, "monitor": monitor,
                             "u_linf": u_linf}
-    summary = _summary_text(payload)
-
+        outputs["final_u.csv"] = _csv("x,value", zip(grid.nodes, final.u.samples))
+        outputs["final_v.csv"] = _csv("x,value", zip(grid.nodes, final.v.samples))
+        code = 0
+    outputs["summary.json"] = _summary_text(payload)
     if cfg["emit_timeseries"]:
-        with open(out_dir / "timeseries.csv", "w") as fh:
-            fh.write("t,E_s,monitor,u_linf\n")
-            for t, (e, m, ul) in zip(recorder.times, recorder.snaps):
-                fh.write(f"{_fmt(t)},{_fmt(e)},{_fmt(m)},{_fmt(ul)}\n")
-    if final is not None:
-        write_field_csv(final.u, out_dir / "final_u.csv")
-        write_field_csv(final.v, out_dir / "final_v.csv")
-    (out_dir / "summary.json").write_text(summary)
-    if breakdown is None:
-        return 0
-    sys.stderr.write(
-        f"breakdown detected at t={_fmt(breakdown.time)} "
-        f"(monitor={_fmt(breakdown.monitor)})\n"
-    )
-    return 2
+        outputs["timeseries.csv"] = _csv(
+            "t,E_s,monitor,u_linf", ((t, *snap) for t, snap in zip(recorder.times, recorder.snaps))
+        )
+    return code, outputs
 
 
 def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepConfig:
@@ -213,33 +193,33 @@ def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepCon
     )
 
 
-def _cmd_converge(command: str, cfg: dict, grid: Grid, kernel: Kernel, out_dir: Path) -> int:
+def _running_slope(deltas, errors) -> float:
+    """The rate fitted to the pairs so far, or NaN when none can be fitted."""
+    try:
+        return convergence.fit_rate(list(zip(deltas, errors))).slope
+    except NlwavesError:
+        return math.nan
+
+
+def _cmd_converge(command: str, cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     sweep_cfg = _sweep_config(cfg, kernel, grid)
     if command == "converge-dispersion":
         report = convergence.zero_dispersion_sweep(sweep_cfg)
     else:
         report = convergence.lattice_sweep(sweep_cfg)
-    summary = _summary_text({"command": command, "config": cfg, **report.to_dict()})
-    with open(out_dir / "sweep.csv", "w") as fh:
-        fh.write("delta,error_terminal,slope_running\n")
-        for i, (d, e) in enumerate(zip(report.deltas, report.errors)):
-            running_s = "nan"
-            if i >= 1:
-                try:
-                    running_s = _fmt(convergence.fit_rate(
-                        list(zip(report.deltas[: i + 1], report.errors[: i + 1]))
-                    ).slope)
-                except NlwavesError:
-                    pass
-            fh.write(f"{_fmt(d)},{_fmt(e)},{running_s}\n")
+    deltas, errors = report.deltas, report.errors
+    outputs = {
+        "summary.json": _summary_text({"command": command, "config": cfg, **report.to_dict()}),
+        "sweep.csv": _csv("delta,error_terminal,slope_running", (
+            (d, e, _running_slope(deltas[: i + 1], errors[: i + 1]))
+            for i, (d, e) in enumerate(zip(deltas, errors))
+        )),
+    }
     if cfg["emit_timeseries"]:
-        with open(out_dir / "series.csv", "w") as fh:
-            fh.write("delta,t,error\n")
-            for d, errs in zip(report.deltas, report.series):
-                for t, e in zip(report.times, errs):
-                    fh.write(f"{_fmt(d)},{_fmt(t)},{_fmt(e)}\n")
-    (out_dir / "summary.json").write_text(summary)
-    return 0
+        outputs["series.csv"] = _csv("delta,t,error", (
+            (d, t, e) for d, errs in zip(deltas, report.series) for t, e in zip(report.times, errs)
+        ))
+    return 0, outputs
 
 
 def _json_or_text(text: str):
@@ -305,20 +285,22 @@ def main(argv=None) -> int:
             return 0
         cfg = parse_config(args.config, overrides)
         grid, kernel = Grid(cfg["grid_l"], cfg["grid_n"]), _build_kernel(cfg["kernel"])
-        if args.command != "kernel-info":
-            _check_initial_data(cfg, grid, args.command)
+        if args.command == "kernel-info":
+            code, outputs = _cmd_kernel_info(cfg, grid, kernel)
+        elif args.command == "simulate":
+            code, outputs = _cmd_simulate(cfg, grid, kernel)
+        else:
+            code, outputs = _cmd_converge(args.command, cfg, grid, kernel)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            for name, text in outputs.items():
+                (out_dir / name).write_text(text)
         except OSError as exc:
             sys.stderr.write(f"error: --out {out_dir}: {exc.strerror or exc}\n")
             return 3
-        if args.command == "kernel-info":
-            return _cmd_kernel_info(cfg, grid, kernel, out_dir)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, grid, kernel, out_dir)
-        return _cmd_converge(args.command, cfg, grid, kernel, out_dir)
-    except ConfigError as exc:
+        return code
+    except (ConfigError, InvalidSpecError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except UsageError as exc:

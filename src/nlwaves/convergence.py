@@ -229,6 +229,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     At t = 0 the strains match exactly.
     """
     grid = cfg.grid
+    initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
     strides = [int(round(delta / grid.spacing)) for delta in cfg.deltas]
     for delta, stride in zip(cfg.deltas, strides):
         if stride < 1 or abs(delta / grid.spacing - stride) > 1e-9 or grid.size % stride != 0:
@@ -246,7 +247,6 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     weights = [norm_weights(Grid(grid.half_length, c.sites), cfg.s - 1.0) for c in chains]
     dt = dynamics.shared_dt(grid, cfg.dt)
     n_steps = dynamics.n_steps(cfg.t_end, dt)
-    initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
     ddx = dynamics._multiplier(grid, None, None)
     # at t = 0 the initial samples, on which the chains start, stand for the strain
     reference = dynamics._Recorder(

@@ -6,7 +6,11 @@ class NlwavesError(Exception):
 
 
 class InvalidSpecError(NlwavesError):
-    """Initial-data spec is malformed or not usable in this context."""
+    """Initial-data spec is malformed or unusable here; `field`, if given, names its config key."""
+
+    def __init__(self, message, field=None):
+        self.field = field
+        super().__init__(message if field is None else f"config field '{field}': {message}")
 
 
 class NonFiniteError(NlwavesError):

@@ -127,11 +127,14 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
 
 def make_chain(u0_spec, v0_spec, half_length: float, sites: int, stride: int = 1) -> Chain:
     """Chain at t=0: strains from u0 (sample arrays span sites * stride nodes),
-    velocities from the discrete quotient of v0."""
+    velocities from the discrete quotient of v0.  A spec that cannot be
+    evaluated raises InvalidSpecError naming its config key, u0 or v0."""
     delta = 2.0 * half_length / sites
     x = -half_length + delta * np.arange(sites)
-    strain = shapes.evaluate_on_nodes(u0_spec, x, half_length, stride)
-    velocity = initial_velocity(v0_spec, delta, x, half_length)
+    with shapes.naming("u0"):
+        strain = shapes.evaluate_on_nodes(u0_spec, x, half_length, stride)
+    with shapes.naming("v0"):
+        velocity = initial_velocity(v0_spec, delta, x, half_length)
     return Chain(half_length, strain, velocity, 0.0)
 
 

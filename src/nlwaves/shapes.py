@@ -16,6 +16,7 @@ half-site values); sample arrays cannot.
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -98,6 +99,15 @@ def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int =
     if values.shape != expected:
         raise InvalidSpecError(f"sample array has shape {values.shape}, expected {expected}")
     return _finite(values[::stride], "its value")
+
+
+@contextmanager
+def naming(key: str):
+    """Re-raise an InvalidSpecError of the block as one naming the config entry `key`."""
+    try:
+        yield
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(str(exc), key) from None
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:

@@ -6,7 +6,7 @@ Fields are value-semantics snapshots: every operation returns a new Field and
 never mutates its inputs.  A Field stores samples only; `Field.spectrum`
 transforms them on every access.  Neither the time stepper nor the sweeps
 use Fields: both hold real-FFT coefficients (see `dynamics.integrate`), and
-Fields serve the public diagnostics, the initial data and the CSV output.
+Fields serve the public diagnostics, the initial data and the final states.
 
 Norm convention: the order-s Sobolev norm is a weighted sum over the N/2+1
 real-FFT coefficients, `coefficient_norm` with weights from `norm_weights`;
@@ -171,10 +171,3 @@ def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndar
         np.multiply(partial, x, out=partial)
     return np.multiply(partial, x, out=out)
 
-
-def write_field_csv(f: Field, path) -> None:
-    """Dump a field as CSV with header ``x,value``, 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(f.grid.nodes, f.samples):
-            fh.write(f"{x:.17g},{v:.17g}\n")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import nlwaves
 from nlwaves.cli import COMMANDS, FLAG_KEYS, main, parse_config, split_argv
-from nlwaves import dynamics
+from nlwaves import Kernel, dynamics
 from nlwaves.errors import ConfigError
 from nlwaves.shapes import evaluate_on_nodes
 from nlwaves.spectral import Grid
@@ -225,6 +225,26 @@ class TestSimulate:
         assert (out / "final_u.csv").exists()
         assert (out / "final_v.csv").exists()
 
+    def test_final_fields_are_the_integrated_samples(self, tmp_path):
+        # final_u.csv and final_v.csv parse back to the grid nodes and to the
+        # final samples of `integrate` on the same config, bit for bit
+        path = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.1, delta=0.5, epsilon=0.1,
+                            v0={"shape": "sine", "a": 0.2, "k": 2})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        cfg = parse_config(path, {})
+        grid = Grid(cfg["grid_l"], cfg["grid_n"])
+        mc = dynamics.ModelConfig(
+            kernel=Kernel(cfg["kernel"]), delta=cfg["delta"], dt=dynamics.shared_dt(grid),
+            **{k: cfg[k] for k in ("t_end", "epsilon", "n", "s", "breakdown_threshold")})
+        final = dynamics.integrate(mc, dynamics.make_initial(cfg["u0"], cfg["v0"], grid))
+        for name, field in (("final_u.csv", final.u), ("final_v.csv", final.v)):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "x,value"
+            data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+            assert np.array_equal(data[:, 0], grid.nodes)
+            assert np.array_equal(data[:, 1], field.samples)
+
     def test_timeseries_ends_at_t_end(self, tmp_path):
         # two steps, fewer than sample_stride: rows at t = 0 and t = t_end
         out = tmp_path / "run"
@@ -287,7 +307,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
         assert "numeric failure" in err and "<= 0 at t=0" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_steep_sech2_runs_without_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid_n=64, grid_l=20.0, t_end=0.1,
@@ -409,7 +429,7 @@ class TestConfigTypes:
         out = tmp_path / "run"
         assert main([command, "--dt", "1e-320", "--t-end", "1", "--out", str(out)]) == 3
         assert "config field 'dt'" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -428,7 +448,7 @@ class TestConfigTypes:
         assert main([command, *argv, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "config field 'dt'" in err and "2**53" in err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_step_counts_up_to_2_53_are_legitimate(self):
         assert dynamics.n_steps(1.0, 1e-10) == 10**10
@@ -466,8 +486,7 @@ class TestConfigTypes:
                            delta_list=[0.625, 0.3125])
         assert main([command, "--config", cfg, *argv, "--out", str(out)]) == 3
         assert "config field 'n'" in capsys.readouterr().err
-        # eps^n is checked with the config, the multiplier by the integrator
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, s",
@@ -482,7 +501,7 @@ class TestConfigTypes:
         assert main([command, "--config", write_config(tmp_path, s=s, t_end=0.05),
                      "--out", str(out)]) == 3
         assert "config field 's'" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "0 1\n"], ids=["empty", "one-row"])
     def test_short_kernel_table_exits_3_without_warning(self, tmp_path, capsys, text):
@@ -542,6 +561,32 @@ class TestInitialDataSpecs:
         assert f"config field '{key}'" in err and "not finite" in err
         assert not out.exists()
 
+    def test_v0_whose_chain_quotient_is_not_finite_exits_3(self, tmp_path, capsys):
+        # exp(6.8 x^2) is finite at x +/- h/2 for the grid spacing h = 0.3125,
+        # but overflows at x +/- 0.3125 for the chain of delta = 0.625
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05, delta_list=[0.625, 0.3125],
+                           v0={"shape": "gaussian", "a": 1.0, "b": -6.8})
+        out = tmp_path / "run"
+        assert main(["converge-lattice", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config field 'v0'" in err and "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("simulate", "u0"), ("converge-dispersion", "u0"), ("converge-lattice", "v0")],
+    )
+    def test_finite_data_whose_transform_overflows_exits_3(self, tmp_path, capsys, command, key):
+        # 1e308 sin(3 pi x / L) is finite at every node; its k = 3 coefficient is not
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, delta_list=[0.625, 0.3125],
+                           **{key: {"shape": "sine", "a": 1e308, "k": 3}})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert f"config field '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command, changes", [
@@ -560,10 +605,7 @@ class TestNonFiniteOutputs:
         out = tmp_path / "run"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "numeric failure" in capsys.readouterr().err
-        summary = out / "summary.json"
-        if summary.exists():
-            json.loads(summary.read_text(), parse_constant=pytest.fail)
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # so no summary.json, valid or not
 
     def test_norms_of_huge_finite_data_do_not_overflow(self, tmp_path):
         # with eps = 0 the run is linear, so scaling u0 by 2**515 scales every
@@ -633,6 +675,14 @@ class TestConvergeCommands:
         series = (out / "series.csv").read_text().splitlines()
         assert series[0] == "delta,t,error"
         assert len(series) > 2
+
+    def test_dispersion_breakdown_exits_2_without_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05, delta_list=[0.4, 0.2],
+                           breakdown_threshold=0.1)
+        out = tmp_path / "sweep"
+        assert main(["converge-dispersion", "--config", cfg, "--out", str(out)]) == 2
+        assert "breakdown" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unaligned_delta_list_exits_3(self, tmp_path, capsys):
         # none of these is a multiple of the default grid spacing 0.0390625

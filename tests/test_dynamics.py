@@ -371,10 +371,13 @@ class TestMakeInitial:
         np.testing.assert_array_equal(st.v.samples, values)
 
     def test_bad_specs_rejected(self, unit_grid):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="config field 'u0'"):
             make_initial({"shape": "wedge"}, None, unit_grid)
         with pytest.raises(InvalidSpecError):
             make_initial(np.zeros(3), None, unit_grid)
+        with pytest.raises(InvalidSpecError) as info:
+            make_initial(None, np.zeros(3), unit_grid)
+        assert info.value.field == "v0"
 
 
 class TestModelConfig:
@@ -604,6 +607,19 @@ class TestSpectralCoreParity:
         cfg = config(epsilon=1.0, n=1, dt=0.1, t_end=0.1, breakdown_threshold=1e300)
         with pytest.raises(NonFiniteError, match="t=0.1"):
             integrate(cfg, st)
+
+    @pytest.mark.parametrize("key", ["u0", "v0"])
+    def test_initial_coefficients_that_overflow_name_their_key(self, unit_grid, key):
+        # finite samples whose k = 3 coefficient, 32e308, is not
+        huge = Field(unit_grid, 1e308 * np.sin(3 * unit_grid.nodes))
+        fields = {"u0": Field.zeros(unit_grid), "v0": Field.zeros(unit_grid), key: huge}
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                integrate(config(), State(fields["u0"], fields["v0"], 0.0),
+                          probe=lambda y, t: seen.append(t))
+        assert info.value.field == key and seen == []
 
     @settings(max_examples=20, deadline=None)
     @given(

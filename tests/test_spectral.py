@@ -12,7 +12,7 @@ from nlwaves import (
     NonFiniteError,
     sobolev_norm,
 )
-from nlwaves.spectral import _integer_power, coefficient_norm, norm_weights, write_field_csv
+from nlwaves.spectral import _integer_power, coefficient_norm, norm_weights
 from reference import (
     apply_multiplier,
     dealiased_power,
@@ -360,14 +360,3 @@ class TestIntegerPower:
         assert _integer_power(y, power, out=y, scratch=scratch) is y
         assert np.array_equal(y, (-1.0) ** power * _integer_power(x, power))
 
-
-def test_field_csv_round_trip(tmp_path, rng):
-    g = Grid(10.0, 64)
-    f = random_field(g, rng)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(data[:, 0], g.nodes)
-    np.testing.assert_array_equal(data[:, 1], f.samples)

@@ -8,15 +8,16 @@ seeds 0-9 with the program of REV and with the program of the working tree.
 Each seed also runs the simulate-n256 config with breakdown_threshold 1.0,
 which breaks down (exit 2) at t=0 or mid-run, so the exact breakdown monitor
 decides it; the simulate-n256 config with emit_timeseries false, whose
-summary.json is read from the run's first and last samples alone; and the
+summary.json is read from the run's first and last samples alone; the
 sweep-dispersion-n2048 config with a table kernel: the exponential symbol
 sampled into a file that is written once into the temporary directory and
-read by both sides.  It requires equal exit codes (0 or 2), compares
-summary.json and every CSV byte for byte (180 files), prints how many files
-differ and, per run and file, the largest relative difference between their
-numbers (in a CSV, relative to the column's peak; in summary.json, between
-the values under the same key) and the summary.json keys written by one
-side only, and exits 1 on any difference.
+read by both sides; and ``kernel-info`` with the sweep-dispersion-n2048
+config and with its table kernel.  It requires equal exit codes (0 or 2),
+compares summary.json and every CSV byte for byte (220 files), prints how
+many files differ and, per run and file, the largest relative difference
+between their numbers (in a CSV, relative to the column's peak; in
+summary.json, between the values under the same key) and the summary.json
+keys written by one side only, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -40,14 +41,19 @@ SEEDS = range(10)
 
 
 def runs(table: Path) -> dict:
-    """label -> (workload, config entries changed): every workload as it is,
-    simulate-n256 with a threshold that its initial data reaches and without
-    a time series, and sweep-dispersion-n2048 with the kernel table file
-    `table`."""
-    labelled = {name: (name, {}) for name in workloads.WORKLOADS}
-    labelled["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0})
-    labelled["simulate-n256-summary"] = ("simulate-n256", {"emit_timeseries": False})
-    labelled["sweep-dispersion-n2048-table"] = ("sweep-dispersion-n2048", {"kernel": str(table)})
+    """label -> (workload, config entries changed, command or None for the
+    workload's own): every workload as it is, simulate-n256 with a threshold
+    that its initial data reaches and without a time series,
+    sweep-dispersion-n2048 with the kernel table file `table`, and
+    kernel-info on the sweep-dispersion-n2048 config with its kernel and
+    with `table`."""
+    sweep, tabled = "sweep-dispersion-n2048", {"kernel": str(table)}
+    labelled = {name: (name, {}, None) for name in workloads.WORKLOADS}
+    labelled["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0}, None)
+    labelled["simulate-n256-summary"] = ("simulate-n256", {"emit_timeseries": False}, None)
+    labelled["sweep-dispersion-n2048-table"] = (sweep, tabled, None)
+    labelled["kernel-info-n2048"] = (sweep, {}, "kernel-info")
+    labelled["kernel-info-n2048-table"] = (sweep, tabled, "kernel-info")
     return labelled
 
 
@@ -58,17 +64,22 @@ def exponential_table() -> str:
     return "".join(f"{x!r} {1.0 / (1.0 + x * x)!r}\n" for x in xi)
 
 
-def run(src: Path, name: str, changes: dict, seed: int, work: Path) -> tuple[int, Path]:
-    """Run workload `name` with the config entries `changes` and the program
-    in `src`; returns its exit code (0, or 2 for a breakdown) and its output
-    directory."""
+def run(src: Path, name: str, changes: dict, command: str | None, seed: int,
+        work: Path) -> tuple[int, Path]:
+    """Run workload `name` with the config entries `changes`, as `command`
+    if given, and the program in `src`; returns its exit code (0, or 2 for
+    a breakdown) and its output directory.  Standard output (kernel-info's
+    table, which it also writes to kernel_info.csv) is discarded."""
     work.mkdir(parents=True)
     config = work / "config.json"
     config.write_text(json.dumps({**workloads.make_config(name, seed), **changes}))
     out = work / "out"
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1"}
     argv = workloads.argv(name, str(config), str(out))
-    done = subprocess.run([sys.executable, "-m", "nlwaves.cli", *argv], env=env)
+    if command is not None:
+        argv[0] = command
+    done = subprocess.run([sys.executable, "-m", "nlwaves.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL)
     if done.returncode not in (0, 2):
         raise subprocess.CalledProcessError(done.returncode, done.args)
     return done.returncode, out
@@ -146,11 +157,11 @@ def main() -> int:
             tar.extractall(checkout, filter="data")
         table = Path(tmp) / "exponential_table.txt"
         table.write_text(exponential_table())
-        for label, (name, changes) in runs(table).items():
+        for label, (name, changes, command) in runs(table).items():
             for seed in SEEDS:
                 work = Path(tmp) / label / str(seed)
-                code_a, before = run(checkout / "src", name, changes, seed, work / "a")
-                code_b, after = run(ROOT / "src", name, changes, seed, work / "b")
+                code_a, before = run(checkout / "src", name, changes, command, seed, work / "a")
+                code_b, after = run(ROOT / "src", name, changes, command, seed, work / "b")
                 if code_a != code_b:
                     exits_differing += 1
                     print(f"{label} seed {seed}: exit {code_a} at REV, {code_b} here")
