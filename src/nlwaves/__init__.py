@@ -17,8 +17,6 @@ from .convergence import (
 from .dynamics import (
     ModelConfig,
     State,
-    breakdown_monitor,
-    energy,
     integrate,
     make_initial,
 )
@@ -40,11 +38,7 @@ from .lattice import (
     integrate_chain,
     make_chain,
 )
-from .spectral import (
-    Field,
-    Grid,
-    sobolev_norm,
-)
+from .spectral import Field, Grid
 
 __version__ = "0.1.0"
 
@@ -67,8 +61,6 @@ __all__ = [
     "RateFit",
     "State",
     "SweepConfig",
-    "breakdown_monitor",
-    "energy",
     "fit_rate",
     "initial_velocity",
     "integrate",
@@ -77,6 +69,5 @@ __all__ = [
     "make_chain",
     "make_initial",
     "operator_error",
-    "sobolev_norm",
     "zero_dispersion_sweep",
 ]

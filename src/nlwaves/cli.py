@@ -98,7 +98,7 @@ def parse_config(config_path, overrides) -> dict:
         resolved["delta"] = None
     for key, value in resolved.items():
         schema.check(key, value)
-    Grid(resolved["grid_l"], resolved["grid_n"])  # the rule of grid_l that depends on grid_n
+    schema.check_grid(resolved["grid_l"], resolved["grid_n"])  # grid_l's rule on grid_n
     schema.nonlinear_coefficient(resolved["epsilon"], resolved["n"])  # and n's on epsilon
     if resolved["breakdown_threshold"] == math.inf:  # summary.json echoes the config
         raise ConfigError("breakdown_threshold", "must be finite")

@@ -1,4 +1,4 @@
-"""Right-hand sides, RK4 time stepping, energy diagnostic, breakdown monitor.
+"""Right-hand side, RK4 time stepping, energy diagnostic, breakdown monitor.
 
 The first-order system in (u, v) is
 
@@ -42,8 +42,8 @@ t alone.  No State is built between steps: `integrate` builds the final
 ones, once, from the last coefficients.  A `simulate` sample (`_sampler`)
 is one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
 smoothing multiplier; `simulate` takes every sample, its summary's final
-values too, through one `_Recorder`.  `energy` and `breakdown_monitor` are
-State-level wrappers over the same cores.
+values too, through one `_Recorder`.  The energy (`_energy`) and the
+monitor (`_monitor`) have no other path.
 """
 
 from __future__ import annotations
@@ -167,6 +167,23 @@ def _padded_size(n: int, power: int) -> int:
     return padded + padded % 2
 
 
+def _nonlinear_scale(coef: float, n: int, size: int) -> float:
+    """eps^n (P/N)^n, the scale of the dealiased power of an N = `size` point
+    field with P = `_padded_size(N, n + 1)`, from coef = eps^n; 0 when coef is
+    0, since the linear system takes no power.  Raises ConfigError naming n
+    when it overflows.  The chain applies the same rule, so both models
+    reject the same n."""
+    if coef == 0.0:
+        return 0.0
+    try:
+        scale = coef * (_padded_size(size, n + 1) / size) ** n
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ConfigError("n", f"the nonlinear scale epsilon**n (P/N)**n overflows at n = {n}")
+    return scale
+
+
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """y -> (M y[1], M (y[0] + eps^n y[0]^(n+1))^) for (2, *shape) coefficient arrays.
 
@@ -179,17 +196,14 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
     out=spec)` make after their checks, with numpy's scales 1/P and 1; P is
     even, so the forward gufunc is `rfft_n_even`.  Raises ConfigError naming
-    n when eps^n (P/N)^n M is not finite.
+    n when eps^n (P/N)^n (`_nonlinear_scale`) or its product with M is not
+    finite.
     """
-    coef = cfg.nonlinear_coefficient
-    if coef == 0.0:
+    scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
+    if scale == 0.0:
         return lambda y, _t, out: np.multiply(multiplier, y[::-1], out=out)
     power, half = cfg.n + 1, size // 2
-    try:
-        padded = _padded_size(size, power)
-        scale = coef * (padded / size) ** cfg.n
-    except OverflowError:
-        scale = math.inf
+    padded = _padded_size(size, power)
     with np.errstate(over="ignore", invalid="ignore"):
         m_nl = scale * multiplier[..., :half]
     if not np.all(np.isfinite(m_nl)):
@@ -344,8 +358,13 @@ def _coefficients(state: State) -> np.ndarray:
 
 def _energy(u: np.ndarray, lu: np.ndarray, lv: np.ndarray, cfg: ModelConfig, h: float,
             t: float) -> float:
-    """The energy of `energy` from the samples of u and of its and v's order-s
-    smoothings lu = S u and lv = S v; raises HyperbolicityError when 1 + w <= 0."""
+    """Weighted Sobolev energy sqrt(0.5 * int((1+w)(S u)^2 + (S v)^2) dx), w =
+    (n+1) eps^n u^n, from the samples of u and of its and v's order-s
+    smoothings lu = S u and lv = S v.
+
+    Conserved exactly by the linear (eps=0) semi-discrete flow; a diagnostic
+    otherwise.  Raises HyperbolicityError when 1 + w <= 0 anywhere.
+    """
     coef = (cfg.n + 1) * cfg.nonlinear_coefficient
     with np.errstate(over="ignore", invalid="ignore"):
         w = coef * _integer_power(u, cfg.n) if coef != 0.0 else 0.0
@@ -358,39 +377,13 @@ def _energy(u: np.ndarray, lu: np.ndarray, lv: np.ndarray, cfg: ModelConfig, h: 
     return float(np.ldexp(np.sqrt(0.5 * h * np.sum(one_plus_w * lu**2 + lv**2)), e))
 
 
-def breakdown_monitor(state: State, cfg: ModelConfig) -> float:
-    """Wave-breaking indicator: |u|_inf + |u_t|_inf + |u_x|_inf.
-
-    u_t is recomputed from the active right-hand side rather than stored,
-    matching the system definition.
-    """
-    grid = state.grid
-    u, v = _coefficients(state)
-    du = _multiplier(grid, cfg.kernel, cfg.delta) * v
-    stacked, samples = np.empty((3, *u.shape), dtype=complex), np.empty((3, grid.size))
-    return float(_monitor(u, du, _multiplier(grid, None, None), stacked, samples))
-
-
-def energy(state: State, cfg: ModelConfig, s: float | None = None) -> float:
-    """Weighted Sobolev energy: sqrt(0.5 * int((1+w)(S u)^2 + (S v)^2) dx)
-    with S the order-s smoothing multiplier and w = (n+1) eps^n u^n.
-
-    Conserved exactly by the linear (eps=0) semi-discrete flow; a diagnostic
-    otherwise.  Raises HyperbolicityError when 1 + w <= 0 anywhere.
-    """
-    grid = state.grid
-    scale = _smoothing(grid, cfg.s if s is None else s)
-    lu, lv = np.fft.irfft(scale * _coefficients(state), n=grid.size)
-    return _energy(state.u.samples, lu, lv, cfg, grid.spacing, state.t)
-
-
 def _sampler(cfg: ModelConfig, grid: Grid):
     """take(y, t, u=None) -> (energy, monitor, |u|_inf) of the first run of
     the coefficients y at t, from one inverse transform of (u^, M v^, u_x^,
     S u^, S v^); M, the derivative and S are built here, once.  The strain
     samples `u`, if given, stand for the transformed ones in the energy
     weight and in |u|_inf; the monitor keeps the transformed strain, as
-    `breakdown_monitor` does.  Raises HyperbolicityError where `energy` does."""
+    `integrate`'s check does.  Raises HyperbolicityError where `_energy` does."""
     m, ddx = _multiplier(grid, cfg.kernel, cfg.delta), _multiplier(grid, None, None)
     scale = _smoothing(grid, cfg.s)
     stacked = np.empty((5, grid.size // 2 + 1), dtype=complex)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema, shapes
-from .dynamics import _hook, _march
+from .dynamics import _hook, _march, _nonlinear_scale
 from .errors import ConfigError, NonFiniteError
 from .spectral import _integer_power
 
@@ -66,10 +66,6 @@ class Chain:
     def delta(self) -> float:
         # spacing is defined as 2L/M so M * delta = 2L holds exactly
         return 2.0 * self.half_length / self.sites
-
-    @property
-    def positions(self) -> np.ndarray:
-        return -self.half_length + self.delta * np.arange(self.sites)
 
 
 def _chain_rhs(delta, epsilon: float, n: int, sizes):
@@ -145,8 +141,9 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     The internal probe(y, t) sees the site arrays y = (u, u_t) of every
     chain laid end to end at the chain time and after every step (see
     `dynamics._march`); each observer is then called with t alone.  Raises
-    NonFiniteError when the first RK4 stage of a step, or the state after
-    the last step, is not finite.  `chain` may also be a sequence of chains
+    ConfigError naming n where the spectral core does (see
+    `dynamics._nonlinear_scale`), and NonFiniteError when the first RK4
+    stage of a step, or the state after the last step, is not finite.  `chain` may also be a sequence of chains
     at one time t, stepped together; the call then returns a tuple of
     chains in input order.  The returned chains are built once, their site
     arrays views of the last step's state; a call that takes no step
@@ -166,6 +163,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes chain time {t}")
     sizes = [c.sites for c in chains]
+    # the spectral core's rule of n, which bounds the power's cost too
+    _nonlinear_scale(schema.nonlinear_coefficient(epsilon, n), n, max(sizes))
     rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
 
     def check(_y, k1, t):

@@ -1,10 +1,12 @@
 """The configuration schema: the default, type and range of each key, stated once.
 
 `check(key, value)` applies a key's rule and raises ConfigError naming the
-key; `nonlinear_coefficient` applies the rule of n that depends on epsilon.  The CLI checks every key of the resolved config; Grid, ModelConfig,
-SweepConfig, Chain and `integrate_chain` check their arguments under the
-config-file name of each, so a bad value fails alike from JSON and from
-Python.  Numbers must be finite, which NaN is not; bools are not numbers.
+key; `nonlinear_coefficient` applies the rule of n that depends on epsilon,
+and `check_grid` the rule of grid_l that depends on grid_n.  The CLI checks
+every key of the resolved config; Grid, ModelConfig, SweepConfig, Chain and
+`integrate_chain` check their arguments under the config-file name of each,
+so a bad value fails alike from JSON and from Python.  Numbers must be
+finite, which NaN is not; bools are not numbers.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def nonlinear_coefficient(epsilon, n: int):
     except OverflowError:  # a float power, or an integer one past the largest float
         pass
     raise ConfigError("n", f"(n+1) epsilon**n overflows a float at n = {n}")
+
+
+def check_grid(grid_l, grid_n) -> None:
+    """Check grid_l and grid_n, then the rule of grid_l on grid_n: pi N / L,
+    twice the largest frequency of the grid of N nodes on [-L, L), must be
+    finite; raises ConfigError naming the key."""
+    check("grid_l", grid_l)
+    check("grid_n", grid_n)
+    half_length, size = float(grid_l), int(grid_n)
+    if not math.isfinite(math.pi * size / half_length):
+        raise ConfigError("grid_l", f"{half_length!r} is too small for {size} nodes: "
+                                    "the grid's frequencies overflow")
 
 
 def _check_number(key: str, value, kind, in_range, message: str) -> None:

@@ -6,12 +6,13 @@ Fields are value-semantics snapshots: every operation returns a new Field and
 never mutates its inputs.  A Field stores samples only; `Field.spectrum`
 transforms them on every access.  Neither the time stepper nor the sweeps
 use Fields: both hold real-FFT coefficients (see `dynamics.integrate`), and
-Fields serve the public diagnostics, the initial data and the final states.
+Fields serve the initial data, the final states and `operator_error`'s
+field.
 
 Norm convention: the order-s Sobolev norm is a weighted sum over the N/2+1
 real-FFT coefficients, `coefficient_norm` with weights from `norm_weights`;
-sobolev_norm(f, 0) equals the physical-space L2 norm (sqrt(h * sum f_j^2))
-to round-off, i.e. the frequency quadrature carries the measure weight that
+at s = 0 it equals the physical-space L2 norm (sqrt(h * sum f_j^2)) to
+round-off, i.e. the frequency quadrature carries the measure weight that
 makes the discrete Parseval identity exact.
 
 `_integer_power` takes the integer powers of the spectral right-hand side
@@ -31,13 +32,9 @@ class Grid:
     """Uniform periodic grid on [-L, L) with an even number of nodes."""
 
     def __init__(self, half_length: float, size: int):
-        schema.check("grid_l", half_length)
-        schema.check("grid_n", size)
+        schema.check_grid(half_length, size)
         self.half_length = float(half_length)
         self.size = int(size)
-        if not np.isfinite(np.pi * self.size / self.half_length):  # twice the largest frequency
-            raise ConfigError("grid_l", f"{self.half_length!r} is too small for {self.size} "
-                                        "nodes: the grid's frequencies overflow")
         self.spacing = 2.0 * self.half_length / self.size
         self.nodes = -self.half_length + self.spacing * np.arange(self.size)
         self.nodes.setflags(write=False)
@@ -77,10 +74,6 @@ class Field:
         samples.setflags(write=False)
         self.grid = grid
         self._samples = samples
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.size))
 
     @property
     def samples(self) -> np.ndarray:
@@ -146,11 +139,6 @@ def coefficient_norm(coeffs, weights: np.ndarray) -> np.ndarray:
     e = np.frexp(np.max(np.abs(pairs), axis=-1, keepdims=True))[1]
     scaled = np.ldexp(pairs, -e)
     return np.ldexp(np.sqrt(np.sum(weights * np.square(scaled, out=scaled), axis=-1)), e[..., 0])
-
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete Sobolev norm of order s of a field (see `norm_weights`)."""
-    return float(coefficient_norm(np.fft.rfft(f.samples), norm_weights(f.grid, s)))
 
 
 def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndarray:

@@ -1,6 +1,12 @@
 """Independent and previous implementations that the tests compare against,
-and an adapter onto the production core.
+and adapters onto the production core.
 
+- `energy`, `breakdown_monitor` and `sobolev_norm` take the diagnostics that
+  the CLI reports of a State or a Field, through the cores that
+  `dynamics._sampler`, `integrate`'s check and the sweeps use: `_smoothing`
+  and `_energy`, `_multiplier` and `_monitor`, `norm_weights` and
+  `coefficient_norm`.  `zeros` and `positions` are the zero Field of a grid
+  and the site coordinates of a Chain.
 - `rhs_fields` evaluates the right-hand side that `dynamics.integrate` steps,
   built by `dynamics._spectral_rhs` with `dynamics._multiplier`, on a State
   and returns (u_t, v_t) as Fields.  `cfg.delta` picks the system: None is
@@ -34,6 +40,41 @@ import numpy as np
 
 from nlwaves import BreakdownError, Chain, Field, NonFiniteError, State, dynamics
 from nlwaves.dynamics import ModelConfig, _multiplier, _padded_size, n_steps
+from nlwaves.spectral import coefficient_norm, norm_weights
+
+
+def zeros(grid) -> Field:
+    return Field(grid, np.zeros(grid.size))
+
+
+def positions(chain) -> np.ndarray:
+    """Site coordinates of a chain, from -L in steps of its spacing."""
+    return -chain.half_length + chain.delta * np.arange(chain.sites)
+
+
+def sobolev_norm(f: Field, s: float) -> float:
+    """Discrete Sobolev norm of order s of a field (see `spectral.norm_weights`)."""
+    return float(coefficient_norm(np.fft.rfft(f.samples), norm_weights(f.grid, s)))
+
+
+def energy(state, cfg: ModelConfig, s: float | None = None) -> float:
+    """Weighted Sobolev energy sqrt(0.5 * int((1+w)(S u)^2 + (S v)^2) dx), S the
+    order-s smoothing (cfg.s by default) and w = (n+1) eps^n u^n, by the core of
+    `dynamics._sampler`; raises HyperbolicityError when 1 + w <= 0."""
+    grid = state.grid
+    scale = dynamics._smoothing(grid, cfg.s if s is None else s)
+    lu, lv = np.fft.irfft(scale * dynamics._coefficients(state), n=grid.size)
+    return dynamics._energy(state.u.samples, lu, lv, cfg, grid.spacing, state.t)
+
+
+def breakdown_monitor(state, cfg: ModelConfig) -> float:
+    """|u|_inf + |u_t|_inf + |u_x|_inf, u_t from the active right-hand side, by
+    the transform that `integrate`'s check takes."""
+    grid = state.grid
+    u, v = dynamics._coefficients(state)
+    du = _multiplier(grid, cfg.kernel, cfg.delta) * v
+    stacked, samples = np.empty((3, *u.shape), dtype=complex), np.empty((3, grid.size))
+    return float(dynamics._monitor(u, du, _multiplier(grid, None, None), stacked, samples))
 
 
 def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
@@ -302,3 +343,25 @@ def observe_chains(observer, chains, batch=False):
         observer(seen if batch else seen[0])
 
     return probe
+
+
+def solitary_wave(grid, delta: float, c: float, eps: float, n: int, x0: float, t: float):
+    """Samples (u, v) of the exact solitary wave of the exponential-kernel
+    model, the improved Boussinesq equation (1 - delta^2 d_x^2) u_tt =
+    (u + eps^n u^(n+1))_xx, for a speed c with c^2 > 1:
+
+        u = A sech^(2/n)(kappa (x - c t - x0)),  A^n = (n+2)(c^2-1) / (2 eps^n),
+        kappa = (n/2) sqrt(c^2-1) / (delta c),
+
+    its argument wrapped onto the box [-L, L).  Its partner is v = -c K^-1 u,
+    K^-1 = sqrt(1 + delta^2 xi^2) applied to the samples spectrally.
+    Bogolubsky, Comput. Phys. Commun. 13 (1977) 149-155.
+    """
+    amplitude = ((n + 2) * (c * c - 1) / (2 * eps**n)) ** (1.0 / n)
+    kappa = 0.5 * n * np.sqrt(c * c - 1) / (delta * c)
+    period = 2.0 * grid.half_length
+    z = (grid.nodes - c * t - x0 + grid.half_length) % period - grid.half_length
+    u = amplitude / np.cosh(kappa * z) ** (2.0 / n)
+    inverse = np.sqrt(1.0 + (delta * grid.rfreqs) ** 2)
+    v = -c * np.fft.irfft(inverse * np.fft.rfft(u), n=grid.size)
+    return u, v

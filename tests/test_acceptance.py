@@ -14,9 +14,8 @@ from nlwaves import (
     Grid,
     Kernel,
     ModelConfig,
+    State,
     SweepConfig,
-    breakdown_monitor,
-    energy,
     fit_rate,
     initial_velocity,
     integrate,
@@ -25,11 +24,11 @@ from nlwaves import (
     make_chain,
     make_initial,
     operator_error,
-    sobolev_norm,
     zero_dispersion_sweep,
 )
 from nlwaves.dynamics import shared_dt
-from reference import observe_states, rhs_fields
+from reference import breakdown_monitor, energy, observe_states, rhs_fields, sobolev_norm
+from reference import solitary_wave
 
 TRI = Kernel("triangular")
 EXP = Kernel("exponential")
@@ -354,3 +353,37 @@ def test_criterion_10_parity_and_closed_forms():
     assert report(
         10, ok, f"parity residual={residual[0]:.2e}, norm error={norm_err:.2e}"
     )
+
+
+#: (n, eps, c^2) -> relative sup error of u at N = 256 and N = 512, measured
+SOLITARY_ERRORS = {
+    (1, 0.1, 1.3): (4.88e-6, 3.08e-7),
+    (1, 1.0, 1.3): (4.88e-6, 3.08e-7),
+    (2, 0.5, 1.2): (1.07e-5, 6.54e-7),
+}
+
+
+@pytest.mark.parametrize("n, eps, c2", list(SOLITARY_ERRORS))
+def test_criterion_11_exact_solitary_wave(n, eps, c2):
+    """The nonlinear nonlocal solver against a closed-form solution.
+
+    With the exponential kernel the model is the improved Boussinesq
+    equation, whose solitary wave (`reference.solitary_wave`) travels 16 in
+    T = 16/c (delta 0.25, L 20, x0 -8, CFL dt).  The error is RK4's time
+    error alone, so it falls 16x per halving of h and dt.
+    """
+    c = np.sqrt(c2)
+    errors = []
+    for size in (256, 512):
+        grid = Grid(20.0, size)
+        u0, v0 = solitary_wave(grid, 0.25, c, eps, n, -8.0, 0.0)
+        cfg = ModelConfig(kernel=EXP, delta=0.25, dt=shared_dt(grid), t_end=16.0 / c,
+                          epsilon=eps, n=n)
+        final = integrate(cfg, State(Field(grid, u0), Field(grid, v0), 0.0))
+        exact, _ = solitary_wave(grid, 0.25, c, eps, n, -8.0, 16.0 / c)
+        errors.append(np.max(np.abs(final.u.samples - exact)) / np.max(np.abs(exact)))
+    bounds = [1.5 * e for e in SOLITARY_ERRORS[n, eps, c2]]
+    ratio = errors[0] / errors[1]
+    ok = all(e < b for e, b in zip(errors, bounds)) and 14.0 <= ratio <= 18.0
+    assert report(11, ok, f"n={n} eps={eps} c^2={c2}: errors={[f'{e:.3e}' for e in errors]} "
+                          f"(bounds {[f'{b:.2e}' for b in bounds]}), ratio={ratio:.2f}")

@@ -730,3 +730,31 @@ class TestConvergeCommands:
         assert main(["converge-dispersion", "--config", cfg, "--out", str(out_b)]) == 0
         for name in ("summary.json", "sweep.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestBenchmarkEntryPoints:
+    """The benchmark's child process (`perfbench/launch.py`) runs each
+    workload's command, clocked or traced, on this source tree.  Its clock
+    rebinds `dynamics.integrate` and `lattice.integrate_chain`, and its tracer
+    wraps the integrators' `observers` and the `Field` members it names, so a
+    change to these fails here before it fails the benchmark."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    H = 20.0 / 32  # grid spacing at grid_l 20, grid_n 64
+
+    @pytest.mark.parametrize("trace", ["0", "1"])
+    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "converge-lattice"])
+    def test_launch_records_the_first_step(self, tmp_path, command, trace):
+        cfg = write_config(tmp_path, grid_l=20.0, grid_n=64, t_end=4 * 0.25 * self.H,
+                           kernel="exponential", delta=0.5, epsilon=0.1, n=2,
+                           delta_list=[4 * self.H, 2 * self.H], sample_stride=2,
+                           emit_timeseries=True)
+        record = tmp_path / "record.json"
+        argv = [sys.executable, "-s", str(self.ROOT / "perfbench" / "launch.py"),
+                str(self.ROOT / "src"), str(record), trace, "--",
+                command, "--config", cfg, "--out", str(tmp_path / "out")]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        recorded = json.loads(record.read_text())
+        assert recorded["exit"] == 0
+        assert isinstance(recorded["first_step_ns"], int)

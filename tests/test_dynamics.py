@@ -19,8 +19,6 @@ from nlwaves import (
     ModelConfig,
     NonFiniteError,
     State,
-    breakdown_monitor,
-    energy,
     integrate,
     make_initial,
 )
@@ -37,12 +35,15 @@ from nlwaves.dynamics import (
 )
 from reference import (
     apply_multiplier,
+    breakdown_monitor,
     dealiased_power,
     derivative,
+    energy,
     integrate_rows,
     monitor,
     observe_states,
     rhs_fields,
+    zeros,
 )
 
 TRI = Kernel("triangular")
@@ -62,20 +63,20 @@ def unit_grid():
 
 class TestNonlocalRhs:
     def test_zero_state(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config())
         assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
 
     def test_linear_single_mode_u_equation(self, unit_grid):
         # v = sin(x) drives u_t = Kd v_x = k(1) cos(x) for delta = 1
-        st = State(Field.zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
+        st = State(zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
         du, dv = rhs_fields(st, config(epsilon=0.3))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
         np.testing.assert_allclose(du.samples, expected, atol=1e-13)
         assert np.max(np.abs(dv.samples)) == 0.0
 
     def test_linear_single_mode_v_equation(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
+        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(epsilon=0.0))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
         assert np.max(np.abs(du.samples)) == 0.0
@@ -84,12 +85,12 @@ class TestNonlocalRhs:
 
 class TestClassicalRhs:
     def test_zero_state(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(delta=None))
         assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
 
     def test_linear_single_mode(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
+        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(delta=None, epsilon=0.0))
         np.testing.assert_allclose(dv.samples, np.cos(unit_grid.nodes), atol=1e-13)
         assert np.max(np.abs(du.samples)) == 0.0
@@ -97,7 +98,7 @@ class TestClassicalRhs:
     def test_quadratic_nonlinearity_calculus_identity(self, unit_grid):
         # (u + 0.1 u^2)_x = cos x + 0.1 sin 2x for u = sin x
         x = unit_grid.nodes
-        st = State(Field(unit_grid, np.sin(x)), Field.zeros(unit_grid), 0.0)
+        st = State(Field(unit_grid, np.sin(x)), zeros(unit_grid), 0.0)
         _, dv = rhs_fields(st, config(delta=None, epsilon=0.1, n=1))
         expected = np.cos(x) + 0.1 * np.sin(2 * x)
         assert np.max(np.abs(dv.samples - expected)) < 1e-11
@@ -205,28 +206,28 @@ class TestRk4Step:
 
 class TestIntegrate:
     def test_zero_span_returns_initial(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.7)
+        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.7)
         out = integrate(config(t_end=0.7), st)
         assert out is st
 
     def test_t_end_before_start_rejected(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 1.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 1.0)
         with pytest.raises(ValueError):
             integrate(config(t_end=0.5), st)
 
     def test_step_count_overflow_names_dt(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         with pytest.raises(ConfigError) as info:
             integrate(config(dt=1e-320, t_end=1.0), st)
         assert info.value.field == "dt"
 
     def test_last_step_lands_exactly(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         out = integrate(config(dt=0.3, t_end=1.0), st)
         assert out.t == 1.0
 
     def test_observers_see_every_step(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         times = []
         integrate(config(dt=0.25, t_end=1.0), st, observers=(times.append,))
         assert len(times) == 5  # initial + 4 steps
@@ -263,22 +264,22 @@ class TestIntegrate:
 
 class TestEnergy:
     def test_zero_state(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         assert energy(st, config()) == 0.0
 
     def test_linear_closed_forms(self, unit_grid):
         x = unit_grid.nodes
-        st_u = State(Field(unit_grid, np.sin(x)), Field.zeros(unit_grid), 0.0)
+        st_u = State(Field(unit_grid, np.sin(x)), zeros(unit_grid), 0.0)
         assert energy(st_u, config(epsilon=0.0), s=0) == pytest.approx(
             np.sqrt(np.pi / 2), rel=1e-12
         )
-        st_v = State(Field.zeros(unit_grid), Field(unit_grid, np.sin(x)), 0.0)
+        st_v = State(zeros(unit_grid), Field(unit_grid, np.sin(x)), 0.0)
         assert energy(st_v, config(epsilon=0.0), s=1) == pytest.approx(
             np.sqrt(np.pi), rel=1e-12
         )
 
     def test_hyperbolicity_violation_raises(self, unit_grid):
-        st = State(Field(unit_grid, -np.ones(unit_grid.size)), Field.zeros(unit_grid), 0.0)
+        st = State(Field(unit_grid, -np.ones(unit_grid.size)), zeros(unit_grid), 0.0)
         with pytest.raises(HyperbolicityError):
             energy(st, config(epsilon=0.6, n=1))
 
@@ -312,16 +313,16 @@ class TestEnergy:
 
 class TestBreakdownMonitor:
     def test_zero_state(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         assert breakdown_monitor(st, config()) == 0.0
 
     def test_classical_static_mode(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), Field.zeros(unit_grid), 0.0)
+        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
         cfg = config(kernel=DIRAC, delta=None, epsilon=0.0)
         assert breakdown_monitor(st, cfg) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonlocal_velocity_term(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
+        st = State(zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
         cfg = config(epsilon=0.0, delta=1.0)
         assert breakdown_monitor(st, cfg) == pytest.approx(2 * np.sin(0.5), rel=1e-12)
 
@@ -575,7 +576,7 @@ class TestSpectralCoreParity:
             assert np.max(np.abs(row.v.samples - single.v.samples)) <= 1e-14
 
     def test_batch_configs_may_differ_only_in_delta(self, unit_grid):
-        st = State(Field.zeros(unit_grid), Field.zeros(unit_grid), 0.0)
+        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
         with pytest.raises(ValueError):
             integrate([config(delta=None), config(delta=0.5, epsilon=0.1)], st)
 
@@ -603,7 +604,7 @@ class TestSpectralCoreParity:
         # one step: the monitor check before it still sees finite data, and
         # eps u^2 overflows in the step
         u = Field(unit_grid, 1e155 * np.sin(unit_grid.nodes))
-        st = State(u, Field.zeros(unit_grid), 0.0)
+        st = State(u, zeros(unit_grid), 0.0)
         cfg = config(epsilon=1.0, n=1, dt=0.1, t_end=0.1, breakdown_threshold=1e300)
         with pytest.raises(NonFiniteError, match="t=0.1"):
             integrate(cfg, st)
@@ -612,7 +613,7 @@ class TestSpectralCoreParity:
     def test_initial_coefficients_that_overflow_name_their_key(self, unit_grid, key):
         # finite samples whose k = 3 coefficient, 32e308, is not
         huge = Field(unit_grid, 1e308 * np.sin(3 * unit_grid.nodes))
-        fields = {"u0": Field.zeros(unit_grid), "v0": Field.zeros(unit_grid), key: huge}
+        fields = {"u0": zeros(unit_grid), "v0": zeros(unit_grid), key: huge}
         seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -747,7 +748,7 @@ class TestMonitorGate:
     def test_huge_states_match_the_exact_monitor_loop(self, shape, size, eps, n, steps, threshold):
         x = self.GRID.nodes
         u = np.cos(np.pi * x / 10.0) ** 2 if shape == "wave" else (x == 0.0).astype(float)
-        init = State(Field(self.GRID, size * u), Field.zeros(self.GRID), 0.0)
+        init = State(Field(self.GRID, size * u), zeros(self.GRID), 0.0)
         configs = [
             config(delta=d, epsilon=eps, n=n, dt=0.01, t_end=steps * 0.01,
                    breakdown_threshold=threshold)
@@ -779,7 +780,7 @@ class TestMonitorGate:
     def test_constant_state_breaks_down_just_below_its_monitor(self, level):
         # u = level, v = 0 has monitor |level| and a bound equal to it: the
         # exact monitor decides both thresholds
-        init = State(Field(self.GRID, np.full(self.GRID.size, level)), Field.zeros(self.GRID), 0.0)
+        init = State(Field(self.GRID, np.full(self.GRID.size, level)), zeros(self.GRID), 0.0)
         assert breakdown_monitor(init, config(delta=0.5)) == abs(level)
         at = config(delta=0.5, dt=0.01, t_end=0.05, breakdown_threshold=abs(level))
         final = integrate(at, init)

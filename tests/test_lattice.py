@@ -1,5 +1,6 @@
 """Particle-chain mechanics: differences, transforms, and chain integration."""
 
+import time
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nlwaves import (
     Chain,
+    ConfigError,
     Field,
     Grid,
     InvalidSpecError,
@@ -22,7 +24,7 @@ from nlwaves import (
     make_initial,
 )
 from nlwaves.lattice import _chain_rhs
-from reference import _neighbours, integrate_chains, observe_chains
+from reference import _neighbours, integrate_chains, observe_chains, positions
 from reference import _chain_rhs as gathered_chain_rhs
 
 
@@ -358,7 +360,7 @@ class TestBatchedChains:
 def test_chain_geometry():
     chain = Chain(10.0, np.zeros(40), np.zeros(40), 0.0)
     assert chain.sites * chain.delta == pytest.approx(20.0, abs=0)
-    assert chain.positions[0] == -10.0
+    assert positions(chain)[0] == -10.0
     with pytest.raises(ValueError):
         Chain(10.0, np.zeros(8), np.zeros(4), 0.0)
 
@@ -427,3 +429,32 @@ class TestInPlaceChainStep:
         for states, arrays in zip(kept, copies):
             for c, (strain, velocity) in zip(states, arrays):
                 assert np.array_equal(c.strain, strain) and np.array_equal(c.velocity, velocity)
+
+
+class TestRuleOfN:
+    """integrate_chain rejects the n that the spectral core rejects, before a step."""
+
+    def test_huge_n_raises_at_once(self):
+        # the power takes n multiplications: this ran for more than 10 s before
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            integrate_chain(Chain(8.0, [0.1] * 8, [0.0] * 8, 0.0), 1.0, 10**9, 0.1, 0.1)
+        assert info.value.field == "n"
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [161, 162])  # eps 1 on 8 points: 162 is the first rejected
+    def test_chain_and_spectral_core_agree(self, n):
+        def rejects(call):
+            try:
+                call()
+            except ConfigError as exc:
+                assert exc.field == "n"
+                return True
+            return False
+
+        chain = Chain(8.0, [0.1] * 8, [0.0] * 8, 0.0)
+        grid = Grid(8.0, 8)
+        cfg = ModelConfig(kernel=Kernel("dirac"), delta=None, dt=0.1, t_end=0.1, epsilon=1.0, n=n)
+        initial = make_initial({"shape": "sine", "a": 0.1, "k": 1}, None, grid)
+        spectral = rejects(lambda: integrate(cfg, initial))
+        assert rejects(lambda: integrate_chain(chain, 1.0, n, 0.1, 0.1)) == spectral == (n == 162)

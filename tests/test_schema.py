@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, integrate_chain
-from nlwaves import energy, integrate, make_initial, operator_error, sobolev_norm
+from nlwaves import integrate, make_initial, operator_error
 from nlwaves.cli import FLAG_KEYS, main, parse_config, split_argv
+from nlwaves import schema
 from nlwaves.schema import RULES
+from reference import energy, sobolev_norm
 
 TRI = Kernel("triangular")
 NAN, INF = float("nan"), float("inf")
@@ -205,3 +207,18 @@ def test_fuzzed_config_exits_with_a_documented_code(command, cfg):
         assert code in (0, 1, 2, 3)
         if (out / "summary.json").exists():
             json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+
+
+def test_grid_rule_is_stated_once():
+    """Grid and parse_config apply one rule of grid_l on grid_n, with one text."""
+    schema.check_grid(1e-300, 64)  # pi N / L is finite
+    tiny = 2.225073858507203e-309  # pi N / L overflows
+    texts = set()
+    for call in (lambda: schema.check_grid(tiny, 64), lambda: Grid(tiny, 64),
+                 lambda: parse_config(None, {"grid_l": tiny, "grid_n": 64})):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert info.value.field == "grid_l"
+        texts.add(str(info.value))
+    assert texts == {"config field 'grid_l': 2.225073858507203e-309 is too small for 64 nodes: "
+                     "the grid's frequencies overflow"}
