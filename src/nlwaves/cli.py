@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,8 +35,10 @@ from .errors import NlwavesError, NonFiniteError, UsageError
 from .kernels import BUILTIN_NAMES, Kernel
 from .spectral import Grid
 
-#: keys that ModelConfig and SweepConfig take under the same name
-_MODEL_KEYS = ("t_end", "epsilon", "n", "s", "breakdown_threshold")
+#: config keys that a ModelConfig takes as they are: its fields but the
+#: kernel, delta and dt, which `_model` resolves
+_MODEL_KEYS = tuple(f.name for f in fields(dynamics.ModelConfig)
+                    if f.name not in ("kernel", "delta", "dt"))
 #: keys with a value flag of the same name (grid_n is --grid-n)
 FLAG_KEYS = ("delta", "epsilon", "n", "grid_n", "grid_l", "t_end", "dt")
 #: flag -> the argument or config key that its value sets
@@ -143,19 +146,23 @@ def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     return 0, {"kernel_info.csv": table, "summary.json": summary}
 
 
+def _model(cfg: dict, grid: Grid, kernel: Kernel, delta) -> dynamics.ModelConfig:
+    """The ModelConfig of one run of `cfg` with this delta, its null dt
+    resolved by `shared_dt`; a sweep's classical run has delta None."""
+    return dynamics.ModelConfig(kernel=kernel, delta=delta, dt=dynamics.shared_dt(grid, cfg["dt"]),
+                                **{k: cfg[k] for k in _MODEL_KEYS})
+
+
 def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
-    dt = dynamics.shared_dt(grid, cfg["dt"])
-    mc = dynamics.ModelConfig(
-        kernel=kernel, delta=cfg["delta"], dt=dt, **{k: cfg[k] for k in _MODEL_KEYS}
-    )
+    mc = _model(cfg, grid, kernel, cfg["delta"])
     initial = dynamics.make_initial(cfg["u0"], cfg["v0"], grid)
-    steps = dynamics.n_steps(mc.t_end, dt)
+    steps = dynamics.n_steps(mc.t_end, mc.dt)
     take = dynamics._sampler(mc, grid)
     # without a time series one stride spans the run: the first and last samples
     stride = cfg["sample_stride"] if cfg["emit_timeseries"] else max(steps, 1)
     recorder = dynamics._Recorder(stride, steps, take,
                                   lambda y, t: take(y, t, initial.u.samples))
-    payload = {"command": "simulate", "config": cfg, "dt_used": dt, "breakdown": None}
+    payload = {"command": "simulate", "config": cfg, "dt_used": mc.dt, "breakdown": None}
     outputs = {}
     try:
         final = dynamics.integrate(mc, initial, probe=recorder)
@@ -180,19 +187,6 @@ def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     return code, outputs
 
 
-def _sweep_config(cfg: dict, kernel: Kernel, grid: Grid) -> convergence.SweepConfig:
-    return convergence.SweepConfig(
-        kernel=kernel,
-        deltas=tuple(cfg["delta_list"]),
-        grid=grid,
-        dt=cfg["dt"],
-        u0=cfg["u0"],
-        v0=cfg["v0"],
-        sample_stride=cfg["sample_stride"],
-        **{k: cfg[k] for k in _MODEL_KEYS},
-    )
-
-
 def _running_slope(deltas, errors) -> float:
     """The rate fitted to the pairs so far, or NaN when none can be fitted."""
     try:
@@ -202,7 +196,8 @@ def _running_slope(deltas, errors) -> float:
 
 
 def _cmd_converge(command: str, cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
-    sweep_cfg = _sweep_config(cfg, kernel, grid)
+    sweep_cfg = convergence.SweepConfig(_model(cfg, grid, kernel, None), cfg["delta_list"], grid,
+                                        cfg["u0"], cfg["v0"], cfg["sample_stride"])
     if command == "converge-dispersion":
         report = convergence.zero_dispersion_sweep(sweep_cfg)
     else:

@@ -27,7 +27,7 @@ sample and takes one forward transform of each chain's differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,31 +50,37 @@ class RateFit:
     excluded: tuple[float, ...] = ()
 
 
-#: config-file keys of the SweepConfig fields not named as in the config
-_CONFIG_KEYS = {"deltas": "delta_list"}
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration for one convergence sweep."""
+    """Configuration for one convergence sweep: the model of its classical run
+    and what a sweep adds to one run.
 
-    kernel: Kernel
+    Every run of the sweep is `model` with its delta set to one of `deltas`,
+    and the classical run is `model` itself, so the runs share every other
+    model parameter, dt included.  `model` checks its own fields; a sweep
+    checks `deltas` (as delta_list) and sample_stride, and rejects a model
+    whose delta is not None with a ConfigError naming delta.
+
+        grid = Grid(20.0, 2048)
+        model = ModelConfig(kernel=Kernel("triangular"), delta=None,
+                            dt=shared_dt(grid), t_end=1.0, epsilon=0.1)
+        cfg = SweepConfig(model, deltas=(0.4, 0.2, 0.1, 0.05), grid=grid,
+                          u0={"shape": "gaussian", "a": 0.5, "b": 2.0})
+    """
+
+    model: dynamics.ModelConfig
     deltas: tuple[float, ...]
     grid: Grid
-    t_end: float
-    epsilon: float = 0.1
-    n: int = 1
-    s: float = 3.0
-    dt: float | None = None
     u0: object = None
     v0: object = None
     sample_stride: int = 10
-    breakdown_threshold: float = 1e3
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name not in ("kernel", "grid"):
-                schema.check(_CONFIG_KEYS.get(f.name, f.name), getattr(self, f.name))
+        if self.model.delta is not None:
+            raise ConfigError("delta", "a sweep's model is its classical run, so its delta "
+                                       f"must be None, got {self.model.delta!r}")
+        schema.check("delta_list", self.deltas)
+        schema.check("sample_stride", self.sample_stride)
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
 
@@ -155,19 +161,6 @@ def operator_error(
     return err, err / (delta**theta * reference)
 
 
-def _model_config(cfg: SweepConfig, delta: float | None, dt: float) -> dynamics.ModelConfig:
-    return dynamics.ModelConfig(
-        kernel=cfg.kernel,
-        delta=delta,
-        dt=dt,
-        t_end=cfg.t_end,
-        epsilon=cfg.epsilon,
-        n=cfg.n,
-        s=cfg.s,
-        breakdown_threshold=cfg.breakdown_threshold,
-    )
-
-
 def _dispersion_errors(y: np.ndarray, weights: np.ndarray) -> tuple[float, ...]:
     """|u_d - u| + |v_d - v| for the runs in rows 1.. of the coefficients y
     against the classical run in row 0, in the norm of `weights`."""
@@ -206,13 +199,13 @@ def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     with no transform, so it is exactly 0 at t = 0; terminal errors feed the
     log-log slope fit.
     """
-    dt = dynamics.shared_dt(cfg.grid, cfg.dt)
+    model = cfg.model
     initial = dynamics.make_initial(cfg.u0, cfg.v0, cfg.grid)
-    weights = norm_weights(cfg.grid, cfg.s - 1.0)
-    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(cfg.t_end, dt),
+    weights = norm_weights(cfg.grid, model.s - 1.0)
+    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(model.t_end, model.dt),
                              lambda y, _t: _dispersion_errors(y, weights))
     # the classical run is row 0 of the coefficients, then one row per delta
-    configs = [_model_config(cfg, delta, dt) for delta in (None, *cfg.deltas)]
+    configs = [replace(model, delta=delta) for delta in (None, *cfg.deltas)]
     dynamics.integrate(configs, initial, probe=rec)
     series = list(zip(*rec.snaps))
     errors = [errs[-1] for errs in series]
@@ -228,7 +221,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     coarse grid; the classical strain rate is the spectral derivative of v.
     At t = 0 the strains match exactly.
     """
-    grid = cfg.grid
+    grid, model = cfg.grid, cfg.model
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
     strides = [int(round(delta / grid.spacing)) for delta in cfg.deltas]
     for delta, stride in zip(cfg.deltas, strides):
@@ -244,16 +237,15 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     chains = [
         lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
     ]
-    weights = [norm_weights(Grid(grid.half_length, c.sites), cfg.s - 1.0) for c in chains]
-    dt = dynamics.shared_dt(grid, cfg.dt)
-    n_steps = dynamics.n_steps(cfg.t_end, dt)
+    weights = [norm_weights(Grid(grid.half_length, c.sites), model.s - 1.0) for c in chains]
+    n_steps = dynamics.n_steps(model.t_end, model.dt)
     ddx = dynamics._multiplier(grid, None, None)
     # at t = 0 the initial samples, on which the chains start, stand for the strain
     reference = dynamics._Recorder(
         cfg.sample_stride, n_steps, lambda y, _t: _strain_and_rate(y, ddx, grid.size),
         lambda y, _t: _strain_and_rate(y, ddx, grid.size, initial.u.samples),
     )
-    dynamics.integrate(_model_config(cfg, None, dt), initial, probe=reference)
+    dynamics.integrate(model, initial, probe=reference)
 
     ends = np.cumsum([c.sites for c in chains])  # the chains lie end to end in y
     spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
@@ -265,7 +257,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
         return _chain_errors(y, reference.snaps[sample], spans, strides, weights)
 
     rec = dynamics._Recorder(cfg.sample_stride, n_steps, errors_against_classical)
-    lattice.integrate_chain(chains, cfg.epsilon, cfg.n, dt, cfg.t_end, probe=rec)
+    lattice.integrate_chain(chains, model.epsilon, model.n, model.dt, model.t_end, probe=rec)
     if rec.times != reference.times:
         raise AssertionError("sample times diverged between paired runs")
     series = list(zip(*rec.snaps))

@@ -410,13 +410,21 @@ def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
 
     Only (u0, v0) are stored; the initial strain rate is implied by the
     system and never supplied directly.  A spec that cannot be evaluated
-    raises InvalidSpecError naming its config key, u0 or v0.
+    raises InvalidSpecError naming its config key, u0 or v0, and finite
+    samples whose real-FFT coefficients are not finite raise ConfigError
+    naming it.
     """
     with shapes.naming("u0"):
         u = Field(grid, shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length))
     with shapes.naming("v0"):
         v = Field(grid, shapes.evaluate_on_nodes(v0_spec, grid.nodes, grid.half_length))
-    return State(u, v, 0.0)
+    state = State(u, v, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _coefficients(state)
+    for key, row in zip(("u0", "v0"), coefficients):
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(key, "its real-FFT coefficients are not finite")
+    return state
 
 
 def _shared_settings(cfg: ModelConfig) -> tuple:
@@ -452,13 +460,14 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     The last step is shortened to land on t_end exactly.  The internal
     probe(y, t) sees the coefficients y of shape (2, runs, N/2 + 1) at
     initial.t and after every step (see `_march`); each observer is then
-    called with t alone.  Raises ConfigError naming u0 or v0 before the
-    first probe when the initial coefficients are not finite, BreakdownError
-    when the wave-breaking monitor exceeds cfg.breakdown_threshold and
-    NonFiniteError if the state stops being finite.  Each step checks a
-    bound on the monitor summed from the coefficients; the monitor itself is
-    transformed only when that bound reaches the threshold (less a round-off
-    margin), is non-finite or is huge.
+    called with t alone.  Raises NonFiniteError before the first probe when
+    the initial coefficients are not finite (`make_initial` names the config
+    key of such data), BreakdownError when the wave-breaking monitor exceeds
+    cfg.breakdown_threshold and NonFiniteError if the state stops being
+    finite.  Each step checks a bound on the monitor summed from the
+    coefficients; the monitor itself is transformed only when that bound
+    reaches the threshold (less a round-off margin), is non-finite or is
+    huge.
 
     `cfg` may also be a sequence of configs that differ only in delta: the
     runs then start from the same initial state and are stepped together.
@@ -478,9 +487,9 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         raise ValueError(f"t_end {base.t_end} precedes initial time {initial.t}")
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _coefficients(initial)
-    for key, row in zip(("u0", "v0"), coefficients):
-        if not np.all(np.isfinite(row)):
-            raise ConfigError(key, "its real-FFT coefficients are not finite")
+    if not np.all(np.isfinite(coefficients)):
+        raise NonFiniteError(f"the real-FFT coefficients of the state at t={initial.t:.6g} "
+                             "are not finite")
     grid = initial.grid
     y = np.empty((2, len(configs), grid.size // 2 + 1), dtype=complex)
     y[...] = coefficients[:, None]

@@ -77,7 +77,8 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     the whole array, then redone at each chain's first and last site with the
     neighbours that wrap within the chain: the same operations in the same
     order as on gathered neighbours, so the same bits.  g, 2 g and the power's
-    partial products live in buffers built here, once.
+    partial products live in buffers built here, once.  When eps^n is 0 the
+    chain is linear and g is u, with no power, as in the spectral core.
     """
     coef = schema.nonlinear_coefficient(epsilon, n)
     sizes = np.asarray(sizes)
@@ -90,13 +91,16 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     # (a one-site chain is its own neighbour)
     right = np.concatenate([np.minimum(firsts + 1, lasts), firsts])
     left = np.concatenate([lasts, np.maximum(lasts - 1, firsts)])
-    g, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
+    stress, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
 
     def rhs(y, _t, out):
         u, d2 = y[0], out[1]
-        _integer_power(u, n + 1, out=g, scratch=scratch)
-        np.multiply(coef, g, out=g)
-        np.add(u, g, out=g)
+        g = u
+        if coef != 0.0:
+            g = stress
+            _integer_power(u, n + 1, out=g, scratch=scratch)
+            np.multiply(coef, g, out=g)
+            np.add(u, g, out=g)
         out[0] = y[1]
         np.multiply(2.0, g, out=twice)
         inner = d2[1:-1]

@@ -3,10 +3,12 @@
 `check(key, value)` applies a key's rule and raises ConfigError naming the
 key; `nonlinear_coefficient` applies the rule of n that depends on epsilon,
 and `check_grid` the rule of grid_l that depends on grid_n.  The CLI checks
-every key of the resolved config; Grid, ModelConfig, SweepConfig, Chain and
+every key of the resolved config; Grid, ModelConfig, Chain and
 `integrate_chain` check their arguments under the config-file name of each,
-so a bad value fails alike from JSON and from Python.  Numbers must be
-finite, which NaN is not; bools are not numbers.
+and SweepConfig checks only what a sweep adds to its ModelConfig
+(delta_list and sample_stride), so a bad value fails alike from JSON and
+from Python.  Numbers must be finite, which NaN is not; bools are not
+numbers.
 """
 
 from __future__ import annotations

@@ -91,14 +91,12 @@ def test_criterion_01_operator_error_rates():
 def test_criterion_02_zero_dispersion_rate():
     """Nonlocal-to-classical terminal error decays at rate ~2 in delta."""
     start = time.perf_counter()
+    grid = Grid(20.0, 2048)
     cfg = SweepConfig(
-        kernel=TRI,
+        ModelConfig(kernel=TRI, delta=None, dt=shared_dt(grid), t_end=1.0, epsilon=0.1, n=1,
+                    s=3.0),
         deltas=(0.4, 0.2, 0.1, 0.05),
-        grid=Grid(20.0, 2048),
-        t_end=1.0,
-        epsilon=0.1,
-        n=1,
-        s=3.0,
+        grid=grid,
         u0=GAUSS_HALF,
         v0={"shape": "zero"},
         sample_stride=25,
@@ -136,13 +134,10 @@ def test_criterion_03_lattice_rate():
     grid = Grid(20.0, 2048)
     h = grid.spacing
     cfg = SweepConfig(
-        kernel=TRI,
+        ModelConfig(kernel=TRI, delta=None, dt=shared_dt(grid), t_end=1.0, epsilon=0.1, n=1,
+                    s=3.0),
         deltas=tuple(h * r for r in (16, 8, 4, 2)),  # 4 grid-aligned halvings
         grid=grid,
-        t_end=1.0,
-        epsilon=0.1,
-        n=1,
-        s=3.0,
         u0=GAUSS_HALF,
         v0=GAUSS_HALF,
         sample_stride=25,
@@ -247,15 +242,13 @@ def test_criterion_07_dirac_degeneration():
             float(np.max(np.abs(dv_a.samples - dv_b.samples))),
         )
 
+    sweep_grid = Grid(10.0, 256)
     sweep = zero_dispersion_sweep(
         SweepConfig(
-            kernel=DIRAC,
+            ModelConfig(kernel=DIRAC, delta=None, dt=shared_dt(sweep_grid), t_end=0.5,
+                        epsilon=0.1, n=1, s=3.0),
             deltas=(0.4, 0.2, 0.1, 0.05),
-            grid=Grid(10.0, 256),
-            t_end=0.5,
-            epsilon=0.1,
-            n=1,
-            s=3.0,
+            grid=sweep_grid,
             u0=GAUSS_HALF,
             v0={"shape": "zero"},
             sample_stride=10,

@@ -572,10 +572,8 @@ class TestInitialDataSpecs:
         assert "config field 'v0'" in err and "not finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, key",
-        [("simulate", "u0"), ("converge-dispersion", "u0"), ("converge-lattice", "v0")],
-    )
+    @pytest.mark.parametrize("key", ["u0", "v0"])
+    @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "converge-lattice"])
     def test_finite_data_whose_transform_overflows_exits_3(self, tmp_path, capsys, command, key):
         # 1e308 sin(3 pi x / L) is finite at every node; its k = 3 coefficient is not
         cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, delta_list=[0.625, 0.3125],

@@ -1,6 +1,6 @@
 """Rate fitting, operator error, and sweep plumbing (full sweeps live in acceptance)."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,8 @@ from nlwaves import (
     operator_error,
     zero_dispersion_sweep,
 )
-from nlwaves import lattice
+from nlwaves import dynamics, lattice
+from nlwaves.dynamics import shared_dt
 from nlwaves.spectral import coefficient_norm, norm_weights
 from reference import derivative, observe_chains, observe_states, sobolev_norm, zeros
 
@@ -150,21 +151,20 @@ class TestOperatorError:
         assert max(ratios) / min(ratios) < 2.0
 
 
-def small_sweep_config(**kw):
+def small_sweep_config(kernel=TRI, t_end=0.2, **kw):
+    """A sweep whose model takes `kernel` and `t_end`, the CFL dt of its
+    grid and eps 0.1, n 1, s 3; `kw` sets the sweep's own fields."""
     base = dict(
-        kernel=TRI,
         deltas=(0.4, 0.2),
         grid=Grid(10.0, 128),
-        t_end=0.2,
-        epsilon=0.1,
-        n=1,
-        s=3.0,
         u0={"shape": "gaussian", "a": 0.5, "b": 2.0},
         v0={"shape": "zero"},
         sample_stride=5,
     )
     base.update(kw)
-    return SweepConfig(**base)
+    model = ModelConfig(kernel=kernel, delta=None, dt=shared_dt(base["grid"]), t_end=t_end,
+                        epsilon=0.1, n=1, s=3.0)
+    return SweepConfig(model, **base)
 
 
 class TestSweepConfig:
@@ -174,10 +174,21 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             small_sweep_config(deltas=(0.2, -0.1))
 
+    def test_fields_are_the_model_and_what_a_sweep_adds(self):
+        assert [f.name for f in fields(SweepConfig)] == [
+            "model", "deltas", "grid", "u0", "v0", "sample_stride"]
+
+    def test_every_run_is_the_model_with_its_delta(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "integrate", lambda cfg, *a, **kw: calls.append(cfg))
+        cfg = small_sweep_config()
+        zero_dispersion_sweep(cfg)
+        assert calls == [[replace(cfg.model, delta=d) for d in (None, 0.4, 0.2)]]
+
 
 class TestZeroDispersionSweep:
     def test_dirac_control_errors_vanish(self):
-        report = zero_dispersion_sweep(small_sweep_config(kernel=DIRAC))
+        report = zero_dispersion_sweep(small_sweep_config(DIRAC))
         assert all(e < 1e-12 for e in report.errors)
         assert report.degenerate
         assert report.fit is None
@@ -246,10 +257,9 @@ class TestLatticeSweep:
         classical (u, v_x) read from the coefficients, and to round-off those
         of the Field-level norms of the snapshots' differences."""
         cfg = self.aligned_config()
-        grid = cfg.grid
+        grid, mc = cfg.grid, cfg.model
         dt = 0.25 * grid.spacing
-        mc = ModelConfig(kernel=TRI, delta=None, dt=dt, t_end=cfg.t_end,
-                         epsilon=cfg.epsilon, n=cfg.n)
+        assert (mc.delta, mc.dt) == (None, dt)
         ddx = 1j * grid.rfreqs
         ddx[-1] = 0.0
         classical, fields = [], []
@@ -268,10 +278,10 @@ class TestLatticeSweep:
             stride = int(round(delta / grid.spacing))
             chain = make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // stride)
             snaps = []
-            integrate_chain(chain, cfg.epsilon, cfg.n, dt, cfg.t_end,
+            integrate_chain(chain, mc.epsilon, mc.n, dt, mc.t_end,
                             probe=observe_chains(snaps.append, chain))
             coarse = Grid(grid.half_length, chain.sites)
-            weights = norm_weights(coarse, cfg.s - 1)
+            weights = norm_weights(coarse, mc.s - 1)
             sampled = [i for i in range(len(snaps))
                        if i % cfg.sample_stride == 0 or i == len(snaps) - 1]
             expected.append(tuple(
@@ -280,7 +290,7 @@ class TestLatticeSweep:
                 ), weights)))
                 for i in sampled
             ))
-            order = cfg.s - 1
+            order = mc.s - 1
             field_level.append([
                 sobolev_norm(Field(coarse, snaps[i].strain - fields[i][0][::stride]), order)
                 + sobolev_norm(Field(coarse, snaps[i].velocity - fields[i][1][::stride]), order)

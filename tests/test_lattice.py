@@ -23,6 +23,7 @@ from nlwaves import (
     make_chain,
     make_initial,
 )
+from nlwaves import lattice
 from nlwaves.lattice import _chain_rhs
 from reference import _neighbours, integrate_chains, observe_chains, positions
 from reference import _chain_rhs as gathered_chain_rhs
@@ -458,3 +459,12 @@ class TestRuleOfN:
         initial = make_initial({"shape": "sine", "a": 0.1, "k": 1}, None, grid)
         spectral = rejects(lambda: integrate(cfg, initial))
         assert rejects(lambda: integrate_chain(chain, 1.0, n, 0.1, 0.1)) == spectral == (n == 162)
+
+    def test_linear_chain_takes_no_power(self, monkeypatch):
+        # eps^n = 0: one step took 2.6 s at n = 10**6 while the power was taken
+        chain = Chain(8.0, np.sin(np.arange(8.0)), np.cos(np.arange(8.0)), 0.0)
+        linear = integrate_chain(chain, 0.0, 1, 0.1, 0.1)
+        powers = []
+        monkeypatch.setattr(lattice, "_integer_power", lambda *a, **kw: powers.append(a))
+        assert integrate_chain(chain, 0.0, 10**6, 0.1, 0.1) == linear
+        assert powers == []

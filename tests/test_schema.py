@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nlwaves import Chain, ConfigError, Grid, Kernel, ModelConfig, SweepConfig, integrate_chain
 from nlwaves import integrate, make_initial, operator_error
 from nlwaves.cli import FLAG_KEYS, main, parse_config, split_argv
+from nlwaves.dynamics import shared_dt
 from nlwaves import schema
 from nlwaves.schema import RULES
 from reference import energy, sobolev_norm
@@ -28,8 +29,7 @@ def model(**kw):
 
 
 def sweep(**kw):
-    base = {"kernel": TRI, "deltas": (0.4, 0.2), "grid": Grid(10.0, 64), "t_end": 0.1}
-    return SweepConfig(**{**base, **kw})
+    return SweepConfig(**{"model": model(delta=None), "deltas": (0.4, 0.2), "grid": GRID, **kw})
 
 
 #: each numeric config key as a library call takes it
@@ -41,7 +41,7 @@ LIBRARY = {
     "epsilon": lambda v: model(epsilon=v),
     "n": lambda v: model(n=v),
     "s": lambda v: model(s=v),
-    "dt": lambda v: sweep(dt=v),
+    "dt": lambda v: model(dt=shared_dt(GRID, v)),  # the CLI resolves a null dt alike
     "t_end": lambda v: model(t_end=v),
     "breakdown_threshold": lambda v: model(breakdown_threshold=v),
     "sample_stride": lambda v: sweep(sample_stride=v),
@@ -56,9 +56,10 @@ LIBRARY = {
         (lambda: model(n=True), "n"),
         (lambda: model(n=1.0), "n"),
         (lambda: model(dt=None), "dt"),
-        (lambda: sweep(epsilon=-1), "epsilon"),
-        (lambda: sweep(n=0), "n"),
-        (lambda: sweep(s=1), "s"),
+        (lambda: model(epsilon=-1), "epsilon"),
+        (lambda: model(n=0), "n"),
+        (lambda: model(s=1), "s"),
+        pytest.param(lambda: sweep(model=model(delta=0.5)), "delta", id="sweep-model-delta"),
         (lambda: sweep(deltas=(0.2, 0.4)), "delta_list ordering"),
         (lambda: Grid(NAN, 64), "grid_l"),
         (lambda: Grid(10.0, 64.0), "grid_n"),
