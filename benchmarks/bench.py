@@ -140,7 +140,7 @@ def time_monitors(grid: Grid, configs, init) -> dict:
 def time_chain_step() -> list[float]:
     """One step of the lattice sweep's four chains, stepped together."""
     grid = Grid(HALF_LENGTH, 2048)
-    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s, s) for s in CHAIN_STRIDES]
+    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s) for s in CHAIN_STRIDES]
     dt = shared_dt(grid)
     return time_steps(lambda: lattice.integrate_chain(chains, 0.1, 1, dt, STEPS * dt))
 
@@ -175,7 +175,7 @@ def time_samples(kernel: Kernel) -> list[dict]:
 
     y = stepped(configs[:1], init)
     ddx = _multiplier(grid, None, None)
-    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s, s) for s in CHAIN_STRIDES]
+    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s) for s in CHAIN_STRIDES]
     sites = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
     ends = np.cumsum([c.sites for c in chains])
     spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]

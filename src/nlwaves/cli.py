@@ -103,8 +103,6 @@ def parse_config(config_path, overrides) -> dict:
         schema.check(key, value)
     schema.check_grid(resolved["grid_l"], resolved["grid_n"])  # grid_l's rule on grid_n
     schema.nonlinear_coefficient(resolved["epsilon"], resolved["n"])  # and n's on epsilon
-    if resolved["breakdown_threshold"] == math.inf:  # summary.json echoes the config
-        raise ConfigError("breakdown_threshold", "must be finite")
     return resolved
 
 

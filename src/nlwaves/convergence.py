@@ -59,21 +59,21 @@ class SweepConfig:
     and the classical run is `model` itself, so the runs share every other
     model parameter, dt included.  `model` checks its own fields; a sweep
     checks `deltas` (as delta_list) and sample_stride, and rejects a model
-    whose delta is not None with a ConfigError naming delta.
+    whose delta is not None with a ConfigError naming delta.  Fields left
+    out take the config's defaults (`schema.default`), here those of the
+    model (t_end 1, eps 0.1, ...) and the Gaussian u0 of the CLI:
 
         grid = Grid(20.0, 2048)
-        model = ModelConfig(kernel=Kernel("triangular"), delta=None,
-                            dt=shared_dt(grid), t_end=1.0, epsilon=0.1)
-        cfg = SweepConfig(model, deltas=(0.4, 0.2, 0.1, 0.05), grid=grid,
-                          u0={"shape": "gaussian", "a": 0.5, "b": 2.0})
+        model = ModelConfig(Kernel("triangular"), delta=None, dt=shared_dt(grid))
+        cfg = SweepConfig(model, deltas=(0.4, 0.2, 0.1, 0.05), grid=grid)
     """
 
     model: dynamics.ModelConfig
     deltas: tuple[float, ...]
     grid: Grid
-    u0: object = None
-    v0: object = None
-    sample_stride: int = 10
+    u0: object = schema.default("u0")
+    v0: object = schema.default("v0")
+    sample_stride: int = schema.default("sample_stride")
 
     def __post_init__(self):
         if self.model.delta is not None:
@@ -207,37 +207,38 @@ def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     # the classical run is row 0 of the coefficients, then one row per delta
     configs = [replace(model, delta=delta) for delta in (None, *cfg.deltas)]
     dynamics.integrate(configs, initial, probe=rec)
-    series = list(zip(*rec.snaps))
-    errors = [errs[-1] for errs in series]
-    return _assemble_report(cfg.deltas, errors, tuple(rec.times), series)
+    return _assemble_report(cfg.deltas, rec)
 
 
 def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Error of the particle chain against the classical system, per delta.
 
     Every delta must equal the spectral spacing times an integer so chain
-    sites coincide with grid nodes.  The error compares strain and strain
-    rate on the chain sites in the order-(s-1) Sobolev norm of the aligned
-    coarse grid; the classical strain rate is the spectral derivative of v.
-    At t = 0 the strains match exactly.
+    sites coincide with grid nodes.  A chain starts on every stride-th
+    initial strain sample of the classical run (u0 is evaluated once), with
+    v0's difference quotient at its sites for velocities.  The error
+    compares strain and strain rate on the chain sites in the order-(s-1)
+    Sobolev norm of the aligned coarse grid; the classical strain rate is
+    the spectral derivative of v.  At t = 0 the strains match exactly.
     """
     grid, model = cfg.grid, cfg.model
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
-    strides = [int(round(delta / grid.spacing)) for delta in cfg.deltas]
-    for delta, stride in zip(cfg.deltas, strides):
+    strides, coarse = [], []
+    for delta in cfg.deltas:
+        stride = int(round(delta / grid.spacing))
         if stride < 1 or abs(delta / grid.spacing - stride) > 1e-9 or grid.size % stride != 0:
             raise AlignmentError(
                 f"delta {delta} is not an integer multiple of grid spacing {grid.spacing}"
             )
         try:  # a chain's sites make a grid of their own
-            schema.check("grid_n", grid.size // stride)
+            coarse.append(Grid(grid.half_length, grid.size // stride))
         except ConfigError:
             raise AlignmentError(f"delta {delta} gives a chain of {grid.size // stride} sites, "
                                  "not an even number >= 8") from None
-    chains = [
-        lattice.make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // s, s) for s in strides
-    ]
-    weights = [norm_weights(Grid(grid.half_length, c.sites), model.s - 1.0) for c in chains]
+        strides.append(stride)
+    chains = [lattice.make_chain(initial.u.samples[::stride], cfg.v0, grid.half_length, c.size)
+              for stride, c in zip(strides, coarse)]
+    weights = [norm_weights(c, model.s - 1.0) for c in coarse]
     n_steps = dynamics.n_steps(model.t_end, model.dt)
     ddx = dynamics._multiplier(grid, None, None)
     # at t = 0 the initial samples, on which the chains start, stand for the strain
@@ -260,23 +261,16 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     lattice.integrate_chain(chains, model.epsilon, model.n, model.dt, model.t_end, probe=rec)
     if rec.times != reference.times:
         raise AssertionError("sample times diverged between paired runs")
-    series = list(zip(*rec.snaps))
-    errors = [errs[-1] for errs in series]
-    return _assemble_report(cfg.deltas, errors, tuple(reference.times), series)
+    return _assemble_report(cfg.deltas, rec)
 
 
-def _assemble_report(deltas, errors, times, series) -> ConvergenceReport:
+def _assemble_report(deltas, recorder) -> ConvergenceReport:
+    """The report of a recorder that kept one error per delta at each sample."""
+    series = tuple(zip(*recorder.snaps))
+    errors = tuple(float(errs[-1]) for errs in series)
     try:
         fit = fit_rate(list(zip(deltas, errors)))
-        degenerate = False
     except DegenerateFitError:
         fit = None
-        degenerate = True
-    return ConvergenceReport(
-        deltas=tuple(deltas),
-        errors=tuple(float(e) for e in errors),
-        fit=fit,
-        degenerate=degenerate,
-        times=times,
-        series=tuple(series),
-    )
+    return ConvergenceReport(deltas=tuple(deltas), errors=errors, fit=fit,
+                             degenerate=fit is None, times=tuple(recorder.times), series=series)

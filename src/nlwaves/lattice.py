@@ -125,14 +125,14 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
     return shapes._finite(rate, "its difference quotient")
 
 
-def make_chain(u0_spec, v0_spec, half_length: float, sites: int, stride: int = 1) -> Chain:
-    """Chain at t=0: strains from u0 (sample arrays span sites * stride nodes),
+def make_chain(u0_spec, v0_spec, half_length: float, sites: int) -> Chain:
+    """Chain at t=0: strains from u0 at its sites (or one sample per site),
     velocities from the discrete quotient of v0.  A spec that cannot be
     evaluated raises InvalidSpecError naming its config key, u0 or v0."""
     delta = 2.0 * half_length / sites
     x = -half_length + delta * np.arange(sites)
     with shapes.naming("u0"):
-        strain = shapes.evaluate_on_nodes(u0_spec, x, half_length, stride)
+        strain = shapes.evaluate_on_nodes(u0_spec, x, half_length)
     with shapes.naming("v0"):
         velocity = initial_velocity(v0_spec, delta, x, half_length)
     return Chain(half_length, strain, velocity, 0.0)
@@ -146,12 +146,13 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     chain laid end to end at the chain time and after every step (see
     `dynamics._march`); each observer is then called with t alone.  Raises
     ConfigError naming n where the spectral core does (see
-    `dynamics._nonlinear_scale`), and NonFiniteError when the first RK4
-    stage of a step, or the state after the last step, is not finite.  `chain` may also be a sequence of chains
-    at one time t, stepped together; the call then returns a tuple of
-    chains in input order.  The returned chains are built once, their site
-    arrays views of the last step's state; a call that takes no step
-    returns its input.
+    `dynamics._nonlinear_scale`), ValueError when t_end precedes the chain
+    time, and NonFiniteError when the first RK4 stage of a step, or the
+    state after the last step, is not finite.  `chain` may also be a
+    sequence of chains at one time t, stepped together; the call then
+    returns a tuple of chains in input order.  The returned chains are
+    built once, their site arrays views of the last step's state; a call
+    that takes no step returns its input.
     """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
@@ -164,8 +165,6 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         schema.check(key, value)
     if dt is None:  # null asks for the CFL step, which `shared_dt` resolves
         raise ConfigError("dt", "must be a number in integrate_chain, got None")
-    if t_end < t:
-        raise ValueError(f"t_end {t_end} precedes chain time {t}")
     sizes = [c.sites for c in chains]
     # the spectral core's rule of n, which bounds the power's cost too
     _nonlinear_scale(schema.nonlinear_coefficient(epsilon, n), n, max(sizes))

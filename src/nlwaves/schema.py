@@ -7,14 +7,17 @@ every key of the resolved config; Grid, ModelConfig, Chain and
 `integrate_chain` check their arguments under the config-file name of each,
 and SweepConfig checks only what a sweep adds to its ModelConfig
 (delta_list and sample_stride), so a bad value fails alike from JSON and
-from Python.  Numbers must be finite, which NaN is not; bools are not
-numbers.
+from Python.  Numbers must be finite; bools are not numbers.  ModelConfig
+and SweepConfig take their defaults from here too (`default`), so a library
+call and a config file that leave a key out run alike.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
+from dataclasses import field
 from numbers import Integral, Real
 
 from .errors import ConfigError
@@ -42,10 +45,6 @@ RULES = {
     "emit_timeseries": (False, bool, None, None),
 }
 
-#: an infinite breakdown threshold turns the monitor off.  Library callers may
-#: pass it; the CLI may not, since summary.json echoes the config as strict JSON.
-MAY_BE_INFINITE = ("breakdown_threshold",)
-
 _NOUNS = {str: "a string", bool: "true or false", Real: "a number", Integral: "an integer"}
 
 
@@ -65,6 +64,12 @@ def check(key: str, value) -> None:
         _check_number(key, value, kind, in_range, message)
     elif not isinstance(value, kind):
         raise ConfigError(key, f"must be {_NOUNS[kind]}, got {value!r}")
+
+
+def default(key: str):
+    """A dataclass field defaulting to a fresh copy of the key's CLI default."""
+    value = RULES[key][0]
+    return field(default_factory=lambda: copy.deepcopy(value))
 
 
 def nonlinear_coefficient(epsilon, n: int):
@@ -100,7 +105,7 @@ def _check_number(key: str, value, kind, in_range, message: str) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(key, f"must be {_NOUNS[kind]}, got {value!r}")
     # int/float comparison is exact, so an int too large for a float fails here
-    if not abs(value) <= sys.float_info.max and not (value == math.inf and key in MAY_BE_INFINITE):
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(key, "must be finite")
     if not in_range(value):
         raise ConfigError(key, message)

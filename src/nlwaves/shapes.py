@@ -81,11 +81,10 @@ def make_callable(spec, half_length: float):
     raise InvalidSpecError("sample arrays cannot be evaluated off-grid")
 
 
-def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int = 1) -> np.ndarray:
-    """Evaluate any spec at the given nodes; sample arrays hold values at
-    `stride` times as many nodes, of which `nodes` are every stride-th.
-    Raises InvalidSpecError when a value is not finite; the evaluation
-    itself warns of nothing."""
+def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float) -> np.ndarray:
+    """Evaluate any spec at the given nodes; a sample array holds one value
+    per node.  Raises InvalidSpecError when a value is not finite; the
+    evaluation itself warns of nothing."""
     if isinstance(spec, dict) and _checked_shape(spec) == "samples":
         spec = spec["values"]
     elif not isinstance(spec, (list, tuple, np.ndarray)):
@@ -95,10 +94,9 @@ def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float, stride: int =
         values = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
         raise InvalidSpecError("sample values must be numbers") from None
-    expected = (nodes.size * stride,)
-    if values.shape != expected:
-        raise InvalidSpecError(f"sample array has shape {values.shape}, expected {expected}")
-    return _finite(values[::stride], "its value")
+    if values.shape != nodes.shape:
+        raise InvalidSpecError(f"sample array has shape {values.shape}, expected {nodes.shape}")
+    return _finite(values, "its value")
 
 
 @contextmanager

@@ -674,6 +674,16 @@ class TestConvergeCommands:
         assert series[0] == "delta,t,error"
         assert len(series) > 2
 
+    def test_lattice_error_at_t0_is_exactly_zero_for_a_stride_of_3(self, tmp_path):
+        # the chain of delta = 3h starts on every third grid node, whose
+        # sites -L + 3h j differ from the nodes -L + h (3j) in the last bit
+        cfg = write_config(tmp_path, grid_l=7.3, grid_n=96, t_end=0.5,
+                           delta_list=[0.45625, 0.30416666666666664], emit_timeseries=True)
+        out = tmp_path / "lat"
+        assert main(["converge-lattice", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+        assert [float(error) for _, t, error in rows if float(t) == 0.0] == [0.0, 0.0]
+
     def test_dispersion_breakdown_exits_2_without_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05, delta_list=[0.4, 0.2],
                            breakdown_threshold=0.1)

@@ -243,6 +243,26 @@ class TestLatticeSweep:
         slope = np.polyfit(np.log(deltas), np.log(initial_errors), 1)[0]
         assert 1.8 < slope < 2.2
 
+    def test_u0_is_evaluated_once_per_sweep(self):
+        calls = []
+
+        def u0(x):
+            calls.append(x)
+            return 0.5 * np.exp(-2.0 * x**2)
+
+        grid = Grid(10.0, 128)
+        h = grid.spacing
+        lattice_sweep(small_sweep_config(grid=grid, deltas=(8 * h, 4 * h, 2 * h, h), u0=u0))
+        assert len(calls) == 1
+
+    def test_chains_start_on_the_classical_strain_samples(self):
+        # stride 3: the chain's sites -L + 3h j are not the grid's nodes
+        # -L + h (3j) to the last bit, so only the initial samples match exactly
+        grid = Grid(7.3, 96)
+        h = grid.spacing
+        report = lattice_sweep(small_sweep_config(grid=grid, deltas=(3 * h, 2 * h), t_end=0.5))
+        assert [series[0] for series in report.series] == [0.0, 0.0]
+
     def aligned_config(self):
         grid = Grid(10.0, 128)
         h = grid.spacing
@@ -276,7 +296,8 @@ class TestLatticeSweep:
         expected, field_level = [], []
         for delta in cfg.deltas:
             stride = int(round(delta / grid.spacing))
-            chain = make_chain(cfg.u0, cfg.v0, grid.half_length, grid.size // stride)
+            chain = make_chain(initial.u.samples[::stride], cfg.v0, grid.half_length,
+                               grid.size // stride)
             snaps = []
             integrate_chain(chain, mc.epsilon, mc.n, dt, mc.t_end,
                             probe=observe_chains(snaps.append, chain))

@@ -1,5 +1,6 @@
 """System right-hand sides, RK4 stepping, energy, monitor, and integration."""
 
+import sys
 import warnings
 from dataclasses import replace
 
@@ -212,8 +213,10 @@ class TestIntegrate:
 
     def test_t_end_before_start_rejected(self, unit_grid):
         st = State(zeros(unit_grid), zeros(unit_grid), 1.0)
-        with pytest.raises(ValueError):
-            integrate(config(t_end=0.5), st)
+        seen = []
+        with pytest.raises(ValueError, match="precedes"):
+            integrate(config(t_end=0.5), st, probe=lambda _y, t: seen.append(t))
+        assert seen == []
 
     def test_step_count_overflow_names_dt(self, unit_grid):
         st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
@@ -257,7 +260,7 @@ class TestIntegrate:
         huge = Field(unit_grid, np.full(unit_grid.size, 1e200))
         st = State(huge, huge, 0.0)
         cfg = config(delta=None, kernel=DIRAC, epsilon=1.0, n=3,
-                     breakdown_threshold=1e400)  # inf threshold: monitor check first
+                     breakdown_threshold=sys.float_info.max)  # no monitor can exceed it
         with pytest.raises(NonFiniteError):
             integrate(cfg, st)
 
@@ -755,7 +758,8 @@ class TestMonitorGate:
         deltas = (0.5,) if rows == 1 else (None, 0.5, 0.2)
         dt = shared_dt(self.GRID)
         configs = [
-            config(delta=d, epsilon=eps, n=n, dt=dt, t_end=40 * dt, breakdown_threshold=np.inf)
+            config(delta=d, epsilon=eps, n=n, dt=dt, t_end=40 * dt,
+                   breakdown_threshold=sys.float_info.max)
             for d in deltas
         ]
         checks = []
@@ -776,12 +780,12 @@ class TestMonitorGate:
     @pytest.mark.parametrize(
         "shape,size,eps,n,steps,threshold",
         [
-            ("wave", 1e200, 1.0, 3, 3, np.inf),  # finite bound, then u^4 overflows
+            ("wave", 1e200, 1.0, 3, 3, sys.float_info.max),  # finite bound, then u^4 overflows
             ("wave", 1e155, 1.0, 1, 1, 1e300),  # non-finite only after the last step
-            ("wave", 1e301, 0.0, 1, 3, np.inf),  # finite, the bound above its ceiling
+            ("wave", 1e301, 0.0, 1, 3, sys.float_info.max),  # finite, the bound above its ceiling
             # finite coefficients whose inverse transform overflows: a bound
             # below the ceiling would skip the NonFiniteError
-            ("spike", 1e307, 0.0, 1, 3, np.inf),
+            ("spike", 1e307, 0.0, 1, 3, sys.float_info.max),
         ],
     )
     def test_huge_states_match_the_exact_monitor_loop(self, shape, size, eps, n, steps, threshold):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,24 @@ def test_every_numeric_key_is_compared_with_the_library():
     assert list(parse_config(None, {})) == list(RULES)  # the defaults obey the rules
 
 
+def test_library_defaults_are_the_config_defaults():
+    # a library call that leaves a key out runs what a config file without it runs
+    config = parse_config(None, {})
+    built = [ModelConfig(kernel=TRI, delta=None, dt=0.01),
+             SweepConfig(model(delta=None), deltas=(0.4, 0.2), grid=GRID)]
+    defaulted = {}
+    for instance in built:
+        for f in fields(instance):
+            if f.name in RULES and (f.default, f.default_factory) != (MISSING, MISSING):
+                defaulted[f.name] = getattr(instance, f.name)
+    assert sorted(defaulted) == sorted(["t_end", "epsilon", "n", "s", "breakdown_threshold",
+                                        "u0", "v0", "sample_stride"])
+    for key, value in defaulted.items():
+        assert value == config[key] and type(value) is type(config[key])
+    again = SweepConfig(model(delta=None), deltas=(0.4, 0.2), grid=GRID)
+    assert again.u0 is not built[1].u0 and again.u0 is not RULES["u0"][0]  # a copy each
+
+
 VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-20, 100),
@@ -135,6 +154,7 @@ VALUES = st.one_of(
 @given(key=st.sampled_from(sorted(LIBRARY)), value=VALUES)
 @example(key="grid_l", value=2.225073858507203e-309)  # pi N / L overflows
 @example(key="epsilon", value=1e308)  # the energy weight's (n+1) eps^n overflows
+@example(key="breakdown_threshold", value=INF)  # finite, from the CLI and the library alike
 def test_cli_and_library_accept_alike(key, value):
     def field_of_error(call):
         try:
@@ -147,11 +167,7 @@ def test_cli_and_library_accept_alike(key, value):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({key: value}))
         cli = field_of_error(lambda: parse_config(path, {}))
-    library = field_of_error(lambda: LIBRARY[key](value))
-    if key == "breakdown_threshold" and value == INF:  # the CLI echoes it as strict JSON
-        assert (cli, library) == (key, None)
-    else:
-        assert cli == library
+    assert cli == field_of_error(lambda: LIBRARY[key](value))
     if key in FLAG_KEYS:  # the same value as flag text, through main's parse path
         # --key=text, which gives the overrides --key text gives (see test_cli.TestSplitArgv)
         argv = ["simulate", f"--{key.replace('_', '-')}={json.dumps(value)}"]
