@@ -4,17 +4,18 @@
 
 Times one symbol evaluation (`Kernel.scaled_sqrt_symbol` over the real-FFT
 frequencies, for each built-in kernel, at delta 0.4) at N in {256, 2048}.
-Times one right-hand-side call (the closure `dynamics._spectral_rhs` builds,
-under the numpy settings with which `dynamics._march` steps it), one bare RK4
-step (the first stage and `dynamics._rk4`, under the same settings, with no
-check, probe or snapshot) and one step of a whole `integrate` call, at N in
-{256, 2048}, rows in {1, 5} and eps in {0, 0.1}: triangular kernel, n = 1,
-L = 20, dt = 0.25 h, Gaussian strain.  A row is one run; five rows are the
-deltas of one batched sweep, stepped together.  At eps 0.1 it also times the
-breakdown check's two layers on the coefficients after 20 steps and their
-first stage, under the same settings: the coefficient bound
-(`dynamics._monitor_bound`) and the exact monitor
-(`dynamics._monitor`).  It times one step of an `integrate_chain` call that
+Times one right-hand-side call (the closure for dt/2 that
+`dynamics._spectral_rhs` builds, under the numpy settings with which
+`dynamics._march` steps it), one bare RK4 step (the first scaled stage and
+`dynamics._rk4` on the closures for dt/2, dt and dt/6, under the same
+settings, with no check, probe or snapshot) and one step of a whole
+`integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in {0, 0.1}:
+triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A row is
+one run; five rows are the deltas of one batched sweep, stepped together.
+At eps 0.1 it also times the breakdown check's two layers on the
+coefficients after 20 steps, under the same settings: the bound from the
+state (`dynamics._state_bound`) and the exact monitor (the product M v^ and
+`dynamics._monitor`).  It times one step of an `integrate_chain` call that
 steps the lattice sweep's four chains of deltas h * {8, 4, 2, 1} at N=2048
 and eps 0.1, and one diagnostic sample as each command takes it from the
 stepped arrays: `simulate`'s energy, monitor and |u|_inf at N=256 (one row,
@@ -97,18 +98,19 @@ def time_symbol(grid: Grid, kernel: Kernel) -> list[float]:
 
 
 def time_rhs(grid: Grid, configs, init) -> dict:
-    """One right-hand-side call, and one bare RK4 step: its first stage and `_rk4`."""
+    """One right-hand-side call, and one bare RK4 step: its first scaled stage and `_rk4`."""
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
     out, stage, k = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    rhs = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
+    scaled = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
     dt = configs[0].dt
+    half, full, sixth = scaled(0.5 * dt), scaled(dt), scaled(dt / 6.0)
 
     def step():
-        rhs(y, 0.0, out)
-        _rk4(rhs, y, 0.0, dt, stage, k, out)
+        half(y, out)
+        _rk4(half, full, sixth, y, stage, k, out)
 
-    return {"rhs_call": stage_repeat(lambda: rhs(y, 0.0, out), len(configs)),
+    return {"rhs_call": stage_repeat(lambda: half(y, out), len(configs)),
             "rk4_step": stage_repeat(step, len(configs))}
 
 
@@ -118,22 +120,19 @@ def time_steps(march) -> list[float]:
 
 
 def time_monitors(grid: Grid, configs, init) -> dict:
-    """The coefficient bound and the exact monitor of `integrate`'s check,
-    on the coefficients after 20 steps and their first stage."""
+    """The state bound and the exact monitor of `integrate`'s check, on the
+    coefficients after 20 steps."""
     y = stepped(configs, init)
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
-    k1 = np.empty_like(y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])(y, 0.0, k1)
     ddx = _multiplier(grid, None, None)
-    bound = dynamics._monitor_bound(ddx, grid.size)
-    scratch = np.empty((len(configs), 2 * y.shape[-1]))
+    bound = dynamics._state_bound(multiplier, ddx, grid.size)
     stacked = np.empty((3, *y.shape[1:]), dtype=complex)
     samples = np.empty((3, len(configs), grid.size))
     return {
-        "monitor_bound": stage_repeat(lambda: bound(y[0], k1[0], scratch), len(configs)),
+        "monitor_bound": stage_repeat(lambda: bound(y), len(configs)),
         "monitor": stage_repeat(
-            lambda: dynamics._monitor(y[0], k1[0], ddx, stacked, samples), len(configs)),
+            lambda: dynamics._monitor(y[0], multiplier * y[1], ddx, stacked, samples),
+            len(configs)),
     }
 
 

@@ -13,27 +13,26 @@ isolates the kernel effect alone.
 
 `integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
 right-hand side is then M (v^, u^) + (0, M g(u)^) with the fused multiplier
-M = i xi sqrt(b(delta xi)) built once per call.  A stage is one multiply of M
-by the swapped pair, plus, when eps != 0, the power of u on a zero-padded
-grid of P >= (n+2)/2 N points (one padded transform pair, which removes its
-aliasing exactly) and one multiply-add by eps^n M times the padding's scale
-(P/N)^n; `_spectral_rhs` owns the padding and its buffers.  The pair calls
-the two pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in,
-bound once at import: at N=256 the wrappers' per-call checks cost about as
-much as a transform, and the closure's fixed buffers need none of them.
-Every other transform goes through `np.fft`.  Before each
-step the breakdown monitor is bounded from the coefficients u^, the first RK4
-stage and |xi| u^, with no transform; the exact monitor, one inverse
-transform of all rows, runs only when the bound reaches the threshold, so
-every breakdown decision is the exact monitor's.  Runs that differ only in
-delta are rows of one array and share every transform.
+M = i xi sqrt(b(delta xi)) built once per call.  An RK4 stage writes c f(y),
+its weight c folded in: one multiply of c M by the swapped pair, plus, when
+eps != 0, the power of u on a zero-padded grid of P >= (n+2)/2 N points (one
+padded transform pair, which removes its aliasing exactly) and one
+multiply-add by c eps^n (P/N)^n M; `_spectral_rhs` builds one closure per c
+over one set of buffers.  The pair calls the two
+pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in, bound once
+at import: at N=256 the wrappers' checks cost about as much as a
+transform.  Every other transform goes through `np.fft`.  Before each step
+the breakdown monitor is bounded from the state alone (`_state_bound`);
+the exact monitor, one inverse transform of all rows, runs only when the
+bound reaches the threshold, so every breakdown decision is the exact
+monitor's.  Runs that differ only in delta are rows of one array and share
+every transform.
 
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
-finiteness check and its one hook, and allocates its work buffers once per
-call (RK4 stage input, stage derivative and accumulator); a step then
-allocates only its new state.
+finiteness check, its one hook and its numpy error state, and allocates its
+work buffers once per call; a step then allocates only its new state.
 
 The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
 every step, and every built-in diagnostic reads them through it; `_Recorder`
@@ -185,15 +184,16 @@ def _nonlinear_scale(coef: float, n: int, size: int) -> float:
 
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
-    """y -> (M y[1], M (y[0] + eps^n y[0]^(n+1))^) for (2, *shape) coefficient arrays.
+    """scaled(c) -> rhs(y, out), which writes c (M y[1], M (y[0] + eps^n
+    y[0]^(n+1))^) of (2, *shape) coefficient arrays y into `out`.
 
-    The returned rhs(y, t, out) writes into `out`.  The power is taken on P =
-    `_padded_size` points, zero-padded, and truncated back, which removes its
-    aliasing exactly; the weight 1/2 splits the Nyquist coefficient between
-    the +/- N/2 padded modes.  Neither transform is rescaled: the multiplier
-    eps^n (P/N)^n M, which zeroes the left-out Nyquist bin, and the work
-    buffers are built here, once.  The pair is the gufunc calls that
-    `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
+    The power is taken on P = `_padded_size` points, zero-padded, and
+    truncated back, which removes its aliasing exactly; the weight 1/2 splits
+    the Nyquist coefficient between the +/- N/2 padded modes.  Neither
+    transform is rescaled: scaled(c) builds the multipliers c M and c eps^n
+    (P/N)^n M, which zeroes the left-out Nyquist bin, and every closure
+    shares the work buffers built here, once.  The pair is the gufunc calls
+    that `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
     out=spec)` make after their checks, with numpy's scales 1/P and 1; P is
     even, so the forward gufunc is `rfft_n_even`.  Raises ConfigError naming
     n when eps^n (P/N)^n (`_nonlinear_scale`) or its product with M is not
@@ -201,7 +201,11 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """
     scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
     if scale == 0.0:
-        return lambda y, _t, out: np.multiply(multiplier, y[::-1], out=out)
+        def linear(c):
+            m = c * multiplier
+            return lambda y, out: np.multiply(m, y[::-1], out=out)
+
+        return linear
     power, half = cfg.n + 1, size // 2
     padded = _padded_size(size, power)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,17 +221,22 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     scratch = spec.view(float)[..., :padded]  # partial products, until rfft writes spec
     stress = spec[..., :half]
 
-    def rhs(y, _t, out):
-        np.multiply(multiplier, y[::-1], out=out)
-        np.multiply(y[0], weights, out=head)
-        _irfft(fine, 1 / padded, out=product)
-        _integer_power(product, power, out=product, scratch=scratch)
-        _rfft(product, 1.0, out=spec)
-        np.multiply(m_nl, stress, out=stress)
-        dv = out[1, ..., :half]
-        np.add(dv, stress, out=dv)
+    def scaled(c):
+        m, m_nl_c = c * multiplier, c * m_nl
 
-    return rhs
+        def rhs(y, out):
+            np.multiply(m, y[::-1], out=out)
+            np.multiply(y[0], weights, out=head)
+            _irfft(fine, 1 / padded, out=product)
+            _integer_power(product, power, out=product, scratch=scratch)
+            _rfft(product, 1.0, out=spec)
+            np.multiply(m_nl_c, stress, out=stress)
+            dv = out[1, ..., :half]
+            np.add(dv, stress, out=dv)
+
+        return rhs
+
+    return scaled
 
 
 def _smoothing(grid: Grid, s: float) -> np.ndarray:
@@ -259,52 +268,54 @@ def _peak_sum(samples: np.ndarray) -> np.ndarray:
     return peaks[0] + peaks[1] + peaks[2]
 
 
-def _monitor_bound(ddx: np.ndarray, size: int):
-    """(u, du) -> per-row upper bound on what `_monitor` returns, without a transform.
+def _state_bound(multiplier: np.ndarray, ddx: np.ndarray, size: int):
+    """y -> per-row upper bound on `_monitor` of u^ and M v^, without a
+    transform, for coefficients y = (u^, v^) of shape (2, *multiplier.shape).
 
     An inverse real DFT sample is at most sum_k w_k |c_k| with w_0 = w_{N/2} =
     1/N and 2/N elsewhere, and |c| <= |Re c| + |Im c|; the u_x term weighs u^
-    by |xi| and skips the Nyquist bin, as ddx does.  The weights are built
-    here, once; the returned bound(u, du, scratch) uses `scratch`, a real
-    buffer of shape (*u.shape[:-1], 2 * u.shape[-1]).
+    by |xi| and skips the Nyquist bin, as ddx does.  Every symbol is real, so
+    M is imaginary and |Re M v| + |Im M v| = |M| (|Re v| + |Im v|): one abs
+    and one dot per row, against weights built here, once.
     """
     w = np.full(ddx.shape, 2.0 / size)
     w[0] = w[-1] = 1.0 / size
-    w_u = np.repeat(w * (1.0 + np.abs(ddx)), 2)  # over (Re, Im) pairs
-    w_du = np.repeat(w, 2)
+    rows = multiplier.shape[0]
+    weights = np.empty((rows, 2, 2 * ddx.size))  # (row, u or v, Re and Im pairs)
+    weights[:, 0] = np.repeat(w * (1.0 + np.abs(ddx)), 2)
+    weights[:, 1] = np.repeat(w * np.abs(multiplier), 2, axis=-1)
+    weights = weights.reshape(rows, -1)
+    scratch = np.empty((rows, 2, 2 * ddx.size))
+    flat = scratch.reshape(rows, -1)
 
-    def bound(u, du, scratch):
-        total = np.abs(u.view(float), out=scratch) @ w_u
-        return total + np.abs(du.view(float), out=scratch) @ w_du
+    def bound(y):
+        np.abs(y.view(float).transpose(1, 0, 2), out=scratch)
+        return np.vecdot(flat, weights)
 
     return bound
 
 
-def _rk4(rhs, y: np.ndarray, t: float, h: float, stage, k, acc):
-    """One classical RK4 step of the stacked pair y = (u, v); returns the new y.
+def _rk4(half, full, sixth, y: np.ndarray, stage, k, acc):
+    """One RK4 step of the stacked pair y = (u, v) in scaled stages; returns the new y.
 
-    rhs(y, t, out) writes the derivative of y into out; `stage`, `k` and `acc`
-    are buffers shaped like y for the stage input, the stage derivative and
-    the weighted stage sum, which holds k1 = rhs(y, t) on entry.  Only the
-    new y is allocated, and it is never written again, so a probe may keep
-    it.  Serves coefficient arrays and the chain's site arrays alike.
+    half, full and sixth write (h/2) f, h f and (h/6) f of their first
+    argument into their second; `acc` holds a = (h/2) f(y) on entry, and
+    `stage` and `k` are buffers shaped like y.  With b = (h/2) f(y + a), c =
+    h f(y + b) and d = (h/6) f(y + c) the new y is y + ((a + b + b + c) (1/3)
+    + d), the one array allocated; it is never written again, so a probe may
+    keep it.  Serves coefficient arrays and the chain's site arrays alike.
     """
-    half = 0.5 * h
-    np.multiply(half, acc, out=stage)
-    np.add(y, stage, out=stage)
-    rhs(stage, t + half, k)  # k2
-    np.multiply(half, k, out=stage)
-    np.add(y, stage, out=stage)
-    np.multiply(2.0, k, out=k)
+    np.add(y, acc, out=stage)
+    half(stage, k)  # b
+    np.add(y, k, out=stage)
     np.add(acc, k, out=acc)
-    rhs(stage, t + half, k)  # k3
-    np.multiply(h, k, out=stage)
-    np.add(y, stage, out=stage)
-    np.multiply(2.0, k, out=k)
     np.add(acc, k, out=acc)
-    rhs(stage, t + h, k)  # k4
+    full(stage, k)  # c
+    np.add(y, k, out=stage)
     np.add(acc, k, out=acc)
-    np.multiply(h / 6.0, acc, out=acc)
+    sixth(stage, k)  # d
+    np.multiply(acc, 1.0 / 3.0, out=acc)  # numpy's complex acc / 3 is this multiply
+    np.add(acc, k, out=acc)
     return np.add(y, acc)
 
 
@@ -322,15 +333,17 @@ def _hook(probe, observers):
     return hook
 
 
-def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
+def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
     """March y from t to t_end with RK4 steps of dt, the last one shortened to
     land on t_end; returns the y of the last step, or y itself if there is none.
 
-    probe(y, t), if not None, sees y at t and after every step; it must not
-    write y, and may keep it, since a stepped y is never written again.
-    Before each step check(y, k1, t) sees the state and its first stage k1 =
-    rhs(y, t) and may raise; the state after the last step must be finite.
-    Raises ValueError, before the first probe, when t_end precedes t.
+    scaled(c) returns rhs(y, out), which writes c f(y) into out.  probe(y,
+    t), if not None, sees y at t and after every step; it must not write y,
+    and may keep it, since a stepped y is never written again.  Before each
+    step check(y, a, t) sees the state and a = (h/2) f(y) and may raise; the
+    state after the last step must be finite.  Steps and probes ignore
+    overflow and invalid.  Raises ValueError, before the first probe, when
+    t_end precedes t.
     """
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes the start time {t}")
@@ -338,24 +351,26 @@ def _march(rhs, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
         probe(y, t)
     steps = n_steps(t_end - t, dt)
     stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    # numpy's ufuncs copy the row-strided views of a stage on several rows
-    # through new buffers of `np.getbufsize()` elements; with buffers shorter
-    # than a row they take each row in place, with the same arithmetic.
-    strided = y.ndim > 2 and y.shape[1] > 1
-    for i in range(steps):
-        last = i == steps - 1
-        h = t_end - t if last else dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            if strided:
-                np.setbufsize(_STAGE_BUFSIZE)  # leaving the errstate restores it
-            rhs(y, t, acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's ufuncs copy the row-strided views of a stage on several rows
+        # through new buffers of `np.getbufsize()` elements; with buffers shorter
+        # than a row they take each row in place, with the same arithmetic.
+        if y.ndim > 2 and y.shape[1] > 1:
+            np.setbufsize(_STAGE_BUFSIZE)  # leaving the errstate restores it
+        for i in range(steps):
+            last = i == steps - 1
+            h = t_end - t if last else dt
+            if i == 0 or h != dt:  # for dt, and again for a shortened last step
+                half = full = sixth = None  # dt's closures go first, to bound memory
+                half, full, sixth = scaled(0.5 * h), scaled(h), scaled(h / 6.0)
+            half(y, acc)
             check(y, acc, t)
-            y = _rk4(rhs, y, t, h, stage, k, acc)
-        t = t_end if last else t + h
-        if last and not np.all(np.isfinite(y)):
-            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
-        if probe is not None:
-            probe(y, t)
+            y = _rk4(half, full, sixth, y, stage, k, acc)
+            t = t_end if last else t + h
+            if last and not np.all(np.isfinite(y)):
+                raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+            if probe is not None:
+                probe(y, t)
     return y
 
 
@@ -472,9 +487,9 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     key of such data), BreakdownError when the wave-breaking monitor exceeds
     cfg.breakdown_threshold and NonFiniteError if the state stops being
     finite.  Each step checks a bound on the monitor summed from the
-    coefficients; the monitor itself is transformed only when that bound
-    reaches the threshold (less a round-off margin), is non-finite or is
-    huge.
+    state's coefficients; the monitor itself is transformed only when that
+    bound reaches the threshold (less a round-off margin), is non-finite or
+    is huge.
 
     `cfg` may also be a sequence of configs that differ only in delta: the
     runs then start from the same initial state and are stepped together.
@@ -499,27 +514,26 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     y = np.empty((2, len(configs), grid.size // 2 + 1), dtype=complex)
     y[...] = coefficients[:, None]
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
-    rhs = _spectral_rhs(multiplier, base, grid.size, y.shape[1:])
+    scaled = _spectral_rhs(multiplier, base, grid.size, y.shape[1:])
     ddx = _multiplier(grid, None, None)
-    bound = _monitor_bound(ddx, grid.size)
     gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
     stacked = np.empty((3, *y.shape[1:]), dtype=complex)
-    scratch = np.empty((*y.shape[1:-1], 2 * y.shape[-1]))
     samples = np.empty((3, len(configs), grid.size))
+    bound = _state_bound(multiplier, ddx, grid.size)
 
-    def check(y, k1, t):
+    def check(y, _a, t):
         # below the gate the exact monitor is finite and cannot exceed the
         # threshold (a NaN bound fails the test too)
-        if (bound(y[0], k1[0], scratch) <= gate).all():
+        if (bound(y) <= gate).all():
             return
-        monitor = _monitor(y[0], k1[0], ddx, stacked, samples)
+        monitor = _monitor(y[0], multiplier * y[1], ddx, stacked, samples)
         if not np.all(np.isfinite(monitor)):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         over = monitor > base.breakdown_threshold
         if np.any(over):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
-    last = _march(rhs, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
+    last = _march(scaled, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
     if last is y:
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so no Field copies it

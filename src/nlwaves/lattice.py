@@ -7,13 +7,14 @@ The chain integrates
 on M sites with spacing delta = 2L/M, independent of the spectral solver so
 the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
 stepped by the RK4 march of the spectral core (`dynamics._march`) with the
-array right-hand side (u, u_t) -> (u_t, D2 g), so the chain and the
-classical reference of a lattice sweep land on one time grid.  The chains
-of a lattice sweep are stepped together, end to end in one pair of arrays,
-each wrapping on itself.  The second difference is taken on shifted slices
-of the whole array and redone at each chain's two ends with the neighbours
-that wrap within the chain, into buffers built once per call, with the
-operations of a gather over neighbour indices and so its bits.  The march's
+array right-hand side (u, u_t) -> c (u_t, D2 g), each RK4 weight c folded
+into u_t and 1/delta^2, so the chain and the classical reference of a
+lattice sweep land on one time grid.  The chains of a lattice sweep are
+stepped together, end to end in one pair of arrays, each wrapping on itself.
+The second difference is taken on shifted slices of the whole array and
+redone at each chain's two ends with the neighbours that wrap within the
+chain, into buffers built once per call, with the operations of a gather
+over neighbour indices and so its bits.  The march's
 probe sees the stepped site arrays and observers get t alone; the chains
 `integrate_chain` returns are built once, with site arrays that are views
 of the last step's state.
@@ -69,16 +70,19 @@ class Chain:
 
 
 def _chain_rhs(delta, epsilon: float, n: int, sizes):
-    """rhs(y, t, out): out = (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)
-    of chains of `sizes` sites laid end to end, each periodic; `delta` is one
-    spacing or one per site.
+    """Builder of y -> c (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)
+    of chains of `sizes` sites laid end to end, each periodic: scaled(c)
+    returns rhs(y, out), which writes into `out`; `delta` is one spacing or
+    one per site.
 
-    D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * inv is taken on shifted slices of
-    the whole array, then redone at each chain's first and last site with the
-    neighbours that wrap within the chain: the same operations in the same
-    order as on gathered neighbours, so the same bits.  g, 2 g and the power's
-    partial products live in buffers built here, once.  When eps^n is 0 the
-    chain is linear and g is u, with no power, as in the spectral core.
+    D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * (c / delta^2) is taken on shifted
+    slices of the whole array, then redone at each chain's first and last
+    site with the neighbours that wrap within the chain: the same operations
+    in the same order as on gathered neighbours, so the same bits.  g, 2 g
+    and the power's partial products live in buffers built here, once, and
+    shared by every closure; scaled(c) builds c / delta^2 and its values at
+    the chain ends.  When eps^n is 0 the chain is linear and g is u, with no
+    power, as in the spectral core.
     """
     coef = schema.nonlinear_coefficient(epsilon, n)
     sizes = np.asarray(sizes)
@@ -93,23 +97,29 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     left = np.concatenate([lasts, np.maximum(lasts - 1, firsts)])
     stress, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
 
-    def rhs(y, _t, out):
-        u, d2 = y[0], out[1]
-        g = u
-        if coef != 0.0:
-            g = stress
-            _integer_power(u, n + 1, out=g, scratch=scratch)
-            np.multiply(coef, g, out=g)
-            np.add(u, g, out=g)
-        out[0] = y[1]
-        np.multiply(2.0, g, out=twice)
-        inner = d2[1:-1]
-        np.subtract(g[2:], twice[1:-1], out=inner)
-        np.add(inner, g[:-2], out=inner)
-        np.multiply(inner, inv[1:-1], out=inner)
-        d2[edges] = (g[right] - twice[edges] + g[left]) * inv[edges]
+    def scaled(c):
+        inv_c = c * inv
+        inner_inv, edge_inv = inv_c[1:-1], inv_c[edges]
 
-    return rhs
+        def rhs(y, out):
+            u, d2 = y[0], out[1]
+            g = u
+            if coef != 0.0:
+                g = stress
+                _integer_power(u, n + 1, out=g, scratch=scratch)
+                np.multiply(coef, g, out=g)
+                np.add(u, g, out=g)
+            np.multiply(c, y[1], out=out[0])
+            np.multiply(2.0, g, out=twice)
+            inner = d2[1:-1]
+            np.subtract(g[2:], twice[1:-1], out=inner)
+            np.add(inner, g[:-2], out=inner)
+            np.multiply(inner, inner_inv, out=inner)
+            d2[edges] = (g[right] - twice[edges] + g[left]) * edge_inv
+
+        return rhs
+
+    return scaled
 
 
 def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: float) -> np.ndarray:
@@ -147,8 +157,11 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     `dynamics._march`); each observer is then called with t alone.  Raises
     ConfigError naming n where the spectral core does (see
     `dynamics._nonlinear_scale`), ValueError when t_end precedes the chain
-    time, and NonFiniteError when the first RK4 stage of a step, or the
-    state after the last step, is not finite.  `chain` may also be a
+    time, and NonFiniteError when the first scaled stage (h/2) f(y) of a
+    step, or the state after the last step, is not finite.  Its factor h/2
+    is folded into the stencil, so an overflow may be reported one step
+    earlier than a check of f(y) would (dt > 2, a factor above 1) or later
+    (a factor below 1 that keeps the stage finite).  `chain` may also be a
     sequence of chains at one time t, stepped together; the call then
     returns a tuple of chains in input order.  The returned chains are
     built once, their site arrays views of the last step's state; a call
@@ -168,14 +181,15 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     sizes = [c.sites for c in chains]
     # the spectral core's rule of n, which bounds the power's cost too
     _nonlinear_scale(schema.nonlinear_coefficient(epsilon, n), n, max(sizes))
-    rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
+    scaled = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
+    y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
 
-    def check(_y, k1, t):
-        if not np.all(np.isfinite(k1)):
+    def check(_y, a, t):
+        # a NaN is the max, an inf the max or the min: two reductions, no new array
+        if not (np.isfinite(a.max()) and np.isfinite(a.min())):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
-    y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
-    last = _march(rhs, y, t, t_end, dt, check, _hook(probe, observers))
+    last = _march(scaled, y, t, t_end, dt, check, _hook(probe, observers))
     if last is not y:
         parts = np.split(last, np.cumsum(sizes)[:-1], axis=1)  # views, (2, sites) each
         chains = tuple(Chain(c.half_length, *part, t_end) for c, part in zip(chains, parts))

@@ -23,14 +23,19 @@ and adapters onto the production core.
   slice stencil replaced, kept verbatim except
   for their integer powers, which are spelled out as the left-to-right
   product x*x*...*x that the core computes in place of numpy's `**`, and
-  for the spectral right-hand side's arithmetic, which follows the core's:
-  the power is left unscaled and without its Nyquist bin, and its scale
-  (P/N)^n and eps^n are folded into one multiplier.
+  for the right-hand sides' arithmetic, which follows the core's: the power
+  is left unscaled and without its Nyquist bin, its scale (P/N)^n and eps^n
+  are folded into one multiplier, and each right-hand side is built for a
+  factor c that it folds into its multipliers (spectral) or into 1/delta^2
+  and u_t (chain).
+  `_rk4` is the textbook step on c = 1; `_scaled_rk4` spells out the
+  scaled-stage step of `dynamics._rk4`.
   `integrate_rows` and `integrate_chains` step them in the loops the
-  integrators used, so a test can require equal bits from the in-place step.
+  integrators used, so a test can require equal bits from the in-place step
+  (`_scaled_rk4`) and a round-off distance from the textbook one (`_rk4`).
   `integrate_rows` also evaluates the exact breakdown monitor before every
-  step, which `integrate` skips while a coefficient bound stays below the
-  threshold, so a test can require the same errors too.
+  step, which `integrate` skips while a bound from the state stays below
+  the threshold, so a test can require the same errors too.
 - `observe_states` and `observe_chains` turn an observer of States or Chains
   into a probe for `integrate` or `integrate_chain`: it gets the initial
   objects first, then ones built from the probe's arrays at every step.
@@ -83,7 +88,7 @@ def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
     multiplier = _multiplier(grid, cfg.kernel, cfg.delta)
     dy = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        dynamics._spectral_rhs(multiplier, cfg, grid.size, y.shape[1:])(y, state.t, dy)
+        dynamics._spectral_rhs(multiplier, cfg, grid.size, y.shape[1:])(1.0)(y, dy)
     du, dv = np.fft.irfft(dy, n=grid.size)
     return Field(grid, du), Field(grid, dv)
 
@@ -186,36 +191,57 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
 
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
-    """(u^, v^) -> (M v^, M u^ + eps^n M u^(n+1)^) for coefficient arrays, the
-    power's padding scale (P/N)^n folded into its multiplier."""
+    """scaled(c) -> rhs(u, v) = c (M v^, M u^ + eps^n M u^(n+1)^) for
+    coefficient arrays, c folded into the multipliers and the power's padding
+    scale (P/N)^n into its multiplier."""
     coef = cfg.nonlinear_coefficient
     power, half = cfg.n + 1, size // 2
     m_nl = coef * (_padded_size(size, power) / size) ** cfg.n * multiplier[..., :half]
 
-    def rhs(u, v, _t=None):
-        du, dv = multiplier * v, multiplier * u
-        if coef != 0.0:
-            dv[..., :half] = dv[..., :half] + m_nl * dealiased_power_rfft(u, size, power)
-        return du, dv
+    def scaled(c):
+        m, m_nl_c = c * multiplier, c * m_nl
 
-    return rhs
+        def rhs(u, v):
+            du, dv = m * v, m * u
+            if coef != 0.0:
+                dv[..., :half] = dv[..., :half] + m_nl_c * dealiased_power_rfft(u, size, power)
+            return du, dv
+
+        return rhs
+
+    return scaled
 
 
-def _rk4(rhs, u, v, t: float, h: float, k1=None):
-    """One classical RK4 step of the pair (u, v); rhs(u, v, t) -> (du, dv).
+def _rk4(rhs, u, v, h: float):
+    """One textbook RK4 step of the pair (u, v); rhs(u, v) -> (du, dv).
 
     Works for coefficient arrays, Fields and the chain's site arrays alike.
-    Pass k1 when the first stage is already known.
     """
-    k1u, k1v = rhs(u, v, t) if k1 is None else k1
-    k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v, t + 0.5 * h)
-    k3u, k3v = rhs(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v, t + 0.5 * h)
-    k4u, k4v = rhs(u + h * k3u, v + h * k3v, t + h)
+    k1u, k1v = rhs(u, v)
+    k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v)
+    k3u, k3v = rhs(u + (0.5 * h) * k2u, v + (0.5 * h) * k2v)
+    k4u, k4v = rhs(u + h * k3u, v + h * k3v)
     w = h / 6.0
     return (
         u + w * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         v + w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
+
+
+def _scaled_rk4(scaled, u, v, h: float):
+    """One RK4 step of the pair (u, v) in the scaled-stage arithmetic of
+    `dynamics._rk4`; scaled(c) -> rhs(u, v) -> c times the derivative.
+
+    With a = (h/2) f(y), b = (h/2) f(y + a), c = h f(y + b) and d = (h/6)
+    f(y + c), the new y is y + ((a + b + b + c) (1/3) + d).
+    """
+    half, full, sixth = scaled(0.5 * h), scaled(h), scaled(h / 6.0)
+    au, av = half(u, v)
+    bu, bv = half(u + au, v + av)
+    cu, cv = full(u + bu, v + bv)
+    du, dv = sixth(u + cu, v + cv)
+    third = 1.0 / 3.0
+    return u + ((au + bu + bu + cu) * third + du), v + ((av + bv + bv + cv) * third + dv)
 
 
 def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -233,19 +259,25 @@ def _stencil(g: np.ndarray, inv, left: np.ndarray, right: np.ndarray) -> np.ndar
 
 
 def _chain_rhs(delta, epsilon: float, n: int, neighbours):
-    """(u, u_t) -> (u_t, D2 (u + eps^n u^(n+1))) for site arrays with per-site spacing delta."""
+    """scaled(c) -> rhs(u, u_t) = c (u_t, D2 (u + eps^n u^(n+1))) for site
+    arrays with per-site spacing delta, c folded into 1 / delta^2."""
     coef = epsilon**n
     inv = 1.0 / (delta * delta)
 
-    def rhs(u, ut, _t=None):
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = u
-            for _ in range(n):
-                power = power * u
-            g = u + coef * power
-        return ut, _stencil(g, inv, *neighbours)
+    def scaled(c):
+        inv_c = c * inv
 
-    return rhs
+        def rhs(u, ut):
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = u
+                for _ in range(n):
+                    power = power * u
+                g = u + coef * power
+                return c * ut, _stencil(g, inv_c, *neighbours)
+
+        return rhs
+
+    return scaled
 
 
 def monitor(u, du, ddx, size: int):
@@ -256,18 +288,19 @@ def monitor(u, du, ddx, size: int):
     return peaks[0] + peaks[1] + peaks[2]
 
 
-def integrate_rows(configs, initial, t_end, record=None):
-    """(rows, 2, N) samples of (u, v) at t_end, stepped with the allocating RK4.
+def integrate_rows(configs, initial, t_end, record=None, textbook=False):
+    """(rows, 2, N) samples of (u, v) at t_end, stepped with the allocating RK4:
+    `_scaled_rk4`, or `_rk4` on the unscaled right-hand side if `textbook`.
 
     Before every step the exact breakdown monitor is evaluated on every row,
     and NonFiniteError and BreakdownError are raised as `integrate` raised
     them when it transformed for the monitor on every step.  `record`, if a
-    list, receives the coefficients (u^, u_t^) that each check saw.
+    list, receives the coefficients (u^, v^) that each check saw, stacked.
     """
     grid, base = initial.grid, configs[0]
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     ddx = _multiplier(grid, None, None)
-    rhs = _spectral_rhs(multiplier, base, grid.size)
+    scaled = _spectral_rhs(multiplier, base, grid.size)
     u0, v0 = np.fft.rfft(np.stack([initial.u.samples, initial.v.samples]))
     u = np.tile(u0, (len(configs), 1))
     v = np.tile(v0, (len(configs), 1))
@@ -277,34 +310,43 @@ def integrate_rows(configs, initial, t_end, record=None):
         last = i == steps - 1
         h = t_end - t if last else base.dt
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(u, v)
             if record is not None:
-                record.append((u, k1[0]))
-            peaks = monitor(u, k1[0], ddx, grid.size)
+                record.append(np.stack([u, v]))
+            peaks = monitor(u, multiplier * v, ddx, grid.size)
             if not np.all(np.isfinite(peaks)):
                 raise NonFiniteError(f"state became non-finite at t={t:.6g}")
             over = peaks > base.breakdown_threshold
             if np.any(over):
                 row = int(np.argmax(over))
                 raise BreakdownError(t, float(peaks[row]), base.breakdown_threshold)
-            u, v = _rk4(rhs, u, v, t, h, k1)
+            if textbook:
+                u, v = _rk4(scaled(1.0), u, v, h)
+            else:
+                u, v = _scaled_rk4(scaled, u, v, h)
         t = t_end if last else t + h
         if last and not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
     return np.fft.irfft(np.stack([u, v], axis=-2), n=grid.size)
 
 
-def integrate_chains(chains, epsilon, n, dt, t_end):
-    """Site arrays (u, u_t) of chains laid end to end at t_end, stepped with the allocating RK4."""
+def integrate_chains(chains, epsilon, n, dt, t_end, textbook=False):
+    """Site arrays (u, u_t) of chains laid end to end at t_end, stepped with
+    the allocating RK4: `_scaled_rk4`, or `_rk4` on the unscaled right-hand
+    side if `textbook`."""
     sizes = [c.sites for c in chains]
-    rhs = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, _neighbours(sizes))
+    delta = np.repeat([c.delta for c in chains], sizes)
+    scaled = _chain_rhs(delta, epsilon, n, _neighbours(sizes))
     u, ut = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
     t = chains[0].t
     steps = n_steps(t_end - t, dt)
     for i in range(steps):
         last = i == steps - 1
         step = (t_end - t) if last else dt
-        u, ut = _rk4(rhs, u, ut, t, step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if textbook:
+                u, ut = _rk4(scaled(1.0), u, ut, step)
+            else:
+                u, ut = _scaled_rk4(scaled, u, ut, step)
         t = t_end if last else t + step
     return u, ut
 

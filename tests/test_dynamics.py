@@ -28,10 +28,10 @@ from nlwaves.dynamics import (
     _Recorder,
     _coefficients,
     _monitor,
-    _monitor_bound,
     _multiplier,
     _sampler,
     _spectral_rhs,
+    _state_bound,
     shared_dt,
 )
 from reference import (
@@ -49,6 +49,10 @@ from reference import (
 
 TRI = Kernel("triangular")
 DIRAC = Kernel("dirac")
+TABLE_XI = np.linspace(0.0, 40.0, 81)
+TABLE = Kernel.from_table(TABLE_XI, 1.0 / (1.0 + TABLE_XI**2))  # the exponential symbol
+# every built-in kernel, a table, and None for the classical system
+KERNELS = (DIRAC, Kernel("exponential"), TRI, TABLE, None)
 
 
 def config(**kw):
@@ -137,7 +141,7 @@ class TestSpectralRhsTransforms:
         u0, v0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}, {"shape": "sine", "a": 0.3, "k": 2}
         y = np.repeat(_coefficients(make_initial(u0, v0, self.GRID))[:, None], rows, axis=1)
         y[..., -1] = 0.1 + 0.2j  # a Nyquist bin that the derivatives must not see
-        rhs = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size, y.shape[1:])
+        scaled = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size, y.shape[1:])
         calls = {"_irfft": 0, "_rfft": 0, "np.fft": 0}
         for name in ("_irfft", "_rfft"):
             def counted(*args, _fft=getattr(dynamics, name), _name=name, **kwargs):
@@ -152,11 +156,23 @@ class TestSpectralRhsTransforms:
 
             monkeypatch.setattr(np.fft, name, wrapper)
         out = np.full_like(y, np.nan)
-        rhs(y, 0.0, out)
+        scaled(0.5)(y, out)
         pairs = 1 if eps > 0.0 else 0
         assert calls == {"_irfft": pairs, "_rfft": pairs, "np.fft": 0}
         assert np.all(out[..., -1] == 0.0)
         assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kernel=st.sampled_from(KERNELS[:-1]),
+    delta=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    half_length=st.floats(0.5, 100.0),
+    size=st.sampled_from([8, 64, 256, 2048]),
+)
+def test_multiplier_is_purely_imaginary(kernel, delta, half_length, size):
+    # every symbol is real, so the state bound may weigh v^ by |M|
+    assert np.all(_multiplier(Grid(half_length, size), kernel, delta).real == 0.0)
 
 
 class TestBoundTransforms:
@@ -541,9 +557,6 @@ class TestSpectralCoreParity:
     """The spectral-state stepper against an independent Field-level RK4."""
 
     GRID = Grid(10.0, 64)
-    TABLE = Kernel.from_table(
-        np.linspace(0.0, 40.0, 81), 1.0 / (1.0 + np.linspace(0.0, 40.0, 81) ** 2)
-    )
     SYSTEMS = {
         "dirac": (DIRAC, 0.7),
         "exponential": (Kernel("exponential"), 0.7),
@@ -691,7 +704,8 @@ class TestSpectralCoreParity:
 
 
 class TestInPlaceStep:
-    """integrate against the allocating RK4 loop it replaced, bit for bit."""
+    """integrate against the allocating scaled-stage RK4 loop, bit for bit, and
+    against the textbook RK4 loop to round-off."""
 
     GRID = Grid(20.0, 256)
 
@@ -714,11 +728,28 @@ class TestInPlaceStep:
             assert np.array_equal(state.u.samples, u)
             assert np.array_equal(state.v.samples, v)
 
+    @pytest.mark.parametrize("n,eps", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
+    @pytest.mark.parametrize(
+        "deltas", [(0.7,), (None, 0.4, 0.2, 0.1, 0.05)], ids=["single", "batch"]
+    )
+    def test_integrate_is_the_textbook_step_to_round_off(self, deltas, n, eps):
+        # the scaled stages reorder the textbook step's arithmetic only: the
+        # largest relative sup difference over these cases measured 7.8e-16
+        dt = 0.5 * shared_dt(self.GRID)
+        configs = [config(delta=d, epsilon=eps, n=n, dt=dt, t_end=50 * dt) for d in deltas]
+        init = self.initial()
+        out = integrate(configs, init)
+        expected = integrate_rows(configs, init, configs[0].t_end, textbook=True)
+        for state, (u, v) in zip(out, expected):
+            for got, want in ((state.u.samples, u), (state.v.samples, v)):
+                assert np.max(np.abs(got - want)) <= 1.6e-15 * np.max(np.abs(want))
+
 
 class TestMonitorGate:
-    """integrate checks a coefficient bound before each step and transforms for
-    the exact monitor only when the bound reaches the threshold; every outcome
-    must equal that of the loop that transforms on every step."""
+    """integrate checks a bound from the state's coefficients before each step
+    and transforms for the exact monitor only when the bound reaches the
+    threshold; every outcome must equal that of the loop that transforms on
+    every step."""
 
     GRID = Grid(10.0, 64)
 
@@ -765,10 +796,11 @@ class TestMonitorGate:
         checks = []
         integrate_rows(configs, init, configs[0].t_end, record=checks)
         ddx = _multiplier(self.GRID, None, None)
-        bound = _monitor_bound(ddx, self.GRID.size)
-        scratch = np.empty((rows, self.GRID.size + 2))
-        peak_monitor = max(np.max(monitor(u, du, ddx, self.GRID.size)) for u, du in checks)
-        peak_bound = max(np.max(bound(u, du, scratch)) for u, du in checks)
+        multiplier = np.stack([_multiplier(self.GRID, c.kernel, c.delta) for c in configs])
+        bound = _state_bound(multiplier, ddx, self.GRID.size)
+        peak_monitor = max(np.max(monitor(y[0], multiplier * y[1], ddx, self.GRID.size))
+                           for y in checks)
+        peak_bound = max(np.max(bound(y)) for y in checks)
         assume(np.isfinite(peak_bound))
         # log-uniform from half the peak monitor to twice the peak bound, so a
         # run may break down at once, later, or pass the exact check and go on
@@ -802,22 +834,31 @@ class TestMonitorGate:
     @pytest.mark.parametrize("kind", ["complex", "real", "nyquist", "single-mode"])
     @pytest.mark.parametrize("seed", range(5))
     def test_bound_is_at_least_the_monitor(self, kind, seed):
+        # the bound reads the state alone: each row has its own kernel and
+        # delta, and the exact monitor transforms u^ and M v^
         rng = np.random.default_rng(seed)
-        size, rows = 64, 4
-        shape = (rows, size // 2 + 1)
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        du = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if kind == "real":
-            u, du = u.real + 0j, du.real + 0j
-        elif kind != "complex":
-            mode = np.zeros(shape[1], dtype=bool)
-            mode[-1 if kind == "nyquist" else rng.integers(shape[1])] = True
-            u, du = np.where(mode, u, 0), np.where(mode, du, 0)
-        u *= 10.0 ** rng.uniform(-3, 3, (rows, 1))
-        ddx = _multiplier(Grid(10.0, size), None, None)
-        exact = _monitor(u, du, ddx, np.empty((3, *shape), complex), np.empty((3, rows, size)))
-        bound = _monitor_bound(ddx, size)(u, du, np.empty((rows, size + 2)))
-        assert np.all(bound >= exact)
+        grid = self.GRID
+        ddx = _multiplier(grid, None, None)
+        for rows in [1, 4] * 10:
+            shape = (2, rows, grid.size // 2 + 1)
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if kind == "real":
+                y = y.real + 0j
+            elif kind != "complex":
+                mode = np.zeros(shape[-1], dtype=bool)
+                mode[-1 if kind == "nyquist" else rng.integers(shape[-1])] = True
+                y = np.where(mode, y, 0)
+            y *= 10.0 ** rng.uniform(-3, 3, (2, rows, 1))
+            kernels = [KERNELS[i] for i in rng.integers(len(KERNELS), size=rows)]
+            multiplier = np.stack([
+                _multiplier(grid, k, None if k is None else rng.uniform(0.01, 4.0))
+                for k in kernels
+            ])
+            exact = _monitor(y[0], multiplier * y[1], ddx, np.empty((3, *shape[1:]), complex),
+                             np.empty((3, rows, grid.size)))
+            bound = _state_bound(multiplier, ddx, grid.size)(y)
+            assert bound.shape == (rows,)
+            assert np.all(bound >= exact)
 
     @pytest.mark.parametrize("level", [0.7, -1.3, 1e-3])
     def test_constant_state_breaks_down_just_below_its_monitor(self, level):
