@@ -38,7 +38,7 @@ from .lattice import (
     integrate_chain,
     make_chain,
 )
-from .spectral import Field, Grid
+from .spectral import Grid
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "ConvergenceReport",
     "DegenerateDataError",
     "DegenerateFitError",
-    "Field",
     "Grid",
     "HyperbolicityError",
     "InvalidSpecError",

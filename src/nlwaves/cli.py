@@ -159,7 +159,7 @@ def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     # without a time series one stride spans the run: the first and last samples
     stride = cfg["sample_stride"] if cfg["emit_timeseries"] else max(steps, 1)
     recorder = dynamics._Recorder(stride, steps, take,
-                                  lambda y, t: take(y, t, initial.u.samples))
+                                  lambda y, t: take(y, t, initial.u))
     payload = {"command": "simulate", "config": cfg, "dt_used": mc.dt, "breakdown": None}
     outputs = {}
     try:
@@ -174,8 +174,8 @@ def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
         energy, monitor, u_linf = recorder.snaps[-1]
         payload["final"] = {"t": recorder.times[-1], "energy": energy, "monitor": monitor,
                             "u_linf": u_linf}
-        outputs["final_u.csv"] = _csv("x,value", zip(grid.nodes, final.u.samples))
-        outputs["final_v.csv"] = _csv("x,value", zip(grid.nodes, final.v.samples))
+        outputs["final_u.csv"] = _csv("x,value", zip(grid.nodes, final.u))
+        outputs["final_v.csv"] = _csv("x,value", zip(grid.nodes, final.v))
         code = 0
     outputs["summary.json"] = _summary_text(payload)
     if cfg["emit_timeseries"]:

@@ -34,7 +34,7 @@ import numpy as np
 from . import dynamics, lattice, schema
 from .errors import AlignmentError, ConfigError, DegenerateDataError, DegenerateFitError
 from .kernels import Kernel
-from .spectral import Field, Grid, coefficient_norm, norm_weights
+from .spectral import Grid, coefficient_norm, norm_weights
 
 #: errors below this are treated as exact zeros and excluded from log fits
 ZERO_ERROR_FLOOR = 1e-14
@@ -140,9 +140,10 @@ def fit_rate(pairs) -> RateFit:
 
 
 def operator_error(
-    kernel: Kernel, delta: float, v: Field, s: float, theta: float
+    kernel: Kernel, delta: float, grid: Grid, v: np.ndarray, s: float, theta: float
 ) -> tuple[float, float]:
-    """Distance of the scaled convolution operator from the identity on v.
+    """Distance of the scaled convolution operator from the identity on the
+    field with samples v on `grid`.
 
     Returns (error, bound_ratio) where error = |Kd v - v| in the order-s
     Sobolev norm and bound_ratio = error / (delta^theta * |v|_{s+theta}).
@@ -151,13 +152,13 @@ def operator_error(
     approaches theta only once delta * xi, at the frequencies that carry v,
     lies in the Taylor regime of sqrt(b) (see Kernel.taylor_deviation).
     """
-    coeffs = np.fft.rfft(v.samples)
-    reference = float(coefficient_norm(coeffs, norm_weights(v.grid, s + theta)))
+    coeffs = np.fft.rfft(v)
+    reference = float(coefficient_norm(coeffs, norm_weights(grid, s + theta)))
     if reference == 0.0:
         raise DegenerateDataError("field has zero norm; bound ratio undefined")
     # (Kd - I) v as one multiplier, so a symbol equal to 1 gives exactly 0
-    symbol = kernel.scaled_sqrt_symbol(delta, v.grid.rfreqs)
-    err = float(coefficient_norm((symbol - 1.0) * coeffs, norm_weights(v.grid, s)))
+    symbol = kernel.scaled_sqrt_symbol(delta, grid.rfreqs)
+    err = float(coefficient_norm((symbol - 1.0) * coeffs, norm_weights(grid, s)))
     return err, err / (delta**theta * reference)
 
 
@@ -236,7 +237,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             raise AlignmentError(f"delta {delta} gives a chain of {grid.size // stride} sites, "
                                  "not an even number >= 8") from None
         strides.append(stride)
-    chains = [lattice.make_chain(initial.u.samples[::stride], cfg.v0, grid.half_length, c.size)
+    chains = [lattice.make_chain(initial.u[::stride], cfg.v0, grid.half_length, c.size)
               for stride, c in zip(strides, coarse)]
     weights = [norm_weights(c, model.s - 1.0) for c in coarse]
     n_steps = dynamics.n_steps(model.t_end, model.dt)
@@ -244,7 +245,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     # at t = 0 the initial samples, on which the chains start, stand for the strain
     reference = dynamics._Recorder(
         cfg.sample_stride, n_steps, lambda y, _t: _strain_and_rate(y, ddx, grid.size),
-        lambda y, _t: _strain_and_rate(y, ddx, grid.size, initial.u.samples),
+        lambda y, _t: _strain_and_rate(y, ddx, grid.size, initial.u),
     )
     dynamics.integrate(model, initial, probe=reference)
 

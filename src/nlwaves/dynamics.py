@@ -37,12 +37,14 @@ work buffers once per call; a step then allocates only its new state.
 The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
 every step, and every built-in diagnostic reads them through it; `_Recorder`
 is that probe.  The integrators' public observers are called after it with
-t alone.  No State is built between steps: `integrate` builds the final
-ones, once, from the last coefficients.  A `simulate` sample (`_sampler`)
-is one inverse transform of (u^, M v^, u_x^, S u^, S v^), S the order-s
-smoothing multiplier; `simulate` takes every sample, its summary's final
-values too, through one `_Recorder`.  The energy (`_energy`) and the
-monitor's sum of peaks (`_peak_sum`) have no other path.
+t alone.  A State holds its grid, read-only node samples of u and v, and
+t; none is built between steps: `integrate` builds the final ones, once,
+as views of one inverse transform of the last coefficients.  A `simulate`
+sample (`_sampler`) is one inverse transform of (u^, M v^, u_x^, S u^,
+S v^), S the order-s smoothing multiplier; `simulate` takes every sample,
+its summary's final values too, through one `_Recorder`.  The energy
+(`_energy`) and the monitor's sum of peaks (`_peak_sum`) have no other
+path.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 from . import schema, shapes
 from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
-from .spectral import Field, Grid, _integer_power
+from .spectral import Grid, _integer_power
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
 # Past 2**53 steps t + dt no longer moves t near the end of the span, so the
@@ -72,21 +74,30 @@ _BOUND_CEILING = 1e300
 _STAGE_BUFSIZE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
-    """Solution snapshot: strain u, auxiliary variable v, current time."""
+    """Solution snapshot on `grid`: samples of the strain u and the auxiliary
+    variable v at its nodes, and the time t.
 
-    u: Field
-    v: Field
+    u and v are read-only float arrays of shape (grid.size,).  Writable input
+    is copied; read-only input is kept, so a State may view the arrays of
+    another.  Raises ValueError when a shape differs.
+    """
+
+    grid: Grid
+    u: np.ndarray
+    v: np.ndarray
     t: float
 
     def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("u and v live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
+        for name in ("u", "v"):
+            samples = np.asarray(getattr(self, name), dtype=float)
+            if samples.shape != (self.grid.size,):
+                raise ValueError(f"{name} has shape {samples.shape}, expected ({self.grid.size},)")
+            if samples.flags.writeable:
+                samples = samples.copy()
+                samples.setflags(write=False)
+            object.__setattr__(self, name, samples)
 
 
 @dataclass(frozen=True)
@@ -376,7 +387,7 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
 
 def _coefficients(state: State) -> np.ndarray:
     """Real-FFT coefficients of (u, v), stacked."""
-    return np.fft.rfft(np.stack([state.u.samples, state.v.samples]))
+    return np.fft.rfft(np.stack([state.u, state.v]))
 
 
 def _energy(u: np.ndarray, lu: np.ndarray, lv: np.ndarray, cfg: ModelConfig, h: float,
@@ -437,10 +448,10 @@ def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
     naming it.
     """
     with shapes.naming("u0"):
-        u = Field(grid, shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length))
+        u = shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length)
     with shapes.naming("v0"):
-        v = Field(grid, shapes.evaluate_on_nodes(v0_spec, grid.nodes, grid.half_length))
-    state = State(u, v, 0.0)
+        v = shapes.evaluate_on_nodes(v0_spec, grid.nodes, grid.half_length)
+    state = State(grid, u, v, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _coefficients(state)
     for key, row in zip(("u0", "v0"), coefficients):
@@ -495,8 +506,9 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     runs then start from the same initial state and are stepped together.
     The call returns a tuple of states in the order of the configs; the
     earliest breakdown of any run is raised.  The final states are built
-    once, from one inverse transform of the last step's coefficients; a call
-    that takes no step returns `initial` (once per config).
+    once, their samples read-only views of one inverse transform of the last
+    step's coefficients; a call that takes no step returns `initial` (once
+    per config).
     """
     batch = not isinstance(cfg, ModelConfig)
     configs = tuple(cfg) if batch else (cfg,)
@@ -536,8 +548,8 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     last = _march(scaled, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
     if last is y:
         states = (initial,) * len(configs)
-    else:  # every row from one inverse transform, read-only so no Field copies it
+    else:  # every row from one inverse transform, read-only so each State views it
         final = np.fft.irfft(last, n=grid.size)
         final.setflags(write=False)
-        states = tuple(State(Field(grid, u), Field(grid, v), base.t_end) for u, v in zip(*final))
+        states = tuple(State(grid, u, v, base.t_end) for u, v in zip(*final))
     return states if batch else states[0]

@@ -45,6 +45,8 @@ class Chain:
         velocity = np.asarray(self.velocity, dtype=float)
         if strain.ndim != 1 or strain.shape != velocity.shape:
             raise ValueError("strain and velocity must be equal-length 1-d arrays")
+        if strain.size < 1:
+            raise ValueError("a chain needs at least one site")
         schema.check("grid_l", self.half_length)
         object.__setattr__(self, "strain", strain)
         object.__setattr__(self, "velocity", velocity)
@@ -138,7 +140,10 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
 def make_chain(u0_spec, v0_spec, half_length: float, sites: int) -> Chain:
     """Chain at t=0: strains from u0 at its sites (or one sample per site),
     velocities from the discrete quotient of v0.  A spec that cannot be
-    evaluated raises InvalidSpecError naming its config key, u0 or v0."""
+    evaluated raises InvalidSpecError naming its config key, u0 or v0, and
+    fewer than one site raises ValueError."""
+    if sites < 1:
+        raise ValueError(f"a chain needs at least one site, got {sites}")
     delta = 2.0 * half_length / sites
     x = -half_length + delta * np.arange(sites)
     with shapes.naming("u0"):

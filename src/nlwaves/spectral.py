@@ -1,13 +1,10 @@
-"""Periodic grid, real fields, the coefficient Sobolev norm and integer powers.
+"""Periodic grid, the coefficient Sobolev norm and integer powers.
 
 The domain is the periodic box [-L, L) sampled at N uniform nodes.  Discrete
 frequencies are xi_m = m*pi/L for m = -N/2 .. N/2-1 (stored in FFT order).
-Fields are value-semantics snapshots: every operation returns a new Field and
-never mutates its inputs.  A Field stores samples only; `Field.spectrum`
-transforms them on every access.  Neither the time stepper nor the sweeps
-use Fields: both hold real-FFT coefficients (see `dynamics.integrate`), and
-Fields serve the initial data, the final states and `operator_error`'s
-field.
+A real field on the grid is an array of its N node samples; the time
+stepper and the sweeps hold real-FFT coefficients instead (see
+`dynamics.integrate`).
 
 Norm convention: the order-s Sobolev norm is a weighted sum over the N/2+1
 real-FFT coefficients, `coefficient_norm` with weights from `norm_weights`;
@@ -57,55 +54,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(half_length={self.half_length}, size={self.size})"
-
-
-class Field:
-    """Real-valued samples on a Grid; the spectrum is computed on demand."""
-
-    __slots__ = ("grid", "_samples")
-
-    def __init__(self, grid: Grid, samples):
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (grid.size,):
-            raise ValueError(
-                f"samples have shape {samples.shape}, expected ({grid.size},)"
-            )
-        samples = samples.copy() if samples.flags.writeable else samples
-        samples.setflags(write=False)
-        self.grid = grid
-        self._samples = samples
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self._samples
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fft(self._samples)
-
-    def __add__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return Field(self.grid, self._samples + other._samples)
-
-    def __sub__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return Field(self.grid, self._samples - other._samples)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return Field(self.grid, self._samples * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
 
 def norm_weights(grid: Grid, s: float) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Independent and previous implementations that the tests compare against,
 and adapters onto the production core.
 
+A field is the array of its samples at the nodes of a grid; the helpers
+that need the grid take it first, as (grid, samples).
+
 - `energy`, `breakdown_monitor` and `sobolev_norm` take the diagnostics that
-  the CLI reports of a State or a Field, through the cores that
+  the CLI reports of a State or a field, through the cores that
   `dynamics._sampler`, `integrate`'s check and the sweeps use: `_smoothing`
   and `_energy`, `_multiplier` and `_monitor`, `norm_weights` and
-  `coefficient_norm`.  `zeros` and `positions` are the zero Field of a grid
-  and the site coordinates of a Chain.
+  `coefficient_norm`.  `zeros` and `positions` are the samples of the zero
+  field of a grid and the site coordinates of a Chain.
 - `rhs_fields` evaluates the right-hand side that `dynamics.integrate` steps,
   built by `dynamics._spectral_rhs` with `dynamics._multiplier`, on a State
-  and returns (u_t, v_t) as Fields.  `cfg.delta` picks the system: None is
-  the classical one.
+  and returns the samples of (u_t, v_t).  `cfg.delta` picks the system: None
+  is the classical one.
 - `apply_multiplier`, `derivative`, `sobolev_scale` and `dealiased_power`
-  act on Fields through the full complex FFT (`field_from_spectrum`), and
+  act on fields through the full complex FFT (`field_from_spectrum`), and
   `spectrum_norm` is the Sobolev norm over the full spectrum.
   `TestSpectralCoreParity` builds an RK4 from them that shares no code with
   the real-FFT core of `dynamics.integrate`; the norm tests compare the
@@ -43,13 +46,13 @@ and adapters onto the production core.
 
 import numpy as np
 
-from nlwaves import BreakdownError, Chain, Field, NonFiniteError, State, dynamics
+from nlwaves import BreakdownError, Chain, NonFiniteError, State, dynamics
 from nlwaves.dynamics import ModelConfig, _multiplier, _padded_size, n_steps
 from nlwaves.spectral import coefficient_norm, norm_weights
 
 
-def zeros(grid) -> Field:
-    return Field(grid, np.zeros(grid.size))
+def zeros(grid) -> np.ndarray:
+    return np.zeros(grid.size)
 
 
 def positions(chain) -> np.ndarray:
@@ -57,9 +60,9 @@ def positions(chain) -> np.ndarray:
     return -chain.half_length + chain.delta * np.arange(chain.sites)
 
 
-def sobolev_norm(f: Field, s: float) -> float:
+def sobolev_norm(grid, f: np.ndarray, s: float) -> float:
     """Discrete Sobolev norm of order s of a field (see `spectral.norm_weights`)."""
-    return float(coefficient_norm(np.fft.rfft(f.samples), norm_weights(f.grid, s)))
+    return float(coefficient_norm(np.fft.rfft(f), norm_weights(grid, s)))
 
 
 def energy(state, cfg: ModelConfig, s: float | None = None) -> float:
@@ -69,7 +72,7 @@ def energy(state, cfg: ModelConfig, s: float | None = None) -> float:
     grid = state.grid
     scale = dynamics._smoothing(grid, cfg.s if s is None else s)
     lu, lv = np.fft.irfft(scale * dynamics._coefficients(state), n=grid.size)
-    return dynamics._energy(state.u.samples, lu, lv, cfg, grid.spacing, state.t)
+    return dynamics._energy(state.u, lu, lv, cfg, grid.spacing, state.t)
 
 
 def breakdown_monitor(state, cfg: ModelConfig) -> float:
@@ -82,7 +85,7 @@ def breakdown_monitor(state, cfg: ModelConfig) -> float:
     return float(dynamics._monitor(u, du, _multiplier(grid, None, None), stacked, samples))
 
 
-def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
+def rhs_fields(state, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """(u_t, v_t) of the system at scale cfg.delta, by the core's right-hand side."""
     grid, y = state.grid, dynamics._coefficients(state)
     multiplier = _multiplier(grid, cfg.kernel, cfg.delta)
@@ -90,24 +93,24 @@ def rhs_fields(state, cfg: ModelConfig) -> tuple[Field, Field]:
     with np.errstate(over="ignore", invalid="ignore"):
         dynamics._spectral_rhs(multiplier, cfg, grid.size, y.shape[1:])(1.0)(y, dy)
     du, dv = np.fft.irfft(dy, n=grid.size)
-    return Field(grid, du), Field(grid, dv)
+    return du, dv
 
 
-def field_from_spectrum(grid, spectrum) -> Field:
+def field_from_spectrum(spectrum) -> np.ndarray:
     """A field from FFT coefficients (real part of the inverse)."""
-    return Field(grid, np.fft.ifft(spectrum).real)
+    return np.fft.ifft(spectrum).real
 
 
-def derivative(f: Field) -> Field:
+def derivative(grid, f: np.ndarray) -> np.ndarray:
     """Spectral x-derivative; the Nyquist mode is zeroed (odd multiplier)."""
-    m = 1j * f.grid.freqs.copy()
-    m[f.grid.size // 2] = 0.0
-    return field_from_spectrum(f.grid, m * f.spectrum)
+    m = 1j * grid.freqs.copy()
+    m[grid.size // 2] = 0.0
+    return field_from_spectrum(m * np.fft.fft(f))
 
 
-def sobolev_scale(f: Field, s: float) -> Field:
+def sobolev_scale(grid, f: np.ndarray, s: float) -> np.ndarray:
     """Apply the smoothing/roughening multiplier (1 + xi^2)^(s/2)."""
-    return field_from_spectrum(f.grid, (1.0 + f.grid.freqs**2) ** (s / 2.0) * f.spectrum)
+    return field_from_spectrum((1.0 + grid.freqs**2) ** (s / 2.0) * np.fft.fft(f))
 
 
 def spectrum_norm(grid, spectrum, s: float) -> float:
@@ -120,25 +123,25 @@ def spectrum_norm(grid, spectrum, s: float) -> float:
     return float(np.ldexp(np.sqrt(grid.spacing / grid.size * np.sum(weights * scaled**2)), e))
 
 
-def apply_multiplier(f: Field, multiplier) -> Field:
+def apply_multiplier(grid, f: np.ndarray, multiplier) -> np.ndarray:
     """Multiply the spectrum pointwise by multiplier(xi) and transform back.
 
     `multiplier` is a callable evaluated at every grid frequency, or an array
-    already aligned with ``f.grid.freqs``.  Real output is guaranteed only for
+    already aligned with ``grid.freqs``.  Real output is guaranteed only for
     even multipliers (kernel symbols are even by construction).
     """
-    m = multiplier(f.grid.freqs) if callable(multiplier) else np.asarray(multiplier)
-    if m.shape != f.grid.freqs.shape:
+    m = multiplier(grid.freqs) if callable(multiplier) else np.asarray(multiplier)
+    if m.shape != grid.freqs.shape:
         raise ValueError("multiplier values do not match the grid frequency set")
     # non-finite intermediates surface as a typed error, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        out = field_from_spectrum(f.grid, m * f.spectrum)
-    if not np.all(np.isfinite(out.samples)):
+        out = field_from_spectrum(m * np.fft.fft(f))
+    if not np.all(np.isfinite(out)):
         raise NonFiniteError("multiplier application produced non-finite samples")
     return out
 
 
-def dealiased_power(f: Field, power: int) -> Field:
+def dealiased_power(grid, f: np.ndarray, power: int) -> np.ndarray:
     """Pointwise integer power computed without aliasing.
 
     The product is evaluated on a zero-padded grid of at least
@@ -150,11 +153,11 @@ def dealiased_power(f: Field, power: int) -> Field:
         raise ValueError(f"power must be a positive integer, got {power}")
     if power == 1:
         return f
-    n = f.grid.size
+    n = grid.size
     half = n // 2
     padded = _padded_size(n, power)
 
-    spec = f.spectrum
+    spec = np.fft.fft(f)
     fine = np.zeros(padded, dtype=complex)
     fine[:half] = spec[:half]
     fine[padded - half:] = spec[half:]
@@ -166,7 +169,7 @@ def dealiased_power(f: Field, power: int) -> Field:
         out[:half] = fine_spec[:half]
         out[half] = fine_spec[half] + fine_spec[padded - half]
         out[half + 1:] = fine_spec[padded - half + 1:]
-        return field_from_spectrum(f.grid, out)
+        return field_from_spectrum(out)
 
 
 def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
@@ -215,7 +218,7 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
 def _rk4(rhs, u, v, h: float):
     """One textbook RK4 step of the pair (u, v); rhs(u, v) -> (du, dv).
 
-    Works for coefficient arrays, Fields and the chain's site arrays alike.
+    Works for coefficient arrays and the chain's site arrays alike.
     """
     k1u, k1v = rhs(u, v)
     k2u, k2v = rhs(u + (0.5 * h) * k1u, v + (0.5 * h) * k1v)
@@ -301,7 +304,7 @@ def integrate_rows(configs, initial, t_end, record=None, textbook=False):
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     ddx = _multiplier(grid, None, None)
     scaled = _spectral_rhs(multiplier, base, grid.size)
-    u0, v0 = np.fft.rfft(np.stack([initial.u.samples, initial.v.samples]))
+    u0, v0 = np.fft.rfft(np.stack([initial.u, initial.v]))
     u = np.tile(u0, (len(configs), 1))
     v = np.tile(v0, (len(configs), 1))
     t = initial.t
@@ -361,7 +364,7 @@ def observe_states(observer, initial, batch=False):
         nonlocal started
         if started:
             u, v = np.fft.irfft(y, n=grid.size)
-            states = tuple(State(Field(grid, ur), Field(grid, vr), t) for ur, vr in zip(u, v))
+            states = tuple(State(grid, ur, vr, t) for ur, vr in zip(u, v))
         else:
             started, states = True, (initial,) * y.shape[1]
         observer(states if batch else states[0])

@@ -243,7 +243,7 @@ class TestSimulate:
             assert lines[0] == "x,value"
             data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
             assert np.array_equal(data[:, 0], grid.nodes)
-            assert np.array_equal(data[:, 1], field.samples)
+            assert np.array_equal(data[:, 1], field)
 
     def test_timeseries_ends_at_t_end(self, tmp_path):
         # two steps, fewer than sample_stride: rows at t = 0 and t = t_end
@@ -744,8 +744,9 @@ class TestBenchmarkEntryPoints:
     """The benchmark's child process (`perfbench/launch.py`) runs each
     workload's command, clocked or traced, on this source tree.  Its clock
     rebinds `dynamics.integrate` and `lattice.integrate_chain`, and its tracer
-    wraps the integrators' `observers` and the `Field` members it names, so a
-    change to these fails here before it fails the benchmark."""
+    wraps the integrators' `observers`, every layer's public functions and
+    the class members it names, so a change to these fails here before it
+    fails the benchmark."""
 
     ROOT = Path(__file__).resolve().parents[1]
     H = 20.0 / 32  # grid spacing at grid_l 20, grid_n 64

@@ -13,7 +13,6 @@ from nlwaves import (
     ModelConfig,
     DegenerateDataError,
     DegenerateFitError,
-    Field,
     Grid,
     Kernel,
     SweepConfig,
@@ -123,31 +122,32 @@ class TestFitRate:
 
 
 class TestOperatorError:
+    GRID = Grid(20.0, 1024)
+
     @pytest.fixture
     def gaussian_field(self):
-        g = Grid(20.0, 1024)
-        return Field(g, np.exp(-4.0 * g.nodes**2))
+        return np.exp(-4.0 * self.GRID.nodes**2)
 
     def test_dirac_error_is_zero(self, gaussian_field):
-        err, ratio = operator_error(DIRAC, 0.3, gaussian_field, 3.0, 2.0)
+        err, ratio = operator_error(DIRAC, 0.3, self.GRID, gaussian_field, 3.0, 2.0)
         assert err == 0.0
         assert ratio == 0.0
 
     def test_zero_field_degenerate(self):
         g = Grid(20.0, 64)
         with pytest.raises(DegenerateDataError):
-            operator_error(TRI, 0.3, zeros(g), 3.0, 2.0)
+            operator_error(TRI, 0.3, g, zeros(g), 3.0, 2.0)
 
     def test_triangular_error_ratios_near_four_per_halving(self, gaussian_field):
         deltas = [0.4, 0.2, 0.1, 0.05]
-        errs = [operator_error(TRI, d, gaussian_field, 3.0, 2.0)[0] for d in deltas]
+        errs = [operator_error(TRI, d, self.GRID, gaussian_field, 3.0, 2.0)[0] for d in deltas]
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert all(3.5 < r < 4.3 for r in ratios)
 
     def test_bound_ratio_plateau_signals_sharp_rate(self, gaussian_field):
         # empirical constancy of the rate constant across a 3-octave range
         deltas = [0.4, 0.2, 0.1, 0.05]
-        ratios = [operator_error(TRI, d, gaussian_field, 3.0, 2.0)[1] for d in deltas]
+        ratios = [operator_error(TRI, d, self.GRID, gaussian_field, 3.0, 2.0)[1] for d in deltas]
         assert max(ratios) / min(ratios) < 2.0
 
 
@@ -275,7 +275,7 @@ class TestLatticeSweep:
     def test_errors_equal_per_delta_single_chain_runs(self):
         """Bit for bit the errors of one chain run per delta against the
         classical (u, v_x) read from the coefficients, and to round-off those
-        of the Field-level norms of the snapshots' differences."""
+        of the sample-level norms of the snapshots' differences."""
         cfg = self.aligned_config()
         grid, mc = cfg.grid, cfg.model
         dt = 0.25 * grid.spacing
@@ -285,18 +285,18 @@ class TestLatticeSweep:
         classical, fields = [], []
         initial = make_initial(cfg.u0, cfg.v0, grid)
         observe = observe_states(
-            lambda s: fields.append((s.u.samples, derivative(s.v).samples)), initial)
+            lambda s: fields.append((s.u, derivative(grid, s.v))), initial)
 
         def probe(y, t):
             classical.append(np.fft.irfft(np.stack([y[0, 0], ddx * y[1, 0]]), n=grid.size))
             observe(y, t)
 
         integrate(mc, initial, probe=probe)
-        classical[0][0] = initial.u.samples  # the strain the chains start from
+        classical[0][0] = initial.u  # the strain the chains start from
         expected, field_level = [], []
         for delta in cfg.deltas:
             stride = int(round(delta / grid.spacing))
-            chain = make_chain(initial.u.samples[::stride], cfg.v0, grid.half_length,
+            chain = make_chain(initial.u[::stride], cfg.v0, grid.half_length,
                                grid.size // stride)
             snaps = []
             integrate_chain(chain, mc.epsilon, mc.n, dt, mc.t_end,
@@ -313,8 +313,8 @@ class TestLatticeSweep:
             ))
             order = mc.s - 1
             field_level.append([
-                sobolev_norm(Field(coarse, snaps[i].strain - fields[i][0][::stride]), order)
-                + sobolev_norm(Field(coarse, snaps[i].velocity - fields[i][1][::stride]), order)
+                sobolev_norm(coarse, snaps[i].strain - fields[i][0][::stride], order)
+                + sobolev_norm(coarse, snaps[i].velocity - fields[i][1][::stride], order)
                 for i in sampled
             ])
         report = lattice_sweep(cfg)

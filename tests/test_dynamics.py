@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nlwaves import (
     BreakdownError,
     ConfigError,
-    Field,
     Grid,
     HyperbolicityError,
     InvalidSpecError,
@@ -66,47 +65,91 @@ def unit_grid():
     return Grid(np.pi, 64)
 
 
+class TestState:
+    def test_round_trip(self, unit_grid):
+        rng = np.random.default_rng(1234)
+        u, v = rng.standard_normal((2, unit_grid.size))
+        back = np.fft.irfft(_coefficients(State(unit_grid, u, v, 0.0)), n=unit_grid.size)
+        np.testing.assert_allclose(back, [u, v], rtol=1e-13, atol=1e-15)
+
+    def test_samples_are_read_only(self, unit_grid):
+        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
+        for samples in (st.u, st.v):
+            with pytest.raises(ValueError):
+                samples[0] = 99.0
+
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_wrong_shape_rejected(self, unit_grid, wrong):
+        arrays = {"u": zeros(unit_grid), "v": zeros(unit_grid), wrong: np.zeros(unit_grid.size + 2)}
+        with pytest.raises(ValueError, match=wrong):
+            State(unit_grid, arrays["u"], arrays["v"], 0.0)
+
+    def test_writable_input_is_copied(self, unit_grid):
+        u = np.sin(unit_grid.nodes)
+        st = State(unit_grid, u, [0.0] * unit_grid.size, 0.0)
+        u[0] = 99.0
+        assert st.u[0] != 99.0 and not np.shares_memory(st.u, u)
+        assert st.v.dtype == float and not st.v.flags.writeable
+
+    def test_read_only_input_is_kept(self, unit_grid):
+        u = np.sin(unit_grid.nodes)
+        u.setflags(write=False)
+        assert State(unit_grid, u, u, 0.0).u is u
+
+    def test_final_states_share_one_transform(self):
+        g = Grid(10.0, 64)
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, g)
+        configs = [config(delta=d, dt=0.01, t_end=0.05) for d in (None, 0.5)]
+        states = integrate(configs, init)
+        base = states[0].u.base
+        assert base is not None and all(s.u.base is base and s.v.base is base for s in states)
+
+    def test_state_hashes(self, unit_grid):
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
+        assert {st: 1}[st] == 1
+
+
 class TestNonlocalRhs:
     def test_zero_state(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config())
-        assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
+        assert np.all(du == 0.0) and np.all(dv == 0.0)
 
     def test_linear_single_mode_u_equation(self, unit_grid):
         # v = sin(x) drives u_t = Kd v_x = k(1) cos(x) for delta = 1
-        st = State(zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
+        st = State(unit_grid, zeros(unit_grid), np.sin(unit_grid.nodes), 0.0)
         du, dv = rhs_fields(st, config(epsilon=0.3))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
-        np.testing.assert_allclose(du.samples, expected, atol=1e-13)
-        assert np.max(np.abs(dv.samples)) == 0.0
+        np.testing.assert_allclose(du, expected, atol=1e-13)
+        assert np.max(np.abs(dv)) == 0.0
 
     def test_linear_single_mode_v_equation(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
+        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(epsilon=0.0))
         expected = 2 * np.sin(0.5) * np.cos(unit_grid.nodes)
-        assert np.max(np.abs(du.samples)) == 0.0
-        np.testing.assert_allclose(dv.samples, expected, atol=1e-13)
+        assert np.max(np.abs(du)) == 0.0
+        np.testing.assert_allclose(dv, expected, atol=1e-13)
 
 
 class TestClassicalRhs:
     def test_zero_state(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(delta=None))
-        assert np.all(du.samples == 0.0) and np.all(dv.samples == 0.0)
+        assert np.all(du == 0.0) and np.all(dv == 0.0)
 
     def test_linear_single_mode(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
+        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
         du, dv = rhs_fields(st, config(delta=None, epsilon=0.0))
-        np.testing.assert_allclose(dv.samples, np.cos(unit_grid.nodes), atol=1e-13)
-        assert np.max(np.abs(du.samples)) == 0.0
+        np.testing.assert_allclose(dv, np.cos(unit_grid.nodes), atol=1e-13)
+        assert np.max(np.abs(du)) == 0.0
 
     def test_quadratic_nonlinearity_calculus_identity(self, unit_grid):
         # (u + 0.1 u^2)_x = cos x + 0.1 sin 2x for u = sin x
         x = unit_grid.nodes
-        st = State(Field(unit_grid, np.sin(x)), zeros(unit_grid), 0.0)
+        st = State(unit_grid, np.sin(x), zeros(unit_grid), 0.0)
         _, dv = rhs_fields(st, config(delta=None, epsilon=0.1, n=1))
         expected = np.cos(x) + 0.1 * np.sin(2 * x)
-        assert np.max(np.abs(dv.samples - expected)) < 1e-11
+        assert np.max(np.abs(dv - expected)) < 1e-11
 
     def test_dirac_nonlocal_equals_classical_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -114,15 +157,11 @@ class TestClassicalRhs:
         cfg_nl = config(kernel=DIRAC, delta=0.37, epsilon=0.2, n=2)
         cfg_cl = config(kernel=DIRAC, delta=None, epsilon=0.2, n=2)
         for _ in range(20):
-            st = State(
-                Field(g, rng.standard_normal(g.size)),
-                Field(g, rng.standard_normal(g.size)),
-                0.0,
-            )
+            st = State(g, rng.standard_normal(g.size), rng.standard_normal(g.size), 0.0)
             du_a, dv_a = rhs_fields(st, cfg_nl)
             du_b, dv_b = rhs_fields(st, cfg_cl)
-            assert np.max(np.abs(du_a.samples - du_b.samples)) < 1e-13
-            assert np.max(np.abs(dv_a.samples - dv_b.samples)) < 1e-13
+            assert np.max(np.abs(du_a - du_b)) < 1e-13
+            assert np.max(np.abs(dv_a - dv_b)) < 1e-13
 
 
 class TestSpectralRhsTransforms:
@@ -198,11 +237,11 @@ class TestRk4Step:
     def test_linear_wave_returns_after_one_period(self, unit_grid):
         # single-mode classical linear system has period 2*pi
         x = unit_grid.nodes
-        st = State(Field(unit_grid, np.cos(x)), Field(unit_grid, np.sin(x)), 0.0)
+        st = State(unit_grid, np.cos(x), np.sin(x), 0.0)
         cfg = config(kernel=DIRAC, delta=None, epsilon=0.0, dt=2 * np.pi / 200, t_end=2 * np.pi)
         out = integrate(cfg, st)
-        assert np.max(np.abs(out.u.samples - st.u.samples)) < 1e-6
-        assert np.max(np.abs(out.v.samples - st.v.samples)) < 1e-6
+        assert np.max(np.abs(out.u - st.u)) < 1e-6
+        assert np.max(np.abs(out.v - st.v)) < 1e-6
 
     def test_halving_dt_cuts_error_sixteenfold(self):
         g = Grid(20.0, 256)
@@ -216,37 +255,37 @@ class TestRk4Step:
             return integrate(config(delta=0.5, epsilon=0.2, dt=dt, t_end=1.0), init)
 
         ref = final(0.0025)
-        e1 = np.max(np.abs(final(0.04).u.samples - ref.u.samples))
-        e2 = np.max(np.abs(final(0.02).u.samples - ref.u.samples))
+        e1 = np.max(np.abs(final(0.04).u - ref.u))
+        e2 = np.max(np.abs(final(0.02).u - ref.u))
         assert 12.0 < e1 / e2 < 20.0
 
 
 class TestIntegrate:
     def test_zero_span_returns_initial(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.7)
+        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.7)
         out = integrate(config(t_end=0.7), st)
         assert out is st
 
     def test_t_end_before_start_rejected(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 1.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 1.0)
         seen = []
         with pytest.raises(ValueError, match="precedes"):
             integrate(config(t_end=0.5), st, probe=lambda _y, t: seen.append(t))
         assert seen == []
 
     def test_step_count_overflow_names_dt(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         with pytest.raises(ConfigError) as info:
             integrate(config(dt=1e-320, t_end=1.0), st)
         assert info.value.field == "dt"
 
     def test_last_step_lands_exactly(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         out = integrate(config(dt=0.3, t_end=1.0), st)
         assert out.t == 1.0
 
     def test_observers_see_every_step(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         times = []
         integrate(config(dt=0.25, t_end=1.0), st, observers=(times.append,))
         assert len(times) == 5  # initial + 4 steps
@@ -273,8 +312,8 @@ class TestIntegrate:
         assert info.value.monitor > 4.0
 
     def test_non_finite_state_signalled(self, unit_grid):
-        huge = Field(unit_grid, np.full(unit_grid.size, 1e200))
-        st = State(huge, huge, 0.0)
+        huge = np.full(unit_grid.size, 1e200)
+        st = State(unit_grid, huge, huge, 0.0)
         cfg = config(delta=None, kernel=DIRAC, epsilon=1.0, n=3,
                      breakdown_threshold=sys.float_info.max)  # no monitor can exceed it
         with pytest.raises(NonFiniteError):
@@ -283,22 +322,22 @@ class TestIntegrate:
 
 class TestEnergy:
     def test_zero_state(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         assert energy(st, config()) == 0.0
 
     def test_linear_closed_forms(self, unit_grid):
         x = unit_grid.nodes
-        st_u = State(Field(unit_grid, np.sin(x)), zeros(unit_grid), 0.0)
+        st_u = State(unit_grid, np.sin(x), zeros(unit_grid), 0.0)
         assert energy(st_u, config(epsilon=0.0), s=0) == pytest.approx(
             np.sqrt(np.pi / 2), rel=1e-12
         )
-        st_v = State(zeros(unit_grid), Field(unit_grid, np.sin(x)), 0.0)
+        st_v = State(unit_grid, zeros(unit_grid), np.sin(x), 0.0)
         assert energy(st_v, config(epsilon=0.0), s=1) == pytest.approx(
             np.sqrt(np.pi), rel=1e-12
         )
 
     def test_hyperbolicity_violation_raises(self, unit_grid):
-        st = State(Field(unit_grid, -np.ones(unit_grid.size)), zeros(unit_grid), 0.0)
+        st = State(unit_grid, -np.ones(unit_grid.size), zeros(unit_grid), 0.0)
         with pytest.raises(HyperbolicityError):
             energy(st, config(epsilon=0.6, n=1))
 
@@ -325,23 +364,23 @@ class TestEnergy:
         x = g.nodes
         u0 = sum(a * np.cos((k + 1) * x) for k, a in enumerate(amplitudes[:3]))
         v0 = sum(a * np.sin((k + 1) * x) for k, a in enumerate(amplitudes[3:]))
-        init = State(Field(g, u0), Field(g, v0), 0.0)
+        init = State(g, u0, v0, 0.0)
         cfg = config(kernel=kernel, delta=delta, epsilon=0.0, dt=0.02, t_end=0.5)
         assert abs(energy(integrate(cfg, init), cfg) / energy(init, cfg) - 1.0) < 1e-8
 
 
 class TestBreakdownMonitor:
     def test_zero_state(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         assert breakdown_monitor(st, config()) == 0.0
 
     def test_classical_static_mode(self, unit_grid):
-        st = State(Field(unit_grid, np.sin(unit_grid.nodes)), zeros(unit_grid), 0.0)
+        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
         cfg = config(kernel=DIRAC, delta=None, epsilon=0.0)
         assert breakdown_monitor(st, cfg) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonlocal_velocity_term(self, unit_grid):
-        st = State(zeros(unit_grid), Field(unit_grid, np.sin(unit_grid.nodes)), 0.0)
+        st = State(unit_grid, zeros(unit_grid), np.sin(unit_grid.nodes), 0.0)
         cfg = config(epsilon=0.0, delta=1.0)
         assert breakdown_monitor(st, cfg) == pytest.approx(2 * np.sin(0.5), rel=1e-12)
 
@@ -351,12 +390,12 @@ class TestMakeInitial:
         g = Grid(10.0, 128)
         st = make_initial({"shape": "gaussian", "a": 1.0, "b": 4.0}, None, g)
         assert st.t == 0.0
-        assert np.max(st.u.samples) == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(st.v.samples)) == 0.0
+        assert np.max(st.u) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(st.v)) == 0.0
 
     def test_zero_specs(self, unit_grid):
         st = make_initial(None, {"shape": "zero"}, unit_grid)
-        assert np.all(st.u.samples == 0.0) and np.all(st.v.samples == 0.0)
+        assert np.all(st.u == 0.0) and np.all(st.v == 0.0)
 
     def test_shapes_sampled_exactly_at_nodes(self):
         g = Grid(10.0, 128)
@@ -365,14 +404,14 @@ class TestMakeInitial:
             {"shape": "gaussian", "a": 0.2, "b": 2.0},
             g,
         )
-        np.testing.assert_array_equal(st.u.samples, 0.5 * np.sin((np.pi / 10.0) * g.nodes))
-        np.testing.assert_array_equal(st.v.samples, 0.2 * np.exp(-2.0 * g.nodes**2))
+        np.testing.assert_array_equal(st.u, 0.5 * np.sin((np.pi / 10.0) * g.nodes))
+        np.testing.assert_array_equal(st.v, 0.2 * np.exp(-2.0 * g.nodes**2))
 
     def test_sech2_shape(self):
         g = Grid(10.0, 128)
         st = make_initial({"shape": "sech2", "a": 0.7, "b": 1.5}, None, g)
         np.testing.assert_array_equal(
-            st.u.samples, 0.7 / np.cosh(1.5 * g.nodes) ** 2
+            st.u, 0.7 / np.cosh(1.5 * g.nodes) ** 2
         )
 
     @pytest.mark.parametrize("b", [20.0, 40.0])
@@ -382,13 +421,13 @@ class TestMakeInitial:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             st = make_initial({"shape": "sech2", "a": 0.5, "b": b}, None, g)
-        assert np.max(st.u.samples) == 0.5 and np.min(st.u.samples) == 0.0
+        assert np.max(st.u) == 0.5 and np.min(st.u) == 0.0
 
     def test_sample_arrays_accepted(self, unit_grid):
         values = np.linspace(0, 1, unit_grid.size)
         st = make_initial(values, {"shape": "samples", "values": values}, unit_grid)
-        np.testing.assert_array_equal(st.u.samples, values)
-        np.testing.assert_array_equal(st.v.samples, values)
+        np.testing.assert_array_equal(st.u, values)
+        np.testing.assert_array_equal(st.v, values)
 
     def test_bad_specs_rejected(self, unit_grid):
         with pytest.raises(InvalidSpecError, match="config field 'u0'"):
@@ -467,7 +506,7 @@ class TestParityPreservation:
         cfg = config(delta=0.8, epsilon=0.1, n=1, dt=0.02, t_end=0.4)
 
         def check(state):
-            u, v = state.u.samples, state.v.samples
+            u, v = state.u, state.v
             assert np.max(np.abs(u - self.reflect(u))) < 1e-13
             assert np.max(np.abs(v + self.reflect(v))) < 1e-13
 
@@ -484,10 +523,10 @@ class TestParityPreservation:
     def test_parity_is_preserved_for_random_data(self, noise, kernel, eps, n, delta):
         g = Grid(np.pi, 32)
         a, b = np.array(noise[:32]), np.array(noise[32:])
-        init = State(Field(g, a + self.reflect(a)), Field(g, b - self.reflect(b)), 0.0)
+        init = State(g, a + self.reflect(a), b - self.reflect(b), 0.0)
         cfg = config(kernel=kernel, delta=delta, epsilon=eps, n=n, dt=0.01, t_end=0.1)
         final = integrate(cfg, init)
-        u, v = final.u.samples, final.v.samples
+        u, v = final.u, final.v
         assert np.max(np.abs(u - self.reflect(u))) < 1e-13  # measured: <= 8e-16
         assert np.max(np.abs(v + self.reflect(v))) < 1e-13
 
@@ -512,12 +551,12 @@ class TestSignSymmetry:
         init = make_initial(
             {"shape": "gaussian", "a": a, "b": 2.0}, {"shape": "sine", "a": b, "k": 3}, g
         )
-        flipped = State(-init.u, -init.v, 0.0)
+        flipped = State(g, -init.u, -init.v, 0.0)
         cfg = config(kernel=Kernel(kernel), delta=delta, epsilon=0.3, n=n,
                      dt=0.02, t_end=0.5)
         out, out_flipped = integrate(cfg, init), integrate(cfg, flipped)
-        assert np.array_equal(out_flipped.u.samples, -out.u.samples)
-        assert np.array_equal(out_flipped.v.samples, -out.v.samples)
+        assert np.array_equal(out_flipped.u, -out.u)
+        assert np.array_equal(out_flipped.v, -out.v)
 
 
 class TestEpsilonScaling:
@@ -549,12 +588,12 @@ class TestEpsilonScaling:
 
         out, unit = run(eps, 1.0), run(1.0, eps)
         for field, scaled in ((out.u, unit.u), (out.v, unit.v)):
-            peak = np.max(np.abs(field.samples))
-            assert np.max(np.abs(field.samples - scaled.samples / eps)) <= 2e-15 * peak
+            peak = np.max(np.abs(field))
+            assert np.max(np.abs(field - scaled / eps)) <= 2e-15 * peak
 
 
 class TestSpectralCoreParity:
-    """The spectral-state stepper against an independent Field-level RK4."""
+    """The spectral-state stepper against an independent sample-level RK4."""
 
     GRID = Grid(10.0, 64)
     SYSTEMS = {
@@ -567,18 +606,18 @@ class TestSpectralCoreParity:
 
     @staticmethod
     def field_rk4(cfg, state, steps):
-        """Classical RK4 on Fields, built from the public spectral operators."""
-        kvals = None
+        """Classical RK4 on samples, built from the full-FFT reference operators."""
+        grid, kvals = state.grid, None
         if cfg.delta is not None:
-            kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, state.grid.freqs)
+            kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, grid.freqs)
 
         def rhs(u, v):
             stress = u
             if cfg.nonlinear_coefficient != 0.0:
-                stress = u + cfg.nonlinear_coefficient * dealiased_power(u, cfg.n + 1)
-            du, dv = derivative(v), derivative(stress)
+                stress = u + cfg.nonlinear_coefficient * dealiased_power(grid, u, cfg.n + 1)
+            du, dv = derivative(grid, v), derivative(grid, stress)
             if kvals is not None:
-                du, dv = apply_multiplier(du, kvals), apply_multiplier(dv, kvals)
+                du, dv = apply_multiplier(grid, du, kvals), apply_multiplier(grid, dv, kvals)
             return du, dv
 
         u, v, h = state.u, state.v, cfg.dt
@@ -605,8 +644,8 @@ class TestSpectralCoreParity:
         )
         out = integrate(cfg, init)
         u, v = self.field_rk4(cfg, init, steps)
-        assert np.max(np.abs(out.u.samples - u.samples)) <= 1e-13
-        assert np.max(np.abs(out.v.samples - v.samples)) <= 1e-13
+        assert np.max(np.abs(out.u - u)) <= 1e-13
+        assert np.max(np.abs(out.v - v)) <= 1e-13
 
     def test_batched_rows_equal_single_runs(self):
         g = Grid(20.0, 256)
@@ -621,11 +660,11 @@ class TestSpectralCoreParity:
         for cfg, row in zip(configs, rows):
             single = integrate(cfg, init)
             assert row.t == single.t
-            assert np.max(np.abs(row.u.samples - single.u.samples)) <= 1e-14
-            assert np.max(np.abs(row.v.samples - single.v.samples)) <= 1e-14
+            assert np.max(np.abs(row.u - single.u)) <= 1e-14
+            assert np.max(np.abs(row.v - single.v)) <= 1e-14
 
     def test_batch_configs_may_differ_only_in_delta(self, unit_grid):
-        st = State(zeros(unit_grid), zeros(unit_grid), 0.0)
+        st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         with pytest.raises(ValueError):
             integrate([config(delta=None), config(delta=0.5, epsilon=0.1)], st)
 
@@ -652,8 +691,8 @@ class TestSpectralCoreParity:
     def test_non_finite_final_state_signalled(self, unit_grid):
         # one step: the monitor check before it still sees finite data, and
         # eps u^2 overflows in the step
-        u = Field(unit_grid, 1e155 * np.sin(unit_grid.nodes))
-        st = State(u, zeros(unit_grid), 0.0)
+        u = 1e155 * np.sin(unit_grid.nodes)
+        st = State(unit_grid, u, zeros(unit_grid), 0.0)
         cfg = config(epsilon=1.0, n=1, dt=0.1, t_end=0.1, breakdown_threshold=1e300)
         with pytest.raises(NonFiniteError, match="t=0.1"):
             integrate(cfg, st)
@@ -669,10 +708,10 @@ class TestSpectralCoreParity:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as info:
                 make_initial(specs["u0"], specs["v0"], unit_grid)
-            samples = Field(unit_grid, 1e308 * np.sin(3 * unit_grid.nodes))
+            samples = 1e308 * np.sin(3 * unit_grid.nodes)
             fields = {"u0": zeros(unit_grid), "v0": zeros(unit_grid), key: samples}
             with pytest.raises(NonFiniteError, match="t=0.5") as state_error:
-                integrate(config(t_end=1.0), State(fields["u0"], fields["v0"], 0.5),
+                integrate(config(t_end=1.0), State(unit_grid, fields["u0"], fields["v0"], 0.5),
                           probe=lambda y, t: seen.append(t))
         assert info.value.field == key and seen == []
         assert not isinstance(state_error.value, ConfigError)
@@ -689,7 +728,7 @@ class TestSpectralCoreParity:
         x = g.nodes
         u0 = sum(a * np.cos((k + 1) * x) for k, a in enumerate(amplitudes[:3]))
         v0 = sum(a * np.sin((k + 1) * x) for k, a in enumerate(amplitudes[3:]))
-        init = State(Field(g, u0), Field(g, v0), 0.0)
+        init = State(g, u0, v0, 0.0)
         dt = 0.01
         rows = integrate(
             [
@@ -699,8 +738,8 @@ class TestSpectralCoreParity:
             init,
         )
         classical, dirac = rows
-        assert np.max(np.abs(dirac.u.samples - classical.u.samples)) <= 1e-14
-        assert np.max(np.abs(dirac.v.samples - classical.v.samples)) <= 1e-14
+        assert np.max(np.abs(dirac.u - classical.u)) <= 1e-14
+        assert np.max(np.abs(dirac.v - classical.v)) <= 1e-14
 
 
 class TestInPlaceStep:
@@ -725,8 +764,8 @@ class TestInPlaceStep:
         expected = integrate_rows(configs, init, configs[0].t_end)
         assert len(out) == len(expected)
         for state, (u, v) in zip(out, expected):
-            assert np.array_equal(state.u.samples, u)
-            assert np.array_equal(state.v.samples, v)
+            assert np.array_equal(state.u, u)
+            assert np.array_equal(state.v, v)
 
     @pytest.mark.parametrize("n,eps", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
     @pytest.mark.parametrize(
@@ -741,7 +780,7 @@ class TestInPlaceStep:
         out = integrate(configs, init)
         expected = integrate_rows(configs, init, configs[0].t_end, textbook=True)
         for state, (u, v) in zip(out, expected):
-            for got, want in ((state.u.samples, u), (state.v.samples, v)):
+            for got, want in ((state.u, u), (state.v, v)):
                 assert np.max(np.abs(got - want)) <= 1.6e-15 * np.max(np.abs(want))
 
 
@@ -774,8 +813,8 @@ class TestMonitorGate:
         else:
             assert isinstance(out, tuple) and len(out) == len(expected)
             for state, (u, v) in zip(out, expected):
-                assert np.array_equal(state.u.samples, u)
-                assert np.array_equal(state.v.samples, v)
+                assert np.array_equal(state.u, u)
+                assert np.array_equal(state.v, v)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -823,7 +862,7 @@ class TestMonitorGate:
     def test_huge_states_match_the_exact_monitor_loop(self, shape, size, eps, n, steps, threshold):
         x = self.GRID.nodes
         u = np.cos(np.pi * x / 10.0) ** 2 if shape == "wave" else (x == 0.0).astype(float)
-        init = State(Field(self.GRID, size * u), zeros(self.GRID), 0.0)
+        init = State(self.GRID, size * u, zeros(self.GRID), 0.0)
         configs = [
             config(delta=d, epsilon=eps, n=n, dt=0.01, t_end=steps * 0.01,
                    breakdown_threshold=threshold)
@@ -864,11 +903,11 @@ class TestMonitorGate:
     def test_constant_state_breaks_down_just_below_its_monitor(self, level):
         # u = level, v = 0 has monitor |level| and a bound equal to it: the
         # exact monitor decides both thresholds
-        init = State(Field(self.GRID, np.full(self.GRID.size, level)), zeros(self.GRID), 0.0)
+        init = State(self.GRID, np.full(self.GRID.size, level), zeros(self.GRID), 0.0)
         assert breakdown_monitor(init, config(delta=0.5)) == abs(level)
         at = config(delta=0.5, dt=0.01, t_end=0.05, breakdown_threshold=abs(level))
         final = integrate(at, init)
-        assert np.array_equal(final.u.samples, init.u.samples)
+        assert np.array_equal(final.u, init.u)
         below = replace(at, breakdown_threshold=np.nextafter(abs(level), 0.0))
         with pytest.raises(BreakdownError) as info:
             integrate(below, init)
@@ -916,7 +955,7 @@ class TestFinalStates:
         u, v = np.fft.irfft(kept[-1], n=self.GRID.size)
         for state, ur, vr in zip(final, u, v):
             assert isinstance(state, State) and state.t == self.STEPS * 0.01
-            assert np.array_equal(state.u.samples, ur) and np.array_equal(state.v.samples, vr)
+            assert np.array_equal(state.u, ur) and np.array_equal(state.v, vr)
 
 
 class TestProbe:
@@ -967,7 +1006,7 @@ class TestProbe:
         u0 = amplitude * np.exp(-g.nodes**2)
         w = (n + 1) * eps**n * u0**n
         assume(np.min(np.abs(1.0 + w)) > 1e-6)  # the two sides may round apart at 0
-        state = State(Field(g, u0), Field(g, 0.3 * np.sin(np.pi * g.nodes / 10.0)), 0.5)
+        state = State(g, u0, 0.3 * np.sin(np.pi * g.nodes / 10.0), 0.5)
         cfg = config(delta=delta, epsilon=eps, n=n)
         take = _sampler(cfg, g)
         y = _coefficients(state)[:, None]  # the one run of an `integrate` call

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nlwaves import (
     Chain,
     ConfigError,
-    Field,
     Grid,
     InvalidSpecError,
     Kernel,
@@ -215,7 +214,7 @@ class TestIntegrateChain:
         )
         spectral_final = integrate(cfg, make_initial(u0, v0, grid))
         chain_final = integrate_chain(make_chain(u0, v0, grid_l, size), 0.1, 1, dt, 1.0)
-        assert np.max(np.abs(spectral_final.u.samples - chain_final.strain)) < 1e-8
+        assert np.max(np.abs(spectral_final.u - chain_final.strain)) < 1e-8
 
     @settings(max_examples=20, deadline=None)
     @given(amplitudes=st.lists(st.floats(-0.3, 0.3), min_size=12, max_size=12))
@@ -232,7 +231,7 @@ class TestIntegrateChain:
         )
         spectral_final = integrate(cfg, make_initial(u0, v0, grid))
         chain_final = integrate_chain(make_chain(u0, v0, np.pi, 32), 0.0, 1, dt, t_end)
-        assert np.max(np.abs(spectral_final.u.samples - chain_final.strain)) <= 1e-13
+        assert np.max(np.abs(spectral_final.u - chain_final.strain)) <= 1e-13
 
     def test_momentum_conserved(self):
         rng = np.random.default_rng(5)
@@ -292,10 +291,10 @@ class TestChainIsTheTriangularModel:
         grid, dt = self.GRID, shared_dt(self.GRID)
         initial = make_initial({"shape": "gaussian", "a": a, "b": b}, None, grid)
         for k in (1, 2, 4, 8):
-            chain = make_chain(initial.u.samples[::k], None, grid.half_length, grid.size // k)
+            chain = make_chain(initial.u[::k], None, grid.half_length, grid.size // k)
             for eps in (0.0, 0.1):
                 cfg = ModelConfig(Kernel("triangular"), k * grid.spacing, dt, 1.0, eps)
-                spectral = integrate(cfg, initial).u.samples[::k]
+                spectral = integrate(cfg, initial).u[::k]
                 strain = integrate_chain(chain, eps, 1, dt, 1.0).strain
                 # the largest relative sup difference over 600 draws (4,800 runs) was 2.1e-15
                 assert np.max(np.abs(spectral - strain)) <= 5e-15 * np.max(np.abs(strain))
@@ -318,7 +317,7 @@ class TestSharedTimeGrid:
         grid = Grid(np.pi, 16)
         u0, v0 = trig_data([0.1, 0.0, 0.05, 0.0, 0.0, 0.02]), trig_data([0.0] * 6)
         initial = make_initial(u0, v0, grid)
-        initial = type(initial)(initial.u, initial.v, start)
+        initial = type(initial)(grid, initial.u, initial.v, start)
         chain = make_chain(u0, v0, np.pi, 16)
         chain = Chain(chain.half_length, chain.strain, chain.velocity, start)
         cfg = ModelConfig(kernel=Kernel("dirac"), delta=None, dt=dt, t_end=t_end, epsilon=0.1)
@@ -397,6 +396,17 @@ def test_chain_geometry():
     assert positions(chain)[0] == -10.0
     with pytest.raises(ValueError):
         Chain(10.0, np.zeros(8), np.zeros(4), 0.0)
+
+
+def test_empty_chain_rejected():
+    with pytest.raises(ValueError, match="at least one site"):
+        Chain(20.0, [], [], 0.0)
+
+
+@pytest.mark.parametrize("sites", [0, -4])
+def test_make_chain_rejects_fewer_than_one_site(sites):
+    with pytest.raises(ValueError, match="at least one site"):
+        make_chain(None, None, 20.0, sites)
 
 
 class TestChainEquality:

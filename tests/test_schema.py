@@ -80,9 +80,10 @@ LIBRARY = {
         pytest.param(lambda: integrate(model(epsilon=1, n=10**21), make_initial(None, None, GRID)),
                      "n", id="multiplier-n1e21"),
         # Sobolev weights or smoothing multipliers that overflow on the default grid
-        pytest.param(lambda: sobolev_norm(make_initial(None, None, Grid(20.0, 1024)).u, 99.0),
+        pytest.param(lambda: sobolev_norm(Grid(20.0, 1024),
+                                          make_initial(None, None, Grid(20.0, 1024)).u, 99.0),
                      "s", id="sobolev-norm"),
-        pytest.param(lambda: operator_error(TRI, 0.5, make_initial(None, None, GRID).u, 150.0,
+        pytest.param(lambda: operator_error(TRI, 0.5, GRID, make_initial(None, None, GRID).u, 150.0,
                                             10.0), "s", id="operator-error"),
         pytest.param(lambda: energy(make_initial(None, None, Grid(20.0, 1024)), model(s=200.0)),
                      "s", id="energy"),

@@ -1,4 +1,4 @@
-"""Grid/Field mechanics, multiplier algebra, norms, and the convolution oracle."""
+"""Grid mechanics, multiplier algebra, norms, and the convolution oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import (
-    Field,
     Grid,
     Kernel,
     NonFiniteError,
@@ -16,7 +15,6 @@ from reference import (
     apply_multiplier,
     dealiased_power,
     derivative,
-    field_from_spectrum,
     sobolev_norm,
     sobolev_scale,
     spectrum_norm,
@@ -30,7 +28,7 @@ def rng():
 
 
 def random_field(grid, rng):
-    return Field(grid, rng.standard_normal(grid.size))
+    return rng.standard_normal(grid.size)
 
 
 class TestGrid:
@@ -50,94 +48,61 @@ class TestGrid:
             Grid(-1.0, 64)
 
 
-class TestField:
-    def test_round_trip(self, rng):
-        g = Grid(10.0, 256)
-        f = random_field(g, rng)
-        back = field_from_spectrum(g, f.spectrum)
-        np.testing.assert_allclose(back.samples, f.samples, rtol=1e-13, atol=1e-15)
-
-    def test_spectrum_hermitian_for_real_samples(self, rng):
-        g = Grid(10.0, 128)
-        spec = random_field(g, rng).spectrum
-        flipped = np.conj(np.roll(spec[::-1], 1))
-        np.testing.assert_allclose(spec, flipped, rtol=1e-12, atol=1e-12)
-
-    def test_samples_are_read_only(self, rng):
-        f = random_field(Grid(10.0, 64), rng)
-        with pytest.raises(ValueError):
-            f.samples[0] = 99.0
-
-    def test_arithmetic_matches_sample_arithmetic(self, rng):
-        g = Grid(10.0, 64)
-        a, b = random_field(g, rng), random_field(g, rng)
-        np.testing.assert_array_equal((a + b).samples, a.samples + b.samples)
-        np.testing.assert_array_equal((a - b).samples, a.samples - b.samples)
-        np.testing.assert_array_equal((2.5 * a).samples, 2.5 * a.samples)
-        np.testing.assert_array_equal((-a).samples, -a.samples)
-
-    def test_mismatched_grids_rejected(self, rng):
-        a = random_field(Grid(10.0, 64), rng)
-        b = random_field(Grid(10.0, 128), rng)
-        with pytest.raises(ValueError):
-            a + b
-
-
 class TestApplyMultiplier:
     def test_identity(self, rng):
         g = Grid(10.0, 256)
         f = random_field(g, rng)
-        out = apply_multiplier(f, lambda xi: np.ones_like(xi))
-        assert np.max(np.abs(out.samples - f.samples)) < 1e-13
+        out = apply_multiplier(g, f, lambda xi: np.ones_like(xi))
+        assert np.max(np.abs(out - f)) < 1e-13
 
     def test_triangular_symbol_on_single_mode(self):
         g = Grid(np.pi, 64)
-        f = Field(g, np.sin(g.nodes))
+        f = np.sin(g.nodes)
         tri = Kernel("triangular")
-        out = apply_multiplier(f, tri.symbol)
+        out = apply_multiplier(g, f, tri.symbol)
         expected = 4 * np.sin(0.5) ** 2 * np.sin(g.nodes)
-        np.testing.assert_allclose(out.samples, expected, atol=1e-14)
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_zero_multiplier_gives_zero_field(self, rng):
         g = Grid(10.0, 64)
-        out = apply_multiplier(random_field(g, rng), lambda xi: np.zeros_like(xi))
-        assert np.max(np.abs(out.samples)) == 0.0
+        out = apply_multiplier(g, random_field(g, rng), lambda xi: np.zeros_like(xi))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_multiplier_array_accepted(self, rng):
         g = Grid(10.0, 64)
         f = random_field(g, rng)
         m = 1.0 / (1.0 + g.freqs**2)
-        a = apply_multiplier(f, m)
-        b = apply_multiplier(f, lambda xi: 1.0 / (1.0 + xi**2))
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = apply_multiplier(g, f, m)
+        b = apply_multiplier(g, f, lambda xi: 1.0 / (1.0 + xi**2))
+        np.testing.assert_array_equal(a, b)
 
     def test_non_finite_output_signalled(self, rng):
         g = Grid(10.0, 64)
         f = random_field(g, rng)
         with pytest.raises(NonFiniteError):
-            apply_multiplier(f, lambda xi: np.full_like(xi, np.inf))
+            apply_multiplier(g, f, lambda xi: np.full_like(xi, np.inf))
 
     def test_composition(self, rng):
         g = Grid(10.0, 256)
         f = random_field(g, rng)
         m1 = lambda xi: 1.0 / (1.0 + xi**2)
         m2 = Kernel("triangular").symbol
-        chained = apply_multiplier(apply_multiplier(f, m1), m2)
-        product = apply_multiplier(f, lambda xi: m1(xi) * m2(xi))
-        np.testing.assert_allclose(chained.samples, product.samples, atol=1e-12)
+        chained = apply_multiplier(g, apply_multiplier(g, f, m1), m2)
+        product = apply_multiplier(g, f, lambda xi: m1(xi) * m2(xi))
+        np.testing.assert_allclose(chained, product, atol=1e-12)
 
 
 class TestDerivative:
     def test_single_mode_exact(self):
         g = Grid(np.pi, 64)
-        f = Field(g, np.sin(2 * g.nodes))
-        out = derivative(f)
-        assert np.max(np.abs(out.samples - 2 * np.cos(2 * g.nodes))) < 1e-11
+        f = np.sin(2 * g.nodes)
+        out = derivative(g, f)
+        assert np.max(np.abs(out - 2 * np.cos(2 * g.nodes))) < 1e-11
 
     def test_constant_derivative_is_zero(self):
         g = Grid(5.0, 32)
-        out = derivative(Field(g, np.full(32, 3.7)))
-        assert np.max(np.abs(out.samples)) < 1e-14
+        out = derivative(g, np.full(32, 3.7))
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_gaussian_against_richardson_finite_difference(self):
         """Finite-difference oracle: h^2-extrapolated central differences."""
@@ -146,60 +111,60 @@ class TestDerivative:
         d1 = (np.roll(u, -1) - np.roll(u, 1)) / (2 * g.spacing)
         d2 = (np.roll(u, -2) - np.roll(u, 2)) / (4 * g.spacing)
         oracle = (4 * d1 - d2) / 3.0
-        out = derivative(Field(g, u))
-        assert np.max(np.abs(out.samples - oracle)) < 1e-6
+        out = derivative(g, u)
+        assert np.max(np.abs(out - oracle)) < 1e-6
 
     def test_nyquist_mode_zeroed(self):
         g = Grid(np.pi, 16)
-        f = Field(g, np.cos(8 * g.nodes))  # pure Nyquist mode
-        assert np.max(np.abs(derivative(f).samples)) < 1e-13
+        f = np.cos(8 * g.nodes)  # pure Nyquist mode
+        assert np.max(np.abs(derivative(g, f))) < 1e-13
 
     def test_commutes_with_multipliers(self, rng):
         g = Grid(10.0, 256)
         f = random_field(g, rng)
         k = Kernel("triangular").sqrt_symbol
-        a = derivative(apply_multiplier(f, k))
-        b = apply_multiplier(derivative(f), k)
-        np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
+        a = derivative(g, apply_multiplier(g, f, k))
+        b = apply_multiplier(g, derivative(g, f), k)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestSobolevScale:
     def test_zero_order_is_identity(self, rng):
         g = Grid(10.0, 64)
         f = random_field(g, rng)
-        np.testing.assert_allclose(sobolev_scale(f, 0.0).samples, f.samples, atol=1e-14)
+        np.testing.assert_allclose(sobolev_scale(g, f, 0.0), f, atol=1e-14)
 
     def test_single_mode_order_two(self):
         g = Grid(np.pi, 64)
-        f = Field(g, np.sin(g.nodes))
+        f = np.sin(g.nodes)
         np.testing.assert_allclose(
-            sobolev_scale(f, 2.0).samples, 2.0 * np.sin(g.nodes), atol=1e-13
+            sobolev_scale(g, f, 2.0), 2.0 * np.sin(g.nodes), atol=1e-13
         )
 
     def test_inverse_pair(self, rng):
         g = Grid(10.0, 128)
         f = random_field(g, rng)
-        back = sobolev_scale(sobolev_scale(f, 1.7), -1.7)
-        np.testing.assert_allclose(back.samples, f.samples, atol=1e-12)
+        back = sobolev_scale(g, sobolev_scale(g, f, 1.7), -1.7)
+        np.testing.assert_allclose(back, f, atol=1e-12)
 
 
 class TestNorms:
     def test_zero_field(self):
         g = Grid(10.0, 64)
-        assert sobolev_norm(zeros(g), 2.0) == 0.0
+        assert sobolev_norm(g, zeros(g), 2.0) == 0.0
 
     def test_single_mode_closed_forms(self):
         g = Grid(np.pi, 64)
-        f = Field(g, np.sin(g.nodes))
-        assert sobolev_norm(f, 0.0) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
-        assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-13)
+        f = np.sin(g.nodes)
+        assert sobolev_norm(g, f, 0.0) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+        assert sobolev_norm(g, f, 1.0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-13)
 
     def test_parseval_against_physical_quadrature(self, rng):
         g = Grid(13.0, 512)
         for _ in range(5):
             f = random_field(g, rng)
-            physical = np.sqrt(g.spacing * np.sum(f.samples**2))
-            assert sobolev_norm(f, 0.0) == pytest.approx(physical, rel=1e-12)
+            physical = np.sqrt(g.spacing * np.sum(f**2))
+            assert sobolev_norm(g, f, 0.0) == pytest.approx(physical, rel=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -215,19 +180,19 @@ class TestNorms:
         m = size // 2 + 1
         coeffs = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         coeffs[[0, -1]] = coeffs[[0, -1]].real  # the bins a real field's spectrum keeps real
-        f = Field(g, np.fft.irfft(coeffs, n=size))
+        f = np.fft.irfft(coeffs, n=size)
         norm = coefficient_norm(coeffs, norm_weights(g, s))
         assert np.isfinite(norm)
-        assert norm == pytest.approx(sobolev_norm(f, s), rel=1e-13)
-        assert norm == pytest.approx(spectrum_norm(g, f.spectrum, s), rel=1e-13)
+        assert norm == pytest.approx(sobolev_norm(g, f, s), rel=1e-13)
+        assert norm == pytest.approx(spectrum_norm(g, np.fft.fft(f), s), rel=1e-13)
 
     @pytest.mark.parametrize("size", [8, 256, 2048])
     def test_huge_gaussian_norm_is_finite_and_scales(self, size):
         g = Grid(20.0, size)
         gaussian = np.exp(-2.0 * g.nodes**2)
         for s in (0, 1, 2, 3):
-            unit = sobolev_norm(Field(g, gaussian), s)
-            huge = sobolev_norm(Field(g, 1e155 * gaussian), s)
+            unit = sobolev_norm(g, gaussian, s)
+            huge = sobolev_norm(g, 1e155 * gaussian, s)
             assert np.isfinite(huge)
             assert huge == pytest.approx(1e155 * unit, rel=1e-13)
 
@@ -235,16 +200,16 @@ class TestNorms:
         g = Grid(10.0, 64)
         rows = np.fft.rfft(np.stack([np.sin(g.nodes), np.zeros(64), 3.0 * np.cos(g.nodes)]))
         norms = coefficient_norm(rows, norm_weights(g, 1.0))
-        expected = [sobolev_norm(Field(g, np.fft.irfft(r, n=64)), 1.0) for r in rows]
+        expected = [sobolev_norm(g, np.fft.irfft(r, n=64), 1.0) for r in rows]
         assert norms.shape == (3,) and norms[1] == 0.0
         np.testing.assert_allclose(norms, expected, rtol=1e-15)
 
     def test_linf_on_grid_peak(self):
         g = Grid(np.pi, 64)  # contains x = pi/2
-        assert np.max(np.abs(Field(g, np.sin(g.nodes)).samples)) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(np.sin(g.nodes))) == pytest.approx(1.0, abs=1e-15)
         g2 = Grid(10.0, 256)  # contains x = 0
-        f = Field(g2, 3.0 * np.exp(-4 * g2.nodes**2))
-        assert np.max(np.abs(f.samples)) == pytest.approx(3.0, abs=1e-15)
+        f = 3.0 * np.exp(-4 * g2.nodes**2)
+        assert np.max(np.abs(f)) == pytest.approx(3.0, abs=1e-15)
 
 
 class TestSelfAdjointness:
@@ -253,10 +218,10 @@ class TestSelfAdjointness:
         k = Kernel("triangular").sqrt_symbol
         for _ in range(3):
             f, w = random_field(g, rng), random_field(g, rng)
-            kf = apply_multiplier(f, k)
-            kw = apply_multiplier(w, k)
-            lhs = g.spacing * np.sum(kf.samples * w.samples)
-            rhs = g.spacing * np.sum(f.samples * kw.samples)
+            kf = apply_multiplier(g, f, k)
+            kw = apply_multiplier(g, w, k)
+            lhs = g.spacing * np.sum(kf * w)
+            rhs = g.spacing * np.sum(f * kw)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -269,16 +234,16 @@ class TestParity:
     def test_even_multiplier_preserves_parity(self, rng):
         g = Grid(10.0, 256)
         base = rng.standard_normal(g.size)
-        even = Field(g, base + self.reflect(base))
-        out = apply_multiplier(even, Kernel("exponential").symbol)
-        np.testing.assert_allclose(out.samples, self.reflect(out.samples), atol=1e-13)
+        even = base + self.reflect(base)
+        out = apply_multiplier(g, even, Kernel("exponential").symbol)
+        np.testing.assert_allclose(out, self.reflect(out), atol=1e-13)
 
     def test_derivative_flips_parity(self, rng):
         g = Grid(10.0, 256)
         base = rng.standard_normal(g.size)
-        even = Field(g, base + self.reflect(base))
-        out = derivative(even)
-        np.testing.assert_allclose(out.samples, -self.reflect(out.samples), atol=1e-11)
+        even = base + self.reflect(base)
+        out = derivative(g, even)
+        np.testing.assert_allclose(out, -self.reflect(out), atol=1e-11)
 
 
 class TestConvolutionOracle:
@@ -294,36 +259,36 @@ class TestConvolutionOracle:
         for off, w in zip(offsets, weights):
             conv += w * np.roll(f, off)
         tri = Kernel("triangular")
-        out = apply_multiplier(Field(g, f), tri.symbol)
-        assert np.max(np.abs(out.samples - conv)) < 1e-6
+        out = apply_multiplier(g, f, tri.symbol)
+        assert np.max(np.abs(out - conv)) < 1e-6
 
 
 class TestDealiasedPower:
     def test_matches_pointwise_power_for_well_resolved_field(self):
         g = Grid(10.0, 512)
         u = np.exp(-g.nodes**2)  # spectrum decays far below the quarter band
-        out = dealiased_power(Field(g, u), 3)
-        np.testing.assert_allclose(out.samples, u**3, rtol=1e-12, atol=1e-13)
+        out = dealiased_power(g, u, 3)
+        np.testing.assert_allclose(out, u**3, rtol=1e-12, atol=1e-13)
 
     def test_projects_out_of_band_content(self):
         # squaring a half-band mode creates a mode outside the band: the
         # dealiased product must keep the in-band part and drop the rest
         g = Grid(np.pi, 16)
         m = 5
-        f = Field(g, np.cos(m * g.nodes))
-        out = dealiased_power(f, 2)
+        f = np.cos(m * g.nodes)
+        out = dealiased_power(g, f, 2)
         # cos^2 = 1/2 + cos(2m x)/2 and 2m=10 > N/2: only the mean survives
-        np.testing.assert_allclose(out.samples, np.full(g.size, 0.5), atol=1e-13)
+        np.testing.assert_allclose(out, np.full(g.size, 0.5), atol=1e-13)
 
     def test_power_one_is_identity(self):
         g = Grid(10.0, 64)
-        f = Field(g, np.sin(g.nodes))
-        assert dealiased_power(f, 1) is f
+        f = np.sin(g.nodes)
+        assert dealiased_power(g, f, 1) is f
 
     def test_invalid_power_rejected(self):
         g = Grid(10.0, 64)
         with pytest.raises(ValueError):
-            dealiased_power(zeros(g), 0)
+            dealiased_power(g, zeros(g), 0)
 
 
 class TestIntegerPower:
