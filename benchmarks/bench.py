@@ -7,7 +7,7 @@ frequencies, for each built-in kernel, at delta 0.4) at N in {256, 2048}.
 Times one right-hand-side call (the closure for dt/2 that
 `dynamics._spectral_rhs` builds, under the numpy settings with which
 `dynamics._march` steps it), one bare RK4 step (the first scaled stage and
-`dynamics._rk4` on the closures for dt/2, dt and dt/6, under the same
+`dynamics._rk4` on the closures for dt/2 and dt, under the same
 settings, with no check, probe or snapshot) and one step of a whole
 `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in {0, 0.1}:
 triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A row is
@@ -104,11 +104,11 @@ def time_rhs(grid: Grid, configs, init) -> dict:
     out, stage, k = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     scaled = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
     dt = configs[0].dt
-    half, full, sixth = scaled(0.5 * dt), scaled(dt), scaled(dt / 6.0)
+    half, full = scaled(0.5 * dt), scaled(dt)
 
     def step():
         half(y, out)
-        _rk4(half, full, sixth, y, stage, k, out)
+        _rk4(half, full, y, stage, k, out)
 
     return {"rhs_call": stage_repeat(lambda: half(y, out), len(configs)),
             "rk4_step": stage_repeat(step, len(configs))}
@@ -126,12 +126,10 @@ def time_monitors(grid: Grid, configs, init) -> dict:
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     ddx = _multiplier(grid, None, None)
     bound = dynamics._state_bound(multiplier, ddx, grid.size)
-    stacked = np.empty((3, *y.shape[1:]), dtype=complex)
-    samples = np.empty((3, len(configs), grid.size))
     return {
         "monitor_bound": stage_repeat(lambda: bound(y), len(configs)),
         "monitor": stage_repeat(
-            lambda: dynamics._monitor(y[0], multiplier * y[1], ddx, stacked, samples),
+            lambda: dynamics._monitor(y[0], multiplier * y[1], ddx, grid.size),
             len(configs)),
     }
 

@@ -114,7 +114,7 @@ def _build_kernel(spec: str) -> Kernel:
         raise ConfigError("kernel", f"not a built-in kernel name or table file: {spec}")
     try:
         return Kernel.from_file(path)
-    except (ValueError, InvalidSpecError) as exc:  # np.loadtxt raises ValueError
+    except (ValueError, InvalidSpecError, OSError) as exc:  # np.loadtxt: unparsable, unreadable
         raise ConfigError("kernel", f"bad table file {spec}: {exc}") from None
 
 

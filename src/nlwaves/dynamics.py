@@ -16,23 +16,25 @@ right-hand side is then M (v^, u^) + (0, M g(u)^) with the fused multiplier
 M = i xi sqrt(b(delta xi)) built once per call.  An RK4 stage writes c f(y),
 its weight c folded in: one multiply of c M by the swapped pair, plus, when
 eps != 0, the power of u on a zero-padded grid of P >= (n+2)/2 N points (one
-padded transform pair, which removes its aliasing exactly) and one
-multiply-add by c eps^n (P/N)^n M; `_spectral_rhs` builds one closure per c
-over one set of buffers.  The pair calls the two
+transform pair, which removes its aliasing exactly; the inverse transform
+pads the N/2 + 1 coefficients itself) and one multiply-add by c eps^n
+(P/N)^n M.  `_spectral_rhs` builds one closure per c over one set of
+buffers, and a step uses two: c = h/2 and c = h.  The pair calls the two
 pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in, bound once
 at import: at N=256 the wrappers' checks cost about as much as a
 transform.  Every other transform goes through `np.fft`.  Before each step
 the breakdown monitor is bounded from the state alone (`_state_bound`);
-the exact monitor, one inverse transform of all rows, runs only when the
-bound reaches the threshold, so every breakdown decision is the exact
-monitor's.  Runs that differ only in delta are rows of one array and share
-every transform.
+the exact monitor, one inverse transform of all rows, runs and allocates
+its buffers only when the bound reaches the threshold, so every breakdown
+decision is the exact monitor's.  Runs that differ only in delta are rows
+of one array and share every transform.
 
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
 finiteness check, its one hook and its numpy error state, and allocates its
-work buffers once per call; a step then allocates only its new state.
+work buffers once per call; a step then allocates only its new state, and
+the exact monitor's buffers when the gate trips.
 
 The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
 every step, and every built-in diagnostic reads them through it; `_Recorder`
@@ -204,11 +206,12 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     transform is rescaled: scaled(c) builds the multipliers c M and c eps^n
     (P/N)^n M, which zeroes the left-out Nyquist bin, and every closure
     shares the work buffers built here, once.  The pair is the gufunc calls
-    that `np.fft.irfft(fine, n=P, out=product)` and `np.fft.rfft(product,
-    out=spec)` make after their checks, with numpy's scales 1/P and 1; P is
-    even, so the forward gufunc is `rfft_n_even`.  Raises ConfigError naming
-    n when eps^n (P/N)^n (`_nonlinear_scale`) or its product with M is not
-    finite.
+    that `np.fft.irfft(head, n=P, out=product)` and `np.fft.rfft(product,
+    out=spec)` make after their checks, with numpy's scales 1/P and 1; the
+    inverse gufunc zero-pads the N/2 + 1 weighted coefficients `head` to P/2
+    + 1 itself, and P is even, so the forward gufunc is `rfft_n_even`.
+    Raises ConfigError naming n when eps^n (P/N)^n (`_nonlinear_scale`) or
+    its product with M is not finite.
     """
     scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
     if scale == 0.0:
@@ -220,25 +223,25 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     power, half = cfg.n + 1, size // 2
     padded = _padded_size(size, power)
     with np.errstate(over="ignore", invalid="ignore"):
-        m_nl = scale * multiplier[..., :half]
-    if not np.all(np.isfinite(m_nl)):
+        finite = np.all(np.isfinite(scale * multiplier[..., :half]))
+    if not finite:
         raise ConfigError("n", f"the nonlinear multiplier epsilon**n (P/N)**n M overflows at "
                                f"n = {cfg.n}")
     weights = np.append(np.ones(half, complex), 0.5)
-    fine = np.zeros((*shape[:-1], padded // 2 + 1), complex)  # zero above N/2
-    head = fine[..., : half + 1]
+    head = np.empty((*shape[:-1], half + 1), complex)
     product = np.empty((*shape[:-1], padded))
-    spec = np.empty_like(fine)
+    spec = np.empty((*shape[:-1], padded // 2 + 1), complex)
     scratch = spec.view(float)[..., :padded]  # partial products, until rfft writes spec
     stress = spec[..., :half]
 
     def scaled(c):
-        m, m_nl_c = c * multiplier, c * m_nl
+        m, m_nl_c = c * multiplier, scale * multiplier[..., :half]
+        m_nl_c *= c
 
         def rhs(y, out):
             np.multiply(m, y[::-1], out=out)
             np.multiply(y[0], weights, out=head)
-            _irfft(fine, 1 / padded, out=product)
+            _irfft(head, 1 / padded, out=product)
             _integer_power(product, power, out=product, scratch=scratch)
             _rfft(product, 1.0, out=spec)
             np.multiply(m_nl_c, stress, out=stress)
@@ -260,17 +263,14 @@ def _smoothing(grid: Grid, s: float) -> np.ndarray:
     return scale
 
 
-def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, stacked, samples) -> np.ndarray:
-    """|u|_inf + |u_t|_inf + |u_x|_inf per row, from one inverse transform.
+def _monitor(u: np.ndarray, du: np.ndarray, ddx: np.ndarray, size: int) -> np.ndarray:
+    """|u|_inf + |u_t|_inf + |u_x|_inf per row, from one inverse transform of
+    the coefficients of u and u_t to `size` points.
 
     ddx is the classical multiplier, so ddx * u is the coefficient array of
-    u_x; `stacked` (3, *u.shape) and `samples` (3, *u.shape[:-1], N) are work buffers.
+    u_x; the stacked coefficients and their samples are built per call.
     """
-    stacked[0] = u
-    stacked[1] = du
-    np.multiply(ddx, u, out=stacked[2])
-    np.fft.irfft(stacked, n=samples.shape[-1], out=samples)
-    return _peak_sum(samples)
+    return _peak_sum(np.fft.irfft(np.stack([u, du, ddx * u]), n=size))
 
 
 def _peak_sum(samples: np.ndarray) -> np.ndarray:
@@ -306,15 +306,15 @@ def _state_bound(multiplier: np.ndarray, ddx: np.ndarray, size: int):
     return bound
 
 
-def _rk4(half, full, sixth, y: np.ndarray, stage, k, acc):
+def _rk4(half, full, y: np.ndarray, stage, k, acc):
     """One RK4 step of the stacked pair y = (u, v) in scaled stages; returns the new y.
 
-    half, full and sixth write (h/2) f, h f and (h/6) f of their first
-    argument into their second; `acc` holds a = (h/2) f(y) on entry, and
-    `stage` and `k` are buffers shaped like y.  With b = (h/2) f(y + a), c =
-    h f(y + b) and d = (h/6) f(y + c) the new y is y + ((a + b + b + c) (1/3)
-    + d), the one array allocated; it is never written again, so a probe may
-    keep it.  Serves coefficient arrays and the chain's site arrays alike.
+    half and full write (h/2) f and h f of their first argument into their
+    second; `acc` holds a = (h/2) f(y) on entry, and `stage` and `k` are
+    buffers shaped like y.  With b = (h/2) f(y + a), c = h f(y + b) and d =
+    (h/2) f(y + c) the new y is y + (a + b + b + c + d) (1/3), the one array
+    allocated; it is never written again, so a probe may keep it.  Serves
+    coefficient arrays and the chain's site arrays alike.
     """
     np.add(y, acc, out=stage)
     half(stage, k)  # b
@@ -324,9 +324,9 @@ def _rk4(half, full, sixth, y: np.ndarray, stage, k, acc):
     full(stage, k)  # c
     np.add(y, k, out=stage)
     np.add(acc, k, out=acc)
-    sixth(stage, k)  # d
-    np.multiply(acc, 1.0 / 3.0, out=acc)  # numpy's complex acc / 3 is this multiply
+    half(stage, k)  # d
     np.add(acc, k, out=acc)
+    np.multiply(acc, 1.0 / 3.0, out=acc)  # numpy's complex acc / 3 is this multiply
     return np.add(y, acc)
 
 
@@ -346,9 +346,12 @@ def _hook(probe, observers):
 
 def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
     """March y from t to t_end with RK4 steps of dt, the last one shortened to
-    land on t_end; returns the y of the last step, or y itself if there is none.
+    land on t_end; returns the y of the last step.
 
-    scaled(c) returns rhs(y, out), which writes c f(y) into out.  probe(y,
+    scaled(c) returns rhs(y, out), which writes c f(y) into out; the march
+    builds the closures for h/2 and h once, and once more for a shortened
+    last step.  y is the march's own: it may be freed after the first step,
+    and is returned when there is none.  probe(y,
     t), if not None, sees y at t and after every step; it must not write y,
     and may keep it, since a stepped y is never written again.  Before each
     step check(y, a, t) sees the state and a = (h/2) f(y) and may raise; the
@@ -372,11 +375,11 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
             last = i == steps - 1
             h = t_end - t if last else dt
             if i == 0 or h != dt:  # for dt, and again for a shortened last step
-                half = full = sixth = None  # dt's closures go first, to bound memory
-                half, full, sixth = scaled(0.5 * h), scaled(h), scaled(h / 6.0)
+                half = full = None  # dt's closures go first, to bound memory
+                half, full = scaled(0.5 * h), scaled(h)
             half(y, acc)
             check(y, acc, t)
-            y = _rk4(half, full, sixth, y, stage, k, acc)
+            y = _rk4(half, full, y, stage, k, acc)
             t = t_end if last else t + h
             if last and not np.all(np.isfinite(y)):
                 raise NonFiniteError(f"state became non-finite at t={t:.6g}")
@@ -523,14 +526,10 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         raise NonFiniteError(f"the real-FFT coefficients of the state at t={initial.t:.6g} "
                              "are not finite")
     grid = initial.grid
-    y = np.empty((2, len(configs), grid.size // 2 + 1), dtype=complex)
-    y[...] = coefficients[:, None]
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
-    scaled = _spectral_rhs(multiplier, base, grid.size, y.shape[1:])
+    scaled = _spectral_rhs(multiplier, base, grid.size, multiplier.shape)
     ddx = _multiplier(grid, None, None)
     gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
-    stacked = np.empty((3, *y.shape[1:]), dtype=complex)
-    samples = np.empty((3, len(configs), grid.size))
     bound = _state_bound(multiplier, ddx, grid.size)
 
     def check(y, _a, t):
@@ -538,15 +537,17 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         # threshold (a NaN bound fails the test too)
         if (bound(y) <= gate).all():
             return
-        monitor = _monitor(y[0], multiplier * y[1], ddx, stacked, samples)
+        monitor = _monitor(y[0], multiplier * y[1], ddx, grid.size)
         if not np.all(np.isfinite(monitor)):
             raise NonFiniteError(f"state became non-finite at t={t:.6g}")
         over = monitor > base.breakdown_threshold
         if np.any(over):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
-    last = _march(scaled, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
-    if last is y:
+    # the stack is the march's alone, so it is freed once the first step replaces it
+    last = _march(scaled, np.repeat(coefficients[:, None], len(configs), axis=1), initial.t,
+                  base.t_end, base.dt, check, _hook(probe, observers))
+    if n_steps(base.t_end - initial.t, base.dt) == 0:
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so each State views it
         final = np.fft.irfft(last, n=grid.size)

@@ -86,7 +86,8 @@ def coefficient_norm(coeffs, weights: np.ndarray) -> np.ndarray:
     pairs = np.ascontiguousarray(coeffs, dtype=complex).view(float)
     e = np.frexp(np.max(np.abs(pairs), axis=-1, keepdims=True))[1]
     scaled = np.ldexp(pairs, -e)
-    return np.ldexp(np.sqrt(np.sum(weights * np.square(scaled, out=scaled), axis=-1)), e[..., 0])
+    np.multiply(np.square(scaled, out=scaled), weights, out=scaled)
+    return np.ldexp(np.sqrt(np.sum(scaled, axis=-1)), e[..., 0])
 
 
 def _integer_power(x: np.ndarray, power: int, out=None, scratch=None) -> np.ndarray:

@@ -81,8 +81,7 @@ def breakdown_monitor(state, cfg: ModelConfig) -> float:
     grid = state.grid
     u, v = dynamics._coefficients(state)
     du = _multiplier(grid, cfg.kernel, cfg.delta) * v
-    stacked, samples = np.empty((3, *u.shape), dtype=complex), np.empty((3, grid.size))
-    return float(dynamics._monitor(u, du, _multiplier(grid, None, None), stacked, samples))
+    return float(dynamics._monitor(u, du, _multiplier(grid, None, None), grid.size))
 
 
 def rhs_fields(state, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -235,16 +234,16 @@ def _scaled_rk4(scaled, u, v, h: float):
     """One RK4 step of the pair (u, v) in the scaled-stage arithmetic of
     `dynamics._rk4`; scaled(c) -> rhs(u, v) -> c times the derivative.
 
-    With a = (h/2) f(y), b = (h/2) f(y + a), c = h f(y + b) and d = (h/6)
-    f(y + c), the new y is y + ((a + b + b + c) (1/3) + d).
+    With a = (h/2) f(y), b = (h/2) f(y + a), c = h f(y + b) and d = (h/2)
+    f(y + c), the new y is y + (a + b + b + c + d) (1/3).
     """
-    half, full, sixth = scaled(0.5 * h), scaled(h), scaled(h / 6.0)
+    half, full = scaled(0.5 * h), scaled(h)
     au, av = half(u, v)
     bu, bv = half(u + au, v + av)
     cu, cv = full(u + bu, v + bv)
-    du, dv = sixth(u + cu, v + cv)
+    du, dv = half(u + cu, v + cv)
     third = 1.0 / 3.0
-    return u + ((au + bu + bu + cu) * third + du), v + ((av + bv + bv + cv) * third + dv)
+    return u + (au + bu + bu + cu + du) * third, v + (av + bv + bv + cv + dv) * third
 
 
 def _neighbours(sizes) -> tuple[np.ndarray, np.ndarray]:

@@ -412,6 +412,21 @@ class TestConfigTypes:
         assert "config field 'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "run" / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["kernel-info", "simulate", "converge-dispersion"])
+    def test_unreadable_kernel_table_exits_3_before_out_is_made(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # root reads a mode-000 file, so the read error is raised by hand
+        def unreadable(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        np.savetxt(tmp_path / "kern.txt", [[0.0, 1.0], [1.0, 0.5]])
+        monkeypatch.setattr(np, "loadtxt", unreadable)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, kernel=str(tmp_path / "kern.txt"), grid_n=64, t_end=0.05)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "config field 'kernel'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", ["simulate", "kernel-info", "converge-dispersion", "converge-lattice"]
     )

@@ -462,7 +462,7 @@ class TestInPlaceChainStep:
     @pytest.mark.parametrize("n,epsilon", [(1, 0.0), (1, 0.1), (2, 0.1), (3, 0.1)])
     def test_batched_chains_are_the_textbook_step_to_round_off(self, n, epsilon):
         # the scaled stages reorder the textbook step's arithmetic only: the
-        # largest relative sup difference over these cases measured 3.9e-15
+        # largest relative sup difference over these cases measured 4.0e-15
         u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
         v0 = {"shape": "sine", "a": 0.3, "k": 2}
         chains = [make_chain(u0, v0, 8.0, m) for m in (128, 64, 32, 16)]
