@@ -14,8 +14,13 @@ triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A row is
 one run; five rows are the deltas of one batched sweep, stepped together.
 At eps 0.1 it also times the breakdown check's two layers on the
 coefficients after 20 steps, under the same settings: the bound from the
-state (`dynamics._state_bound`) and the exact monitor (the product M v^ and
-`dynamics._monitor`).  It times one step of an `integrate_chain` call that
+state (`dynamics._state_bound`, its abs written into a spare array as the
+march's stage buffer takes it) and the exact monitor (the product M v^ and
+`dynamics._monitor`).  Each (N, rows, eps) cell also records
+`integrate_peak_bytes`: the tracemalloc peak of one whole `integrate` call
+above the memory traced before it, after an untraced call, a number that
+repeats from run to run where timings do not.  It times one step of an
+`integrate_chain` call that
 steps the lattice sweep's four chains of deltas h * {8, 4, 2, 1} at N=2048
 and eps 0.1, and one diagnostic sample as each command takes it from the
 stepped arrays: `simulate`'s energy, monitor and |u|_inf at N=256 (one row,
@@ -37,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
@@ -125,13 +131,26 @@ def time_monitors(grid: Grid, configs, init) -> dict:
     y = stepped(configs, init)
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     ddx = _multiplier(grid, None, None)
-    bound = dynamics._state_bound(multiplier, ddx, grid.size)
+    bound, spare = dynamics._state_bound(multiplier, ddx, grid.size), np.empty_like(y)
     return {
-        "monitor_bound": stage_repeat(lambda: bound(y), len(configs)),
+        "monitor_bound": stage_repeat(lambda: bound(y, spare), len(configs)),
         "monitor": stage_repeat(
             lambda: dynamics._monitor(y[0], multiplier * y[1], ddx, grid.size),
             len(configs)),
     }
+
+
+def traced_peak(call) -> int:
+    """Bytes of the tracemalloc peak of call() above the memory traced before
+    it, after one untraced call keeps numpy's first-call allocations out."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def time_chain_step() -> list[float]:
@@ -236,6 +255,9 @@ def main(argv=None) -> int:
                 for layer, (batch, seconds) in timings.items():
                     results.append({"layer": layer, **case, "batch": batch, **summary(seconds)})
                     report(results[-1])
+                peak = traced_peak(lambda: integrate(run, init))
+                results.append({"layer": "integrate_peak_bytes", **case, "bytes": peak})
+                print(f"{'integrate_peak':17s} N={size:5d} rows={rows} eps={eps:<4g}    {peak} B")
     results.append({"layer": "chain_step", "grid_n": 2048, "rows": len(CHAIN_STRIDES),
                     "epsilon": 0.1, "batch": STEPS, **summary(time_chain_step())})
     report(results[-1])

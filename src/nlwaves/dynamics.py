@@ -17,9 +17,10 @@ M = i xi sqrt(b(delta xi)) built once per call.  An RK4 stage writes c f(y),
 its weight c folded in: one multiply of c M by the swapped pair, plus, when
 eps != 0, the power of u on a zero-padded grid of P >= (n+2)/2 N points (one
 transform pair, which removes its aliasing exactly; the inverse transform
-pads the N/2 + 1 coefficients itself) and one multiply-add by c eps^n
-(P/N)^n M.  `_spectral_rhs` builds one closure per c over one set of
-buffers, and a step uses two: c = h/2 and c = h.  The pair calls the two
+pads the N/2 + 1 coefficients itself, and its scale carries eps^n (P/N)^n
+as an (n+1)-th root) and one multiply-add by the same c M.  `_spectral_rhs`
+builds one closure per c, each holding c M alone, over one set of buffers,
+and a step uses two: c = h/2 and c = h.  The pair calls the two
 pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in, bound once
 at import: at N=256 the wrappers' checks cost about as much as a
 transform.  Every other transform goes through `np.fft`.  Before each step
@@ -34,7 +35,12 @@ particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
 finiteness check, its one hook and its numpy error state, and allocates its
 work buffers once per call; a step then allocates only its new state, and
-the exact monitor's buffers when the gate trips.
+the exact monitor's buffers when the gate trips.  Counted in rows of N/2 + 1
+complex coefficients, a spectral run at n = 1 holds 18: the state, the new
+state and the march's three buffers, two rows each (10), c M in each
+closure (2), the padded samples and spectrum, the weighted coefficients
+inside the latter (3), M (1) and the state bound's weights (2), whose abs
+goes to the free stage buffer.
 
 The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
 every step, and every built-in diagnostic reads them through it; `_Recorder`
@@ -202,16 +208,18 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
 
     The power is taken on P = `_padded_size` points, zero-padded, and
     truncated back, which removes its aliasing exactly; the weight 1/2 splits
-    the Nyquist coefficient between the +/- N/2 padded modes.  Neither
-    transform is rescaled: scaled(c) builds the multipliers c M and c eps^n
-    (P/N)^n M, which zeroes the left-out Nyquist bin, and every closure
-    shares the work buffers built here, once.  The pair is the gufunc calls
-    that `np.fft.irfft(head, n=P, out=product)` and `np.fft.rfft(product,
-    out=spec)` make after their checks, with numpy's scales 1/P and 1; the
-    inverse gufunc zero-pads the N/2 + 1 weighted coefficients `head` to P/2
-    + 1 itself, and P is even, so the forward gufunc is `rfft_n_even`.
-    Raises ConfigError naming n when eps^n (P/N)^n (`_nonlinear_scale`) or
-    its product with M is not finite.
+    the Nyquist coefficient between the +/- N/2 padded modes.  The scale
+    eps^n (P/N)^n rides in the inverse transform's scale, as its (n+1)-th
+    root r: the power of r times the samples is eps^n (P/N)^n times theirs.
+    scaled(c) builds the one multiplier c M, whose first N/2 bins weigh the
+    power, which leaves out its Nyquist bin, and every closure shares the
+    work buffers built here, once.  The pair is the gufunc calls that
+    `np.fft.irfft(head, n=P, norm="forward")` and `np.fft.rfft(product,
+    out=spec)` make after their checks, with the scales r/P and 1; the
+    inverse gufunc zero-pads the N/2 + 1 weighted coefficients `head`, the
+    head of `spec`, to P/2 + 1 itself, and P is even, so the forward gufunc
+    is `rfft_n_even`.  Raises ConfigError naming n when eps^n (P/N)^n
+    (`_nonlinear_scale`) or its product with M is not finite.
     """
     scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
     if scale == 0.0:
@@ -227,24 +235,25 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     if not finite:
         raise ConfigError("n", f"the nonlinear multiplier epsilon**n (P/N)**n M overflows at "
                                f"n = {cfg.n}")
+    inverse_scale = scale ** (1.0 / power) / padded
     weights = np.append(np.ones(half, complex), 0.5)
-    head = np.empty((*shape[:-1], half + 1), complex)
     product = np.empty((*shape[:-1], padded))
     spec = np.empty((*shape[:-1], padded // 2 + 1), complex)
-    scratch = spec.view(float)[..., :padded]  # partial products, until rfft writes spec
+    # the weighted coefficients, then the partial products, until rfft writes spec
+    head, scratch = spec[..., :half + 1], spec.view(float)[..., :padded]
     stress = spec[..., :half]
 
     def scaled(c):
-        m, m_nl_c = c * multiplier, scale * multiplier[..., :half]
-        m_nl_c *= c
+        m = c * multiplier
+        m_stress = m[..., :half]
 
         def rhs(y, out):
             np.multiply(m, y[::-1], out=out)
             np.multiply(y[0], weights, out=head)
-            _irfft(head, 1 / padded, out=product)
+            _irfft(head, inverse_scale, out=product)
             _integer_power(product, power, out=product, scratch=scratch)
             _rfft(product, 1.0, out=spec)
-            np.multiply(m_nl_c, stress, out=stress)
+            np.multiply(m_stress, stress, out=stress)
             dv = out[1, ..., :half]
             np.add(dv, stress, out=dv)
 
@@ -280,14 +289,16 @@ def _peak_sum(samples: np.ndarray) -> np.ndarray:
 
 
 def _state_bound(multiplier: np.ndarray, ddx: np.ndarray, size: int):
-    """y -> per-row upper bound on `_monitor` of u^ and M v^, without a
-    transform, for coefficients y = (u^, v^) of shape (2, *multiplier.shape).
+    """(y, spare) -> per-row upper bound on `_monitor` of u^ and M v^, without
+    a transform, for coefficients y = (u^, v^) of shape (2, *multiplier.shape).
 
     An inverse real DFT sample is at most sum_k w_k |c_k| with w_0 = w_{N/2} =
     1/N and 2/N elsewhere, and |c| <= |Re c| + |Im c|; the u_x term weighs u^
     by |xi| and skips the Nyquist bin, as ddx does.  Every symbol is real, so
     M is imaginary and |Re M v| + |Im M v| = |M| (|Re v| + |Im v|): one abs
-    and one dot per row, against weights built here, once.
+    and one dot per row, against weights built here, once.  The abs is
+    written into `spare`, a complex array of y's shape whose contents are
+    overwritten (the march's free `stage`), so the bound keeps no scratch.
     """
     w = np.full(ddx.shape, 2.0 / size)
     w[0] = w[-1] = 1.0 / size
@@ -296,12 +307,11 @@ def _state_bound(multiplier: np.ndarray, ddx: np.ndarray, size: int):
     weights[:, 0] = np.repeat(w * (1.0 + np.abs(ddx)), 2)
     weights[:, 1] = np.repeat(w * np.abs(multiplier), 2, axis=-1)
     weights = weights.reshape(rows, -1)
-    scratch = np.empty((rows, 2, 2 * ddx.size))
-    flat = scratch.reshape(rows, -1)
 
-    def bound(y):
+    def bound(y, spare):
+        scratch = spare.reshape(-1).view(float).reshape(rows, 2, -1)  # as (row, u or v, pairs)
         np.abs(y.view(float).transpose(1, 0, 2), out=scratch)
-        return np.vecdot(flat, weights)
+        return np.vecdot(scratch.reshape(rows, -1), weights)
 
     return bound
 
@@ -351,11 +361,13 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
     scaled(c) returns rhs(y, out), which writes c f(y) into out; the march
     builds the closures for h/2 and h once, and once more for a shortened
     last step.  y is the march's own: it may be freed after the first step,
-    and is returned when there is none.  probe(y,
-    t), if not None, sees y at t and after every step; it must not write y,
-    and may keep it, since a stepped y is never written again.  Before each
-    step check(y, a, t) sees the state and a = (h/2) f(y) and may raise; the
-    state after the last step must be finite.  Steps and probes ignore
+    and is returned when there is none.  probe(y, t), if not None, sees y at
+    t and after every step; it must not write y, and may keep it, since a
+    stepped y is never written again.  Before each step check(y, a, t,
+    spare) sees the state, a = (h/2) f(y) and `stage`, a buffer shaped like
+    y that it may overwrite, and may raise; the state after the last step
+    must be finite.  The march holds y, the new y, `stage`, `k` and `acc`,
+    and the two closures.  Steps and probes ignore
     overflow and invalid.  Raises ValueError, before the first probe, when
     t_end precedes t.
     """
@@ -378,7 +390,7 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
                 half = full = None  # dt's closures go first, to bound memory
                 half, full = scaled(0.5 * h), scaled(h)
             half(y, acc)
-            check(y, acc, t)
+            check(y, acc, t, stage)
             y = _rk4(half, full, y, stage, k, acc)
             t = t_end if last else t + h
             if last and not np.all(np.isfinite(y)):
@@ -391,6 +403,17 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
 def _coefficients(state: State) -> np.ndarray:
     """Real-FFT coefficients of (u, v), stacked."""
     return np.fft.rfft(np.stack([state.u, state.v]))
+
+
+def _initial_rows(state: State, rows: int) -> np.ndarray:
+    """The coefficients of `state` repeated for `rows` runs, shape (2, rows,
+    N/2 + 1); raises NonFiniteError when they are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _coefficients(state)
+    if not np.all(np.isfinite(coefficients)):
+        raise NonFiniteError(f"the real-FFT coefficients of the state at t={state.t:.6g} "
+                             "are not finite")
+    return np.repeat(coefficients[:, None], rows, axis=1)
 
 
 def _energy(u: np.ndarray, lu: np.ndarray, lv: np.ndarray, cfg: ModelConfig, h: float,
@@ -520,11 +543,6 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     base = configs[0]
     if any(_shared_settings(c) != _shared_settings(base) for c in configs[1:]):
         raise ValueError("batched configs may differ only in delta")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _coefficients(initial)
-    if not np.all(np.isfinite(coefficients)):
-        raise NonFiniteError(f"the real-FFT coefficients of the state at t={initial.t:.6g} "
-                             "are not finite")
     grid = initial.grid
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     scaled = _spectral_rhs(multiplier, base, grid.size, multiplier.shape)
@@ -532,10 +550,10 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
     bound = _state_bound(multiplier, ddx, grid.size)
 
-    def check(y, _a, t):
+    def check(y, _a, t, spare):
         # below the gate the exact monitor is finite and cannot exceed the
         # threshold (a NaN bound fails the test too)
-        if (bound(y) <= gate).all():
+        if (bound(y, spare) <= gate).all():
             return
         monitor = _monitor(y[0], multiplier * y[1], ddx, grid.size)
         if not np.all(np.isfinite(monitor)):
@@ -545,8 +563,8 @@ def integrate(cfg, initial: State, observers=(), probe=None):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
     # the stack is the march's alone, so it is freed once the first step replaces it
-    last = _march(scaled, np.repeat(coefficients[:, None], len(configs), axis=1), initial.t,
-                  base.t_end, base.dt, check, _hook(probe, observers))
+    last = _march(scaled, _initial_rows(initial, len(configs)), initial.t, base.t_end, base.dt,
+                  check, _hook(probe, observers))
     if n_steps(base.t_end - initial.t, base.dt) == 0:
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so each State views it

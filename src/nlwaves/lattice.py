@@ -80,11 +80,12 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * (c / delta^2) is taken on shifted
     slices of the whole array, then redone at each chain's first and last
     site with the neighbours that wrap within the chain: the same operations
-    in the same order as on gathered neighbours, so the same bits.  g, 2 g
-    and the power's partial products live in buffers built here, once, and
-    shared by every closure; scaled(c) builds c / delta^2 and its values at
-    the chain ends.  When eps^n is 0 the chain is linear and g is u, with no
-    power, as in the spectral core.
+    in the same order as on gathered neighbours, so the same bits.  g and 2 g
+    live in two buffers built here, once, and shared by every closure (the
+    power's partial products use the one of 2 g before it is formed);
+    scaled(c) builds c / delta^2 and its values at the chain ends.  When
+    eps^n is 0 the chain is linear and g is u, with no power, as in the
+    spectral core.
     """
     coef = schema.nonlinear_coefficient(epsilon, n)
     sizes = np.asarray(sizes)
@@ -97,7 +98,7 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     # (a one-site chain is its own neighbour)
     right = np.concatenate([np.minimum(firsts + 1, lasts), firsts])
     left = np.concatenate([lasts, np.maximum(lasts - 1, firsts)])
-    stress, twice, scratch = np.empty(total), np.empty(total), np.empty(total)
+    stress, twice = np.empty(total), np.empty(total)
 
     def scaled(c):
         inv_c = c * inv
@@ -108,7 +109,7 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
             g = u
             if coef != 0.0:
                 g = stress
-                _integer_power(u, n + 1, out=g, scratch=scratch)
+                _integer_power(u, n + 1, out=g, scratch=twice)  # before 2 g is formed
                 np.multiply(coef, g, out=g)
                 np.add(u, g, out=g)
             np.multiply(c, y[1], out=out[0])
@@ -189,7 +190,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     scaled = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
     y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
 
-    def check(_y, a, t):
+    def check(_y, a, t, _spare):
         # a NaN is the max, an inf the max or the min: two reductions, no new array
         if not (np.isfinite(a.max()) and np.isfinite(a.min())):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")

@@ -27,10 +27,10 @@ that need the grid take it first, as (grid, samples).
   for their integer powers, which are spelled out as the left-to-right
   product x*x*...*x that the core computes in place of numpy's `**`, and
   for the right-hand sides' arithmetic, which follows the core's: the power
-  is left unscaled and without its Nyquist bin, its scale (P/N)^n and eps^n
-  are folded into one multiplier, and each right-hand side is built for a
-  factor c that it folds into its multipliers (spectral) or into 1/delta^2
-  and u_t (chain).
+  is taken without its Nyquist bin, its scale eps^n (P/N)^n rides in the
+  inverse transform's scale as an (n+1)-th root, and each right-hand side is
+  built for a factor c that it folds into its one multiplier (spectral) or
+  into 1/delta^2 and u_t (chain).
   `_rk4` is the textbook step on c = 1; `_scaled_rk4` spells out the
   scaled-stage step of `dynamics._rk4`.
   `integrate_rows` and `integrate_chains` step them in the loops the
@@ -171,9 +171,11 @@ def dealiased_power(grid, f: np.ndarray, power: int) -> np.ndarray:
         return field_from_spectrum(out)
 
 
-def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
+def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, root: float) -> np.ndarray:
     """`dealiased_power` on real-FFT coefficients of an n-point field, times
-    (n/P)^(power-1) and without the Nyquist bin, as `dynamics._spectral_rhs` takes it.
+    root^power (n/P)^(power-1) and without the Nyquist bin, as
+    `dynamics._spectral_rhs` takes it: the inverse transform's samples are
+    scaled by root / P.
 
     `coeffs` has shape (..., n/2 + 1); every leading row is transformed in
     the same call.  The coarse Nyquist coefficient is split evenly between
@@ -185,7 +187,7 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
     fine = np.zeros(coeffs.shape[:-1] + (padded // 2 + 1,), dtype=complex)
     fine[..., : half + 1] = coeffs * np.append(np.ones(half), 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.irfft(fine, n=padded)
+        samples = np.fft.irfft(fine, n=padded, norm="forward") * (root / padded)
         product = samples
         for _ in range(power - 1):
             product = product * samples
@@ -194,19 +196,20 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int) -> np.ndarray:
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
     """scaled(c) -> rhs(u, v) = c (M v^, M u^ + eps^n M u^(n+1)^) for
-    coefficient arrays, c folded into the multipliers and the power's padding
-    scale (P/N)^n into its multiplier."""
+    coefficient arrays, c folded into the multiplier and the power's scale
+    eps^n (P/N)^n into its inverse transform, as the (n+1)-th root."""
     coef = cfg.nonlinear_coefficient
     power, half = cfg.n + 1, size // 2
-    m_nl = coef * (_padded_size(size, power) / size) ** cfg.n * multiplier[..., :half]
+    root = (coef * (_padded_size(size, power) / size) ** cfg.n) ** (1.0 / power)
 
     def scaled(c):
-        m, m_nl_c = c * multiplier, c * m_nl
+        m = c * multiplier
 
         def rhs(u, v):
             du, dv = m * v, m * u
             if coef != 0.0:
-                dv[..., :half] = dv[..., :half] + m_nl_c * dealiased_power_rfft(u, size, power)
+                power_hat = dealiased_power_rfft(u, size, power, root)
+                dv[..., :half] = dv[..., :half] + m[..., :half] * power_hat
             return du, dv
 
         return rhs
