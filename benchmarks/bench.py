@@ -8,7 +8,7 @@ Times one right-hand-side call (the closure for dt/2 that
 `dynamics._spectral_rhs` builds, under the numpy settings with which
 `dynamics._march` steps it), one bare RK4 step (the first scaled stage and
 `dynamics._rk4` on the closures for dt/2 and dt, under the same
-settings, with no check, probe or snapshot) and one step of a whole
+settings, with no check, probe or snapshot, stepping its state in place) and one step of a whole
 `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in {0, 0.1}:
 triangular kernel, n = 1, L = 20, dt = 0.25 h, Gaussian strain.  A row is
 one run; five rows are the deltas of one batched sweep, stepped together.
@@ -107,14 +107,14 @@ def time_rhs(grid: Grid, configs, init) -> dict:
     """One right-hand-side call, and one bare RK4 step: its first scaled stage and `_rk4`."""
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
-    out, stage, k = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    out, stage = np.empty_like(y), np.empty_like(y)
     scaled = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
     dt = configs[0].dt
     half, full = scaled(0.5 * dt), scaled(dt)
 
     def step():
         half(y, out)
-        _rk4(half, full, y, stage, k, out)
+        _rk4(half, full, y, stage, out)
 
     return {"rhs_call": stage_repeat(lambda: half(y, out), len(configs)),
             "rk4_step": stage_repeat(step, len(configs))}
@@ -165,7 +165,7 @@ def stepped(configs, init, steps: int = 20) -> np.ndarray:
     """The coefficients that `integrate` holds after `steps` steps of the configs."""
     held = []
     integrate([replace(c, t_end=steps * c.dt) for c in configs], init,
-              probe=lambda y, _t: held.append(y))
+              probe=lambda y, _t: held.append(y.copy()))
     return held[-1]
 
 

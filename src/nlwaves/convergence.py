@@ -164,9 +164,10 @@ def operator_error(
 
 def _dispersion_errors(y: np.ndarray, weights: np.ndarray) -> tuple[float, ...]:
     """|u_d - u| + |v_d - v| for the runs in rows 1.. of the coefficients y
-    against the classical run in row 0, in the norm of `weights`."""
-    norms = coefficient_norm(y[:, 1:] - y[:, :1], weights)
-    return tuple(float(e) for e in norms[0] + norms[1])
+    against the classical run in row 0, in the norm of `weights`, one row's
+    difference at a time."""
+    return tuple(float(np.sum(coefficient_norm(y[:, row] - y[:, 0], weights)))
+                 for row in range(1, y.shape[1]))
 
 
 def _strain_and_rate(y: np.ndarray, ddx: np.ndarray, size: int, u=None) -> np.ndarray:

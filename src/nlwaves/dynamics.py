@@ -12,38 +12,38 @@ right-hand side is written in the same conservative form so a delta-sweep
 isolates the kernel effect alone.
 
 `integrate` keeps (u, v) as real-FFT coefficients for the whole run.  The
-right-hand side is then M (v^, u^) + (0, M g(u)^) with the fused multiplier
-M = i xi sqrt(b(delta xi)) built once per call.  An RK4 stage writes c f(y),
-its weight c folded in: one multiply of c M by the swapped pair, plus, when
-eps != 0, the power of u on a zero-padded grid of P >= (n+2)/2 N points (one
-transform pair, which removes its aliasing exactly; the inverse transform
-pads the N/2 + 1 coefficients itself, and its scale carries eps^n (P/N)^n
-as an (n+1)-th root) and one multiply-add by the same c M.  `_spectral_rhs`
-builds one closure per c, each holding c M alone, over one set of buffers,
-and a step uses two: c = h/2 and c = h.  The pair calls the two
-pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in, bound once
-at import: at N=256 the wrappers' checks cost about as much as a
-transform.  Every other transform goes through `np.fft`.  Before each step
-the breakdown monitor is bounded from the state alone (`_state_bound`);
-the exact monitor, one inverse transform of all rows, runs and allocates
-its buffers only when the bound reaches the threshold, so every breakdown
-decision is the exact monitor's.  Runs that differ only in delta are rows
-of one array and share every transform.
+right-hand side is then M (v^, u^ + g(u)^) with the fused multiplier M = i
+xi sqrt(b(delta xi)) built once per call.  An RK4 stage writes c f(y), its
+weight c folded in, over y or into another array: when eps != 0, the power
+of u on a zero-padded grid of P >= (n+2)/2 N points (one transform pair,
+which removes its aliasing exactly; the inverse transform pads the N/2 + 1
+coefficients itself, and its scale carries eps^n (P/N)^n as an (n+1)-th
+root), then one multiply of c M by v^ and one by u^ + g(u)^.
+`_spectral_rhs` builds one closure per c, each holding c M alone, over one
+set of buffers, and a step uses two: c = h/2 and c = h.  The pair calls
+the two pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in,
+bound once at import: at N=256 the wrappers' checks cost about as much as
+a transform.  Every other transform goes through `np.fft`.  Before each
+step the breakdown monitor is bounded from the state alone
+(`_state_bound`); the exact monitor, one inverse transform of all rows,
+runs and allocates its buffers only when the bound reaches the threshold,
+so every breakdown decision is the exact monitor's.  Runs that differ only
+in delta are rows of one array and share every transform.
 
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
 last step that lands on t_end, the check of each first stage, the final
 finiteness check, its one hook and its numpy error state, and allocates its
-work buffers once per call; a step then allocates only its new state, and
-the exact monitor's buffers when the gate trips.  Counted in rows of N/2 + 1
-complex coefficients, a spectral run at n = 1 holds 18: the state, the new
-state and the march's three buffers, two rows each (10), c M in each
-closure (2), the padded samples and spectrum, the weighted coefficients
-inside the latter (3), M (1) and the state bound's weights (2), whose abs
-goes to the free stage buffer.
+work buffers once per call; it steps the state in place, and a step
+allocates no array of its size but the exact monitor's when the gate trips.
+Counted in rows of N/2 + 1 complex coefficients, a spectral run at n = 1
+holds 14: the state and the march's two buffers, two rows each (6), c M in
+each closure (2), the padded samples and spectrum, u^ + g^ inside the
+latter (3), M (1) and the state bound's weights (2), whose abs goes to the
+free stage buffer.
 
-The hook is `probe(y, t)`: it sees the stepped arrays at the start and after
-every step, and every built-in diagnostic reads them through it; `_Recorder`
+The hook is `probe(y, t)`: it sees the stepped array at the start and after
+every step, and every built-in diagnostic reads it through it; `_Recorder`
 is that probe.  The integrators' public observers are called after it with
 t alone.  A State holds its grid, read-only node samples of u and v, and
 t; none is built between steps: `integrate` builds the final ones, once,
@@ -204,16 +204,18 @@ def _nonlinear_scale(coef: float, n: int, size: int) -> float:
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """scaled(c) -> rhs(y, out), which writes c (M y[1], M (y[0] + eps^n
-    y[0]^(n+1))^) of (2, *shape) coefficient arrays y into `out`.
+    y[0]^(n+1))^) of (2, *shape) coefficient arrays y into `out`, which may
+    be y.
 
     The power is taken on P = `_padded_size` points, zero-padded, and
     truncated back, which removes its aliasing exactly; the weight 1/2 splits
     the Nyquist coefficient between the +/- N/2 padded modes.  The scale
     eps^n (P/N)^n rides in the inverse transform's scale, as its (n+1)-th
     root r: the power of r times the samples is eps^n (P/N)^n times theirs.
-    scaled(c) builds the one multiplier c M, whose first N/2 bins weigh the
-    power, which leaves out its Nyquist bin, and every closure shares the
-    work buffers built here, once.  The pair is the gufunc calls that
+    y[0] is added to the power's first N/2 + 1 coefficients, and the zero
+    Nyquist bin of the one multiplier c M that scaled(c) builds drops the
+    last; every closure shares the work buffers built here, once (at eps =
+    0, a copy of y[0]).  The pair is the gufunc calls that
     `np.fft.irfft(head, n=P, norm="forward")` and `np.fft.rfft(product,
     out=spec)` make after their checks, with the scales r/P and 1; the
     inverse gufunc zero-pads the N/2 + 1 weighted coefficients `head`, the
@@ -223,9 +225,17 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     """
     scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
     if scale == 0.0:
+        u = np.empty(shape, complex)
+
         def linear(c):
             m = c * multiplier
-            return lambda y, out: np.multiply(m, y[::-1], out=out)
+
+            def rhs(y, out):
+                np.copyto(u, y[0])
+                np.multiply(m, y[1], out=out[0])
+                np.multiply(m, u, out=out[1])
+
+            return rhs
 
         return linear
     power, half = cfg.n + 1, size // 2
@@ -241,21 +251,18 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
     spec = np.empty((*shape[:-1], padded // 2 + 1), complex)
     # the weighted coefficients, then the partial products, until rfft writes spec
     head, scratch = spec[..., :half + 1], spec.view(float)[..., :padded]
-    stress = spec[..., :half]
 
     def scaled(c):
         m = c * multiplier
-        m_stress = m[..., :half]
 
         def rhs(y, out):
-            np.multiply(m, y[::-1], out=out)
             np.multiply(y[0], weights, out=head)
             _irfft(head, inverse_scale, out=product)
             _integer_power(product, power, out=product, scratch=scratch)
             _rfft(product, 1.0, out=spec)
-            np.multiply(m_stress, stress, out=stress)
-            dv = out[1, ..., :half]
-            np.add(dv, stress, out=dv)
+            np.add(head, y[0], out=head)
+            np.multiply(m, y[1], out=out[0])
+            np.multiply(m, head, out=out[1])
 
         return rhs
 
@@ -316,28 +323,28 @@ def _state_bound(multiplier: np.ndarray, ddx: np.ndarray, size: int):
     return bound
 
 
-def _rk4(half, full, y: np.ndarray, stage, k, acc):
-    """One RK4 step of the stacked pair y = (u, v) in scaled stages; returns the new y.
+def _rk4(half, full, y: np.ndarray, stage, acc):
+    """One RK4 step, in place, of the stacked pair y = (u, v) in scaled stages.
 
     half and full write (h/2) f and h f of their first argument into their
-    second; `acc` holds a = (h/2) f(y) on entry, and `stage` and `k` are
-    buffers shaped like y.  With b = (h/2) f(y + a), c = h f(y + b) and d =
-    (h/2) f(y + c) the new y is y + (a + b + b + c + d) (1/3), the one array
-    allocated; it is never written again, so a probe may keep it.  Serves
-    coefficient arrays and the chain's site arrays alike.
+    second, which may be the first; `acc` holds a = (h/2) f(y) on entry, and
+    `stage` is a buffer shaped like y.  With b = (h/2) f(y + a), c = h f(y +
+    b) and d = (h/2) f(y + c), each written over y plus the one before it,
+    y += (a + b + b + c + d) (1/3).  Serves coefficient arrays and the
+    chain's site arrays alike.
     """
     np.add(y, acc, out=stage)
-    half(stage, k)  # b
-    np.add(y, k, out=stage)
-    np.add(acc, k, out=acc)
-    np.add(acc, k, out=acc)
-    full(stage, k)  # c
-    np.add(y, k, out=stage)
-    np.add(acc, k, out=acc)
-    half(stage, k)  # d
-    np.add(acc, k, out=acc)
+    half(stage, stage)  # b
+    np.add(acc, stage, out=acc)
+    np.add(acc, stage, out=acc)
+    np.add(y, stage, out=stage)
+    full(stage, stage)  # c
+    np.add(acc, stage, out=acc)
+    np.add(y, stage, out=stage)
+    half(stage, stage)  # d
+    np.add(acc, stage, out=acc)
     np.multiply(acc, 1.0 / 3.0, out=acc)  # numpy's complex acc / 3 is this multiply
-    return np.add(y, acc)
+    np.add(y, acc, out=y)
 
 
 def _hook(probe, observers):
@@ -355,28 +362,26 @@ def _hook(probe, observers):
 
 
 def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
-    """March y from t to t_end with RK4 steps of dt, the last one shortened to
-    land on t_end; returns the y of the last step.
+    """March y in place from t to t_end with RK4 steps of dt, the last one
+    shortened to land on t_end.
 
-    scaled(c) returns rhs(y, out), which writes c f(y) into out; the march
-    builds the closures for h/2 and h once, and once more for a shortened
-    last step.  y is the march's own: it may be freed after the first step,
-    and is returned when there is none.  probe(y, t), if not None, sees y at
-    t and after every step; it must not write y, and may keep it, since a
-    stepped y is never written again.  Before each step check(y, a, t,
-    spare) sees the state, a = (h/2) f(y) and `stage`, a buffer shaped like
-    y that it may overwrite, and may raise; the state after the last step
-    must be finite.  The march holds y, the new y, `stage`, `k` and `acc`,
-    and the two closures.  Steps and probes ignore
-    overflow and invalid.  Raises ValueError, before the first probe, when
-    t_end precedes t.
+    scaled(c) returns rhs(y, out), which writes c f(y) into out and must
+    accept out is y; the march builds the closures for h/2 and h once, and
+    once more for a shortened last step.  probe(y, t), if not None, sees y
+    at t and after every step; it must not write y, and copies what it
+    keeps, since the next step writes over it.  Before each step check(y, a,
+    t, spare) sees the state, a = (h/2) f(y) and `stage`, a buffer shaped
+    like y that it may overwrite, and may raise; the state after the last
+    step must be finite.  The march holds y, `stage` and `acc`, and the two
+    closures.  Steps and probes ignore overflow and invalid.  Raises
+    ValueError, before the first probe, when t_end precedes t.
     """
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes the start time {t}")
     if probe is not None:
         probe(y, t)
     steps = n_steps(t_end - t, dt)
-    stage, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    stage, acc = np.empty_like(y), np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
         # numpy's ufuncs copy the row-strided views of a stage on several rows
         # through new buffers of `np.getbufsize()` elements; with buffers shorter
@@ -391,13 +396,12 @@ def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, prob
                 half, full = scaled(0.5 * h), scaled(h)
             half(y, acc)
             check(y, acc, t, stage)
-            y = _rk4(half, full, y, stage, k, acc)
+            _rk4(half, full, y, stage, acc)
             t = t_end if last else t + h
             if last and not np.all(np.isfinite(y)):
                 raise NonFiniteError(f"state became non-finite at t={t:.6g}")
             if probe is not None:
                 probe(y, t)
-    return y
 
 
 def _coefficients(state: State) -> np.ndarray:
@@ -562,13 +566,12 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         if np.any(over):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
-    # the stack is the march's alone, so it is freed once the first step replaces it
-    last = _march(scaled, _initial_rows(initial, len(configs)), initial.t, base.t_end, base.dt,
-                  check, _hook(probe, observers))
+    y = _initial_rows(initial, len(configs))
+    _march(scaled, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
     if n_steps(base.t_end - initial.t, base.dt) == 0:
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so each State views it
-        final = np.fft.irfft(last, n=grid.size)
+        final = np.fft.irfft(y, n=grid.size)
         final.setflags(write=False)
         states = tuple(State(grid, u, v, base.t_end) for u, v in zip(*final))
     return states if batch else states[0]

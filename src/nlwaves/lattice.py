@@ -15,9 +15,9 @@ The second difference is taken on shifted slices of the whole array and
 redone at each chain's two ends with the neighbours that wrap within the
 chain, into buffers built once per call, with the operations of a gather
 over neighbour indices and so its bits.  The march's
-probe sees the stepped site arrays and observers get t alone; the chains
-`integrate_chain` returns are built once, with site arrays that are views
-of the last step's state.
+probe sees the site arrays it steps in place and observers get t alone;
+the chains `integrate_chain` returns are built once, with site arrays that
+are views of the stepped state.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema, shapes
-from .dynamics import _hook, _march, _nonlinear_scale
+from .dynamics import _hook, _march, _nonlinear_scale, n_steps
 from .errors import ConfigError, NonFiniteError
 from .spectral import _integer_power
 
@@ -74,8 +74,8 @@ class Chain:
 def _chain_rhs(delta, epsilon: float, n: int, sizes):
     """Builder of y -> c (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)
     of chains of `sizes` sites laid end to end, each periodic: scaled(c)
-    returns rhs(y, out), which writes into `out`; `delta` is one spacing or
-    one per site.
+    returns rhs(y, out), which writes into `out`, which may be y; `delta` is
+    one spacing or one per site.
 
     D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * (c / delta^2) is taken on shifted
     slices of the whole array, then redone at each chain's first and last
@@ -84,8 +84,8 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     live in two buffers built here, once, and shared by every closure (the
     power's partial products use the one of 2 g before it is formed);
     scaled(c) builds c / delta^2 and its values at the chain ends.  When
-    eps^n is 0 the chain is linear and g is u, with no power, as in the
-    spectral core.
+    eps^n is 0 the chain is linear and g is a copy of u, with no power, as
+    in the spectral core; u itself may be written over by c u_t.
     """
     coef = schema.nonlinear_coefficient(epsilon, n)
     sizes = np.asarray(sizes)
@@ -105,13 +105,13 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
         inner_inv, edge_inv = inv_c[1:-1], inv_c[edges]
 
         def rhs(y, out):
-            u, d2 = y[0], out[1]
-            g = u
+            u, d2, g = y[0], out[1], stress
             if coef != 0.0:
-                g = stress
                 _integer_power(u, n + 1, out=g, scratch=twice)  # before 2 g is formed
                 np.multiply(coef, g, out=g)
                 np.add(u, g, out=g)
+            else:
+                np.copyto(g, u)
             np.multiply(c, y[1], out=out[0])
             np.multiply(2.0, g, out=twice)
             inner = d2[1:-1]
@@ -170,8 +170,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     (a factor below 1 that keeps the stage finite).  `chain` may also be a
     sequence of chains at one time t, stepped together; the call then
     returns a tuple of chains in input order.  The returned chains are
-    built once, their site arrays views of the last step's state; a call
-    that takes no step returns its input.
+    built once, their site arrays views of the stepped state; a call that
+    takes no step returns its input.
     """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
@@ -195,8 +195,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         if not (np.isfinite(a.max()) and np.isfinite(a.min())):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
-    last = _march(scaled, y, t, t_end, dt, check, _hook(probe, observers))
-    if last is not y:
-        parts = np.split(last, np.cumsum(sizes)[:-1], axis=1)  # views, (2, sites) each
+    _march(scaled, y, t, t_end, dt, check, _hook(probe, observers))
+    if n_steps(t_end - t, dt):
+        parts = np.split(y, np.cumsum(sizes)[:-1], axis=1)  # views, (2, sites) each
         chains = tuple(Chain(c.half_length, *part, t_end) for c, part in zip(chains, parts))
     return chains if batch else chains[0]

@@ -27,7 +27,8 @@ that need the grid take it first, as (grid, samples).
   for their integer powers, which are spelled out as the left-to-right
   product x*x*...*x that the core computes in place of numpy's `**`, and
   for the right-hand sides' arithmetic, which follows the core's: the power
-  is taken without its Nyquist bin, its scale eps^n (P/N)^n rides in the
+  is taken without its Nyquist bin and added to u^ before the spectral
+  multiplier weighs the sum, its scale eps^n (P/N)^n rides in the
   inverse transform's scale as an (n+1)-th root, and each right-hand side is
   built for a factor c that it folds into its one multiplier (spectral) or
   into 1/delta^2 and u_t (chain).
@@ -41,7 +42,8 @@ that need the grid take it first, as (grid, samples).
   the threshold, so a test can require the same errors too.
 - `observe_states` and `observe_chains` turn an observer of States or Chains
   into a probe for `integrate` or `integrate_chain`: it gets the initial
-  objects first, then ones built from the probe's arrays at every step.
+  objects first, then ones built from copies of the probe's array at every
+  step, which the march steps in place.
 """
 
 import numpy as np
@@ -195,7 +197,7 @@ def dealiased_power_rfft(coeffs: np.ndarray, n: int, power: int, root: float) ->
 
 
 def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
-    """scaled(c) -> rhs(u, v) = c (M v^, M u^ + eps^n M u^(n+1)^) for
+    """scaled(c) -> rhs(u, v) = c (M v^, M (u^ + eps^n u^(n+1)^)) for
     coefficient arrays, c folded into the multiplier and the power's scale
     eps^n (P/N)^n into its inverse transform, as the (n+1)-th root."""
     coef = cfg.nonlinear_coefficient
@@ -209,7 +211,7 @@ def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int):
             du, dv = m * v, m * u
             if coef != 0.0:
                 power_hat = dealiased_power_rfft(u, size, power, root)
-                dv[..., :half] = dv[..., :half] + m[..., :half] * power_hat
+                dv[..., :half] = m[..., :half] * (u[..., :half] + power_hat)
             return du, dv
 
         return rhs
@@ -376,14 +378,14 @@ def observe_states(observer, initial, batch=False):
 
 def observe_chains(observer, chains, batch=False):
     """A probe for `integrate_chain` that calls observer(chains): the input
-    `chains` first, then Chains whose site arrays are views of the probe's y."""
+    `chains` first, then Chains whose site arrays are copies of the probe's y."""
     chains = tuple(chains) if batch else (chains,)
     splits, started = np.cumsum([c.sites for c in chains])[:-1], False
 
     def probe(y, t):
         nonlocal started
         if started:
-            parts = np.split(y, splits, axis=1)
+            parts = np.split(y.copy(), splits, axis=1)
             seen = tuple(Chain(c.half_length, *part, t) for c, part in zip(chains, parts))
         else:
             started, seen = True, chains

@@ -1,5 +1,6 @@
 """Rate fitting, operator error, and sweep plumbing (full sweeps live in acceptance)."""
 
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -207,6 +208,27 @@ class TestZeroDispersionSweep:
         report = zero_dispersion_sweep(small_sweep_config())
         assert report.times[0] == 0.0
         assert report.times[-1] == 0.2
+
+    def test_traced_peak_of_a_five_row_sweep(self):
+        # the march of the classical run and four deltas at N=2048, and each
+        # sample's norms taken one row's difference at a time: 1.31 MB
+        # traced (numpy 2.4.6); one difference of every row and its norm's
+        # full-size temporaries, on a march that made a new state per step,
+        # read 1.67 MB
+        grid = Grid(20.0, 2048)
+        model = ModelConfig(kernel=TRI, delta=None, dt=shared_dt(grid), t_end=0.15,
+                            epsilon=0.1, n=1)
+        cfg = SweepConfig(model, deltas=(0.4, 0.2, 0.1, 0.05), grid=grid,
+                          u0={"shape": "gaussian", "a": 0.5, "b": 2.0}, sample_stride=10)
+        zero_dispersion_sweep(cfg)  # first calls of numpy's paths stay out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            zero_dispersion_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.37e6
 
 
 class TestLatticeSweep:

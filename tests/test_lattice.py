@@ -93,6 +93,22 @@ class TestSecondDifference:
         assert np.array_equal(out[1], expected[1])
 
 
+class TestInPlaceChainRhs:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_out_may_be_the_input(self, epsilon, n):
+        # at eps 0 the stress is u itself, which c u_t writes over
+        sizes = [32, 16, 1]
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((2, sum(sizes)))
+        delta = np.repeat([0.25, 0.5, 0.8], sizes)
+        rhs = _chain_rhs(delta, epsilon, n, sizes)(0.5)
+        out = np.empty_like(y)
+        rhs(y, out)
+        rhs(y, y)
+        assert np.array_equal(y, out)
+
+
 class TestLatticeRhs:
     def test_zero_chain(self):
         chain = Chain(8.0, np.zeros(16), np.zeros(16), 0.0)
@@ -473,21 +489,28 @@ class TestInPlaceChainStep:
                           (np.concatenate([c.velocity for c in out]), ut)):
             assert np.max(np.abs(got - want)) <= 7.8e-15 * np.max(np.abs(want))
 
-    def test_chains_kept_past_their_step_keep_their_values(self):
+    def test_the_probe_sees_one_site_array_stepped_in_place(self):
+        # a probe sees the one array the march steps, holding the state of
+        # its step; the chains it keeps are copies, and the returned chains
+        # view the stepped array
         u0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}
         chains = [make_chain(u0, None, 8.0, m) for m in (32, 16)]
-        kept, copies = [], []
+        seen, copies, kept = [], [], []
+        observe = observe_chains(kept.append, chains, batch=True)
 
-        def observer(states):
-            kept.append(states)
-            copies.append([(c.strain.copy(), c.velocity.copy()) for c in states])
+        def probe(y, t):
+            seen.append(y)
+            copies.append(y.copy())
+            observe(y, t)
 
-        integrate_chain(chains, 0.1, 1, 0.05, 0.5,
-                        probe=observe_chains(observer, chains, batch=True))
-        assert len(kept) == 11
-        for states, arrays in zip(kept, copies):
-            for c, (strain, velocity) in zip(states, arrays):
-                assert np.array_equal(c.strain, strain) and np.array_equal(c.velocity, velocity)
+        out = integrate_chain(chains, 0.1, 1, 0.05, 0.5, probe=probe)
+        assert len(seen) == 11 and all(y is seen[0] for y in seen)
+        assert not any(np.array_equal(a, b) for a, b in zip(copies, copies[1:]))
+        for states, y in zip(kept, copies):
+            assert np.array_equal(np.concatenate([c.strain for c in states]), y[0])
+            assert np.array_equal(np.concatenate([c.velocity for c in states]), y[1])
+        assert all(np.shares_memory(c.strain, seen[0]) for c in out)
+        assert np.array_equal(np.concatenate([c.velocity for c in out]), copies[-1][1])
 
 
 class TestRuleOfN:
