@@ -156,7 +156,8 @@ def traced_peak(call) -> int:
 def time_chain_step() -> list[float]:
     """One step of the lattice sweep's four chains, stepped together."""
     grid = Grid(HALF_LENGTH, 2048)
-    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s) for s in CHAIN_STRIDES]
+    chains = [lattice.make_chain(U0, None, Grid(HALF_LENGTH, grid.size // s))
+              for s in CHAIN_STRIDES]
     dt = shared_dt(grid)
     return time_steps(lambda: lattice.integrate_chain(chains, 0.1, 1, dt, STEPS * dt))
 
@@ -191,11 +192,12 @@ def time_samples(kernel: Kernel) -> list[dict]:
 
     y = stepped(configs[:1], init)
     ddx = _multiplier(grid, None, None)
-    chains = [lattice.make_chain(U0, None, HALF_LENGTH, grid.size // s) for s in CHAIN_STRIDES]
+    chains = [lattice.make_chain(U0, None, Grid(HALF_LENGTH, grid.size // s))
+              for s in CHAIN_STRIDES]
     sites = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
-    ends = np.cumsum([c.sites for c in chains])
-    spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
-    chain_weights = [norm_weights(Grid(HALF_LENGTH, c.sites), 2.0) for c in chains]
+    ends = np.cumsum([c.grid.size for c in chains])
+    spans = [slice(end - c.grid.size, end) for end, c in zip(ends, chains)]
+    chain_weights = [norm_weights(c.grid, 2.0) for c in chains]
 
     def lattice_sample():
         classical = convergence._strain_and_rate(y, ddx, grid.size)

@@ -129,9 +129,9 @@ def _summary_text(payload: dict) -> str:
 
 
 def _cmd_kernel_info(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
-    xi = np.sort(grid.freqs[grid.freqs >= 0])
+    xi = grid.rfreqs[:-1]  # the frequencies m pi / L, 0 <= m < N/2
     table = _csv("xi,symbol,k_symbol", zip(xi, kernel.symbol(xi), kernel.sqrt_symbol(xi)))
-    symbol = kernel.symbol(grid.freqs)
+    symbol = kernel.symbol(grid.rfreqs)  # every symbol is even: its range over all frequencies
     summary = _summary_text(
         {
             "command": "kernel-info",

@@ -238,7 +238,7 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
             raise AlignmentError(f"delta {delta} gives a chain of {grid.size // stride} sites, "
                                  "not an even number >= 8") from None
         strides.append(stride)
-    chains = [lattice.make_chain(initial.u[::stride], cfg.v0, grid.half_length, c.size)
+    chains = [lattice.make_chain(initial.u[::stride], cfg.v0, c)
               for stride, c in zip(strides, coarse)]
     weights = [norm_weights(c, model.s - 1.0) for c in coarse]
     n_steps = dynamics.n_steps(model.t_end, model.dt)
@@ -250,8 +250,8 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     )
     dynamics.integrate(model, initial, probe=reference)
 
-    ends = np.cumsum([c.sites for c in chains])  # the chains lie end to end in y
-    spans = [slice(end - c.sites, end) for end, c in zip(ends, chains)]
+    ends = np.cumsum([c.size for c in coarse])  # the chains lie end to end in y
+    spans = [slice(end - c.size, end) for end, c in zip(ends, coarse)]
 
     def errors_against_classical(y, t):
         sample = len(rec.times) - 1

@@ -87,9 +87,8 @@ class State:
     """Solution snapshot on `grid`: samples of the strain u and the auxiliary
     variable v at its nodes, and the time t.
 
-    u and v are read-only float arrays of shape (grid.size,).  Writable input
-    is copied; read-only input is kept, so a State may view the arrays of
-    another.  Raises ValueError when a shape differs.
+    u and v are read-only float arrays of shape (grid.size,), as `_freeze`
+    makes them.
     """
 
     grid: Grid
@@ -98,14 +97,26 @@ class State:
     t: float
 
     def __post_init__(self):
-        for name in ("u", "v"):
-            samples = np.asarray(getattr(self, name), dtype=float)
-            if samples.shape != (self.grid.size,):
-                raise ValueError(f"{name} has shape {samples.shape}, expected ({self.grid.size},)")
-            if samples.flags.writeable:
-                samples = samples.copy()
-                samples.setflags(write=False)
-            object.__setattr__(self, name, samples)
+        _freeze(self, ("u", "v"))
+
+
+def _freeze(snapshot, names) -> None:
+    """Check and set the arrays `names` of a frozen snapshot on `snapshot.grid`
+    at `snapshot.t`, a State or a `lattice.Chain`: each becomes a read-only
+    float array of shape (grid.size,).  Writable input is copied; read-only
+    input is kept, so a snapshot may view the arrays of another.  Raises
+    ValueError when t is not finite or a shape differs."""
+    if not math.isfinite(snapshot.t):
+        raise ValueError(f"t must be finite, got {snapshot.t!r}")
+    size = snapshot.grid.size
+    for name in names:
+        samples = np.asarray(getattr(snapshot, name), dtype=float)
+        if samples.shape != (size,):
+            raise ValueError(f"{name} has shape {samples.shape}, expected ({size},)")
+        if samples.flags.writeable:
+            samples = samples.copy()
+            samples.setflags(write=False)
+        object.__setattr__(snapshot, name, samples)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,12 @@ The chain integrates
 
     u_tt = D2 (u + eps^n u^(n+1)),   D2 g = (g_{j+1} - 2 g_j + g_{j-1}) / delta^2
 
-on M sites with spacing delta = 2L/M, independent of the spectral solver so
-the two can cross-validate.  Its state is the pair (u, u_t) of site arrays,
-stepped by the RK4 march of the spectral core (`dynamics._march`) with the
-array right-hand side (u, u_t) -> c (u_t, D2 g), each RK4 weight c folded
-into u_t and 1/delta^2, so the chain and the classical reference of a
-lattice sweep land on one time grid.  The chains of a lattice sweep are
-stepped together, end to end in one pair of arrays, each wrapping on itself.
-The second difference is taken on shifted slices of the whole array and
-redone at each chain's two ends with the neighbours that wrap within the
-chain, into buffers built once per call, with the operations of a gather
-over neighbour indices and so its bits.  The march's
-probe sees the site arrays it steps in place and observers get t alone;
-the chains `integrate_chain` returns are built once, with site arrays that
-are views of the stepped state.
+with a site at each node of a `Grid` and delta its spacing, independent of
+the spectral solver so the two can cross-validate.  The RK4 march of the
+spectral core (`dynamics._march`) steps it, so the chain and the classical
+reference of a lattice sweep land on one time grid.  The chains of a
+lattice sweep are stepped together, end to end in one pair of site arrays,
+each wrapping on itself.
 """
 from __future__ import annotations
 
@@ -26,49 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema, shapes
-from .dynamics import _hook, _march, _nonlinear_scale, n_steps
+from .dynamics import _freeze, _hook, _march, _nonlinear_scale, n_steps
 from .errors import ConfigError, NonFiniteError
-from .spectral import _integer_power
+from .spectral import Grid, _integer_power
 
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """Periodic particle chain: strains and strain velocities at M sites."""
+    """Periodic particle chain with a site at each node of `grid`: the strains
+    and strain velocities there, and the time t.
 
-    half_length: float
+    strain and velocity are read-only float arrays of shape (grid.size,), as
+    `dynamics._freeze` makes them for a State too.
+    """
+
+    grid: Grid
     strain: np.ndarray
     velocity: np.ndarray
     t: float
 
     def __post_init__(self):
-        strain = np.asarray(self.strain, dtype=float)
-        velocity = np.asarray(self.velocity, dtype=float)
-        if strain.ndim != 1 or strain.shape != velocity.shape:
-            raise ValueError("strain and velocity must be equal-length 1-d arrays")
-        if strain.size < 1:
-            raise ValueError("a chain needs at least one site")
-        schema.check("grid_l", self.half_length)
-        object.__setattr__(self, "strain", strain)
-        object.__setattr__(self, "velocity", velocity)
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return (
-            self.half_length == other.half_length
-            and self.t == other.t
-            and np.array_equal(self.strain, other.strain)
-            and np.array_equal(self.velocity, other.velocity)
-        )
-
-    @property
-    def sites(self) -> int:
-        return self.strain.shape[0]
-
-    @property
-    def delta(self) -> float:
-        # spacing is defined as 2L/M so M * delta = 2L holds exactly
-        return 2.0 * self.half_length / self.sites
+        _freeze(self, ("strain", "velocity"))
 
 
 def _chain_rhs(delta, epsilon: float, n: int, sizes):
@@ -138,40 +108,36 @@ def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: floa
     return shapes._finite(rate, "its difference quotient")
 
 
-def make_chain(u0_spec, v0_spec, half_length: float, sites: int) -> Chain:
-    """Chain at t=0: strains from u0 at its sites (or one sample per site),
-    velocities from the discrete quotient of v0.  A spec that cannot be
-    evaluated raises InvalidSpecError naming its config key, u0 or v0, and
-    fewer than one site raises ValueError."""
-    if sites < 1:
-        raise ValueError(f"a chain needs at least one site, got {sites}")
-    delta = 2.0 * half_length / sites
-    x = -half_length + delta * np.arange(sites)
+def make_chain(u0_spec, v0_spec, grid: Grid) -> Chain:
+    """Chain at t=0 on `grid`: strains from u0 at its nodes (or one sample per
+    node), velocities from the quotient of v0 at its spacing.  A spec that
+    cannot be evaluated raises InvalidSpecError naming its config key, u0 or
+    v0."""
     with shapes.naming("u0"):
-        strain = shapes.evaluate_on_nodes(u0_spec, x, half_length)
+        strain = shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length)
     with shapes.naming("v0"):
-        velocity = initial_velocity(v0_spec, delta, x, half_length)
-    return Chain(half_length, strain, velocity, 0.0)
+        velocity = initial_velocity(v0_spec, grid.spacing, grid.nodes, grid.half_length)
+    return Chain(grid, strain, velocity, 0.0)
 
 
 def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=(),
                     probe=None):
     """March the chain to t_end with RK4; last step shortened to land exactly.
 
-    The internal probe(y, t) sees the site arrays y = (u, u_t) of every
-    chain laid end to end at the chain time and after every step (see
-    `dynamics._march`); each observer is then called with t alone.  Raises
-    ConfigError naming n where the spectral core does (see
+    `chain` may also be a sequence of chains at one time, stepped together;
+    the call then returns a tuple of chains in input order.  The internal
+    probe(y, t) sees the site arrays y = (u, u_t) of every chain laid end to
+    end at the chain time and after every step (see `dynamics._march`); each
+    observer is then called with t alone.  The returned chains view one
+    read-only stepped array; a call that takes no step returns its input.
+
+    Raises ConfigError naming n where the spectral core does (see
     `dynamics._nonlinear_scale`), ValueError when t_end precedes the chain
     time, and NonFiniteError when the first scaled stage (h/2) f(y) of a
     step, or the state after the last step, is not finite.  Its factor h/2
     is folded into the stencil, so an overflow may be reported one step
     earlier than a check of f(y) would (dt > 2, a factor above 1) or later
-    (a factor below 1 that keeps the stage finite).  `chain` may also be a
-    sequence of chains at one time t, stepped together; the call then
-    returns a tuple of chains in input order.  The returned chains are
-    built once, their site arrays views of the stepped state; a call that
-    takes no step returns its input.
+    (a factor below 1 that keeps the stage finite).
     """
     batch = not isinstance(chain, Chain)
     chains = tuple(chain) if batch else (chain,)
@@ -184,10 +150,10 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         schema.check(key, value)
     if dt is None:  # null asks for the CFL step, which `shared_dt` resolves
         raise ConfigError("dt", "must be a number in integrate_chain, got None")
-    sizes = [c.sites for c in chains]
+    sizes = [c.grid.size for c in chains]
     # the spectral core's rule of n, which bounds the power's cost too
     _nonlinear_scale(schema.nonlinear_coefficient(epsilon, n), n, max(sizes))
-    scaled = _chain_rhs(np.repeat([c.delta for c in chains], sizes), epsilon, n, sizes)
+    scaled = _chain_rhs(np.repeat([c.grid.spacing for c in chains], sizes), epsilon, n, sizes)
     y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
 
     def check(_y, a, t, _spare):
@@ -197,6 +163,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
 
     _march(scaled, y, t, t_end, dt, check, _hook(probe, observers))
     if n_steps(t_end - t, dt):
-        parts = np.split(y, np.cumsum(sizes)[:-1], axis=1)  # views, (2, sites) each
-        chains = tuple(Chain(c.half_length, *part, t_end) for c, part in zip(chains, parts))
+        y.setflags(write=False)  # so each Chain views it
+        parts = np.split(y, np.cumsum(sizes)[:-1], axis=1)
+        chains = tuple(Chain(c.grid, *part, t_end) for c, part in zip(chains, parts))
     return chains if batch else chains[0]

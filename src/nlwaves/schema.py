@@ -3,12 +3,12 @@
 `check(key, value)` applies a key's rule and raises ConfigError naming the
 key; `nonlinear_coefficient` applies the rule of n that depends on epsilon,
 and `check_grid` the rule of grid_l that depends on grid_n.  The CLI checks
-every key of the resolved config; Grid, ModelConfig, Chain and
-`integrate_chain` check their arguments under the config-file name of each,
-and SweepConfig checks only what a sweep adds to its ModelConfig
-(delta_list and sample_stride), so a bad value fails alike from JSON and
-from Python.  Numbers must be finite; bools are not numbers.  ModelConfig
-and SweepConfig take their defaults from here too (`default`), so a library
+every key of the resolved config; Grid, ModelConfig and `integrate_chain`
+check their arguments under the config-file name of each, and SweepConfig
+checks only what a sweep adds to its ModelConfig (delta_list and
+sample_stride), so a bad value fails alike from JSON and from Python.
+Numbers must be finite; bools are not numbers.  ModelConfig and
+SweepConfig take their defaults from here too (`default`), so a library
 call and a config file that leave a key out run alike.
 """
 

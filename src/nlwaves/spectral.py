@@ -1,7 +1,7 @@
 """Periodic grid, the coefficient Sobolev norm and integer powers.
 
-The domain is the periodic box [-L, L) sampled at N uniform nodes.  Discrete
-frequencies are xi_m = m*pi/L for m = -N/2 .. N/2-1 (stored in FFT order).
+The domain is the periodic box [-L, L) sampled at N uniform nodes.  The
+real-FFT frequencies are xi_m = m*pi/L for m = 0 .. N/2.
 A real field on the grid is an array of its N node samples; the time
 stepper and the sweeps hold real-FFT coefficients instead (see
 `dynamics.integrate`).
@@ -26,7 +26,9 @@ from .errors import ConfigError
 
 
 class Grid:
-    """Uniform periodic grid on [-L, L) with an even number of nodes."""
+    """Uniform periodic grid on [-L, L) with an even number of nodes, at least
+    8; raises ConfigError naming grid_l or grid_n otherwise (see
+    `schema.check_grid`)."""
 
     def __init__(self, half_length: float, size: int):
         schema.check_grid(half_length, size)
@@ -35,22 +37,9 @@ class Grid:
         self.spacing = 2.0 * self.half_length / self.size
         self.nodes = -self.half_length + self.spacing * np.arange(self.size)
         self.nodes.setflags(write=False)
-        # FFT-ordered frequencies m*pi/L, m = 0..N/2-1, -N/2..-1
-        self.freqs = 2.0 * np.pi * np.fft.fftfreq(self.size, d=self.spacing)
-        self.freqs.setflags(write=False)
         # real-FFT frequencies m*pi/L, m = 0..N/2
         self.rfreqs = 2.0 * np.pi * np.fft.rfftfreq(self.size, d=self.spacing)
         self.rfreqs.setflags(write=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.half_length == other.half_length
-            and self.size == other.size
-        )
-
-    def __hash__(self):
-        return hash((self.half_length, self.size))
 
     def __repr__(self):
         return f"Grid(half_length={self.half_length}, size={self.size})"

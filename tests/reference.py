@@ -8,8 +8,8 @@ that need the grid take it first, as (grid, samples).
   the CLI reports of a State or a field, through the cores that
   `dynamics._sampler`, `integrate`'s check and the sweeps use: `_smoothing`
   and `_energy`, `_multiplier` and `_monitor`, `norm_weights` and
-  `coefficient_norm`.  `zeros` and `positions` are the samples of the zero
-  field of a grid and the site coordinates of a Chain.
+  `coefficient_norm`.  `zeros` is the samples of the zero field of a grid,
+  and `freqs` its FFT-ordered frequencies m pi / L, m = 0..N/2-1, -N/2..-1.
 - `rhs_fields` evaluates the right-hand side that `dynamics.integrate` steps,
   built by `dynamics._spectral_rhs` with `dynamics._multiplier`, on a State
   and returns the samples of (u_t, v_t).  `cfg.delta` picks the system: None
@@ -57,9 +57,9 @@ def zeros(grid) -> np.ndarray:
     return np.zeros(grid.size)
 
 
-def positions(chain) -> np.ndarray:
-    """Site coordinates of a chain, from -L in steps of its spacing."""
-    return -chain.half_length + chain.delta * np.arange(chain.sites)
+def freqs(grid) -> np.ndarray:
+    """The full FFT's frequencies of a grid, in FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.size, d=grid.spacing)
 
 
 def sobolev_norm(grid, f: np.ndarray, s: float) -> float:
@@ -104,21 +104,21 @@ def field_from_spectrum(spectrum) -> np.ndarray:
 
 def derivative(grid, f: np.ndarray) -> np.ndarray:
     """Spectral x-derivative; the Nyquist mode is zeroed (odd multiplier)."""
-    m = 1j * grid.freqs.copy()
+    m = 1j * freqs(grid)
     m[grid.size // 2] = 0.0
     return field_from_spectrum(m * np.fft.fft(f))
 
 
 def sobolev_scale(grid, f: np.ndarray, s: float) -> np.ndarray:
     """Apply the smoothing/roughening multiplier (1 + xi^2)^(s/2)."""
-    return field_from_spectrum((1.0 + grid.freqs**2) ** (s / 2.0) * np.fft.fft(f))
+    return field_from_spectrum((1.0 + freqs(grid) ** 2) ** (s / 2.0) * np.fft.fft(f))
 
 
 def spectrum_norm(grid, spectrum, s: float) -> float:
     """Discrete Sobolev norm of order s of the field with FFT coefficients
     `spectrum`: the frequency quadrature with measure weight h/N, squared
     over the peak's power of two."""
-    weights = (1.0 + grid.freqs**2) ** s
+    weights = (1.0 + freqs(grid) ** 2) ** s
     e = np.frexp(np.max(np.abs(spectrum)))[1]
     scaled = np.ldexp(np.abs(spectrum), -e)
     return float(np.ldexp(np.sqrt(grid.spacing / grid.size * np.sum(weights * scaled**2)), e))
@@ -128,11 +128,12 @@ def apply_multiplier(grid, f: np.ndarray, multiplier) -> np.ndarray:
     """Multiply the spectrum pointwise by multiplier(xi) and transform back.
 
     `multiplier` is a callable evaluated at every grid frequency, or an array
-    already aligned with ``grid.freqs``.  Real output is guaranteed only for
+    already aligned with ``freqs(grid)``.  Real output is guaranteed only for
     even multipliers (kernel symbols are even by construction).
     """
-    m = multiplier(grid.freqs) if callable(multiplier) else np.asarray(multiplier)
-    if m.shape != grid.freqs.shape:
+    xi = freqs(grid)
+    m = multiplier(xi) if callable(multiplier) else np.asarray(multiplier)
+    if m.shape != xi.shape:
         raise ValueError("multiplier values do not match the grid frequency set")
     # non-finite intermediates surface as a typed error, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,8 +341,8 @@ def integrate_chains(chains, epsilon, n, dt, t_end, textbook=False):
     """Site arrays (u, u_t) of chains laid end to end at t_end, stepped with
     the allocating RK4: `_scaled_rk4`, or `_rk4` on the unscaled right-hand
     side if `textbook`."""
-    sizes = [c.sites for c in chains]
-    delta = np.repeat([c.delta for c in chains], sizes)
+    sizes = [c.grid.size for c in chains]
+    delta = np.repeat([c.grid.spacing for c in chains], sizes)
     scaled = _chain_rhs(delta, epsilon, n, _neighbours(sizes))
     u, ut = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
     t = chains[0].t
@@ -380,13 +381,13 @@ def observe_chains(observer, chains, batch=False):
     """A probe for `integrate_chain` that calls observer(chains): the input
     `chains` first, then Chains whose site arrays are copies of the probe's y."""
     chains = tuple(chains) if batch else (chains,)
-    splits, started = np.cumsum([c.sites for c in chains])[:-1], False
+    splits, started = np.cumsum([c.grid.size for c in chains])[:-1], False
 
     def probe(y, t):
         nonlocal started
         if started:
             parts = np.split(y.copy(), splits, axis=1)
-            seen = tuple(Chain(c.half_length, *part, t) for c, part in zip(chains, parts))
+            seen = tuple(Chain(c.grid, *part, t) for c, part in zip(chains, parts))
         else:
             started, seen = True, chains
         observer(seen if batch else seen[0])

@@ -41,7 +41,7 @@ def _bad_kernel_tables() -> dict:
     tables["negative-value"] = good.copy()
     tables["negative-value"][-1, 1] = -0.01
     tables["b0-is-2"] = good * [1.0, 2.0]
-    xi1 = Grid(10.0, 64).freqs[1]
+    xi1 = Grid(10.0, 64).rfreqs[1]
     tables["slope-overflow"] = np.column_stack(
         [[0.0, np.nextafter(xi1, 0.0), np.nextafter(xi1, 1.0), 5.0], [1.0, 1.0, 1e308, 0.0]]
     )

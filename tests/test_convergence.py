@@ -318,12 +318,11 @@ class TestLatticeSweep:
         expected, field_level = [], []
         for delta in cfg.deltas:
             stride = int(round(delta / grid.spacing))
-            chain = make_chain(initial.u[::stride], cfg.v0, grid.half_length,
-                               grid.size // stride)
+            coarse = Grid(grid.half_length, grid.size // stride)
+            chain = make_chain(initial.u[::stride], cfg.v0, coarse)
             snaps = []
             integrate_chain(chain, mc.epsilon, mc.n, dt, mc.t_end,
                             probe=observe_chains(snaps.append, chain))
-            coarse = Grid(grid.half_length, chain.sites)
             weights = norm_weights(coarse, mc.s - 1)
             sampled = [i for i in range(len(snaps))
                        if i % cfg.sample_stride == 0 or i == len(snaps) - 1]
@@ -356,7 +355,7 @@ class TestLatticeSweep:
         cfg = self.aligned_config()
         lattice_sweep(cfg)
         assert len(calls) == 1
-        assert [c.sites for c in calls[0]] == [32, 64, 128]
+        assert [c.grid.size for c in calls[0]] == [32, 64, 128]
 
     def test_unaligned_delta_rejected(self):
         grid = Grid(10.0, 128)

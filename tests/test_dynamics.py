@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nlwaves import (
     BreakdownError,
+    Chain,
     ConfigError,
     Grid,
     HyperbolicityError,
@@ -40,6 +41,7 @@ from reference import (
     dealiased_power,
     derivative,
     energy,
+    freqs,
     integrate_rows,
     monitor,
     observe_states,
@@ -73,30 +75,6 @@ class TestState:
         back = np.fft.irfft(_coefficients(State(unit_grid, u, v, 0.0)), n=unit_grid.size)
         np.testing.assert_allclose(back, [u, v], rtol=1e-13, atol=1e-15)
 
-    def test_samples_are_read_only(self, unit_grid):
-        st = State(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
-        for samples in (st.u, st.v):
-            with pytest.raises(ValueError):
-                samples[0] = 99.0
-
-    @pytest.mark.parametrize("wrong", ["u", "v"])
-    def test_wrong_shape_rejected(self, unit_grid, wrong):
-        arrays = {"u": zeros(unit_grid), "v": zeros(unit_grid), wrong: np.zeros(unit_grid.size + 2)}
-        with pytest.raises(ValueError, match=wrong):
-            State(unit_grid, arrays["u"], arrays["v"], 0.0)
-
-    def test_writable_input_is_copied(self, unit_grid):
-        u = np.sin(unit_grid.nodes)
-        st = State(unit_grid, u, [0.0] * unit_grid.size, 0.0)
-        u[0] = 99.0
-        assert st.u[0] != 99.0 and not np.shares_memory(st.u, u)
-        assert st.v.dtype == float and not st.v.flags.writeable
-
-    def test_read_only_input_is_kept(self, unit_grid):
-        u = np.sin(unit_grid.nodes)
-        u.setflags(write=False)
-        assert State(unit_grid, u, u, 0.0).u is u
-
     def test_final_states_share_one_transform(self):
         g = Grid(10.0, 64)
         init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, g)
@@ -108,6 +86,50 @@ class TestState:
     def test_state_hashes(self, unit_grid):
         st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         assert {st: 1}[st] == 1
+
+
+#: the two snapshots on a grid and the names of their arrays
+SNAPSHOTS = [pytest.param(State, ("u", "v"), id="State"),
+             pytest.param(Chain, ("strain", "velocity"), id="Chain")]
+
+
+@pytest.mark.parametrize("kind, names", SNAPSHOTS)
+class TestSnapshotArrays:
+    """State and Chain check and hold their arrays and t alike."""
+
+    def test_arrays_are_read_only(self, unit_grid, kind, names):
+        snap = kind(unit_grid, np.sin(unit_grid.nodes), zeros(unit_grid), 0.0)
+        for name in names:
+            with pytest.raises(ValueError):
+                getattr(snap, name)[0] = 99.0
+
+    @pytest.mark.parametrize("wrong", [0, 1])
+    def test_wrong_shape_rejected(self, unit_grid, kind, names, wrong):
+        arrays = [zeros(unit_grid), zeros(unit_grid)]
+        arrays[wrong] = np.zeros(unit_grid.size + 2)
+        with pytest.raises(ValueError, match=names[wrong]):
+            kind(unit_grid, *arrays, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            kind(unit_grid, [], [], 0.0)
+
+    def test_writable_input_is_copied(self, unit_grid, kind, names):
+        first = np.sin(unit_grid.nodes)
+        snap = kind(unit_grid, first, [0.0] * unit_grid.size, 0.0)
+        first[0] = 99.0
+        kept, second = (getattr(snap, name) for name in names)
+        assert kept[0] != 99.0 and not np.shares_memory(kept, first)
+        assert second.dtype == float and not second.flags.writeable
+
+    def test_read_only_input_is_kept(self, unit_grid, kind, names):
+        samples = np.sin(unit_grid.nodes)
+        samples.setflags(write=False)
+        snap = kind(unit_grid, samples, samples, 0.0)
+        assert all(getattr(snap, name) is samples for name in names)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, unit_grid, kind, names, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            kind(unit_grid, zeros(unit_grid), zeros(unit_grid), t)
 
 
 class TestNonlocalRhs:
@@ -551,7 +573,7 @@ class TestModelConfig:
         # the rule before kernels were bounded by b(0) = 1: the classical
         # speed 1 and the fastest nonlocal wave speed sqrt(b(delta xi)).  A
         # table may exceed 1 by 1e-8, which the step need not follow.
-        speed = float(np.max(kernel.scaled_sqrt_symbol(delta, g.freqs)))
+        speed = float(np.max(kernel.scaled_sqrt_symbol(delta, g.rfreqs)))
         if kernel.variant == "table":
             assert shared_dt(g) == 0.25 * g.spacing
             assert max(1.0, speed) <= np.sqrt(1.0 + 1e-8)
@@ -678,7 +700,7 @@ class TestSpectralCoreParity:
         """Classical RK4 on samples, built from the full-FFT reference operators."""
         grid, kvals = state.grid, None
         if cfg.delta is not None:
-            kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, grid.freqs)
+            kvals = cfg.kernel.scaled_sqrt_symbol(cfg.delta, freqs(grid))
 
         def rhs(u, v):
             stress = u

@@ -23,6 +23,7 @@ from reference import energy, sobolev_norm
 TRI = Kernel("triangular")
 NAN, INF = float("nan"), float("inf")
 GRID = Grid(10.0, 64)
+CHAIN = Chain(Grid(8.0, 8), [0.0] * 8, [0.0] * 8, 0.0)
 
 
 def model(**kw):
@@ -64,17 +65,17 @@ LIBRARY = {
         (lambda: sweep(deltas=(0.2, 0.4)), "delta_list ordering"),
         (lambda: Grid(NAN, 64), "grid_l"),
         (lambda: Grid(10.0, 64.0), "grid_n"),
-        (lambda: Chain(-1.0, [0.0] * 8, [0.0] * 8, 0.0), "grid_l"),
-        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, INF, 1.0), "dt"),
-        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, None, 1.0), "dt"),
-        (lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 0.0, 1, 0.1, NAN), "t_end"),
+        (lambda: Grid(-1.0, 8), "grid_l"),
+        (lambda: integrate_chain(CHAIN, 0.0, 1, INF, 1.0), "dt"),
+        (lambda: integrate_chain(CHAIN, 0.0, 1, None, 1.0), "dt"),
+        (lambda: integrate_chain(CHAIN, 0.0, 1, 0.1, NAN), "t_end"),
         # (n+1) eps^n, or the nonlinear multiplier eps^n (P/N)^n M, is not finite
         pytest.param(lambda: model(epsilon=10.0, n=400), "n", id="eps10-n400"),
         # an integer past the largest float, and one rejected before the power is taken
         pytest.param(lambda: model(epsilon=2, n=1100), "n", id="int-eps2-n1100"),
         pytest.param(lambda: model(epsilon=2, n=10**21), "n", id="eps2-n1e21"),
-        pytest.param(lambda: integrate_chain(Chain(8.0, [0.0] * 8, [0.0] * 8, 0.0), 10.0, 400,
-                                             0.1, 1.0), "n", id="chain-eps10-n400"),
+        pytest.param(lambda: integrate_chain(CHAIN, 10.0, 400, 0.1, 1.0), "n",
+                     id="chain-eps10-n400"),
         pytest.param(lambda: integrate(model(epsilon=0.5, n=170), make_initial(None, None, GRID)),
                      "n", id="multiplier-n170"),
         pytest.param(lambda: integrate(model(epsilon=1, n=10**21), make_initial(None, None, GRID)),
