@@ -34,7 +34,6 @@ from .errors import (
 from .kernels import Kernel
 from .lattice import (
     Chain,
-    initial_velocity,
     integrate_chain,
     make_chain,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "State",
     "SweepConfig",
     "fit_rate",
-    "initial_velocity",
     "integrate",
     "integrate_chain",
     "lattice_sweep",

@@ -28,7 +28,7 @@ step the breakdown monitor is bounded from the state alone
 (`_state_bound`); the exact monitor, one inverse transform of all rows,
 runs and allocates its buffers only when the bound reaches the threshold,
 so every breakdown decision is the exact monitor's.  Runs that differ only
-in delta are rows of one array and share every transform.
+in kernel and delta are rows of one array and share every transform.
 
 One RK4 march, `_march`, steps both models: this spectral core and the
 particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
@@ -63,9 +63,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from . import schema, shapes
+from . import schema
 from .errors import BreakdownError, ConfigError, HyperbolicityError, NonFiniteError
 from .kernels import Kernel
+from .shapes import sample
 from .spectral import Grid, _integer_power
 
 _STEP_ROUNDING = 1e-9  # fraction of dt tolerated when counting steps
@@ -174,7 +175,7 @@ def n_steps(span: float, dt: float) -> int:
 # --- spectral-state core ----------------------------------------------------
 #
 # The stepper holds real-FFT coefficients y = (u^, v^) of shape (2, rows, N/2+1);
-# a row is one run, and runs that differ only in delta share every transform.
+# a row is one run; runs that differ only in kernel and delta share every transform.
 
 
 def _multiplier(grid: Grid, kernel: Kernel, delta: float | None) -> np.ndarray:
@@ -480,19 +481,15 @@ def _sampler(cfg: ModelConfig, grid: Grid):
 
 
 def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
-    """Build the t=0 state from initial-data specs.
+    """Build the t=0 state from initial-data specs, sampled at the grid's nodes.
 
     Only (u0, v0) are stored; the initial strain rate is implied by the
-    system and never supplied directly.  A spec that cannot be evaluated
-    raises InvalidSpecError naming its config key, u0 or v0, and finite
-    samples whose real-FFT coefficients are not finite raise ConfigError
-    naming it.
+    system and never supplied directly.  A spec that cannot be read raises
+    InvalidSpecError naming its config key, u0 or v0 (`shapes.sample`), and
+    finite samples whose real-FFT coefficients are not finite raise
+    ConfigError naming it.
     """
-    with shapes.naming("u0"):
-        u = shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length)
-    with shapes.naming("v0"):
-        v = shapes.evaluate_on_nodes(v0_spec, grid.nodes, grid.half_length)
-    state = State(grid, u, v, 0.0)
+    state = State(grid, sample(u0_spec, grid, "u0"), sample(v0_spec, grid, "v0"), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _coefficients(state)
     for key, row in zip(("u0", "v0"), coefficients):
@@ -502,7 +499,7 @@ def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
 
 
 def _shared_settings(cfg: ModelConfig) -> tuple:
-    return tuple(getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "delta")
+    return tuple(getattr(cfg, f.name) for f in fields(ModelConfig)[2:])  # all but kernel, delta
 
 
 class _Recorder:
@@ -543,13 +540,14 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     bound reaches the threshold (less a round-off margin), is non-finite or
     is huge.
 
-    `cfg` may also be a sequence of configs that differ only in delta: the
-    runs then start from the same initial state and are stepped together.
-    The call returns a tuple of states in the order of the configs; the
-    earliest breakdown of any run is raised.  The final states are built
-    once, their samples read-only views of one inverse transform of the last
-    step's coefficients; a call that takes no step returns `initial` (once
-    per config).
+    `cfg` may also be a sequence of configs that differ only in kernel and
+    delta, which each row's multiplier carries: the runs then start from
+    the same initial state and are stepped together.  The call returns a
+    tuple of states in the order of the configs; the earliest breakdown of
+    any run is raised.  The final states are built once, their samples
+    read-only views of one inverse transform of the last step's
+    coefficients; a call that takes no step returns `initial` (once per
+    config).
     """
     batch = not isinstance(cfg, ModelConfig)
     configs = tuple(cfg) if batch else (cfg,)
@@ -557,7 +555,7 @@ def integrate(cfg, initial: State, observers=(), probe=None):
         raise ValueError("integrate needs at least one config")
     base = configs[0]
     if any(_shared_settings(c) != _shared_settings(base) for c in configs[1:]):
-        raise ValueError("batched configs may differ only in delta")
+        raise ValueError("batched configs may differ only in kernel and delta")
     grid = initial.grid
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     scaled = _spectral_rhs(multiplier, base, grid.size, multiplier.shape)

@@ -41,10 +41,11 @@ _TABLE_TOL = 1e-8
 
 
 def _triangular_symbol(xi):
-    out = np.empty(xi.shape, dtype=float)
+    out = np.zeros(xi.shape, dtype=float)  # the limit at infinite xi
     small = np.abs(xi) < _TRI_TAYLOR_CUTOFF
-    y = xi[~small]
-    out[~small] = (2.0 * np.sin(y / 2.0) / y) ** 2
+    closed = ~(small | np.isinf(xi))
+    y = xi[closed]
+    out[closed] = (2.0 * np.sin(y / 2.0) / y) ** 2
     out[small] = 1.0 - xi[small] ** 2 / 12.0
     return out
 
@@ -130,10 +131,16 @@ class Kernel:
         return np.sqrt(self.symbol(xi))
 
     def scaled_sqrt_symbol(self, delta: float, xi):
-        """sqrt(b(delta*xi)), the scaled operator's multiplier."""
+        """sqrt(b(delta*xi)), the scaled operator's multiplier.
+
+        Where delta*xi overflows it is infinite, and the symbol is read there
+        without a warning: 0 for the exponential and triangular kernels, 1
+        for dirac, a table's last value.
+        """
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return self.sqrt_symbol(np.asarray(xi, dtype=float) * delta)
+        with np.errstate(over="ignore"):
+            return self.sqrt_symbol(np.asarray(xi, dtype=float) * delta)
 
     def taylor_deviation(self, xi, theta: float):
         """|sqrt_symbol(xi) - 1| / |xi|^theta, the sharp-rate constant probe.

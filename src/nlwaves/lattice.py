@@ -5,7 +5,9 @@ The chain integrates
     u_tt = D2 (u + eps^n u^(n+1)),   D2 g = (g_{j+1} - 2 g_j + g_{j-1}) / delta^2
 
 with a site at each node of a `Grid` and delta its spacing, independent of
-the spectral solver so the two can cross-validate.  The RK4 march of the
+the spectral solver so the two can cross-validate.  A chain starts on u0
+sampled at its nodes and on the symmetric quotient of v0 at half a spacing
+off them (`shapes.sample`, `shapes.quotient`).  The RK4 march of the
 spectral core (`dynamics._march`) steps it, so the chain and the classical
 reference of a lattice sweep land on one time grid.  The chains of a
 lattice sweep are stepped together, end to end in one pair of site arrays,
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schema, shapes
+from . import schema
 from .dynamics import _freeze, _hook, _march, _nonlinear_scale, n_steps
 from .errors import ConfigError, NonFiniteError
+from .shapes import quotient, sample
 from .spectral import Grid, _integer_power
 
 
@@ -41,11 +44,11 @@ class Chain:
         _freeze(self, ("strain", "velocity"))
 
 
-def _chain_rhs(delta, epsilon: float, n: int, sizes):
+def _chain_rhs(grids, epsilon: float, n: int):
     """Builder of y -> c (u_t, D2 (u + eps^n u^(n+1))) for site arrays y = (u, u_t)
-    of chains of `sizes` sites laid end to end, each periodic: scaled(c)
-    returns rhs(y, out), which writes into `out`, which may be y; `delta` is
-    one spacing or one per site.
+    of chains on `grids` laid end to end, each periodic with delta its grid's
+    spacing: scaled(c) returns rhs(y, out), which writes into `out`, which
+    may be y.
 
     D2 g = ((g_{j+1} - 2 g_j) + g_{j-1}) * (c / delta^2) is taken on shifted
     slices of the whole array, then redone at each chain's first and last
@@ -58,17 +61,15 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     in the spectral core; u itself may be written over by c u_t.
     """
     coef = schema.nonlinear_coefficient(epsilon, n)
-    sizes = np.asarray(sizes)
+    sizes = [g.size for g in grids]
+    inv = np.repeat([1.0 / (g.spacing * g.spacing) for g in grids], sizes)
     ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    inv = np.broadcast_to(1.0 / (delta * delta), (total,))
     firsts, lasts = ends - sizes, ends - 1
     edges = np.concatenate([firsts, lasts])
     # a chain's first site wraps left to its last, its last right to its first
-    # (a one-site chain is its own neighbour)
-    right = np.concatenate([np.minimum(firsts + 1, lasts), firsts])
-    left = np.concatenate([lasts, np.maximum(lasts - 1, firsts)])
-    stress, twice = np.empty(total), np.empty(total)
+    right = np.concatenate([firsts + 1, firsts])
+    left = np.concatenate([lasts, lasts - 1])
+    stress, twice = np.empty(ends[-1]), np.empty(ends[-1])
 
     def scaled(c):
         inv_c = c * inv
@@ -95,29 +96,11 @@ def _chain_rhs(delta, epsilon: float, n: int, sizes):
     return scaled
 
 
-def initial_velocity(v0_spec, delta: float, sites: np.ndarray, half_length: float) -> np.ndarray:
-    """Discrete initial strain rate: symmetric quotient of v0 at half-offsets.
-
-    v0 must be evaluable at x +/- delta/2 analytically; sample arrays are
-    rejected because interpolation would pollute the quotient.  Raises
-    InvalidSpecError when the quotient is not finite at every site.
-    """
-    v0 = shapes.make_callable(v0_spec, half_length)
-    with np.errstate(all="ignore"):
-        rate = (v0(sites + delta / 2.0) - v0(sites - delta / 2.0)) / delta
-    return shapes._finite(rate, "its difference quotient")
-
-
 def make_chain(u0_spec, v0_spec, grid: Grid) -> Chain:
     """Chain at t=0 on `grid`: strains from u0 at its nodes (or one sample per
-    node), velocities from the quotient of v0 at its spacing.  A spec that
-    cannot be evaluated raises InvalidSpecError naming its config key, u0 or
-    v0."""
-    with shapes.naming("u0"):
-        strain = shapes.evaluate_on_nodes(u0_spec, grid.nodes, grid.half_length)
-    with shapes.naming("v0"):
-        velocity = initial_velocity(v0_spec, grid.spacing, grid.nodes, grid.half_length)
-    return Chain(grid, strain, velocity, 0.0)
+    node), velocities the quotient of v0 at half its spacing off them.  A spec
+    that cannot be read raises InvalidSpecError naming u0 or v0."""
+    return Chain(grid, sample(u0_spec, grid, "u0"), quotient(v0_spec, grid, "v0"), 0.0)
 
 
 def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, observers=(),
@@ -153,7 +136,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     sizes = [c.grid.size for c in chains]
     # the spectral core's rule of n, which bounds the power's cost too
     _nonlinear_scale(schema.nonlinear_coefficient(epsilon, n), n, max(sizes))
-    scaled = _chain_rhs(np.repeat([c.grid.spacing for c in chains], sizes), epsilon, n, sizes)
+    scaled = _chain_rhs([c.grid for c in chains], epsilon, n)
     y = np.concatenate([(c.strain, c.velocity) for c in chains], axis=1)
 
     def check(_y, a, t, _spare):

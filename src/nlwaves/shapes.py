@@ -9,8 +9,10 @@ samples, a callable, or None (zero).  Built-ins:
     {"shape": "sech2", "a": A, "b": B}         A * sech^2(B x)
     {"shape": "samples", "values": [...]}      node samples (grid-bound)
 
-Analytic shapes can be evaluated off-grid (the lattice initial velocity needs
-half-site values); sample arrays cannot.
+A spec is read on a `Grid`: `sample` takes its values at the nodes, and
+`quotient` its symmetric difference quotient at half a spacing off them (the
+chain's initial strain rate), which sample arrays cannot give.  Both name
+the spec's config key in the InvalidSpecError of a spec they cannot read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import InvalidSpecError
+from .spectral import Grid
 
 _REQUIRED_KEYS = {
     "zero": set(),
@@ -81,26 +84,47 @@ def make_callable(spec, half_length: float):
     raise InvalidSpecError("sample arrays cannot be evaluated off-grid")
 
 
-def evaluate_on_nodes(spec, nodes: np.ndarray, half_length: float) -> np.ndarray:
-    """Evaluate any spec at the given nodes; a sample array holds one value
-    per node.  Raises InvalidSpecError when a value is not finite; the
-    evaluation itself warns of nothing."""
-    if isinstance(spec, dict) and _checked_shape(spec) == "samples":
-        spec = spec["values"]
-    elif not isinstance(spec, (list, tuple, np.ndarray)):
+def sample(spec, grid: Grid, key: str) -> np.ndarray:
+    """Any spec at `grid.nodes`; a sample array holds one value per node.
+
+    Raises InvalidSpecError naming the config entry `key` when the spec is
+    malformed or a value is not finite; the evaluation itself warns of
+    nothing.
+    """
+    with _naming(key):
+        if isinstance(spec, dict) and _checked_shape(spec) == "samples":
+            spec = spec["values"]
+        elif not isinstance(spec, (list, tuple, np.ndarray)):
+            with np.errstate(all="ignore"):
+                values = make_callable(spec, grid.half_length)(grid.nodes)
+            return _finite(values, "its value")
+        try:
+            values = np.asarray(spec, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidSpecError("sample values must be numbers") from None
+        if values.shape != grid.nodes.shape:
+            raise InvalidSpecError(
+                f"sample array has shape {values.shape}, expected {grid.nodes.shape}")
+        return _finite(values, "its value")
+
+
+def quotient(spec, grid: Grid, key: str) -> np.ndarray:
+    """The symmetric quotient (f(x + h/2) - f(x - h/2)) / h of an analytic
+    spec f at `grid.nodes` x, with h = `grid.spacing`.
+
+    Sample arrays are rejected because interpolation would pollute the
+    quotient.  Raises InvalidSpecError naming the config entry `key` when the
+    spec is malformed or the quotient is not finite at every node.
+    """
+    with _naming(key):
+        f, h = make_callable(spec, grid.half_length), grid.spacing
         with np.errstate(all="ignore"):
-            return _finite(make_callable(spec, half_length)(nodes), "its value")
-    try:
-        values = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidSpecError("sample values must be numbers") from None
-    if values.shape != nodes.shape:
-        raise InvalidSpecError(f"sample array has shape {values.shape}, expected {nodes.shape}")
-    return _finite(values, "its value")
+            rate = (f(grid.nodes + h / 2.0) - f(grid.nodes - h / 2.0)) / h
+        return _finite(rate, "its difference quotient")
 
 
 @contextmanager
-def naming(key: str):
+def _naming(key: str):
     """Re-raise an InvalidSpecError of the block as one naming the config entry `key`."""
     try:
         yield

@@ -16,7 +16,6 @@ from nlwaves import (
     State,
     SweepConfig,
     fit_rate,
-    initial_velocity,
     integrate,
     integrate_chain,
     lattice_sweep,
@@ -153,17 +152,17 @@ def test_criterion_04_discrete_initial_velocity():
     spec = {"shape": "gaussian", "a": 1.0, "b": 2.0}
     deltas, errors = [], []
     for m_exp in (7, 8, 9, 10):
-        count = 2**m_exp
-        delta = 2 * L / count
-        sites = -L + delta * np.arange(count)
+        grid = Grid(L, 2**m_exp)
+        sites, delta = grid.nodes, grid.spacing
         exact = -4.0 * sites * np.exp(-2.0 * sites**2)
-        approx = initial_velocity(spec, delta, sites, L)
+        approx = make_chain(None, spec, grid).velocity
         deltas.append(delta)
         errors.append(np.sqrt(delta * np.sum((approx - exact) ** 2)))
     slope = fit_rate(list(zip(deltas, errors))).slope
 
-    sites = np.linspace(-10, 9.5, 40)
-    quad_err = np.max(np.abs(initial_velocity(lambda x: x**2, 0.5, sites, 10.0) - 2 * sites))
+    grid = Grid(10.0, 40)  # sites -10, -9.5, ..., 9.5
+    quad = make_chain(None, lambda x: x**2, grid).velocity
+    quad_err = np.max(np.abs(quad - 2 * grid.nodes))
 
     ok = 1.9 <= slope <= 2.1 and quad_err < 1e-12
     assert report(4, ok, f"gaussian slope={slope:.3f}, quadratic err={quad_err:.2e}")

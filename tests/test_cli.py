@@ -15,7 +15,7 @@ import nlwaves
 from nlwaves.cli import COMMANDS, FLAG_KEYS, main, parse_config, split_argv
 from nlwaves import Kernel, dynamics
 from nlwaves.errors import ConfigError
-from nlwaves.shapes import evaluate_on_nodes
+from nlwaves.shapes import sample
 from nlwaves.spectral import Grid
 
 
@@ -269,7 +269,7 @@ class TestSimulate:
                            u0={"shape": "gaussian", "a": a, "b": b}, emit_timeseries=True)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
         rows = (tmp_path / "run" / "timeseries.csv").read_text().splitlines()[1:]
-        u0 = evaluate_on_nodes({"shape": "gaussian", "a": a, "b": b}, Grid(20.0, 256).nodes, 20.0)
+        u0 = sample({"shape": "gaussian", "a": a, "b": b}, Grid(20.0, 256), "u0")
         first = [float(x) for x in rows[0].split(",")]
         assert first[0] == 0.0 and first[3] == np.max(np.abs(u0)) == a
 
@@ -438,6 +438,20 @@ class TestConfigTypes:
             assert main(argv) == 3
         assert "config field 'grid_l'" in capsys.readouterr().err
         assert not out.exists()  # rejected while the config is parsed
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("command, entries", [
+        pytest.param("simulate", {"kernel": kernel, "delta": 1e308}, id=kernel)
+        for kernel in ("dirac", "exponential", "triangular")
+    ] + [pytest.param("converge-dispersion", {"delta_list": [1e308, 0.1]}, id="sweep")])
+    def test_delta_whose_scaled_frequencies_overflow_runs(self, tmp_path, capsys, command,
+                                                          entries, epsilon):
+        # delta xi is infinite on most frequencies, where each symbol is at its limit
+        cfg = write_config(tmp_path, grid_n=64, epsilon=epsilon, **entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["simulate", "converge-dispersion", "converge-lattice"])
     def test_dt_whose_step_count_overflows_exits_3(self, tmp_path, capsys, command):
@@ -733,8 +747,7 @@ class TestConvergeCommands:
         grid_l, grid_n = 10.0, 64
         h = 2 * grid_l / grid_n
         gaussian = {"shape": "gaussian", "a": 0.5, "b": 2.0}
-        nodes = -grid_l + h * np.arange(grid_n)
-        values = evaluate_on_nodes(gaussian, nodes, grid_l).tolist()
+        values = sample(gaussian, Grid(grid_l, grid_n), "u0").tolist()
         common = dict(grid_n=grid_n, grid_l=grid_l, t_end=0.2, delta_list=[2 * h, h])
         outputs = []
         for name, u0 in (("samples", {"shape": "samples", "values": values}), ("shape", gaussian)):

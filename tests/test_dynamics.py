@@ -754,10 +754,25 @@ class TestSpectralCoreParity:
             assert np.max(np.abs(row.u - single.u)) <= 1e-14
             assert np.max(np.abs(row.v - single.v)) <= 1e-14
 
-    def test_batch_configs_may_differ_only_in_delta(self, unit_grid):
+    def test_batch_configs_may_differ_only_in_kernel_and_delta(self, unit_grid):
         st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only in kernel and delta"):
             integrate([config(delta=None), config(delta=0.5, epsilon=0.1)], st)
+
+    def test_batched_rows_of_other_kernels_equal_single_runs_bit_for_bit(self):
+        # each row has its own multiplier; two triangular kernels built
+        # separately are two objects with one symbol
+        g = Grid(20.0, 256)
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0},
+                            {"shape": "sine", "a": 0.3, "k": 2}, g)
+        dt = shared_dt(g)
+        rows = (("triangular", 0.1), ("exponential", 0.2), ("dirac", 0.3), ("triangular", None))
+        configs = [config(kernel=Kernel(name), delta=d, epsilon=0.1, n=1, dt=dt, t_end=60 * dt)
+                   for name, d in rows]
+        batched = integrate(configs, init)
+        for cfg, row in zip(configs, batched):
+            single = integrate(cfg, init)
+            assert np.array_equal(row.u, single.u) and np.array_equal(row.v, single.v)
 
     def test_batch_raises_earliest_breakdown(self):
         g = Grid(10.0, 256)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlwaves import InvalidSpecError, Kernel
+from nlwaves import Grid, InvalidSpecError, Kernel
 
 
 def exponential_symbol_oracle(xi):
@@ -118,6 +118,23 @@ class TestScaledSymbol:
         xi = np.linspace(-30, 30, 301)
         for k in builtins.values():
             assert np.array_equal(k.scaled_sqrt_symbol(1.0, xi), k.sqrt_symbol(xi))
+
+    def test_overflowing_argument_takes_the_limit_without_a_warning(self, builtins):
+        xi = Grid(20.0, 64).rfreqs
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(1e308 * xi)
+        assert overflows.sum() == 21  # xi above 1.8 of 0, 0.157, ..., 5.03 (33 in all)
+        limit = {"dirac": 1.0, "exponential": 0.0, "triangular": 0.0}
+        for name, k in builtins.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = k.scaled_sqrt_symbol(1e308, xi)
+            assert np.all(np.isfinite(out)) and out[0] == 1.0, name
+            assert np.all(out[overflows] == limit[name]), name
+
+    def test_triangular_closed_form_keeps_its_bits(self, builtins):
+        y = np.array([2e-4, -0.5, 1.0, 3.7, -40.0, 1e300])
+        assert np.array_equal(builtins["triangular"].symbol(y), (2.0 * np.sin(y / 2.0) / y) ** 2)
 
     def test_nonpositive_delta_rejected(self, builtins):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from nlwaves import (
     Kernel,
     ModelConfig,
     NonFiniteError,
-    initial_velocity,
     integrate,
     integrate_chain,
     make_chain,
@@ -31,15 +30,16 @@ from reference import _chain_rhs as gathered_chain_rhs
 
 def chain_rhs(chain, epsilon, n):
     """The chain integrator's right-hand side at the chain's state."""
-    rhs = _chain_rhs(chain.grid.spacing, epsilon, n, [chain.grid.size])(1.0)
+    rhs = _chain_rhs([chain.grid], epsilon, n)(1.0)
     out = np.empty((2, chain.grid.size))
     rhs(np.stack([chain.strain, chain.velocity]), out)
     return out[0], out[1]
 
 
-def second_difference(values, delta):
-    """D2 of the site values of one periodic chain, by the chain's right-hand side at eps 0."""
-    rhs = _chain_rhs(delta, 0.0, 1, [values.size])(1.0)
+def second_difference(values, grid):
+    """D2 of the site values of one periodic chain on `grid`, by the chain's
+    right-hand side at eps 0."""
+    rhs = _chain_rhs([grid], 0.0, 1)(1.0)
     out = np.empty((2, values.size))
     rhs(np.stack([values, np.zeros_like(values)]), out)
     return out[1]
@@ -48,11 +48,11 @@ def second_difference(values, delta):
 class TestSecondDifference:
     def test_constant_maps_to_zero(self):
         vals = np.full(16, 2.5)
-        assert np.max(np.abs(second_difference(vals, 0.3))) == 0.0
+        assert np.max(np.abs(second_difference(vals, Grid(2.4, 16)))) == 0.0
 
     def test_quadratic_exact_away_from_wraparound(self):
         x = 0.25 * np.arange(32)
-        out = second_difference(x**2, 0.25)
+        out = second_difference(x**2, Grid(4.0, 32))
         np.testing.assert_allclose(out[1:-1], 2.0, rtol=1e-11)
 
     def test_pure_mode_multiplier_identity(self):
@@ -60,34 +60,35 @@ class TestSecondDifference:
         # -(4/d^2) sin^2(xi d / 2), the negative square frequency times the
         # triangular-kernel symbol at xi*d
         L, M = 8.0, 64
-        delta = 2 * L / M
-        x = -L + delta * np.arange(M)
+        grid = Grid(L, M)
+        x, delta = grid.nodes, grid.spacing
         xi = 3 * np.pi / L
-        out = second_difference(np.sin(xi * x), delta)
+        out = second_difference(np.sin(xi * x), grid)
         tri = Kernel("triangular")
         expected = -(xi**2) * tri.symbol(xi * delta) * np.sin(xi * x)
         np.testing.assert_allclose(out, expected, rtol=1e-11, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        sizes=st.lists(st.integers(8, 64), min_size=1, max_size=4),
+        sizes=st.lists(st.integers(4, 32).map(lambda k: 2 * k), min_size=1, max_size=4),
         n=st.sampled_from([1, 2, 3]),
         epsilon=st.floats(0.0, 0.5),
         seed=st.integers(0, 2**32 - 1),
         scale=st.sampled_from([1.0, 0.005, 0.01 / 6.0, 3.7]),
     )
-    # a one-site chain is its own neighbour
-    @example(sizes=[1], n=1, epsilon=0.1, seed=0, scale=1.0)
-    @example(sizes=[3, 1, 2, 1], n=2, epsilon=0.1, seed=1, scale=1.0)
+    # the fewest sites a Grid has, alone and between longer chains
+    @example(sizes=[8], n=1, epsilon=0.1, seed=0, scale=1.0)
+    @example(sizes=[10, 8, 12, 8], n=2, epsilon=0.1, seed=1, scale=1.0)
     def test_slices_match_gathered_neighbours(self, sizes, n, epsilon, seed, scale):
         # the slice stencil with its redone chain ends gives the bits of the
         # gather over periodic neighbour indices, chain by chain, for every
         # factor the closure folds in
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((2, sum(sizes)))
-        delta = np.repeat(rng.uniform(0.05, 1.0, len(sizes)), sizes)
+        grids = [Grid(rng.uniform(0.05, 1.0) * m / 2, m) for m in sizes]
+        delta = np.repeat([g.spacing for g in grids], sizes)
         out = np.empty_like(y)
-        _chain_rhs(delta, epsilon, n, sizes)(scale)(y, out)
+        _chain_rhs(grids, epsilon, n)(scale)(y, out)
         expected = gathered_chain_rhs(delta, epsilon, n, _neighbours(sizes))(scale)(y[0], y[1])
         assert np.array_equal(out[0], expected[0])
         assert np.array_equal(out[1], expected[1])
@@ -98,11 +99,10 @@ class TestInPlaceChainRhs:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     def test_out_may_be_the_input(self, epsilon, n):
         # at eps 0 the stress is u itself, which c u_t writes over
-        sizes = [32, 16, 1]
+        grids = [Grid(4.0, 32), Grid(4.0, 16), Grid(3.2, 8)]  # spacings 0.25, 0.5, 0.8
         rng = np.random.default_rng(n)
-        y = rng.standard_normal((2, sum(sizes)))
-        delta = np.repeat([0.25, 0.5, 0.8], sizes)
-        rhs = _chain_rhs(delta, epsilon, n, sizes)(0.5)
+        y = rng.standard_normal((2, 56))
+        rhs = _chain_rhs(grids, epsilon, n)(0.5)
         out = np.empty_like(y)
         rhs(y, out)
         rhs(y, y)
@@ -137,15 +137,19 @@ class TestLatticeRhs:
         np.testing.assert_array_equal(du, vel)
 
 
+def initial_velocity(v0, grid):
+    """The initial strain rate of a chain on `grid` whose v0 is `v0`."""
+    return make_chain(None, v0, grid).velocity
+
+
 class TestInitialVelocity:
     def test_quadratic_is_exact(self):
-        sites = np.linspace(-10, 9.5, 40)
-        out = initial_velocity(lambda x: x**2, 0.5, sites, 10.0)
-        assert np.max(np.abs(out - 2 * sites)) < 1e-12
+        grid = Grid(10.0, 40)
+        out = initial_velocity(lambda x: x**2, grid)
+        assert np.max(np.abs(out - 2 * grid.nodes)) < 1e-12
 
     def test_constant_gives_zero(self):
-        sites = np.linspace(-10, 9.5, 40)
-        out = initial_velocity({"shape": "zero"}, 0.5, sites, 10.0)
+        out = initial_velocity({"shape": "zero"}, Grid(10.0, 40))
         assert np.all(out == 0.0)
 
     def test_gaussian_second_order_convergence(self):
@@ -155,37 +159,49 @@ class TestInitialVelocity:
         spec = {"shape": "gaussian", "a": a, "b": b}
         errors, deltas = [], []
         for m_exp in (7, 8, 9, 10):
-            sites_count = 2**m_exp
-            delta = 2 * L / sites_count
-            sites = -L + delta * np.arange(sites_count)
+            grid = Grid(L, 2**m_exp)
+            sites, delta = grid.nodes, grid.spacing
             exact = -2 * b * sites * a * np.exp(-b * sites**2)
-            approx = initial_velocity(spec, delta, sites, L)
+            approx = initial_velocity(spec, grid)
             errors.append(np.sqrt(delta * np.sum((approx - exact) ** 2)))
             deltas.append(delta)
         slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
         assert 1.9 < slope < 2.1
 
     def test_odd_data_gives_even_quotient(self):
-        L, M = 10.0, 64
-        delta = 2 * L / M
-        sites = -L + delta * np.arange(M)
-        out = initial_velocity({"shape": "sine", "a": 1.0, "k": 3}, delta, sites, L)
+        out = initial_velocity({"shape": "sine", "a": 1.0, "k": 3}, Grid(10.0, 64))
         reflected = np.concatenate([out[:1], out[1:][::-1]])
         np.testing.assert_allclose(out, reflected, atol=1e-14)
 
+    @pytest.mark.parametrize("spec", [
+        {"shape": "gaussian", "a": 0.5, "b": 2.0},
+        {"shape": "sine", "a": 0.3, "k": 3},
+        {"shape": "sech2", "a": 0.4, "b": 1.5},
+    ], ids=lambda spec: spec["shape"])
+    @pytest.mark.parametrize("half_length,sites", [(10.0, 40), (7.3, 96), (np.pi, 32)])
+    def test_is_the_half_spacing_quotient_bit_for_bit(self, spec, half_length, sites):
+        grid = Grid(half_length, sites)
+        x, h = grid.nodes, grid.spacing
+        f = {
+            "gaussian": lambda x: spec["a"] * np.exp(-spec["b"] * x**2),
+            "sine": lambda x: spec["a"] * np.sin(spec["k"] * np.pi / half_length * x),
+            "sech2": lambda x: spec["a"] / np.cosh(spec["b"] * x) ** 2,
+        }[spec["shape"]]
+        expected = (f(x + h / 2.0) - f(x - h / 2.0)) / h
+        assert np.array_equal(initial_velocity(spec, grid), expected)
+
     def test_non_finite_quotient_rejected_without_warning(self):
-        sites = np.linspace(-10, 9.5, 40)
         step = lambda x: np.where(x > 0, 1e308, -1e308)  # noqa: E731; 2e308 across x = 0
-        with pytest.raises(InvalidSpecError, match="not finite"):
-            initial_velocity(step, 0.5, sites, 10.0)
+        with pytest.raises(InvalidSpecError, match="v0.*not finite"):
+            initial_velocity(step, Grid(10.0, 40))
         with pytest.raises(InvalidSpecError, match="not finite"):
             make_chain({"shape": "gaussian", "a": 0.5, "b": -10}, None, Grid(10.0, 32))
 
     def test_sample_arrays_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            initial_velocity(np.zeros(8), 0.5, np.zeros(8), 10.0)
-        with pytest.raises(InvalidSpecError):
-            initial_velocity({"shape": "samples", "values": [1.0]}, 0.5, np.zeros(8), 10.0)
+        with pytest.raises(InvalidSpecError, match="v0"):
+            initial_velocity(np.zeros(8), Grid(10.0, 8))
+        with pytest.raises(InvalidSpecError, match="v0"):
+            initial_velocity({"shape": "samples", "values": [1.0] * 8}, Grid(10.0, 8))
 
 
 def trig_data(a):

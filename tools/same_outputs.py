@@ -11,9 +11,11 @@ decides it; the simulate-n256 config with emit_timeseries false, whose
 summary.json is read from the run's first and last samples alone; the
 sweep-dispersion-n2048 config with a table kernel: the exponential symbol
 sampled into a file that is written once into the temporary directory and
-read by both sides; and ``kernel-info`` with the sweep-dispersion-n2048
-config and with its table kernel.  It requires equal exit codes (0 or 2),
-compares summary.json and every CSV byte for byte (220 files), prints how
+read by both sides; the sweep-lattice-n2048 config with a Gaussian v0,
+so that the chains' velocity quotients and the v0 samples are compared;
+and ``kernel-info`` with the sweep-dispersion-n2048 config and with its
+table kernel.  It requires equal exit codes (0 or 2), compares
+summary.json and every CSV byte for byte (250 files), prints how
 many files differ and, per run and file, the largest relative difference
 between their numbers (in a CSV, relative to the column's peak; in
 summary.json, between the values under the same key) and the summary.json
@@ -44,14 +46,16 @@ def runs(table: Path) -> dict:
     """label -> (workload, config entries changed, command or None for the
     workload's own): every workload as it is, simulate-n256 with a threshold
     that its initial data reaches and without a time series,
-    sweep-dispersion-n2048 with the kernel table file `table`, and
-    kernel-info on the sweep-dispersion-n2048 config with its kernel and
-    with `table`."""
+    sweep-dispersion-n2048 with the kernel table file `table`,
+    sweep-lattice-n2048 with a non-zero v0, and kernel-info on the
+    sweep-dispersion-n2048 config with its kernel and with `table`."""
     sweep, tabled = "sweep-dispersion-n2048", {"kernel": str(table)}
     labelled = {name: (name, {}, None) for name in workloads.WORKLOADS}
     labelled["simulate-n256-breakdown"] = ("simulate-n256", {"breakdown_threshold": 1.0}, None)
     labelled["simulate-n256-summary"] = ("simulate-n256", {"emit_timeseries": False}, None)
     labelled["sweep-dispersion-n2048-table"] = (sweep, tabled, None)
+    labelled["sweep-lattice-n2048-v0"] = (
+        "sweep-lattice-n2048", {"v0": {"shape": "gaussian", "a": 0.2, "b": 1.0}}, None)
     labelled["kernel-info-n2048"] = (sweep, {}, "kernel-info")
     labelled["kernel-info-n2048-table"] = (sweep, tabled, "kernel-info")
     return labelled
