@@ -6,7 +6,7 @@ Times one symbol evaluation (`Kernel.scaled_sqrt_symbol` over the real-FFT
 frequencies, for each built-in kernel, at delta 0.4) at N in {256, 2048}.
 Times one right-hand-side call (the closure for dt/2 that
 `dynamics._spectral_rhs` builds, under the numpy settings with which
-`dynamics._march` steps it), one bare RK4 step (the first scaled stage and
+`dynamics._drive` steps a march), one bare RK4 step (the first scaled stage and
 `dynamics._rk4` on the closures for dt/2 and dt, under the same
 settings, with no check, probe or snapshot, stepping its state in place) and one step of a whole
 `integrate` call, at N in {256, 2048}, rows in {1, 5} and eps in {0, 0.1}:
@@ -91,9 +91,9 @@ def repeat(call, batch: int) -> list[float]:
 
 
 def stage_repeat(call, rows: int) -> list[float]:
-    """`repeat` of RHS_CALLS calls under the numpy settings of a `dynamics._march` stage."""
+    """`repeat` of RHS_CALLS calls under the numpy settings that `dynamics._drive` sets."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows > 1:  # as `dynamics._march` steps a state of several rows
+        if rows > 1:  # as `dynamics._drive` steps a state of several rows
             np.setbufsize(dynamics._STAGE_BUFSIZE)
         return repeat(call, RHS_CALLS)
 

@@ -10,8 +10,9 @@ Three studies, one per quantitative claim:
 - ``zero_dispersion_sweep``: nonlocal runs against one classical run with the
   same data, terminal Sobolev error per delta, fitted slope.
 - ``lattice_sweep``: chain runs against one classical run, strain and strain
-  rate compared on the grid-aligned chain sites; the chains of every delta
-  are stepped together in one batched ``integrate_chain`` call.
+  rate compared on the grid-aligned chain sites; one ``integrate_chain``
+  call steps the chains of every delta together, and the classical run in
+  lockstep with them.
 
 Both runs of a pair share grid, dt, and dealiasing so discretization error
 cancels to leading order in the difference.
@@ -19,10 +20,13 @@ cancels to leading order in the difference.
 Every error is one Sobolev norm, taken over real-FFT coefficients
 (`spectral.coefficient_norm`); a sweep builds its weights once per grid.
 The sweeps read the integrators' arrays through their probe (see
-`dynamics._march`) and build no snapshot between samples: the dispersion
-error is the norm of the coefficient differences, with no transform; the
-lattice sweep keeps the classical (u, u_t) from one inverse transform per
-sample and takes one forward transform of each chain's differences.
+`dynamics._drive`) and build no snapshot between samples: the dispersion
+error is the norm of the coefficient differences, with no transform.  The
+lattice sweep's probe first advances the classical march by one step
+(`dynamics._spectral_march`), so both models stand at one t, and a sample
+takes the classical (u, u_t) from one inverse transform and one forward
+transform of each chain's differences; no sample is stored but its errors,
+so its memory does not grow with t_end.
 """
 
 from __future__ import annotations
@@ -222,6 +226,13 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     compares strain and strain rate on the chain sites in the order-(s-1)
     Sobolev norm of the aligned coarse grid; the classical strain rate is
     the spectral derivative of v.  At t = 0 the strains match exactly.
+
+    One `lattice.integrate_chain` call runs every step of both models: its
+    probe steps the classical march once, then samples both states.  Both
+    marches take their step count and times from `dynamics._march` with
+    the same t_end and dt, so they stand at one t at every sample.  A
+    failure of either run ends the sweep at its step: the chain's is seen
+    before the classical run's at the same t.
     """
     grid, model = cfg.grid, cfg.model
     initial = dynamics.make_initial(cfg.u0, cfg.v0, grid)
@@ -241,28 +252,24 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     chains = [lattice.make_chain(initial.u[::stride], cfg.v0, c)
               for stride, c in zip(strides, coarse)]
     weights = [norm_weights(c, model.s - 1.0) for c in coarse]
-    n_steps = dynamics.n_steps(model.t_end, model.dt)
     ddx = dynamics._multiplier(grid, None, None)
-    # at t = 0 the initial samples, on which the chains start, stand for the strain
-    reference = dynamics._Recorder(
-        cfg.sample_stride, n_steps, lambda y, _t: _strain_and_rate(y, ddx, grid.size),
-        lambda y, _t: _strain_and_rate(y, ddx, grid.size, initial.u),
-    )
-    dynamics.integrate(model, initial, probe=reference)
-
     ends = np.cumsum([c.size for c in coarse])  # the chains lie end to end in y
     spans = [slice(end - c.size, end) for end, c in zip(ends, coarse)]
+    classical_y, classical = dynamics._spectral_march((model,), initial)
 
-    def errors_against_classical(y, t):
-        sample = len(rec.times) - 1
-        if reference.times[sample : sample + 1] != [t]:
-            raise AssertionError("sample times diverged between paired runs")
-        return _chain_errors(y, reference.snaps[sample], spans, strides, weights)
+    def errors(y, _t, u=None):
+        return _chain_errors(y, _strain_and_rate(classical_y, ddx, grid.size, u), spans, strides,
+                             weights)
 
-    rec = dynamics._Recorder(cfg.sample_stride, n_steps, errors_against_classical)
-    lattice.integrate_chain(chains, model.epsilon, model.n, model.dt, model.t_end, probe=rec)
-    if rec.times != reference.times:
-        raise AssertionError("sample times diverged between paired runs")
+    # at t = 0 the initial samples, on which the chains start, stand for the strain
+    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(model.t_end, model.dt), errors,
+                             lambda y, t: errors(y, t, initial.u))
+
+    def probe(y, t):  # the classical run takes its step, then both are read
+        next(classical)
+        rec(y, t)
+
+    lattice.integrate_chain(chains, model.epsilon, model.n, model.dt, model.t_end, probe=probe)
     return _assemble_report(cfg.deltas, rec)
 
 

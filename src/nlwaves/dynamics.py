@@ -30,22 +30,28 @@ runs and allocates its buffers only when the bound reaches the threshold,
 so every breakdown decision is the exact monitor's.  Runs that differ only
 in kernel and delta are rows of one array and share every transform.
 
-One RK4 march, `_march`, steps both models: this spectral core and the
-particle chain of `nlwaves.lattice`.  It owns the step count, the shortened
-last step that lands on t_end, the check of each first stage, the final
-finiteness check, its one hook and its numpy error state, and allocates its
-work buffers once per call; it steps the state in place, and a step
-allocates no array of its size but the exact monitor's when the gate trips.
+One RK4 march, the generator `_march`, steps both models: this spectral
+core and the particle chain of `nlwaves.lattice`.  It owns the step count,
+the shortened last step that lands on t_end, the check of each first stage
+and the final finiteness check, and allocates its work buffers once per
+call; it steps the state in place, yields t at the start and after every
+step, and a step allocates no array of its size but the exact monitor's
+when the gate trips.  The march sets no numpy state, so a suspended march
+leaks none: one driver, `_drive`, sets it around a whole loop.  A caller
+that iterates the march itself steps it in lockstep with another, as
+`lattice_sweep` steps its classical run (`_spectral_march`, the core of
+`integrate`) from the probe of its chains.
 Counted in rows of N/2 + 1 complex coefficients, a spectral run at n = 1
 holds 14: the state and the march's two buffers, two rows each (6), c M in
 each closure (2), the padded samples and spectrum, u^ + g^ inside the
 latter (3), M (1) and the state bound's weights (2), whose abs goes to the
 free stage buffer.
 
-The hook is `probe(y, t)`: it sees the stepped array at the start and after
-every step, and every built-in diagnostic reads it through it; `_Recorder`
-is that probe.  The integrators' public observers are called after it with
-t alone.  A State holds its grid, read-only node samples of u and v, and
+`_drive` calls `probe(y, t)` at each t the march yields, so it sees the
+stepped array at the start and after every step under the march's numpy
+settings; every built-in diagnostic reads it through it, and `_Recorder` is
+that probe.  The integrators' public observers are called after it with t
+alone.  A State holds its grid, read-only node samples of u and v, and
 t; none is built between steps: `integrate` builds the final ones, once,
 as views of one inverse transform of the last coefficients.  A `simulate`
 sample (`_sampler`) is one inverse transform of (u^, M v^, u_x^, S u^,
@@ -359,61 +365,60 @@ def _rk4(half, full, y: np.ndarray, stage, acc):
     np.add(y, acc, out=y)
 
 
-def _hook(probe, observers):
-    """The march's one hook: probe(y, t), if given, then each observer with t only."""
-    if not observers:
-        return probe
-
-    def hook(y, t):
-        if probe is not None:
-            probe(y, t)
-        for observer in observers:
-            observer(t)
-
-    return hook
-
-
-def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check, probe):
-    """March y in place from t to t_end with RK4 steps of dt, the last one
-    shortened to land on t_end.
+def _march(scaled, y: np.ndarray, t: float, t_end: float, dt: float, check):
+    """Generator that marches y in place from t to t_end with RK4 steps of
+    dt, the last one shortened to land on t_end, and yields t at the start
+    and after every step.
 
     scaled(c) returns rhs(y, out), which writes c f(y) into out and must
     accept out is y; the march builds the closures for h/2 and h once, and
-    once more for a shortened last step.  probe(y, t), if not None, sees y
-    at t and after every step; it must not write y, and copies what it
-    keeps, since the next step writes over it.  Before each step check(y, a,
-    t, spare) sees the state, a = (h/2) f(y) and `stage`, a buffer shaped
-    like y that it may overwrite, and may raise; the state after the last
-    step must be finite.  The march holds y, `stage` and `acc`, and the two
-    closures.  Steps and probes ignore overflow and invalid.  Raises
-    ValueError, before the first probe, when t_end precedes t.
+    once more for a shortened last step.  Whoever reads y between yields
+    must not write it, and copies what it keeps, since the next step writes
+    over it.  Before each step check(y, a, t, spare) sees the state, a =
+    (h/2) f(y) and `stage`, a buffer shaped like y that it may overwrite,
+    and may raise; the state after the last step must be finite.  The march
+    holds y, `stage` and `acc`, and the two closures, and sets no numpy
+    state: its caller steps it under `_drive`'s.  Raises ValueError, at the
+    first next(), when t_end precedes t.
     """
     if t_end < t:
         raise ValueError(f"t_end {t_end} precedes the start time {t}")
-    if probe is not None:
-        probe(y, t)
     steps = n_steps(t_end - t, dt)
     stage, acc = np.empty_like(y), np.empty_like(y)
+    yield t
+    for i in range(steps):
+        last = i == steps - 1
+        h = t_end - t if last else dt
+        if i == 0 or h != dt:  # for dt, and again for a shortened last step
+            half = full = None  # dt's closures go first, to bound memory
+            half, full = scaled(0.5 * h), scaled(h)
+        half(y, acc)
+        check(y, acc, t, stage)
+        _rk4(half, full, y, stage, acc)
+        t = t_end if last else t + h
+        if last and not np.all(np.isfinite(y)):
+            raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+        yield t
+
+
+def _drive(march, y: np.ndarray, probe, observers):
+    """Run `march` (a `_march` of y) to its end: probe(y, t), if given, then
+    each observer with t alone, at each t it yields.
+
+    Steps and probes ignore overflow and invalid.  numpy's ufuncs copy the
+    row-strided views of a stage on several rows through new buffers of
+    `np.getbufsize()` elements; with buffers shorter than a row they take
+    each row in place, with the same arithmetic.  Leaving the errstate
+    restores both settings, also when the march or a probe raises.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        # numpy's ufuncs copy the row-strided views of a stage on several rows
-        # through new buffers of `np.getbufsize()` elements; with buffers shorter
-        # than a row they take each row in place, with the same arithmetic.
         if y.ndim > 2 and y.shape[1] > 1:
-            np.setbufsize(_STAGE_BUFSIZE)  # leaving the errstate restores it
-        for i in range(steps):
-            last = i == steps - 1
-            h = t_end - t if last else dt
-            if i == 0 or h != dt:  # for dt, and again for a shortened last step
-                half = full = None  # dt's closures go first, to bound memory
-                half, full = scaled(0.5 * h), scaled(h)
-            half(y, acc)
-            check(y, acc, t, stage)
-            _rk4(half, full, y, stage, acc)
-            t = t_end if last else t + h
-            if last and not np.all(np.isfinite(y)):
-                raise NonFiniteError(f"state became non-finite at t={t:.6g}")
+            np.setbufsize(_STAGE_BUFSIZE)
+        for t in march:
             if probe is not None:
                 probe(y, t)
+            for observer in observers:
+                observer(t)
 
 
 def _coefficients(state: State) -> np.ndarray:
@@ -525,32 +530,12 @@ class _Recorder:
             self.snaps.append((self.take if self.count else self.first)(y, t))
 
 
-def integrate(cfg, initial: State, observers=(), probe=None):
-    """March the configured system from initial.t to cfg.t_end with RK4.
-
-    The last step is shortened to land on t_end exactly.  The internal
-    probe(y, t) sees the coefficients y of shape (2, runs, N/2 + 1) at
-    initial.t and after every step (see `_march`); each observer is then
-    called with t alone.  Raises NonFiniteError before the first probe when
-    the initial coefficients are not finite (`make_initial` names the config
-    key of such data), BreakdownError when the wave-breaking monitor exceeds
-    cfg.breakdown_threshold and NonFiniteError if the state stops being
-    finite.  Each step checks a bound on the monitor summed from the
-    state's coefficients; the monitor itself is transformed only when that
-    bound reaches the threshold (less a round-off margin), is non-finite or
-    is huge.
-
-    `cfg` may also be a sequence of configs that differ only in kernel and
-    delta, which each row's multiplier carries: the runs then start from
-    the same initial state and are stepped together.  The call returns a
-    tuple of states in the order of the configs; the earliest breakdown of
-    any run is raised.  The final states are built once, their samples
-    read-only views of one inverse transform of the last step's
-    coefficients; a call that takes no step returns `initial` (once per
-    config).
-    """
-    batch = not isinstance(cfg, ModelConfig)
-    configs = tuple(cfg) if batch else (cfg,)
+def _spectral_march(configs, initial: State):
+    """(y, march): the coefficients y of the runs of `configs` at initial.t,
+    shape (2, runs, N/2 + 1), and the `_march` that steps them in place to
+    t_end with `integrate`'s check.  Raises ValueError when there is no
+    config or the configs differ in more than kernel and delta, and
+    NonFiniteError when the initial coefficients are not finite."""
     if not configs:
         raise ValueError("integrate needs at least one config")
     base = configs[0]
@@ -576,7 +561,38 @@ def integrate(cfg, initial: State, observers=(), probe=None):
             raise BreakdownError(t, float(monitor[np.argmax(over)]), base.breakdown_threshold)
 
     y = _initial_rows(initial, len(configs))
-    _march(scaled, y, initial.t, base.t_end, base.dt, check, _hook(probe, observers))
+    return y, _march(scaled, y, initial.t, base.t_end, base.dt, check)
+
+
+def integrate(cfg, initial: State, observers=(), probe=None):
+    """March the configured system from initial.t to cfg.t_end with RK4.
+
+    The last step is shortened to land on t_end exactly.  The internal
+    probe(y, t) sees the coefficients y of shape (2, runs, N/2 + 1) at
+    initial.t and after every step (see `_march` and `_drive`); each
+    observer is then called with t alone.  Raises NonFiniteError before the
+    first probe when the initial coefficients are not finite (`make_initial`
+    names the config key of such data), BreakdownError when the
+    wave-breaking monitor exceeds cfg.breakdown_threshold and NonFiniteError
+    if the state stops being finite.  Each step checks a bound on the
+    monitor summed from the state's coefficients; the monitor itself is
+    transformed only when that bound reaches the threshold (less a
+    round-off margin), is non-finite or is huge.
+
+    `cfg` may also be a sequence of configs that differ only in kernel and
+    delta, which each row's multiplier carries: the runs then start from
+    the same initial state and are stepped together.  The call returns a
+    tuple of states in the order of the configs; the earliest breakdown of
+    any run is raised.  The final states are built once, their samples
+    read-only views of one inverse transform of the last step's
+    coefficients; a call that takes no step returns `initial` (once per
+    config).
+    """
+    batch = not isinstance(cfg, ModelConfig)
+    configs = tuple(cfg) if batch else (cfg,)
+    y, march = _spectral_march(configs, initial)
+    _drive(march, y, probe, observers)
+    base, grid = configs[0], initial.grid
     if n_steps(base.t_end - initial.t, base.dt) == 0:
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so each State views it

@@ -9,9 +9,9 @@ the spectral solver so the two can cross-validate.  A chain starts on u0
 sampled at its nodes and on the symmetric quotient of v0 at half a spacing
 off them (`shapes.sample`, `shapes.quotient`).  The RK4 march of the
 spectral core (`dynamics._march`) steps it, so the chain and the classical
-reference of a lattice sweep land on one time grid.  The chains of a
-lattice sweep are stepped together, end to end in one pair of site arrays,
-each wrapping on itself.
+reference of a lattice sweep land on one time grid and step in lockstep.
+The chains of a lattice sweep are stepped together, end to end in one pair
+of site arrays, each wrapping on itself.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .dynamics import _freeze, _hook, _march, _nonlinear_scale, n_steps
+from .dynamics import _drive, _freeze, _march, _nonlinear_scale, n_steps
 from .errors import ConfigError, NonFiniteError
 from .shapes import quotient, sample
 from .spectral import Grid, _integer_power
@@ -110,7 +110,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     `chain` may also be a sequence of chains at one time, stepped together;
     the call then returns a tuple of chains in input order.  The internal
     probe(y, t) sees the site arrays y = (u, u_t) of every chain laid end to
-    end at the chain time and after every step (see `dynamics._march`); each
+    end at the chain time and after every step (see `dynamics._march` and
+    `dynamics._drive`), under the numpy settings of the spectral core; each
     observer is then called with t alone.  The returned chains view one
     read-only stepped array; a call that takes no step returns its input.
 
@@ -144,7 +145,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
         if not (np.isfinite(a.max()) and np.isfinite(a.min())):
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
-    _march(scaled, y, t, t_end, dt, check, _hook(probe, observers))
+    _drive(_march(scaled, y, t, t_end, dt, check), y, probe, observers)
     if n_steps(t_end - t, dt):
         y.setflags(write=False)  # so each Chain views it
         parts = np.split(y, np.cumsum(sizes)[:-1], axis=1)

@@ -1,4 +1,4 @@
-"""Initial-data shapes, evaluable at arbitrary points.
+"""Initial-data shapes, read on a grid.
 
 A spec is either a dict naming a built-in shape, a plain array of node
 samples, a callable, or None (zero).  Built-ins:
@@ -9,10 +9,12 @@ samples, a callable, or None (zero).  Built-ins:
     {"shape": "sech2", "a": A, "b": B}         A * sech^2(B x)
     {"shape": "samples", "values": [...]}      node samples (grid-bound)
 
-A spec is read on a `Grid`: `sample` takes its values at the nodes, and
-`quotient` its symmetric difference quotient at half a spacing off them (the
-chain's initial strain rate), which sample arrays cannot give.  Both name
-the spec's config key in the InvalidSpecError of a spec they cannot read.
+A spec is read on a `Grid` through two functions alone: `sample` takes its
+values at the nodes, and `quotient` its symmetric difference quotient at
+half a spacing off them (the chain's initial strain rate), which sample
+arrays cannot give.  Both evaluate an analytic spec through the private
+`_callable`, and both name the spec's config key in the InvalidSpecError of
+a spec they cannot read.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def _checked_shape(spec: dict) -> str:
     return name
 
 
-def make_callable(spec, half_length: float):
-    """Return f(x) for an analytic spec; reject sample arrays.
+def _callable(spec, half_length: float):
+    """f(x) of an analytic spec, which `sample` and `quotient` evaluate;
+    raises InvalidSpecError for a sample array or a malformed spec.
 
     Sine shapes need the box half-length to fix their wavenumber, hence the
     `half_length` argument.
@@ -96,7 +99,7 @@ def sample(spec, grid: Grid, key: str) -> np.ndarray:
             spec = spec["values"]
         elif not isinstance(spec, (list, tuple, np.ndarray)):
             with np.errstate(all="ignore"):
-                values = make_callable(spec, grid.half_length)(grid.nodes)
+                values = _callable(spec, grid.half_length)(grid.nodes)
             return _finite(values, "its value")
         try:
             values = np.asarray(spec, dtype=float)
@@ -117,7 +120,7 @@ def quotient(spec, grid: Grid, key: str) -> np.ndarray:
     spec is malformed or the quotient is not finite at every node.
     """
     with _naming(key):
-        f, h = make_callable(spec, grid.half_length), grid.spacing
+        f, h = _callable(spec, grid.half_length), grid.spacing
         with np.errstate(all="ignore"):
             rate = (f(grid.nodes + h / 2.0) - f(grid.nodes - h / 2.0)) / h
         return _finite(rate, "its difference quotient")

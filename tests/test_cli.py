@@ -619,6 +619,8 @@ class TestNonFiniteOutputs:
     @pytest.mark.parametrize("command, changes", [
         pytest.param("simulate", {}, id="simulate"),
         pytest.param("converge-dispersion", {}, id="converge-dispersion"),
+        pytest.param("converge-lattice", {"delta_list": [0.625, 0.3125]},  # 2h and h
+                     id="converge-lattice"),
         pytest.param("simulate", {"n": 2, "t_end": 0.0}, id="simulate-energy-weight"),
     ])
     def test_overflow_exits_1_without_invalid_json(self, tmp_path, capsys, command, changes):
@@ -719,6 +721,15 @@ class TestConvergeCommands:
         out = tmp_path / "sweep"
         assert main(["converge-dispersion", "--config", cfg, "--out", str(out)]) == 2
         assert "breakdown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lattice_breakdown_exits_2_without_out(self, tmp_path, capsys):
+        # the classical run breaks down at t=0 (monitor 1.07229)
+        cfg = write_config(tmp_path, grid_n=64, grid_l=10.0, t_end=0.05,
+                           delta_list=[0.625, 0.3125], breakdown_threshold=0.1)
+        out = tmp_path / "sweep"
+        assert main(["converge-lattice", "--config", cfg, "--out", str(out)]) == 2
+        assert "breakdown monitor 1.07229 exceeded threshold 0.1 at t=0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unaligned_delta_list_exits_3(self, tmp_path, capsys):

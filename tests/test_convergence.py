@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlwaves import (
     AlignmentError,
+    BreakdownError,
     ModelConfig,
     DegenerateDataError,
     DegenerateFitError,
@@ -66,6 +67,11 @@ class TestFitRate:
         fit = fit_rate(pairs)
         assert fit.excluded == (0.1,)
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
+
+    def test_errors_between_the_floor_and_1e_12_are_fitted(self):
+        # 1e-13 lies above the zero floor 1e-14, so only 1e-20 is excluded
+        fit = fit_rate([(0.4, 1e-2), (0.2, 1e-13), (0.1, 1e-20)])
+        assert fit.excluded == (0.1,)
 
     def test_fewer_than_two_positive_errors_degenerate(self):
         with pytest.raises(DegenerateFitError):
@@ -344,18 +350,49 @@ class TestLatticeSweep:
         np.testing.assert_allclose(report.series, field_level, rtol=1e-10)
 
     def test_one_integrate_chain_call_for_all_deltas(self, monkeypatch):
-        calls = []
-        original = lattice.integrate_chain
+        # every step of the chains and of the classical run, which steps in
+        # lockstep with them from their probe, runs inside the one call
+        calls, steps = [], []
+        rk4, original = dynamics._rk4, lattice.integrate_chain
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            calls.append(None)
+            return out
 
         monkeypatch.setattr(lattice, "integrate_chain", counted)
+        monkeypatch.setattr(dynamics, "integrate", None)  # not to be called
+        monkeypatch.setattr(dynamics, "_rk4", lambda *a: steps.append(len(calls)) or rk4(*a))
         cfg = self.aligned_config()
         lattice_sweep(cfg)
-        assert len(calls) == 1
+        assert len(calls) == 2 and calls[1] is None
         assert [c.grid.size for c in calls[0]] == [32, 64, 128]
+        assert steps == [1] * 2 * dynamics.n_steps(cfg.model.t_end, cfg.model.dt)
+
+    def test_traced_peak_does_not_grow_with_t_end(self):
+        # four chains at N=2048 (strides 8, 4, 2, 1) and the classical run
+        # stepped in lockstep, each sample's classical (u, u_t) dropped once
+        # read: 0.91 MB traced to t_end 0.5 (103 steps) and 0.94 MB to t_end
+        # 8 (1,639 steps), numpy 2.4.6; a classical run taken whole first,
+        # its samples kept, read 1.00 and 6.07 MB
+        grid = Grid(20.0, 2048)
+        model = ModelConfig(kernel=TRI, delta=None, dt=shared_dt(grid), epsilon=0.1, n=1)
+        cfg = SweepConfig(model, deltas=tuple(s * grid.spacing for s in (8, 4, 2, 1)),
+                          grid=grid, u0={"shape": "gaussian", "a": 0.5, "b": 2.0},
+                          sample_stride=10)
+        peaks = []
+        lattice_sweep(replace(cfg, model=replace(model, t_end=0.5)))  # numpy's first calls
+        for t_end in (0.5, 8.0):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                lattice_sweep(replace(cfg, model=replace(model, t_end=t_end)))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.41e6
+        assert max(peaks) <= 1.1 * min(peaks)
 
     def test_unaligned_delta_rejected(self):
         grid = Grid(10.0, 128)
@@ -370,6 +407,52 @@ class TestLatticeSweep:
         with pytest.raises(AlignmentError) as info:  # 4 sites
             lattice_sweep(cfg)
         assert info.value.field == "delta_list"
+
+
+class TestNumpySettings:
+    """A march leaves numpy's error state and ufunc buffer size as its caller
+    set them, also when it raises, and its probes ignore overflow and
+    invalid."""
+
+    GRID = Grid(10.0, 128)
+
+    def probe(self, seen):
+        def probe(_y, _t):
+            seen.append({k: np.geterr()[k] for k in ("over", "invalid")})
+
+        return probe
+
+    def integrate_rows(self, seen):
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+        configs = [ModelConfig(kernel=TRI, delta=d, dt=0.05, t_end=0.2) for d in (None, 0.4)]
+        integrate(configs, init, probe=self.probe(seen))
+
+    def integrate_chain(self, seen):
+        chain = make_chain({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+        integrate_chain(chain, 0.1, 1, 0.05, 0.2, probe=self.probe(seen))
+
+    def lattice_sweep(self, _seen):
+        h = self.GRID.spacing
+        lattice_sweep(small_sweep_config(grid=self.GRID, deltas=(2 * h, h)))
+
+    def breaking_lattice_sweep(self, _seen):
+        h = self.GRID.spacing
+        cfg = small_sweep_config(grid=self.GRID, deltas=(2 * h, h))
+        with pytest.raises(BreakdownError):  # the classical run's, at its first step
+            lattice_sweep(replace(cfg, model=replace(cfg.model, breakdown_threshold=0.1)))
+
+    @pytest.mark.parametrize("run", ["integrate_rows", "integrate_chain", "lattice_sweep",
+                                     "breaking_lattice_sweep"])
+    def test_settings_do_not_leak(self, run):
+        seen = []
+        with np.errstate(all="raise"):
+            np.setbufsize(4096)
+            caller = np.geterr(), np.getbufsize()
+            getattr(self, run)(seen)
+            assert (np.geterr(), np.getbufsize()) == caller
+        assert all(s == {"over": "ignore", "invalid": "ignore"} for s in seen)
+        if run.startswith("integrate"):
+            assert len(seen) == 5
 
 
 def test_report_serialization_round_trip():

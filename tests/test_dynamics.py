@@ -370,6 +370,10 @@ class TestIntegrate:
             integrate(config(dt=1e-320, t_end=1.0), st)
         assert info.value.field == "dt"
 
+    def test_a_span_just_past_whole_steps_takes_one_more(self):
+        # 1e-6 of a step past four steps is no rounding of the span
+        assert dynamics.n_steps(0.25 * (4 + 1e-6), 0.25) == 5
+
     def test_last_step_lands_exactly(self, unit_grid):
         st = State(unit_grid, zeros(unit_grid), zeros(unit_grid), 0.0)
         out = integrate(config(dt=0.3, t_end=1.0), st)
