@@ -108,7 +108,7 @@ def time_rhs(grid: Grid, configs, init) -> dict:
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
     y = np.repeat(_coefficients(init)[:, None], len(configs), axis=1)
     out, stage = np.empty_like(y), np.empty_like(y)
-    scaled = _spectral_rhs(multiplier, configs[0], grid.size, y.shape[1:])
+    scaled = _spectral_rhs(multiplier, configs[0])
     dt = configs[0].dt
     half, full = scaled(0.5 * dt), scaled(dt)
 

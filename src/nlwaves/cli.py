@@ -4,14 +4,16 @@
 flat JSON file (--config); flags override file values.  Every run writes a
 JSON summary embedding the fully-resolved config (defaults included) plus
 command-specific CSV files into --out.  All floats are emitted with 17
-significant digits so downstream fits can round-trip.  `main` builds the
-grid and the kernel once and hands them to the command, which returns its
-exit code and {file name: text}; only then does `main` create --out and
-write them, so a run that raises creates no directory.  `simulate` keeps
-its samples in one recorder: every sample_stride-th step and the last with
-a time series, the first and the last without one; summary.json's final
-values are its last sample, so they equal the time series' last row bit
-for bit.
+significant digits so downstream fits can round-trip.  `parse_config`
+checks the model keys by building a ModelConfig from them, as the library
+does.  `main` builds the grid and the kernel and hands them to the
+command, which returns its exit code and {file name: text}; only then does
+`main` create --out and write them, so a run that raises creates no
+directory.  `simulate` keeps its samples in one `dynamics._Recorder`, which
+counts the run's steps itself: every sample_stride-th step and the last
+with a time series, the first and the last without one; summary.json's
+final values are its last sample, so they equal the time series' last row
+bit for bit.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 breakdown detected,
 3 invalid configuration or usage error; only 0 and a `simulate` breakdown
@@ -79,7 +81,9 @@ def _csv(header: str, rows) -> str:
 
 def parse_config(config_path, overrides) -> dict:
     """Merge defaults, config file, and flag overrides (config values, None
-    meaning null); validate everything."""
+    meaning null); validate everything: each key, then the rules between
+    keys, which Grid and ModelConfig state (dt's rule on t_end at the step
+    a null dt resolves to)."""
     defaults = {key: rule[0] for key, rule in schema.RULES.items()}
     resolved = json.loads(json.dumps(defaults))  # deep copy
     loaded = {}
@@ -101,8 +105,9 @@ def parse_config(config_path, overrides) -> dict:
         resolved["delta"] = None
     for key, value in resolved.items():
         schema.check(key, value)
-    schema.check_grid(resolved["grid_l"], resolved["grid_n"])  # grid_l's rule on grid_n
-    schema.nonlinear_coefficient(resolved["epsilon"], resolved["n"])  # and n's on epsilon
+    grid = Grid(resolved["grid_l"], resolved["grid_n"])  # grid_l's rules on grid_n
+    # n's rule on epsilon and dt's on t_end, as the library states them
+    _model(resolved, grid, None, resolved["delta"])
     return resolved
 
 
@@ -154,12 +159,8 @@ def _model(cfg: dict, grid: Grid, kernel: Kernel, delta) -> dynamics.ModelConfig
 def _cmd_simulate(cfg: dict, grid: Grid, kernel: Kernel) -> tuple[int, dict]:
     mc = _model(cfg, grid, kernel, cfg["delta"])
     initial = dynamics.make_initial(cfg["u0"], cfg["v0"], grid)
-    steps = dynamics.n_steps(mc.t_end, mc.dt)
-    take = dynamics._sampler(mc, grid)
-    # without a time series one stride spans the run: the first and last samples
-    stride = cfg["sample_stride"] if cfg["emit_timeseries"] else max(steps, 1)
-    recorder = dynamics._Recorder(stride, steps, take,
-                                  lambda y, t: take(y, t, initial.u))
+    stride = cfg["sample_stride"] if cfg["emit_timeseries"] else None
+    recorder = dynamics._Recorder(mc, initial, dynamics._sampler(mc, grid), stride)
     payload = {"command": "simulate", "config": cfg, "dt_used": mc.dt, "breakdown": None}
     outputs = {}
     try:

@@ -208,8 +208,8 @@ def zero_dispersion_sweep(cfg: SweepConfig) -> ConvergenceReport:
     model = cfg.model
     initial = dynamics.make_initial(cfg.u0, cfg.v0, cfg.grid)
     weights = norm_weights(cfg.grid, model.s - 1.0)
-    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(model.t_end, model.dt),
-                             lambda y, _t: _dispersion_errors(y, weights))
+    rec = dynamics._Recorder(model, initial, lambda y, _t, _u: _dispersion_errors(y, weights),
+                             cfg.sample_stride)
     # the classical run is row 0 of the coefficients, then one row per delta
     configs = [replace(model, delta=delta) for delta in (None, *cfg.deltas)]
     dynamics.integrate(configs, initial, probe=rec)
@@ -257,13 +257,11 @@ def lattice_sweep(cfg: SweepConfig) -> ConvergenceReport:
     spans = [slice(end - c.size, end) for end, c in zip(ends, coarse)]
     classical_y, classical = dynamics._spectral_march((model,), initial)
 
-    def errors(y, _t, u=None):
+    def errors(y, _t, u):  # at t = 0 u is the initial strain, on which the chains start
         return _chain_errors(y, _strain_and_rate(classical_y, ddx, grid.size, u), spans, strides,
                              weights)
 
-    # at t = 0 the initial samples, on which the chains start, stand for the strain
-    rec = dynamics._Recorder(cfg.sample_stride, dynamics.n_steps(model.t_end, model.dt), errors,
-                             lambda y, t: errors(y, t, initial.u))
+    rec = dynamics._Recorder(model, initial, errors, cfg.sample_stride)
 
     def probe(y, t):  # the classical run takes its step, then both are read
         next(classical)

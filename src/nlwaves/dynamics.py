@@ -19,8 +19,10 @@ of u on a zero-padded grid of P >= (n+2)/2 N points (one transform pair,
 which removes its aliasing exactly; the inverse transform pads the N/2 + 1
 coefficients itself, and its scale carries eps^n (P/N)^n as an (n+1)-th
 root), then one multiply of c M by v^ and one by u^ + g(u)^.
-`_spectral_rhs` builds one closure per c, each holding c M alone, over one
-set of buffers, and a step uses two: c = h/2 and c = h.  The pair calls
+`_spectral_rhs` reads N and the rows from M and builds one closure per c,
+each holding c M alone, over one set of buffers, and a step uses two: c =
+h/2 and c = h.  At eps = 0 the closure copies u^ where it would add the
+power, with no padded buffer and no transform.  The pair calls
 the two pocketfft gufuncs that `np.fft.irfft` and `np.fft.rfft` end in,
 bound once at import: at N=256 the wrappers' checks cost about as much as
 a transform.  Every other transform goes through `np.fft`.  Before each
@@ -50,7 +52,10 @@ free stage buffer.
 `_drive` calls `probe(y, t)` at each t the march yields, so it sees the
 stepped array at the start and after every step under the march's numpy
 settings; every built-in diagnostic reads it through it, and `_Recorder` is
-that probe.  The integrators' public observers are called after it with t
+that probe: it counts the steps of a run from its config and initial state,
+as the march does, and keeps take(y, t, u) at the first count, every
+stride-th and the last, u the initial strain samples at the first and None
+after.  The integrators' public observers are called after it with t
 alone.  A State holds its grid, read-only node samples of u and v, and
 t; none is built between steps: `integrate` builds the final ones, once,
 as views of one inverse transform of the last coefficients.  A `simulate`
@@ -133,6 +138,8 @@ class ModelConfig:
     delta=None selects the classical elasticity system (the Dirac limit);
     delta>0 selects the nonlocal system with the configured kernel.  The
     nonlinearity is g(u) = eps^n * u^(n+1); eps=0 gives the linear system.
+    A dt too small to reach t_end from 0 in 2**53 steps (`n_steps`) raises
+    ConfigError naming dt.
     """
 
     kernel: Kernel
@@ -150,6 +157,7 @@ class ModelConfig:
         if self.dt is None:  # null asks for the CFL step, which `shared_dt` resolves
             raise ConfigError("dt", "must be a number in a ModelConfig, got None")
         schema.nonlinear_coefficient(self.epsilon, self.n)  # the rule of n that needs epsilon
+        n_steps(self.t_end, self.dt)  # the rule of dt on t_end
 
     @property
     def nonlinear_coefficient(self) -> float:
@@ -220,65 +228,61 @@ def _nonlinear_scale(coef: float, n: int, size: int) -> float:
     return scale
 
 
-def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig, size: int, shape):
+def _spectral_rhs(multiplier: np.ndarray, cfg: ModelConfig):
     """scaled(c) -> rhs(y, out), which writes c (M y[1], M (y[0] + eps^n
-    y[0]^(n+1))^) of (2, *shape) coefficient arrays y into `out`, which may
-    be y.
+    y[0]^(n+1))^) of (2, *M.shape) coefficient arrays y into `out`, which
+    may be y; M is `multiplier`, of N/2 + 1 coefficients per row.
 
     The power is taken on P = `_padded_size` points, zero-padded, and
     truncated back, which removes its aliasing exactly; the weight 1/2 splits
     the Nyquist coefficient between the +/- N/2 padded modes.  The scale
     eps^n (P/N)^n rides in the inverse transform's scale, as its (n+1)-th
     root r: the power of r times the samples is eps^n (P/N)^n times theirs.
-    y[0] is added to the power's first N/2 + 1 coefficients, and the zero
-    Nyquist bin of the one multiplier c M that scaled(c) builds drops the
-    last; every closure shares the work buffers built here, once (at eps =
-    0, a copy of y[0]).  The pair is the gufunc calls that
-    `np.fft.irfft(head, n=P, norm="forward")` and `np.fft.rfft(product,
-    out=spec)` make after their checks, with the scales r/P and 1; the
-    inverse gufunc zero-pads the N/2 + 1 weighted coefficients `head`, the
-    head of `spec`, to P/2 + 1 itself, and P is even, so the forward gufunc
-    is `rfft_n_even`.  Raises ConfigError naming n when eps^n (P/N)^n
-    (`_nonlinear_scale`) or its product with M is not finite.
+    y[0] is added to the power's first N/2 + 1 coefficients, `head`, and the
+    zero Nyquist bin of the one multiplier c M that scaled(c) builds drops
+    the last; every closure shares the work buffers built here, once.  At
+    eps = 0 `head` is a copy of y[0]: no power is taken, and neither the
+    padded buffers nor the transforms are built.  The pair is the gufunc
+    calls that `np.fft.irfft(head, n=P, norm="forward")` and
+    `np.fft.rfft(product, out=spec)` make after their checks, with the
+    scales r/P and 1; the inverse gufunc zero-pads the N/2 + 1 weighted
+    coefficients `head`, the head of `spec`, to P/2 + 1 itself, and P is
+    even, so the forward gufunc is `rfft_n_even`.  Raises ConfigError naming
+    n when eps^n (P/N)^n (`_nonlinear_scale`) or its product with M is not
+    finite.
     """
+    half = multiplier.shape[-1] - 1
+    power, size = cfg.n + 1, 2 * half
     scale = _nonlinear_scale(cfg.nonlinear_coefficient, cfg.n, size)
-    if scale == 0.0:
-        u = np.empty(shape, complex)
-
-        def linear(c):
-            m = c * multiplier
-
-            def rhs(y, out):
-                np.copyto(u, y[0])
-                np.multiply(m, y[1], out=out[0])
-                np.multiply(m, u, out=out[1])
-
-            return rhs
-
-        return linear
-    power, half = cfg.n + 1, size // 2
-    padded = _padded_size(size, power)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(scale * multiplier[..., :half]))
-    if not finite:
-        raise ConfigError("n", f"the nonlinear multiplier epsilon**n (P/N)**n M overflows at "
-                               f"n = {cfg.n}")
-    inverse_scale = scale ** (1.0 / power) / padded
-    weights = np.append(np.ones(half, complex), 0.5)
-    product = np.empty((*shape[:-1], padded))
-    spec = np.empty((*shape[:-1], padded // 2 + 1), complex)
-    # the weighted coefficients, then the partial products, until rfft writes spec
-    head, scratch = spec[..., :half + 1], spec.view(float)[..., :padded]
+    linear = scale == 0.0
+    if linear:
+        head = np.empty(multiplier.shape, complex)
+    else:
+        padded = _padded_size(size, power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(scale * multiplier[..., :half]))
+        if not finite:
+            raise ConfigError("n", "the nonlinear multiplier epsilon**n (P/N)**n M overflows "
+                                   f"at n = {cfg.n}")
+        inverse_scale = scale ** (1.0 / power) / padded
+        weights = np.append(np.ones(half, complex), 0.5)
+        product = np.empty((*multiplier.shape[:-1], padded))
+        spec = np.empty((*multiplier.shape[:-1], padded // 2 + 1), complex)
+        # the weighted coefficients, then the partial products, until rfft writes spec
+        head, scratch = spec[..., :half + 1], spec.view(float)[..., :padded]
 
     def scaled(c):
         m = c * multiplier
 
         def rhs(y, out):
-            np.multiply(y[0], weights, out=head)
-            _irfft(head, inverse_scale, out=product)
-            _integer_power(product, power, out=product, scratch=scratch)
-            _rfft(product, 1.0, out=spec)
-            np.add(head, y[0], out=head)
+            if linear:
+                np.copyto(head, y[0])
+            else:
+                np.multiply(y[0], weights, out=head)
+                _irfft(head, inverse_scale, out=product)
+                _integer_power(product, power, out=product, scratch=scratch)
+                _rfft(product, 1.0, out=spec)
+                np.add(head, y[0], out=head)
             np.multiply(m, y[1], out=out[0])
             np.multiply(m, head, out=out[1])
 
@@ -422,15 +426,16 @@ def _drive(march, y: np.ndarray, probe, observers):
 
 
 def _coefficients(state: State) -> np.ndarray:
-    """Real-FFT coefficients of (u, v), stacked."""
-    return np.fft.rfft(np.stack([state.u, state.v]))
+    """Real-FFT coefficients of (u, v), stacked; an overflow gives inf or nan
+    without a warning, for the caller to check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(np.stack([state.u, state.v]))
 
 
 def _initial_rows(state: State, rows: int) -> np.ndarray:
     """The coefficients of `state` repeated for `rows` runs, shape (2, rows,
     N/2 + 1); raises NonFiniteError when they are not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _coefficients(state)
+    coefficients = _coefficients(state)
     if not np.all(np.isfinite(coefficients)):
         raise NonFiniteError(f"the real-FFT coefficients of the state at t={state.t:.6g} "
                              "are not finite")
@@ -495,9 +500,7 @@ def make_initial(u0_spec, v0_spec, grid: Grid) -> State:
     ConfigError naming it.
     """
     state = State(grid, sample(u0_spec, grid, "u0"), sample(v0_spec, grid, "v0"), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _coefficients(state)
-    for key, row in zip(("u0", "v0"), coefficients):
+    for key, row in zip(("u0", "v0"), _coefficients(state)):
         if not np.all(np.isfinite(row)):
             raise ConfigError(key, "its real-FFT coefficients are not finite")
     return state
@@ -508,26 +511,31 @@ def _shared_settings(cfg: ModelConfig) -> tuple:
 
 
 class _Recorder:
-    """Probe keeping take(y, t) every `stride` steps plus the last step.
+    """Probe keeping take(y, t, u) at the first step count, every `stride`-th
+    and the last of a run of `cfg` from `initial`; stride None keeps the
+    first and the last alone.
 
-    The initial sample is first(y, t) if given, so a caller can read it from
-    exact initial samples rather than from their coefficients.
+    u is initial.u at the first sample and None after it, so a caller can
+    read that sample from the exact initial samples rather than from their
+    coefficients.  The step counts are those of `_march` from initial.t to
+    cfg.t_end.
     """
 
-    def __init__(self, stride: int, n_steps: int, take, first=None):
-        self.stride = stride
-        self.n_steps = n_steps
+    def __init__(self, cfg: ModelConfig, initial: State, take, stride: int | None = None):
+        self.steps = n_steps(cfg.t_end - initial.t, cfg.dt)
         self.take = take
-        self.first = take if first is None else first
+        self.stride = stride
+        self.u = initial.u
         self.count = -1
         self.times = []
         self.snaps = []
 
     def __call__(self, y, t):
         self.count += 1
-        if self.count % self.stride == 0 or self.count == self.n_steps:
+        if self.count in (0, self.steps) or self.stride and self.count % self.stride == 0:
             self.times.append(t)
-            self.snaps.append((self.take if self.count else self.first)(y, t))
+            self.snaps.append(self.take(y, t, self.u))
+            self.u = None
 
 
 def _spectral_march(configs, initial: State):
@@ -543,7 +551,7 @@ def _spectral_march(configs, initial: State):
         raise ValueError("batched configs may differ only in kernel and delta")
     grid = initial.grid
     multiplier = np.stack([_multiplier(grid, c.kernel, c.delta) for c in configs])
-    scaled = _spectral_rhs(multiplier, base, grid.size, multiplier.shape)
+    scaled = _spectral_rhs(multiplier, base)
     ddx = _multiplier(grid, None, None)
     gate = min(base.breakdown_threshold * (1.0 - _BOUND_MARGIN), _BOUND_CEILING)
     bound = _state_bound(multiplier, ddx, grid.size)
@@ -567,7 +575,8 @@ def _spectral_march(configs, initial: State):
 def integrate(cfg, initial: State, observers=(), probe=None):
     """March the configured system from initial.t to cfg.t_end with RK4.
 
-    The last step is shortened to land on t_end exactly.  The internal
+    The last step is shortened to land on t_end exactly; a call whose t_end
+    is initial.t takes none.  The internal
     probe(y, t) sees the coefficients y of shape (2, runs, N/2 + 1) at
     initial.t and after every step (see `_march` and `_drive`); each
     observer is then called with t alone.  Raises NonFiniteError before the
@@ -593,7 +602,7 @@ def integrate(cfg, initial: State, observers=(), probe=None):
     y, march = _spectral_march(configs, initial)
     _drive(march, y, probe, observers)
     base, grid = configs[0], initial.grid
-    if n_steps(base.t_end - initial.t, base.dt) == 0:
+    if base.t_end == initial.t:  # no step was taken
         states = (initial,) * len(configs)
     else:  # every row from one inverse transform, read-only so each State views it
         final = np.fft.irfft(y, n=grid.size)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .dynamics import _drive, _freeze, _march, _nonlinear_scale, n_steps
+from .dynamics import _drive, _freeze, _march, _nonlinear_scale
 from .errors import ConfigError, NonFiniteError
 from .shapes import quotient, sample
 from .spectral import Grid, _integer_power
@@ -113,7 +113,8 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
     end at the chain time and after every step (see `dynamics._march` and
     `dynamics._drive`), under the numpy settings of the spectral core; each
     observer is then called with t alone.  The returned chains view one
-    read-only stepped array; a call that takes no step returns its input.
+    read-only stepped array; a call whose t_end is the chain time takes no
+    step and returns its input.
 
     Raises ConfigError naming n where the spectral core does (see
     `dynamics._nonlinear_scale`), ValueError when t_end precedes the chain
@@ -146,7 +147,7 @@ def integrate_chain(chain, epsilon: float, n: int, dt: float, t_end: float, obse
             raise NonFiniteError(f"chain became non-finite at t={t:.6g}")
 
     _drive(_march(scaled, y, t, t_end, dt, check), y, probe, observers)
-    if n_steps(t_end - t, dt):
+    if t_end != t:  # a step was taken
         y.setflags(write=False)  # so each Chain views it
         parts = np.split(y, np.cumsum(sizes)[:-1], axis=1)
         chains = tuple(Chain(c.grid, *part, t_end) for c, part in zip(chains, parts))

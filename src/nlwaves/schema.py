@@ -2,8 +2,10 @@
 
 `check(key, value)` applies a key's rule and raises ConfigError naming the
 key; `nonlinear_coefficient` applies the rule of n that depends on epsilon,
-and `check_grid` the rule of grid_l that depends on grid_n.  The CLI checks
-every key of the resolved config; Grid, ModelConfig and `integrate_chain`
+and `check_grid` the rules of grid_l that depend on grid_n.  The CLI checks
+every key of the resolved config, then builds a Grid and a ModelConfig from
+it for the rules between keys (ModelConfig's rule of dt on t_end, through
+`dynamics.n_steps`, among them); Grid, ModelConfig and `integrate_chain`
 check their arguments under the config-file name of each, and SweepConfig
 checks only what a sweep adds to its ModelConfig (delta_list and
 sample_stride), so a bad value fails alike from JSON and from Python.
@@ -90,15 +92,18 @@ def nonlinear_coefficient(epsilon, n: int):
 
 
 def check_grid(grid_l, grid_n) -> None:
-    """Check grid_l and grid_n, then the rule of grid_l on grid_n: pi N / L,
-    twice the largest frequency of the grid of N nodes on [-L, L), must be
-    finite; raises ConfigError naming the key."""
+    """Check grid_l and grid_n, then the rules of grid_l on grid_n: pi N / L,
+    twice the largest frequency of the grid of N nodes on [-L, L), and 2 L /
+    N, its spacing, must be finite; raises ConfigError naming the key."""
     check("grid_l", grid_l)
     check("grid_n", grid_n)
     half_length, size = float(grid_l), int(grid_n)
     if not math.isfinite(math.pi * size / half_length):
         raise ConfigError("grid_l", f"{half_length!r} is too small for {size} nodes: "
                                     "the grid's frequencies overflow")
+    if not math.isfinite(2.0 * half_length / size):
+        raise ConfigError("grid_l", f"{half_length!r} is too large for {size} nodes: "
+                                    "the grid's spacing overflows")
 
 
 def _check_number(key: str, value, kind, in_range, message: str) -> None:

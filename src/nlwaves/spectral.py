@@ -28,17 +28,21 @@ from .errors import ConfigError
 class Grid:
     """Uniform periodic grid on [-L, L) with an even number of nodes, at least
     8; raises ConfigError naming grid_l or grid_n otherwise (see
-    `schema.check_grid`)."""
+    `schema.check_grid`), and naming grid_n when its nodes or frequencies
+    cannot be allocated."""
 
     def __init__(self, half_length: float, size: int):
         schema.check_grid(half_length, size)
         self.half_length = float(half_length)
         self.size = int(size)
         self.spacing = 2.0 * self.half_length / self.size
-        self.nodes = -self.half_length + self.spacing * np.arange(self.size)
+        try:  # numpy refuses a size past its largest array, malloc one past the memory
+            self.nodes = -self.half_length + self.spacing * np.arange(self.size)
+            # real-FFT frequencies m*pi/L, m = 0..N/2
+            self.rfreqs = 2.0 * np.pi * np.fft.rfftfreq(self.size, d=self.spacing)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError("grid_n", f"{self.size} nodes cannot be allocated: {exc}") from None
         self.nodes.setflags(write=False)
-        # real-FFT frequencies m*pi/L, m = 0..N/2
-        self.rfreqs = 2.0 * np.pi * np.fft.rfftfreq(self.size, d=self.spacing)
         self.rfreqs.setflags(write=False)
 
     def __repr__(self):

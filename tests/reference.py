@@ -92,7 +92,7 @@ def rhs_fields(state, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     multiplier = _multiplier(grid, cfg.kernel, cfg.delta)
     dy = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        dynamics._spectral_rhs(multiplier, cfg, grid.size, y.shape[1:])(1.0)(y, dy)
+        dynamics._spectral_rhs(multiplier, cfg)(1.0)(y, dy)
     du, dv = np.fft.irfft(dy, n=grid.size)
     return du, dv
 

@@ -439,6 +439,23 @@ class TestConfigTypes:
         assert "config field 'grid_l'" in capsys.readouterr().err
         assert not out.exists()  # rejected while the config is parsed
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_grid_l_whose_spacing_overflows_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        argv = [command, "--grid-l", "1e308", "--grid-n", "8", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert "config field 'grid_l'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_grid_n_too_large_to_allocate_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "run"  # numpy refuses 2**62 nodes before it allocates any
+        assert main([command, "--grid-n", str(2**62), "--out", str(out)]) == 3
+        assert "config field 'grid_n'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("command, entries", [
         pytest.param("simulate", {"kernel": kernel, "delta": 1e308}, id=kernel)

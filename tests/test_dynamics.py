@@ -203,7 +203,7 @@ class TestSpectralRhsTransforms:
         u0, v0 = {"shape": "gaussian", "a": 0.5, "b": 2.0}, {"shape": "sine", "a": 0.3, "k": 2}
         y = np.repeat(_coefficients(make_initial(u0, v0, self.GRID))[:, None], rows, axis=1)
         y[..., -1] = 0.1 + 0.2j  # a Nyquist bin that the derivatives must not see
-        scaled = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size, y.shape[1:])
+        scaled = _spectral_rhs(multiplier, config(epsilon=eps, n=n))
         calls = {"_irfft": 0, "_rfft": 0, "np.fft": 0}
         for name in ("_irfft", "_rfft"):
             def counted(*args, _fft=getattr(dynamics, name), _name=name, **kwargs):
@@ -250,8 +250,7 @@ class TestInPlaceRhs:
         multiplier = np.stack([_multiplier(self.GRID, TRI, d) for d in deltas])
         rng = np.random.default_rng(10 * n + rows)
         y = rng.standard_normal((2, rows, self.GRID.size // 2 + 1, 2)) @ np.array([1.0, 1j])
-        rhs = _spectral_rhs(multiplier, config(epsilon=eps, n=n), self.GRID.size,
-                            y.shape[1:])(0.5)
+        rhs = _spectral_rhs(multiplier, config(epsilon=eps, n=n))(0.5)
         out = np.empty_like(y)
         rhs(y, out)
         rhs(y, y)
@@ -1097,8 +1096,8 @@ class TestProbe:
         monkeypatch.setattr(np.fft, "irfft", lambda a, *r, **k: shapes.append(a.shape)
                             or irfft(a, *r, **k))
         init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
-        rec = _Recorder(2, 10, lambda y, t: t)
         configs = [config(delta=d, dt=0.1, t_end=1.0, epsilon=0.1) for d in (None, 0.5)]
+        rec = _Recorder(configs[0], init, lambda y, t, u: t, 2)
         final = integrate(configs, init, probe=rec)
         assert shapes == [(2, 2, 33)]  # one inverse transform of both runs
         assert [s.t for s in final] == [1.0, 1.0]
@@ -1106,10 +1105,36 @@ class TestProbe:
         assert rec.times[-1] == 1.0
 
     def test_recorder_takes_its_first_sample_from_first(self):
-        rec = _Recorder(2, 3, lambda y, t: ("take", t), lambda y, t: ("first", t))
+        init = make_initial({"shape": "gaussian", "a": 0.5, "b": 2.0}, None, self.GRID)
+
+        def take(y, t, u):
+            return ("first" if u is init.u else "take" if u is None else u, t)
+
+        rec = _Recorder(config(dt=1.0, t_end=3.0), init, take, 2)
         for t in (0.0, 1.0, 2.0, 3.0):
             rec(None, t)
         assert rec.snaps == [("first", 0.0), ("take", 2.0), ("take", 3.0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(0, 40), stride=st.one_of(st.none(), st.integers(1, 7)),
+           start=st.sampled_from([0.0, 0.5]))
+    @example(steps=0, stride=None, start=0.5)
+    @example(steps=12, stride=4, start=0.0)
+    @example(steps=13, stride=None, start=0.0)
+    def test_recorder_keeps_every_stride_th_count_and_the_last(self, steps, stride, start):
+        grid, dt = Grid(10.0, 16), 0.25  # every t below is exact in binary
+        init = State(grid, np.exp(-grid.nodes**2), np.zeros(grid.size), start)
+        rec = _Recorder(config(dt=dt, t_end=start + steps * dt), init,
+                        lambda y, t, u: u, stride)
+        integrate(config(dt=dt, t_end=start + steps * dt), init, probe=rec)
+        if stride is None:
+            counts = [0, steps] if steps else [0]
+        else:
+            counts = list(range(0, steps + 1, stride)) + ([steps] if steps % stride else [])
+            assert len(counts) == steps // stride + 1 + (steps % stride > 0)
+        assert rec.times == [start + k * dt for k in counts]
+        assert rec.snaps[0] is init.u
+        assert rec.snaps[1:] == [None] * (len(counts) - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(

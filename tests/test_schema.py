@@ -34,9 +34,14 @@ def sweep(**kw):
     return SweepConfig(**{"model": model(delta=None), "deltas": (0.4, 0.2), "grid": GRID, **kw})
 
 
+#: the classical run of a config that leaves grid_l, grid_n and dt out: the
+#: CFL step on the default grid
+DEFAULT_GRID = Grid(RULES["grid_l"][0], RULES["grid_n"][0])
+
 #: each numeric config key as a library call takes it
 LIBRARY = {
-    "grid_l": lambda v: Grid(v, RULES["grid_n"][0]),  # a config without grid_n takes the default
+    # a config without grid_n or dt takes the default grid_n and the CFL step on its grid
+    "grid_l": lambda v: model(dt=shared_dt(Grid(v, RULES["grid_n"][0]))),
     "grid_n": lambda v: Grid(10.0, v),
     "delta": lambda v: model(delta=v),
     "delta_list": lambda v: sweep(deltas=v),
@@ -44,7 +49,7 @@ LIBRARY = {
     "n": lambda v: model(n=v),
     "s": lambda v: model(s=v),
     "dt": lambda v: model(dt=shared_dt(GRID, v)),  # the CLI resolves a null dt alike
-    "t_end": lambda v: model(t_end=v),
+    "t_end": lambda v: model(t_end=v, dt=shared_dt(DEFAULT_GRID)),  # dt's rule needs the step
     "breakdown_threshold": lambda v: model(breakdown_threshold=v),
     "sample_stride": lambda v: sweep(sample_stride=v),
 }
@@ -66,6 +71,10 @@ LIBRARY = {
         (lambda: Grid(NAN, 64), "grid_l"),
         (lambda: Grid(10.0, 64.0), "grid_n"),
         (lambda: Grid(-1.0, 8), "grid_l"),
+        pytest.param(lambda: Grid(1e308, 8), "grid_l", id="grid-spacing-overflows"),
+        # numpy refuses 2**62 nodes before it allocates any
+        pytest.param(lambda: Grid(20.0, 2**62), "grid_n", id="grid-too-large"),
+        pytest.param(lambda: model(dt=2.0**-54, t_end=1.0), "dt", id="dt-past-2-53-steps"),
         (lambda: integrate_chain(CHAIN, 0.0, 1, INF, 1.0), "dt"),
         (lambda: integrate_chain(CHAIN, 0.0, 1, None, 1.0), "dt"),
         (lambda: integrate_chain(CHAIN, 0.0, 1, 0.1, NAN), "t_end"),
@@ -157,6 +166,8 @@ VALUES = st.one_of(
 @example(key="grid_l", value=2.225073858507203e-309)  # pi N / L overflows
 @example(key="epsilon", value=1e308)  # the energy weight's (n+1) eps^n overflows
 @example(key="breakdown_threshold", value=INF)  # finite, from the CLI and the library alike
+@example(key="t_end", value=8.9e13)  # 2**53 CFL steps on the default grid, not 2**53 of 0.01
+@example(key="grid_l", value=1e-13)  # a CFL step that 2**53 steps do not carry to t_end 1
 def test_cli_and_library_accept_alike(key, value):
     def field_of_error(call):
         try:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlwaves import (
+    ConfigError,
     Grid,
     Kernel,
     NonFiniteError,
@@ -47,6 +48,15 @@ class TestGrid:
             Grid(10.0, 6)
         with pytest.raises(ValueError):
             Grid(-1.0, 64)
+
+    def test_a_failed_allocation_names_grid_n(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ConfigError, match="cannot allocate") as info:
+            Grid(20.0, 64)
+        assert info.value.field == "grid_n"
 
 
 class TestApplyMultiplier:
